@@ -32,6 +32,11 @@ func (e *StallError) Error() string {
 // paper's DMMPC (Lemma 2 parameters); the 2DMOT machine plugs in a packet
 // network as the Interconnect.
 //
+// A step executes in one way: a dedup front end turns the batch into its
+// post-dedup form (a DedupStep), and one body runs the read leg, the
+// reader fan-out and the write leg. ExecuteStep is the two in sequence;
+// the replay entry ExecuteDedupStep is the body alone.
+//
 // ExecuteStep is allocation-free in steady state: concurrent accesses are
 // deduplicated by sorting a reusable record slice (grouped by address)
 // instead of building per-step maps, and the StepReport's Values slice is a
@@ -52,18 +57,19 @@ type Machine struct {
 	// schedule for every batch (SetTwoStage).
 	twoStage *TwoStageConfig
 
-	// sink, when non-nil, observes every executed step's post-dedup
-	// batches under lane id `lane` (SetStepSink; the trace record/replay
-	// hook).
+	// sink, when non-nil, observes every ExecuteStep's post-dedup step
+	// and every LoadCells under lane id `lane` (SetStepSink; the trace
+	// record/replay hook).
 	sink StepSink
 	lane int
 
-	// Read-leg breakdown of the most recent ExecuteStep, captured before
+	// Breakdown of the most recent step, captured by the step body before
 	// the write batch clobbers the engine's shared result buffers: the
-	// retrieval leg's time and phase count plus the step's live-request
-	// area (Σ live counts over both legs' phase traces). Free accessors
-	// (LastStepBreakdown) in the LastDedupRequests mold; the serving
-	// lane's span recorder reads them instead of attaching a StepSink.
+	// post-dedup request count, the retrieval leg's time and phase count,
+	// and the step's live-request area (Σ live counts over both legs'
+	// phase traces). Free accessors (LastDedupRequests, LastStepBreakdown);
+	// the serving lane reads them instead of attaching a StepSink.
+	lastDedup      int
 	lastReadTime   int64
 	lastReadPhases int
 	lastLiveArea   int64
@@ -71,20 +77,17 @@ type Machine struct {
 	sc stepScratch
 }
 
-// stepScratch holds the Machine's reusable per-step buffers.
+// stepScratch holds the Machine's reusable per-step buffers. The dedup
+// front end writes the post-dedup step (readReqs, readerOff, readerProcs,
+// writeReqs) here; see DedupStep for the field semantics.
 type stepScratch struct {
-	recs      []model.ConflictRec
-	recsTmp   []model.ConflictRec // radix sort ping-pong buffer
-	readReqs  []Request
-	readStart []int32 // per read request: start of its reader run in recs
-	readEnd   []int32 // per read request: end of its reader run in recs
-	writeReqs []Request
-	values    []model.Word // dense per-proc read values (the StepReport.Values buffer)
-
-	// Reader fan-out lists for the step sink (buildReaderLists); only
-	// recording runs populate them.
+	recs        []model.ConflictRec
+	recsTmp     []model.ConflictRec // radix sort ping-pong buffer
+	readReqs    []Request
 	readerOff   []int32
 	readerProcs []int32
+	writeReqs   []Request
+	values      []model.Word // dense per-proc read values (the StepReport.Values buffer)
 }
 
 // NewMachine assembles a quorum-protocol backend.
@@ -158,10 +161,28 @@ func (m *Machine) Params() string { return m.store.Map().P.String() }
 // Redundancy returns the copies-per-variable the machine pays.
 func (m *Machine) Redundancy() int { return m.store.Map().R() }
 
-// ExecuteStep implements model.Backend.
+// ExecuteStep implements model.Backend: the dedup front end followed by
+// the step body, then the step sink, if one is attached.
 //
 //pram:hotpath
 func (m *Machine) ExecuteStep(batch model.Batch) model.StepReport {
+	s, rep := m.dedup(batch)
+	rep = m.execute(&s, rep)
+	if m.sink != nil {
+		m.sink.RecordStep(m.lane, s.Reads, s.ReaderOff, s.ReaderProcs, s.Writes, rep)
+	}
+	return rep
+}
+
+// dedup is the live step's front end. It sorts the batch's active
+// requests, checks them against the conflict discipline, and walks them
+// once, writing the post-dedup step into machine scratch. The returned
+// step aliases that scratch; the returned report is opened for execute
+// (openReport), with Values sized to max(n−1, highest active processor
+// id) and Err the conflict check's verdict.
+//
+//pram:hotpath
+func (m *Machine) dedup(batch model.Batch) (DedupStep, model.StepReport) {
 	sc := &m.sc
 
 	// Flatten the step's active requests and sort them by address, reads
@@ -214,124 +235,86 @@ func (m *Machine) ExecuteStep(batch model.Batch) model.StepReport {
 	}
 	sc.recs = recs
 
-	var rep model.StepReport
-	rep.Err = model.CheckSortedRecords(recs, m.mode)
-
-	sc.values = grow(sc.values, maxProc+1)
-	values := sc.values
-	clear(values)
-	rep.Values = values
-
-	// One walk over the address groups builds both deduplicated batches:
-	// per address, the readers [i,k) get one read request owned by the
-	// lowest-processor reader, and the writers [k,j) resolve to one write
-	// request per Mode — Priority (and the EREW/CREW/common fallback)
-	// takes the first (lowest-proc) writer, Arbitrary the last.
-	readReqs := sc.readReqs[:0]
-	readStart := sc.readStart[:0]
-	readEnd := sc.readEnd[:0]
-	writeReqs := sc.writeReqs[:0]
-	for i := 0; i < len(recs); {
-		j := i
-		for j < len(recs) && recs[j].Addr == recs[i].Addr {
-			j++
-		}
-		k := i
-		for k < j && !recs[k].Write {
-			k++
-		}
-		if k > i {
-			readReqs = append(readReqs, Request{Proc: recs[i].Proc, Var: recs[i].Addr})
-			readStart = append(readStart, int32(i))
-			readEnd = append(readEnd, int32(k))
-		}
-		if k < j {
-			w := recs[k]
-			if m.mode == model.CRCWArbitrary {
-				w = recs[j-1]
+	// One walk over the sorted records builds the post-dedup step. An
+	// address's first (lowest-processor) reader owns its read request and
+	// opens its run in the reader lists, which every reader joins. Its
+	// first writer owns its write request: Priority (and the EREW/CREW/
+	// common fallback) keeps that writer, Arbitrary hands the request on
+	// to each later writer, so the last one wins.
+	reads := sc.readReqs[:0]
+	off := sc.readerOff[:0]
+	procs := sc.readerProcs[:0]
+	writes := sc.writeReqs[:0]
+	for i := range recs {
+		r := &recs[i]
+		first := i == 0 || recs[i-1].Addr != r.Addr // first record of its address
+		switch {
+		case !r.Write:
+			if first {
+				reads = append(reads, Request{Proc: r.Proc, Var: r.Addr})
+				off = append(off, int32(len(procs)))
 			}
-			writeReqs = append(writeReqs, Request{Proc: w.Proc, Var: w.Addr, Write: true, Value: w.Val})
+			procs = append(procs, int32(r.Proc))
+		case first || !recs[i-1].Write:
+			writes = append(writes, Request{Proc: r.Proc, Var: r.Addr, Write: true, Value: r.Val})
+		case m.mode == model.CRCWArbitrary:
+			writes[len(writes)-1] = Request{Proc: r.Proc, Var: r.Addr, Write: true, Value: r.Val}
 		}
-		i = j
 	}
-	sc.readReqs = readReqs
-	sc.readStart = readStart
-	sc.readEnd = readEnd
-	sc.writeReqs = writeReqs
+	off = append(off, int32(len(procs)))
+	sc.readReqs, sc.readerOff, sc.readerProcs, sc.writeReqs = reads, off, procs, writes
 
-	rres := m.runBatch(readReqs)
-	// Fan the per-address values out to every reader NOW: the write batch
-	// below reuses the engine's result buffers.
-	for g := range readReqs {
+	s := DedupStep{Reads: reads, ReaderOff: off, ReaderProcs: procs, Writes: writes}
+	return s, m.openReport(maxProc, model.CheckSortedRecords(recs, m.mode))
+}
+
+// openReport opens a step's report for execute: the dense Values buffer
+// sized to maxProc+1 and cleared, and Err set to the front end's conflict
+// verdict, which outranks any stall the legs report.
+func (m *Machine) openReport(maxProc int, err error) model.StepReport {
+	m.sc.values = grow(m.sc.values, maxProc+1)
+	clear(m.sc.values)
+	return model.StepReport{Values: m.sc.values, Err: err}
+}
+
+// execute is the step body every entry point runs: the read leg, the
+// fan-out of each read request's value to its readers, the write leg, and
+// the report's cost fields. rep arrives opened (openReport). The body also
+// captures the step's breakdown (LastDedupRequests, LastStepBreakdown).
+//
+//pram:hotpath
+func (m *Machine) execute(s *DedupStep, rep model.StepReport) model.StepReport {
+	reads, off, procs, values := s.Reads, s.ReaderOff, s.ReaderProcs, rep.Values
+	rres := m.runBatch(reads)
+	// Fan the per-request values out to every reader NOW: the write batch
+	// below reuses the engine's result buffers, so only rres's scalar
+	// fields survive it.
+	for g := range reads {
 		v := rres.Values[g]
-		for k := readStart[g]; k < readEnd[g]; k++ {
-			values[recs[k].Proc] = v
+		for _, p := range procs[off[g]:off[g+1]] {
+			values[p] = v
 		}
 	}
 	readLastLive := lastLive(rres)
-	m.lastReadTime = rres.Time
-	m.lastReadPhases = rres.Phases
 	area := int64(0)
 	for _, l := range rres.LiveTrace {
 		area += int64(l)
 	}
 
-	wres := m.runBatch(writeReqs)
+	wres := m.runBatch(s.Writes)
 	for _, l := range wres.LiveTrace {
 		area += int64(l)
 	}
-	m.lastLiveArea = area
-	rep = m.assembleReport(rep, rres, wres, readLastLive)
+	m.lastDedup = len(reads) + len(s.Writes)
+	m.lastReadTime, m.lastReadPhases, m.lastLiveArea = rres.Time, rres.Phases, area
 
-	if m.sink != nil {
-		off, procs := m.buildReaderLists()
-		m.sink.RecordStep(m.lane, readReqs, off, procs, writeReqs, rep)
-	}
-	return rep
-}
-
-// LastDedupRequests reports the post-dedup batch size — deduplicated read
-// plus write requests — of the most recent ExecuteStep. The sizes live in
-// the machine's scratch arena, so exposing them is free; the serving lane's
-// dedup-batch-size histogram observes this instead of attaching a StepSink
-// (which would make every step pay for reader-list materialization).
-// ExecuteDedupStep (the replay entry point) does not update it.
-func (m *Machine) LastDedupRequests() int {
-	return len(m.sc.readReqs) + len(m.sc.writeReqs)
-}
-
-// LastStepBreakdown reports the most recent ExecuteStep's per-leg split:
-// the retrieval (read-quorum) leg's simulated time and phase count, and
-// the step's live-request area — the integral of the engine's LiveTrace
-// decay curve over both legs' phases. The values are captured into
-// machine scratch before the write batch reuses the engine's result
-// buffers, so exposing them is free; the commit leg's time is the step
-// report's Time minus readTime. ExecuteDedupStep (the replay entry
-// point) does not update it.
-func (m *Machine) LastStepBreakdown() (readTime int64, readPhases int, liveArea int64) {
-	return m.lastReadTime, m.lastReadPhases, m.lastLiveArea
-}
-
-// Interconnect exposes the machine's fabric. The serving lane's span
-// recorder type-asserts it to read cycle/hop counter deltas off
-// cycle-timed networks; tuning knobs stay on Engine.
-func (m *Machine) Interconnect() Interconnect { return m.eng.net }
-
-// assembleReport fills the cost and error fields of a step report from the
-// read- and write-batch results. Only the scalar fields of rres are read
-// (its slices were clobbered by the write batch's run); readLastLive is the
-// read batch's final live count, saved before the clobber.
-func (m *Machine) assembleReport(rep model.StepReport, rres, wres Result, readLastLive int) model.StepReport {
 	rep.Time = rres.Time + wres.Time
 	rep.Phases = rres.Phases + wres.Phases
 	rep.CopyAccesses = rres.CopyAccesses + wres.CopyAccesses
 	if ct, ok := m.eng.net.(CycleTimed); ok && ct.TimeInCycles() {
 		rep.NetworkCycles = rep.Time
 	}
-	rep.ModuleContention = rres.MaxModuleLoad
-	if wres.MaxModuleLoad > rep.ModuleContention {
-		rep.ModuleContention = wres.MaxModuleLoad
-	}
+	rep.ModuleContention = max(rres.MaxModuleLoad, wres.MaxModuleLoad)
 	if rres.Stalled && rep.Err == nil {
 		rep.Err = &StallError{Batch: "read", Phases: rres.Phases, Live: readLastLive}
 	}
@@ -340,6 +323,29 @@ func (m *Machine) assembleReport(rep model.StepReport, rres, wres Result, readLa
 	}
 	return rep
 }
+
+// LastDedupRequests reports the post-dedup batch size — deduplicated read
+// plus write requests — of the most recent step, executed through
+// ExecuteStep or ExecuteDedupStep. The step body captures it, so exposing
+// it is free; the serving lane's dedup-batch-size histogram observes this
+// instead of attaching a StepSink.
+func (m *Machine) LastDedupRequests() int { return m.lastDedup }
+
+// LastStepBreakdown reports the most recent step's per-leg split, executed
+// through ExecuteStep or ExecuteDedupStep: the retrieval (read-quorum)
+// leg's simulated time and phase count, and the step's live-request area —
+// the integral of the engine's LiveTrace decay curve over both legs'
+// phases. The step body captures the values before the write batch reuses
+// the engine's result buffers, so exposing them is free; the commit leg's
+// time is the step report's Time minus readTime.
+func (m *Machine) LastStepBreakdown() (readTime int64, readPhases int, liveArea int64) {
+	return m.lastReadTime, m.lastReadPhases, m.lastLiveArea
+}
+
+// Interconnect exposes the machine's fabric. The serving lane's span
+// recorder type-asserts it to read cycle/hop counter deltas off
+// cycle-timed networks; tuning knobs stay on Engine.
+func (m *Machine) Interconnect() Interconnect { return m.eng.net }
 
 // ReadCell implements model.Backend.
 func (m *Machine) ReadCell(a model.Addr) model.Word { return m.store.CommittedValue(a) }

@@ -90,14 +90,15 @@ type Pool struct {
 	lastComp   int
 	lastActive int
 
-	batches []model.Batch // current step's shard batches (set for the step)
-	dedup   []DedupStep   // current step's pre-deduplicated batches (replay)
+	// The round's shard steps in post-dedup form, filled on the caller
+	// before partitioning: live rounds alias the shard machines' dedup
+	// scratch, replay rounds copy the caller's step headers. reports[k]
+	// arrives opened (Machine.openReport) and leaves complete.
+	steps   []DedupStep
 	reports []model.StepReport
 	agg     model.StepReport
 
-	// sink, when non-nil, is notified after every ExecuteSteps round
-	// (StepBarrier); the shard machines carry the per-lane RecordStep
-	// hooks (SetStepSink).
+	// sink, when non-nil, records every ExecuteSteps round (SetStepSink).
 	sink StepSink
 
 	workers *poolWorkers
@@ -144,6 +145,7 @@ func NewPool(name string, store *Store, newNet func(shard int) Interconnect, cfg
 		compCnt:    make([]int32, k),
 		compEnd:    make([]int32, k),
 		compShards: make([]int32, k),
+		steps:      make([]DedupStep, k),
 		reports:    make([]model.StepReport, k),
 	}
 	if cfg.TwoStage != nil {
@@ -257,20 +259,17 @@ func (p *Pool) LastActive() int { return p.lastActive }
 
 // LastDedupRequests reports the post-dedup batch size — deduplicated read
 // plus write requests — of the step shard sh most recently executed
-// through ExecuteSteps. It reads the sizes the dedup pass left in the
-// shard machine's scratch, so observing it costs nothing on the execution
-// path (unlike a StepSink, which makes every step materialize its reader
-// fan-out lists). Valid between rounds for shards that executed a non-empty
-// batch; an idle shard reports 0.
+// through ExecuteSteps or ExecuteDedupSteps (Machine.LastDedupRequests),
+// so observing it costs nothing on the execution path. Valid between
+// rounds; an idle shard reports 0.
 func (p *Pool) LastDedupRequests(sh int) int {
 	return p.machines[sh].LastDedupRequests()
 }
 
 // LastStepBreakdown reports the per-leg split — read-quorum time, read
-// phases, live-request area — of the step shard sh most recently
-// executed through ExecuteSteps (Machine.LastStepBreakdown). Like
-// LastDedupRequests it reads shard-machine scratch, so observing it is
-// free; valid between rounds for shards that executed a non-empty batch.
+// phases, live-request area — of the step shard sh most recently executed
+// through ExecuteSteps or ExecuteDedupSteps (Machine.LastStepBreakdown).
+// Like LastDedupRequests it is free to observe and valid between rounds.
 func (p *Pool) LastStepBreakdown(sh int) (readTime int64, readPhases int, liveArea int64) {
 	return p.machines[sh].LastStepBreakdown()
 }
@@ -344,6 +343,7 @@ func (p *Pool) Resize(k int) {
 	p.compCnt = make([]int32, k)
 	p.compEnd = make([]int32, k)
 	p.compShards = make([]int32, k)
+	p.steps = make([]DedupStep, k)
 	p.reports = make([]model.StepReport, k)
 	if par := resolveWorkers(p.cfgWorkers, k); par != p.par {
 		if p.workers != nil {
@@ -362,10 +362,11 @@ func (p *Pool) Resize(k int) {
 	}
 }
 
-// SetStepSink attaches a step sink to every shard machine — shard k
-// records under lane k, the trace format's shard-lane layout — and to the
-// pool itself, which calls sink.StepBarrier after every ExecuteSteps round
-// (nil detaches everywhere). Attach before the first step; see
+// SetStepSink attaches a step sink to the pool, which records every
+// ExecuteSteps round on the caller — shard k's step under lane k, the
+// trace format's shard-lane layout, in ascending lane order, then
+// StepBarrier — and to every shard machine, whose LoadCells record under
+// its lane (nil detaches everywhere). Attach before the first step; see
 // Machine.SetStepSink.
 func (p *Pool) SetStepSink(sink StepSink) {
 	p.sink = sink
@@ -377,7 +378,9 @@ func (p *Pool) SetStepSink(sink StepSink) {
 // ExecuteSteps runs one P-RAM step per workload shard — batches[k] on
 // shard k's machine — and returns the deterministic aggregate report plus
 // the per-shard reports. len(batches) must equal Engines(); idle shards
-// pass an empty (or all-OpNone) batch.
+// pass an empty (or all-OpNone) batch. Each shard's dedup front end runs
+// on the caller; the post-dedup round then runs exactly as
+// ExecuteDedupSteps runs it.
 //
 // Aliasing: the per-shard reports alias each shard machine's scratch
 // (valid until that shard's next step); the aggregate's Values alias a
@@ -390,35 +393,26 @@ func (p *Pool) ExecuteSteps(batches []model.Batch) (model.StepReport, []model.St
 		//pram:coldalloc caller-contract panic guard, never taken in steady state
 		panic(fmt.Sprintf("quorum.Pool: %d batches for %d engines", len(batches), p.k))
 	}
-	ncomp := p.partition(batches)
-	p.batches = batches
-	p.dispatch(ncomp)
-	p.batches = nil
-
-	model.MergeStepReports(&p.agg, p.reports, p.n)
+	for k, b := range batches {
+		p.steps[k], p.reports[k] = p.machines[k].dedup(b)
+	}
+	p.run()
 	if p.sink != nil {
+		for k := range p.steps {
+			s := &p.steps[k]
+			p.sink.RecordStep(k, s.Reads, s.ReaderOff, s.ReaderProcs, s.Writes, p.reports[k])
+		}
 		p.sink.StepBarrier()
 	}
 	return p.agg, p.reports
 }
 
-// DedupStep is one shard's pre-deduplicated step — the post-dedup read and
-// write batches plus the reader fan-out lists a StepSink captured — the
-// unit Pool.ExecuteDedupSteps replays. See Machine.ExecuteDedupStep for
-// the field semantics.
-type DedupStep struct {
-	Reads       []Request
-	ReaderOff   []int32
-	ReaderProcs []int32
-	Writes      []Request
-}
-
 // ExecuteDedupSteps is ExecuteSteps for pre-deduplicated steps — the
-// replay entry point. It partitions the shard steps into the same
-// module-connectivity components (the request batches name exactly the
-// variables the original batches touched, so the components match the
-// recorded run's) and executes each shard via ExecuteDedupStep. Aliasing
-// and determinism contracts are ExecuteSteps'; step sinks are NOT invoked.
+// replay entry point, ExecuteSteps minus the front end. The request
+// batches name exactly the variables the original batches touched (dedup
+// only collapses duplicates), so the components match the recorded run's.
+// Aliasing and determinism contracts are ExecuteSteps'; the step sink is
+// NOT invoked.
 //
 //pram:hotpath
 func (p *Pool) ExecuteDedupSteps(steps []DedupStep) (model.StepReport, []model.StepReport) {
@@ -426,13 +420,19 @@ func (p *Pool) ExecuteDedupSteps(steps []DedupStep) (model.StepReport, []model.S
 		//pram:coldalloc caller-contract panic guard, never taken in steady state
 		panic(fmt.Sprintf("quorum.Pool: %d dedup steps for %d engines", len(steps), p.k))
 	}
-	ncomp := p.partitionDedup(steps)
-	p.dedup = steps
-	p.dispatch(ncomp)
-	p.dedup = nil
-
-	model.MergeStepReports(&p.agg, p.reports, p.n)
+	copy(p.steps, steps)
+	for k := range p.steps {
+		p.reports[k] = p.machines[k].openDedup(&p.steps[k])
+	}
+	p.run()
 	return p.agg, p.reports
+}
+
+// run executes the round in p.steps: one partition, the components, and
+// the merge into the aggregate report.
+func (p *Pool) run() {
+	p.dispatch(p.partition())
+	model.MergeStepReports(&p.agg, p.reports, p.n)
 }
 
 // dispatch executes the partitioned components — serially on the caller,
@@ -463,74 +463,31 @@ func (p *Pool) dispatch(ncomp int) {
 	w.p = nil
 }
 
-// partition groups the step's shard batches into module-connectivity
+// partition groups the round's shard steps into module-connectivity
 // components and orders them for execution: components are numbered by
 // their smallest shard index, and shards within a component stay in
 // ascending order — the serial reference order, which is what makes the
 // merge deterministic.
-func (p *Pool) partition(batches []model.Batch) int {
-	p.partitionReset()
-	p.lastActive = 0
-	for k, b := range batches {
-		active := false
-		for i := range b {
-			if b[i].Op == model.OpNone {
-				continue
-			}
-			active = true
-			p.touchVar(int32(k), b[i].Addr)
-		}
-		if active {
-			p.lastActive++
-		}
-	}
-	return p.numberComponents()
-}
-
-// partitionDedup is partition over pre-deduplicated steps: the request
-// batches name exactly the variables the original batches touched (dedup
-// only collapses duplicates), so the component structure is identical.
-func (p *Pool) partitionDedup(steps []DedupStep) int {
-	p.partitionReset()
-	p.lastActive = 0
-	for k := range steps {
-		if len(steps[k].Reads) > 0 || len(steps[k].Writes) > 0 {
-			p.lastActive++
-		}
-		for i := range steps[k].Reads {
-			p.touchVar(int32(k), steps[k].Reads[i].Var)
-		}
-		for i := range steps[k].Writes {
-			p.touchVar(int32(k), steps[k].Writes[i].Var)
-		}
-	}
-	return p.numberComponents()
-}
-
-// partitionReset opens a new step's partition epoch.
-func (p *Pool) partitionReset() {
+func (p *Pool) partition() int {
 	p.step++
 	for i := range p.ufParent {
 		p.ufParent[i] = int32(i)
 		p.compID[i] = -1
 	}
-}
-
-// touchVar links shard k to every module holding a copy of variable v,
-// merging it with any shard that touched one of them earlier this step.
-func (p *Pool) touchVar(k int32, v int) {
-	for _, mod := range p.store.Map().Copies(v) {
-		if p.modStamp[mod] != p.step {
-			p.modStamp[mod] = p.step
-			p.modOwner[mod] = k
-		} else {
-			p.union(k, p.modOwner[mod])
+	p.lastActive = 0
+	for k := range p.steps {
+		s := &p.steps[k]
+		if len(s.Reads) > 0 || len(s.Writes) > 0 {
+			p.lastActive++
+		}
+		for i := range s.Reads {
+			p.touchVar(int32(k), s.Reads[i].Var)
+		}
+		for i := range s.Writes {
+			p.touchVar(int32(k), s.Writes[i].Var)
 		}
 	}
-}
 
-// numberComponents finishes a partition epoch.
-func (p *Pool) numberComponents() int {
 	// Number components by first appearance (ascending shard index) and
 	// counting-sort the shards by component, preserving shard order.
 	ncomp := int32(0)
@@ -557,6 +514,19 @@ func (p *Pool) numberComponents() int {
 	return int(ncomp)
 }
 
+// touchVar links shard k to every module holding a copy of variable v,
+// merging it with any shard that touched one of them earlier this step.
+func (p *Pool) touchVar(k int32, v int) {
+	for _, mod := range p.store.Map().Copies(v) {
+		if p.modStamp[mod] != p.step {
+			p.modStamp[mod] = p.step
+			p.modOwner[mod] = k
+		} else {
+			p.union(k, p.modOwner[mod])
+		}
+	}
+}
+
 // find returns the root of a union-find node with path halving.
 func (p *Pool) find(x int32) int32 {
 	for p.ufParent[x] != x {
@@ -581,20 +551,14 @@ func (p *Pool) union(a, b int32) {
 }
 
 // runComponent executes one component's shard steps serially in ascending
-// shard order, from whichever source (live batches or pre-deduplicated
-// replay steps) the current dispatch set.
+// shard order, through the step body.
 func (p *Pool) runComponent(c int) {
 	beg := int32(0)
 	if c > 0 {
 		beg = p.compEnd[c-1]
 	}
 	for _, k := range p.compShards[beg:p.compEnd[c]] {
-		if p.dedup != nil {
-			s := &p.dedup[k]
-			p.reports[k] = p.machines[k].ExecuteDedupStep(s.Reads, s.ReaderOff, s.ReaderProcs, s.Writes)
-		} else {
-			p.reports[k] = p.machines[k].ExecuteStep(p.batches[k])
-		}
+		p.reports[k] = p.machines[k].execute(&p.steps[k], p.reports[k])
 	}
 }
 

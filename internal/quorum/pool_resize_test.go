@@ -8,7 +8,6 @@ package quorum_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/memmap"
@@ -163,8 +162,8 @@ func TestPoolResizeCensusAndWorkers(t *testing.T) {
 	live.Close()
 }
 
-// TestPoolResizeSinkLanes checks that machines created by a grow inherit
-// the pool's step sink on their own lane.
+// TestPoolResizeSinkLanes checks that shards created by a grow record
+// their steps on their own lane.
 func TestPoolResizeSinkLanes(t *testing.T) {
 	const nPer, bands = 8, 4
 	live, _ := resizePools(nPer, bands, 2, 1)
@@ -183,17 +182,13 @@ func TestPoolResizeSinkLanes(t *testing.T) {
 	live.Close()
 }
 
-// laneSink counts RecordStep calls per lane. RecordStep may run from
-// worker goroutines (one per concurrent component), so the map is locked.
+// laneSink counts RecordStep calls per lane.
 type laneSink struct {
-	mu    sync.Mutex
 	lanes map[int]int
 }
 
 func (s *laneSink) RecordStep(lane int, reads []quorum.Request, readerOff, readerProcs []int32,
 	writes []quorum.Request, rep model.StepReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.lanes == nil {
 		s.lanes = map[int]int{}
 	}

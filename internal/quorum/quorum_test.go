@@ -284,9 +284,4 @@ func TestStoreLoadCellAndClock(t *testing.T) {
 	if st.FreshCopies(3) != st.Map().R() {
 		t.Error("LoadCell must refresh all copies")
 	}
-	c0 := st.Clock()
-	st.Tick()
-	if st.Clock() != c0+1 {
-		t.Error("Tick did not advance clock")
-	}
 }

@@ -8,28 +8,23 @@ import (
 
 // StepSink observes the post-dedup request stream at the engine/pool
 // boundary — the hook the trace record/replay subsystem (repro/internal/
-// replay) captures machine runs through. A Machine with a sink attached
-// reports, after every executed step, the deduplicated read and write
-// batches it fed the engine, the reader fan-out lists that turn per-request
-// read values back into per-processor values, and the step's cost report.
+// replay) captures machine runs through. After every live step it receives
+// the deduplicated read and write batches fed to the engine, the reader
+// fan-out lists that turn per-request read values back into per-processor
+// values, and the step's cost report.
 //
 // All slice arguments alias machine scratch and are valid only for the
 // duration of the call: a sink must encode or copy what it keeps. Sinks
 // must not mutate any argument and must not call back into the machine.
 //
-// In a multi-engine Pool every shard machine carries its own lane id
-// (Pool.SetStepSink assigns lane k to shard k), and shard machines execute
-// concurrently: RecordStep may be called from different goroutines for
-// DIFFERENT lanes at the same time, never concurrently for one lane. The
-// pool calls StepBarrier from the caller's goroutine after each
-// ExecuteSteps round, with every RecordStep of the round ordered before it
-// (the pool's worker barrier publishes them) — the point where a recorder
-// can serialize the round's lanes in canonical ascending order.
+// Every call comes from the goroutine driving the machine or pool. A
+// single Machine calls RecordStep at the end of ExecuteStep. A Pool calls
+// it once per shard (lane k is shard k, see Pool.SetStepSink) in ascending
+// lane order after a round's components finish, idle shards included, and
+// then calls StepBarrier.
 type StepSink interface {
-	// RecordStep reports one executed step: the deduplicated batches, the
-	// per-read-request reader lists (readerProcs[readerOff[g]:readerOff[g+1]]
-	// are the ascending processor ids whose reads collapsed into reads[g];
-	// the run starts with reads[g].Proc itself), and the assembled report.
+	// RecordStep reports one executed step: its post-dedup form (the
+	// fields of a DedupStep) and the assembled report.
 	RecordStep(lane int, reads []Request, readerOff, readerProcs []int32, writes []Request, rep model.StepReport)
 	// RecordLoad reports a LoadCells memory initialization. Loads must not
 	// interleave with pool step execution (they are setup-time events).
@@ -50,89 +45,57 @@ func (m *Machine) SetStepSink(sink StepSink, lane int) {
 	m.lane = lane
 }
 
-// buildReaderLists materializes the reader fan-out — for every deduplicated
-// read request g, the ascending processor ids recs[readStart[g]:readEnd[g]]
-// that issued reads of its variable — as flat int32 arrays in the scratch
-// arena. Only recording runs pay for it.
-func (m *Machine) buildReaderLists() ([]int32, []int32) {
-	sc := &m.sc
-	sc.readerOff = sc.readerOff[:0]
-	sc.readerProcs = sc.readerProcs[:0]
-	for g := range sc.readReqs {
-		sc.readerOff = append(sc.readerOff, int32(len(sc.readerProcs)))
-		for k := sc.readStart[g]; k < sc.readEnd[g]; k++ {
-			sc.readerProcs = append(sc.readerProcs, int32(sc.recs[k].Proc))
-		}
-	}
-	sc.readerOff = append(sc.readerOff, int32(len(sc.readerProcs)))
-	return sc.readerOff, sc.readerProcs
+// DedupStep is one P-RAM step in its POST-DEDUP form: the deduplicated
+// read batch, the reader fan-out lists, and the deduplicated write batch.
+// It is what the dedup front end produces, what a StepSink observes, and
+// the unit ExecuteDedupStep and Pool.ExecuteDedupSteps replay.
+type DedupStep struct {
+	// Reads holds one request per read address, owned by its
+	// lowest-processor reader, in ascending variable order.
+	Reads []Request
+	// ReaderProcs[ReaderOff[g]:ReaderOff[g+1]] are the ascending
+	// processor ids whose reads collapsed into Reads[g], starting with
+	// Reads[g].Proc itself; len(ReaderOff) is len(Reads)+1.
+	ReaderOff   []int32
+	ReaderProcs []int32
+	// Writes holds one request per written address: the Mode's winning
+	// writer.
+	Writes []Request
 }
 
-// ExecuteDedupStep executes one P-RAM step from its POST-DEDUP form — the
-// deduplicated read batch, the reader fan-out lists, and the deduplicated
-// write batch, exactly what a StepSink observed — skipping the sort/dedup/
-// conflict-check front of ExecuteStep. It is the replay entry point: cost
-// accounting, store mutations and the dense Values buffer are bit-for-bit
-// those of the ExecuteStep call the batches were captured from (conflict-
-// discipline checking is a dedup-layer property and is not re-run, so
-// rep.Err only reports protocol stalls).
+// ExecuteDedupStep executes one P-RAM step from its post-dedup form —
+// exactly what a StepSink observed — by running ExecuteStep's body
+// without its dedup front end. It is the replay entry point: cost
+// accounting, store mutations, the dense Values buffer and the breakdown
+// accessors are bit-for-bit those of the ExecuteStep call the step was
+// captured from. Conflict-discipline checking is a front-end property and
+// is not re-run, so rep.Err only reports protocol stalls.
 //
-// readerOff/readerProcs may be nil, in which case each read's value is
-// fanned out to its representative processor only. The returned report
-// aliases machine scratch like ExecuteStep's. The sink, if any, is NOT
-// invoked.
+// The returned report aliases machine scratch like ExecuteStep's. The
+// sink, if any, is NOT invoked.
 //
 //pram:hotpath
 func (m *Machine) ExecuteDedupStep(reads []Request, readerOff, readerProcs []int32, writes []Request) model.StepReport {
-	if readerOff != nil && len(readerOff) != len(reads)+1 {
+	s := DedupStep{Reads: reads, ReaderOff: readerOff, ReaderProcs: readerProcs, Writes: writes}
+	return m.execute(&s, m.openDedup(&s))
+}
+
+// openDedup opens the report of a step that skipped the front end: Values
+// sized to max(n−1, highest processor id the step names) and no conflict
+// verdict.
+//
+//pram:hotpath
+func (m *Machine) openDedup(s *DedupStep) model.StepReport {
+	if len(s.ReaderOff) != len(s.Reads)+1 {
 		//pram:coldalloc caller-contract panic guard, never taken in steady state
-		panic(fmt.Sprintf("quorum.ExecuteDedupStep: %d reader offsets for %d reads", len(readerOff), len(reads)))
+		panic(fmt.Sprintf("quorum: %d reader offsets for %d dedup reads", len(s.ReaderOff), len(s.Reads)))
 	}
-	sc := &m.sc
-
-	// Size the dense Values buffer by the same rule as ExecuteStep: at
-	// least one slot per machine processor, extended to the largest
-	// processor id the step names.
 	maxProc := m.n - 1
-	for i := range reads {
-		if reads[i].Proc > maxProc {
-			maxProc = reads[i].Proc
-		}
+	for _, p := range s.ReaderProcs {
+		maxProc = max(maxProc, int(p))
 	}
-	for _, p := range readerProcs {
-		if int(p) > maxProc {
-			maxProc = int(p)
-		}
+	for i := range s.Writes {
+		maxProc = max(maxProc, s.Writes[i].Proc)
 	}
-	for i := range writes {
-		if writes[i].Proc > maxProc {
-			maxProc = writes[i].Proc
-		}
-	}
-
-	var rep model.StepReport
-	sc.values = grow(sc.values, maxProc+1)
-	values := sc.values
-	clear(values)
-	rep.Values = values
-
-	rres := m.runBatch(reads)
-	// Fan the per-request values out to every recorded reader NOW: the
-	// write batch below reuses the engine's result buffers.
-	if readerOff != nil {
-		for g := range reads {
-			v := rres.Values[g]
-			for _, p := range readerProcs[readerOff[g]:readerOff[g+1]] {
-				values[p] = v
-			}
-		}
-	} else {
-		for g := range reads {
-			values[reads[g].Proc] = rres.Values[g]
-		}
-	}
-	readLastLive := lastLive(rres)
-
-	wres := m.runBatch(writes)
-	return m.assembleReport(rep, rres, wres, readLastLive)
+	return m.openReport(maxProc, nil)
 }

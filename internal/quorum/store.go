@@ -13,20 +13,22 @@
 //
 // # Zero-allocation invariant
 //
-// The hot path — Machine.ExecuteStep → Engine.ExecuteBatch →
-// Interconnect.RoutePhase — performs zero heap allocations in steady
-// state, so benchmarks measure the protocol rather than the garbage
-// collector. Every per-step and per-batch structure lives in a scratch
-// arena owned by its component and reused across invocations: the engine
-// keeps request states, flattened cluster queues, attempt/owner buffers and
-// the live-trace accumulator; the backend keeps the sorted dedup records
-// and the dense per-processor values buffer; the bipartite interconnect
-// keeps a phase-stamped per-module load table. The price is aliasing —
+// The hot path — Machine.ExecuteStep (the dedup front end, then the step
+// body) → Engine.ExecuteBatch → Interconnect.RoutePhase — performs zero
+// heap allocations in steady state, so benchmarks measure the protocol
+// rather than the garbage collector. Every per-step and per-batch
+// structure lives in a scratch arena owned by its component and reused
+// across invocations: the engine keeps request states, flattened cluster
+// queues, attempt/owner buffers and the live-trace accumulator; the
+// backend keeps the sorted dedup records, the post-dedup step and the
+// dense per-processor values buffer; the bipartite interconnect keeps a
+// phase-stamped per-module load table. The price is aliasing —
 // Result and StepReport slices are valid only until the next call on the
 // same component — and single-threadedness per machine instance. The Pool
-// extends the invariant across engines: its union-find arrays, component
-// buffers, worker pool and merged-report buffers are all reused, so a
-// steady-state ExecuteSteps is allocation-free too (pool tests lock it).
+// extends the invariant across engines: its post-dedup step slots,
+// union-find arrays, component buffers, worker pool and merged-report
+// buffers are all reused, so a steady-state ExecuteSteps is
+// allocation-free too (pool tests lock it).
 // testing.AllocsPerRun tests (alloc_test.go) lock the invariant; golden
 // trace tests (golden_test.go, testdata/) pin the behavior bit-for-bit to
 // the pre-arena reference implementation.
@@ -88,13 +90,16 @@
 //
 // # Trace replay
 //
-// The machine/pool boundary is also the capture point of the trace
-// record/replay subsystem (repro/internal/replay): a StepSink attached via
-// Machine.SetStepSink or Pool.SetStepSink observes every executed step's
-// POST-DEDUP request batches — the exact []Request streams the engine ran —
-// plus the reader fan-out lists and the step's cost report, and
-// Machine.ExecuteDedupStep / Pool.ExecuteDedupSteps feed such batches back
-// in without the sort/dedup/conflict-check front end. Replay is bit-for-bit
+// Every step executes as a dedup front end (sort, conflict check, one
+// walk over the sorted records) that produces the step's POST-DEDUP form, a DedupStep,
+// followed by one step body (read leg, reader fan-out, write leg). That
+// seam is the capture point of the trace record/replay subsystem
+// (repro/internal/replay): a StepSink attached via Machine.SetStepSink or
+// Pool.SetStepSink observes every live step's DedupStep — the exact
+// []Request streams the engine ran, plus the reader fan-out lists — and
+// its cost report, and Machine.ExecuteDedupStep / Pool.ExecuteDedupSteps
+// run such steps through the same body without the front end, so a replay
+// measures exactly the live step minus the front end. Replay is bit-for-bit
 // because everything the engine's behavior depends on is a deterministic
 // function of (construction parameters, the dedup'd batch sequence): the
 // store starts zeroed, LoadCells initializations are part of the recorded
@@ -102,11 +107,10 @@
 // and interconnect state (the 2DMOT's never-reset cycle clock, the
 // bipartite graph's phase stamps) evolves only per routed batch. The one
 // contract is completeness: the sink must see every step and load since
-// construction, which is why recorders attach before the first step. In a
-// Pool each shard machine records under its own lane id (shard k = lane k)
-// and the pool's StepBarrier delimits rounds, so a recorder can serialize
-// concurrent shard streams in canonical ascending-lane order — the same
-// serial reference order the pool's determinism contract is stated in.
+// construction, which is why recorders attach before the first step. A
+// Pool records each round on the caller after its components finish: shard
+// k under lane k in ascending lane order — the same serial reference order
+// the pool's determinism contract is stated in — then StepBarrier.
 //
 // # Serving lane
 //
@@ -134,8 +138,10 @@
 // package — nothing here may read the wall clock (nowallclock), range
 // over a map without a commutativity annotation (nomaprange), or touch
 // global math/rand state (noglobalrand) — and the steady-state hot
-// path is annotated //pram:hotpath (Engine.run, Machine.ExecuteStep,
-// Machine.ExecuteDedupStep, Pool.ExecuteSteps/ExecuteDedupSteps), so
+// path is annotated //pram:hotpath (Engine.run, Machine.ExecuteStep, its
+// front end Machine.dedup and step body Machine.execute,
+// Machine.ExecuteDedupStep/openDedup, Pool.ExecuteSteps/ExecuteDedupSteps),
+// so
 // hotalloc flags any fmt call, interface boxing, capturing closure or
 // unowned append added to it before the AllocsPerRun tests ever run.
 // Deliberately cold lines inside those functions (contract-violation
@@ -272,18 +278,6 @@ func (s *Store) StampBatch(reqs []Request) uint64 {
 		if reqs[i].Write {
 			s.rowStamp[reqs[i].Var] = now
 		}
-	}
-	return now
-}
-
-// Tick advances every row clock to one past the store's maximum — the
-// global-clock view, equivalent to stamping a batch that writes every
-// variable. It survives for direct store users and tests; the engine
-// stamps per batch. O(m); not for hot paths.
-func (s *Store) Tick() uint64 {
-	now := s.Clock() + 1
-	for v := range s.rowStamp {
-		s.rowStamp[v] = now
 	}
 	return now
 }

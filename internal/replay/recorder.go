@@ -18,12 +18,12 @@ import (
 // calls Close, which appends the eof frame (recorded step count + final
 // store fingerprint) and detaches.
 //
-// Multi-lane recording is race-free by construction: each shard machine
-// encodes its frames into its own lane buffer (one goroutine per lane per
-// step, see quorum.StepSink), and the pool's StepBarrier — ordered after
-// every RecordStep of the round — flushes the round's lanes to the
-// underlying writer in ascending lane order, the pool's canonical serial
-// order. Loads are setup-time events and are written immediately.
+// Sink calls arrive serially (see quorum.StepSink). A multi-lane round's
+// step frames wait in per-lane buffers until StepBarrier flushes them in
+// ascending lane order, the pool's canonical serial order: the pool already
+// calls in that order, but a translating sink (the serving front end's
+// shard-to-tenant renaming) may not. Loads are setup-time events and are
+// written immediately.
 //
 // Writer errors are sticky: recording continues cheaply as a no-op and the
 // first error is reported by Close (and by Err).
@@ -34,7 +34,7 @@ type Recorder struct {
 	lanes   int
 	steps   int64
 	pending [][]byte // per-lane framed bytes awaiting the round barrier
-	scratch [][]byte // per-lane payload encoding buffers
+	enc     []byte   // payload encoding buffer
 	err     error
 }
 
@@ -69,7 +69,6 @@ func NewSinkRecorder(w io.Writer, built *Built) (*Recorder, error) {
 		built:   built,
 		lanes:   built.Cfg.Lanes,
 		pending: make([][]byte, built.Cfg.Lanes),
-		scratch: make([][]byte, built.Cfg.Lanes),
 	}
 	if _, err := r.w.Write(magic[:]); err != nil {
 		return nil, fmt.Errorf("replay: writing magic: %w", err)
@@ -128,17 +127,15 @@ func frame(dst []byte, kind byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, frameCRC(kind, payload))
 }
 
-// RecordStep implements quorum.StepSink. Called by lane machines — for
-// pools, possibly concurrently across DIFFERENT lanes.
+// RecordStep implements quorum.StepSink.
 func (r *Recorder) RecordStep(lane int, reads []quorum.Request, readerOff, readerProcs []int32,
 	writes []quorum.Request, rep model.StepReport) {
 	if lane < 0 || lane >= r.lanes {
 		r.failf("RecordStep lane %d outside [0,%d)", lane, r.lanes)
 		return
 	}
-	payload := encodeStep(r.scratch[lane][:0], lane, reads, readerOff, readerProcs, writes, costsOf(&rep))
-	r.scratch[lane] = payload
-	r.pending[lane] = frame(r.pending[lane], kindStep, payload)
+	r.enc = encodeStep(r.enc[:0], lane, reads, readerOff, readerProcs, writes, costsOf(&rep))
+	r.pending[lane] = frame(r.pending[lane], kindStep, r.enc)
 	if r.lanes == 1 {
 		r.flushRound()
 	}
@@ -152,17 +149,15 @@ func (r *Recorder) RecordLoad(lane int, base model.Addr, vals []model.Word) {
 		r.failf("RecordLoad lane %d outside [0,%d)", lane, r.lanes)
 		return
 	}
-	payload := encodeLoad(r.scratch[lane][:0], lane, base, vals)
-	r.scratch[lane] = payload
+	r.enc = encodeLoad(r.enc[:0], lane, base, vals)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.writeFrame(kindLoad, payload)
+	r.writeFrame(kindLoad, r.enc)
 }
 
 // StepBarrier implements quorum.StepSink: the pool calls it after every
-// ExecuteSteps round, with all the round's RecordStep calls ordered before
-// it. Flushes the round's lanes in ascending lane order followed by a
-// barrier frame.
+// ExecuteSteps round's RecordStep calls. Flushes the round's lanes in
+// ascending lane order followed by a barrier frame.
 func (r *Recorder) StepBarrier() {
 	r.flushRound()
 	r.mu.Lock()

@@ -69,7 +69,8 @@
 //
 // Recording hooks quorum.StepSink (see the quorum package doc's "Trace
 // replay" section); replaying feeds quorum.Machine.ExecuteDedupStep /
-// quorum.Pool.ExecuteDedupSteps. The verify mode re-executes every step
+// quorum.Pool.ExecuteDedupSteps, which run the live step's body without
+// its dedup front end. The verify mode re-executes every step
 // and compares recorded costs, per-step Values hashes and the final
 // fingerprint — the consistency-checking methodology of trace-based P-RAM
 // validation (cf. arXiv:1302.5161) applied to our own engine.

@@ -886,9 +886,8 @@ func (s *Server) StopTrace() error {
 }
 
 // tenantLaneSink renames pool shard lanes to tenant lanes on the way into
-// the trace recorder. execTenant is written by Round before the pool runs
-// and read-only while shard machines execute, so concurrent RecordStep
-// calls (different shards, hence different tenants) stay race-free.
+// the trace recorder, reading execTenant as Round wrote it for the round
+// the pool is recording.
 type tenantLaneSink struct {
 	s *Server
 }
