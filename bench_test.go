@@ -369,12 +369,12 @@ func BenchmarkE14ServeStepMOT2D(b *testing.B) {
 }
 
 // BenchmarkE14ServeStepSpans: the same steady-state serving round with a
-// deliberately tiny span ring (depth 64), so every round overwrites —
-// proving span recording rides the hot path at 0 allocs/op and within
-// the sub-5% overhead budget against BenchmarkE14ServeStep.
+// deliberately tiny event ring (depth 64), so every round overwrites —
+// proving event recording rides the hot path at 0 allocs/op on the
+// overwrite path too.
 func BenchmarkE14ServeStepSpans(b *testing.B) {
 	const tenants, procs = 2, 32
-	cfg := serve.Config{Bands: tenants, Engines: tenants, Seed: 7, SpanDepth: 64}
+	cfg := serve.Config{Bands: tenants, Engines: tenants, Seed: 7, EventDepth: 64}
 	for i := 0; i < tenants; i++ {
 		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
 			Name: fmt.Sprintf("g%d", i), Band: i, Procs: procs,
@@ -398,8 +398,8 @@ func BenchmarkE14ServeStepSpans(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if s.Spans().Dropped() == 0 {
-		b.Fatal("span ring never wrapped — depth 64 no longer exercises the overwrite path")
+	if s.Events().Dropped() == 0 {
+		b.Fatal("event ring never wrapped — depth 64 no longer exercises the overwrite path")
 	}
 }
 

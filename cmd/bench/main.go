@@ -68,11 +68,11 @@ type Result struct {
 // while allocation regressions stay hard failures — allocs/op is
 // host-independent.
 type Snapshot struct {
-	Date       string   `json:"date"`
-	GoVersion  string   `json:"goVersion"`
-	GOARCH     string   `json:"goarch"`
-	NumCPU     int      `json:"numCPU"`
-	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Date       string `json:"date"`
+	GoVersion  string `json:"goVersion"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"numCPU"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	// Calibration is the minimum ns/op of a fixed pure-CPU reference loop
 	// (calibrate), measured alongside the benchmarks. Core counts don't
 	// capture how FAST a container is — the same image lands on hosts
@@ -492,12 +492,11 @@ func main() {
 			snap.Results = append(snap.Results, measureServe("E14ServeStep/T=4/K=4", s, 4))
 			s.Close()
 		}
-		// The same steady-state point with a deliberately tiny span ring
-		// (depth 64, so every round overwrites): span recording must ride
-		// the serving hot path at 0 allocs/op, and diffing this point
-		// against E14ServeStep bounds its overhead.
+		// The same steady-state point with a deliberately tiny event ring
+		// (depth 64, so every round overwrites): event recording must ride
+		// the serving hot path at 0 allocs/op even on the overwrite path.
 		{
-			cfg := serve.Config{Bands: 2, Engines: 2, Seed: 7, SpanDepth: 64}
+			cfg := serve.Config{Bands: 2, Engines: 2, Seed: 7, EventDepth: 64}
 			for i := 0; i < 2; i++ {
 				cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
 					Name: fmt.Sprintf("g%d", i), Band: i, Procs: 32,

@@ -1,10 +1,10 @@
-// The spans verb: serve a mix entirely in virtual time and dump the span
-// recorder's per-stage makespan attribution as Chrome/Perfetto
-// trace-event JSON — the offline twin of GET /debug/spans. Load the
-// output into https://ui.perfetto.dev (or chrome://tracing) to see each
-// round decomposed into scheduling, partition, per-tenant quorum and
-// commit legs, per-shard routing and the closing merge on the virtual
-// makespan clock.
+// The events verb: serve a mix entirely in virtual time and dump the
+// server's event log as Chrome/Perfetto trace-event JSON — the offline
+// twin of GET /debug/events. Load the output into https://ui.perfetto.dev
+// (or chrome://tracing) to see each round decomposed into scheduling,
+// partition, per-tenant wait, quorum and commit legs, per-shard routing
+// and the closing merge on the virtual makespan clock, with admission
+// events as instants on the same timeline.
 package main
 
 import (
@@ -17,13 +17,13 @@ import (
 	"repro/internal/serve"
 )
 
-func cmdSpans(args []string) error {
-	fs := flag.NewFlagSet("serve spans", flag.ExitOnError)
+func cmdEvents(args []string) error {
+	fs := flag.NewFlagSet("serve events", flag.ExitOnError)
 	sf := addShared(fs)
 	tenants := fs.String("tenants", "uniform,uniform", "tenant mix spec (see package doc)")
 	arrival := fs.String("arrival", "closed:2", "arrival process: closed:W or open:PERIOD:BURST[:ON:OFF]")
 	out := fs.String("o", "-", "write the trace-event JSON to FILE (- = stdout)")
-	limit := fs.Int("limit", 0, "emit only the N most recent spans (0 = all retained; truncation is counted in the dump)")
+	limit := fs.Int("limit", 0, "emit only the N most recent events (0 = all retained; truncation is counted in the dump)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -61,7 +61,7 @@ func cmdSpans(args []string) error {
 		}
 		w = f
 	}
-	werr := o.server.WriteSpansTail(w, *limit)
+	werr := o.server.WriteEvents(w, *limit)
 	if f != nil {
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
@@ -72,8 +72,8 @@ func cmdSpans(args []string) error {
 	}
 	// The JSON owns stdout when -o is "-": the human-readable summary goes
 	// to stderr either way.
-	rec := o.server.Spans()
-	fmt.Fprintf(os.Stderr, "spans: %d recorded, %d retained, %d dropped — %d exec rounds, virtual clock %d\n",
-		rec.Total(), rec.Len(), rec.Dropped(), o.serverStats.ExecRounds, rec.Now())
+	l := o.server.Events()
+	fmt.Fprintf(os.Stderr, "events: %d recorded, %d retained, %d dropped — %d exec rounds, virtual clock %d\n",
+		l.Total(), l.Len(), l.Dropped(), o.serverStats.ExecRounds, l.Now())
 	return nil
 }

@@ -38,7 +38,7 @@ import (
 // engines records the RESOLVED starting K (the live flag may have been 0 =
 // "consult the environment", which a replay host must not re-consult).
 // autoscale carries the raw MIN:MAX[:WINDOW] policy flag so replay can run
-// a shadow autoscaler and reproduce the flight recorder's decision events;
+// a shadow autoscaler and reproduce the event log's decision events;
 // readers predating the key ignore it (unknown keys are forward-compatible).
 func metaLine(sf *sharedFlags, tenants, arrival string, engines int, autoscale string) string {
 	return fmt.Sprintf("tenants=%s arrival=%s n=%d engines=%d workers=%d queue=%d mode=%s seed=%d wseed=%d interconnect=%s kexp=%g gran=%g dualrail=%t allowkind=%t autoscale=%s",
@@ -214,8 +214,7 @@ func cmdHTTP(args []string) error {
 	autoscale := fs.String("autoscale", "", "autoscaler bounds MIN:MAX[:WINDOW] (empty = fixed K)")
 	scriptOut := fs.String("record-script", "", "record the arrival script (PRAMARS1) to FILE")
 	traceOut := fs.String("record-trace", "", "record the executed steps (PRAMTRC1) to FILE")
-	flightOut := fs.String("record-flight", "", "dump the flight recorder (JSON) to FILE at shutdown")
-	spansOut := fs.String("record-spans", "", "dump the span recorder (Perfetto trace JSON) to FILE at shutdown")
+	eventsOut := fs.String("record-events", "", "dump the event log (Perfetto trace JSON) to FILE at shutdown")
 	pprofOn := fs.Bool("pprof", false, "mount the stdlib /debug/pprof/* handlers (wall-clock host profiles)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -304,10 +303,10 @@ func cmdHTTP(args []string) error {
 	srv.Shutdown(ctx)
 	cancel()
 	summarize(s, time.Since(start))
-	if *flightOut != "" {
-		f, ferr := os.Create(*flightOut)
+	if *eventsOut != "" {
+		f, ferr := os.Create(*eventsOut)
 		if ferr == nil {
-			if werr := s.WriteFlight(f); werr != nil && ferr == nil {
+			if werr := s.WriteEvents(f, 0); werr != nil {
 				ferr = werr
 			}
 			if cerr := f.Close(); cerr != nil && ferr == nil {
@@ -317,22 +316,7 @@ func cmdHTTP(args []string) error {
 		if ferr != nil && err == nil {
 			err = ferr
 		}
-		fmt.Printf("flight dump: %s\n", *flightOut)
-	}
-	if *spansOut != "" {
-		f, ferr := os.Create(*spansOut)
-		if ferr == nil {
-			if werr := s.WriteSpans(f); werr != nil && ferr == nil {
-				ferr = werr
-			}
-			if cerr := f.Close(); cerr != nil && ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil && err == nil {
-			err = ferr
-		}
-		fmt.Printf("span dump: %s\n", *spansOut)
+		fmt.Printf("event dump: %s\n", *eventsOut)
 	}
 	if *scriptOut != "" {
 		fmt.Printf("arrival script: %s\n", *scriptOut)
@@ -347,8 +331,7 @@ func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("serve replay", flag.ExitOnError)
 	script := fs.String("script", "", "PRAMARS1 arrival script to replay (required)")
 	trace := fs.String("trace", "", "recorded PRAMTRC1 trace to byte-compare against the replay's re-recording")
-	flight := fs.String("flight", "", "recorded flight dump (JSON) to byte-compare against the replay's flight recorder")
-	spans := fs.String("spans", "", "recorded span dump (Perfetto trace JSON) to byte-compare against the replay's span recorder")
+	events := fs.String("events", "", "recorded event dump (Perfetto trace JSON) to byte-compare against the replay's event log")
 	verbose := fs.Bool("v", false, "log degradation warnings to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -383,7 +366,7 @@ func cmdReplay(args []string) error {
 	}
 	// A recorded autoscale policy replays as a SHADOW autoscaler: it re-runs
 	// the live decision function on the replayed round stream (reproducing
-	// the flight recorder's decision events), and the script's own resize
+	// the event log's decision events), and the script's own resize
 	// events become no-ops because the shadow already moved K.
 	var observe func()
 	if spec, err := metaValue(sc.Meta, "autoscale"); err != nil {
@@ -421,33 +404,19 @@ func cmdReplay(args []string) error {
 	if fp := s.Fingerprint(); fp != sc.Fingerprint {
 		return fmt.Errorf("replay fingerprint %016x != recorded %016x", fp, sc.Fingerprint)
 	}
-	if *flight != "" {
-		recorded, err := os.ReadFile(*flight)
+	if *events != "" {
+		recorded, err := os.ReadFile(*events)
 		if err != nil {
 			return err
 		}
 		var redump bytes.Buffer
-		if err := s.WriteFlight(&redump); err != nil {
+		if err := s.WriteEvents(&redump, 0); err != nil {
 			return err
 		}
 		if !bytes.Equal(recorded, redump.Bytes()) {
-			return fmt.Errorf("replayed flight dump differs from %s (%d vs %d bytes)", *flight, len(recorded), redump.Len())
+			return fmt.Errorf("replayed event dump differs from %s (%d vs %d bytes)", *events, len(recorded), redump.Len())
 		}
-		fmt.Printf("flight: byte-identical to %s (%d bytes, %d events)\n", *flight, redump.Len(), s.Flight().Len())
-	}
-	if *spans != "" {
-		recorded, err := os.ReadFile(*spans)
-		if err != nil {
-			return err
-		}
-		var redump bytes.Buffer
-		if err := s.WriteSpans(&redump); err != nil {
-			return err
-		}
-		if !bytes.Equal(recorded, redump.Bytes()) {
-			return fmt.Errorf("replayed span dump differs from %s (%d vs %d bytes)", *spans, len(recorded), redump.Len())
-		}
-		fmt.Printf("spans: byte-identical to %s (%d bytes, %d spans)\n", *spans, redump.Len(), s.Spans().Len())
+		fmt.Printf("events: byte-identical to %s (%d bytes, %d events)\n", *events, redump.Len(), s.Events().Len())
 	}
 	if *trace != "" {
 		recorded, err := os.ReadFile(*trace)

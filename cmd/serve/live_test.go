@@ -5,19 +5,20 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/replay"
 	"repro/internal/serve"
 )
 
-// TestLiveFlightReplaysBitForBit is the end-to-end flight-recorder
-// acceptance: a live HTTP-driven run with an autoscaler records a script,
-// a trace and a flight dump; rebuilding the deployment from the script
-// meta and replaying with a SHADOW autoscaler (what `serve replay -flight`
-// does) reproduces the flight dump — decisions, resizes, rejects and all —
-// byte for byte, along with the trace.
-func TestLiveFlightReplaysBitForBit(t *testing.T) {
+// TestLiveEventsReplayBitForBit is the end-to-end event-log acceptance: a
+// live HTTP-driven run with an autoscaler records a script, a trace and an
+// event dump; rebuilding the deployment from the script meta and replaying
+// with a SHADOW autoscaler (what `serve replay -events` does) reproduces
+// the event dump — submits, decisions, resizes, the drain and every
+// pipeline stage — byte for byte, along with the trace.
+func TestLiveEventsReplayBitForBit(t *testing.T) {
 	const tenantSpec, arrivalSpec, autoscaleSpec = "uniform,hotspot", "external", "1:2:4"
 	sf := &sharedFlags{procs: 8, engines: 1, queue: 4, seed: 3, wseed: 42, mode: "crcw"}
 	arr, err := parseArrival(arrivalSpec)
@@ -63,8 +64,8 @@ func TestLiveFlightReplaysBitForBit(t *testing.T) {
 	defer ts.Close()
 
 	// Saturating submissions force rejections → the autoscaler grows →
-	// then silence shrinks it back: the flight dump gets rounds, submits,
-	// rejects, decisions and resizes in both directions.
+	// then silence shrinks it back: the event dump gets submits, decisions
+	// and resizes in both directions next to the rounds' stages.
 	for r := 0; r < 40; r++ {
 		if r < 20 {
 			tn := "t0-uniform"
@@ -82,12 +83,23 @@ func TestLiveFlightReplaysBitForBit(t *testing.T) {
 	if err := h.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	var liveFlight bytes.Buffer
-	if err := s.WriteFlight(&liveFlight); err != nil {
+	var liveEvents bytes.Buffer
+	if err := s.WriteEvents(&liveEvents, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Resizes; got == 0 {
-		t.Fatalf("live run performed no resizes — the scenario no longer exercises decisions")
+	if s.Events().Dropped() != 0 {
+		t.Fatal("event ring wrapped — the dump no longer holds the whole run")
+	}
+	for _, frag := range []string{
+		`"name":"submit","ph":"i"`, `"name":"decision","ph":"i"`,
+		`"from":1,"to":2}`, `"from":2,"to":1}`, `"name":"drain","ph":"i"`,
+		`"name":"wait","ph":"X"`, `"name":"schedule","ph":"X"`, `"name":"partition","ph":"X"`,
+		`"name":"quorum","ph":"X"`, `"name":"commit","ph":"X"`, `"name":"route","ph":"X"`,
+		`"name":"merge","ph":"X"`,
+	} {
+		if !strings.Contains(liveEvents.String(), frag) {
+			t.Errorf("live event dump missing %q — the scenario no longer exercises it", frag)
+		}
 	}
 
 	// Replay exactly as cmdReplay does: deployment from meta, shadow
@@ -126,12 +138,12 @@ func TestLiveFlightReplaysBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var repFlight bytes.Buffer
-	if err := rep.WriteFlight(&repFlight); err != nil {
+	var repEvents bytes.Buffer
+	if err := rep.WriteEvents(&repEvents, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(liveFlight.Bytes(), repFlight.Bytes()) {
-		t.Errorf("flight dump diverged:\nlive:\n%s\nreplay:\n%s", liveFlight.String(), repFlight.String())
+	if !bytes.Equal(liveEvents.Bytes(), repEvents.Bytes()) {
+		t.Errorf("event dump diverged:\nlive:\n%s\nreplay:\n%s", liveEvents.String(), repEvents.String())
 	}
 	if !bytes.Equal(trace.Bytes(), repTrace.Bytes()) {
 		t.Errorf("re-recorded trace differs from live capture (%d vs %d bytes)", trace.Len(), repTrace.Len())

@@ -15,19 +15,19 @@
 //	                                      /metrics + /healthz, scrape-driven
 //	                                      K-autoscaling, graceful SIGTERM
 //	                                      drain; -record-script/-record-trace
-//	                                      capture the run for replay
-//	serve spans   -tenants SPEC [flags]   serve a workload mix and dump the
-//	                                      span recorder as Chrome/Perfetto
-//	                                      trace-event JSON: per-stage
-//	                                      makespan attribution on the
-//	                                      virtual clock ("where did the
-//	                                      round go")
+//	                                      capture the run for replay and
+//	                                      -record-events dumps the event log
+//	serve events  -tenants SPEC [flags]   serve a workload mix and dump the
+//	                                      event log as Chrome/Perfetto
+//	                                      trace-event JSON: admission events
+//	                                      and per-stage makespan attribution
+//	                                      on the virtual clock ("where did
+//	                                      the round go")
 //	serve replay  -script FILE [-trace T] replay a recorded live run in
-//	              [-flight F] [-spans P]  virtual time and verify it against
+//	              [-events E]             virtual time and verify it against
 //	                                      the script footer (and, with
-//	                                      -trace/-flight/-spans, byte-compare
-//	                                      the trace, flight-recorder and
-//	                                      span-recorder dumps)
+//	                                      -trace/-events, byte-compare the
+//	                                      trace and the event-log dump)
 //	serve promlint FILE                   validate a Prometheus text
 //	                                      exposition (grammar, histogram
 //	                                      invariants); - reads stdin
@@ -88,8 +88,8 @@ func main() {
 		err = cmdLoadgen(os.Args[2:])
 	case "http":
 		err = cmdHTTP(os.Args[2:])
-	case "spans":
-		err = cmdSpans(os.Args[2:])
+	case "events":
+		err = cmdEvents(os.Args[2:])
 	case "replay":
 		err = cmdReplay(os.Args[2:])
 	case "promlint":
@@ -121,10 +121,10 @@ func usage() {
                 [-interconnect bipartite|mot2d] [-kexp K] [-gran D] [-dualrail]
   serve http    -tenants SPEC [-addr HOST:PORT] [-round-every DUR]
                 [-autoscale MIN:MAX[:WINDOW]] [-record-script FILE]
-                [-record-trace FILE] [-record-flight FILE]
-                [-record-spans FILE] [-pprof] [shared flags as for run]
-  serve spans   -tenants SPEC [-o FILE] [-limit N] [shared flags as for run]
-  serve replay  -script FILE [-trace FILE] [-flight FILE] [-spans FILE] [-v]
+                [-record-trace FILE] [-record-events FILE] [-pprof]
+                [shared flags as for run]
+  serve events  -tenants SPEC [-o FILE] [-limit N] [shared flags as for run]
+  serve replay  -script FILE [-trace FILE] [-events FILE] [-v]
   serve promlint FILE
 `)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -185,5 +186,37 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 	if kv["tenants"] != `trace:/odd path/mix:v1.trc:1` || kv["arrival"] != "closed:2" {
 		t.Errorf("quoted meta round-trip: %q / %q", kv["tenants"], kv["arrival"])
+	}
+}
+
+// TestEventsVerbDump drives `serve events -o FILE -limit N` end to end:
+// the file is valid JSON holding exactly the N most recent events, with
+// the truncation counted in its header.
+func TestEventsVerbDump(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.json")
+	if err := cmdEvents([]string{"-tenants", "uniform:4,hotspot:4", "-n", "8", "-engines", "1",
+		"-rounds", "0", "-limit", "5", "-o", path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		OtherData   struct{ Total, Dropped int64 }
+		TraceEvents []struct{ Ph string }
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("dump is not JSON: %v\n%s", err, data)
+	}
+	events := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" || ev.Ph == "i" {
+			events++
+		}
+	}
+	if events != 5 || doc.OtherData.Dropped != doc.OtherData.Total-5 {
+		t.Errorf("dump holds %d events with total %d, dropped %d; want 5 and dropped = total-5",
+			events, doc.OtherData.Total, doc.OtherData.Dropped)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // E17StageAttribution sweeps workload shape × engine count K over the
 // serving lane and reports where each run's simulated time went, using
-// the span recorder's stage split: the quorum (retrieval) leg versus the
+// the serving round's stage split: the quorum (retrieval) leg versus the
 // commit (update) leg, summed per run as WORK (over all tenant steps)
 // and as MAKESPAN (each round's critical shard only). The whole sweep is
 // virtual-time — no wall clock touches any column — so the table is
@@ -21,7 +21,7 @@ import (
 // critical-path split and the forced-merge census are schedule
 // properties and legitimately move with K — the global (cross-band)
 // shape shows merges growing as K does, the erosion the partition stage
-// spans make visible. Render with `cmd/experiments -csv e17`.
+// events make visible. Render with `cmd/experiments -csv e17`.
 func E17StageAttribution() Result {
 	const (
 		tenants = 4
@@ -90,7 +90,7 @@ func E17StageAttribution() Result {
 	return Result{
 		ID:    "E17",
 		Title: "Stage attribution sweep: quorum vs commit share of work and makespan over shape × K",
-		Claim: "the span recorder's quorum/commit split tiles every tenant's simulated time exactly, and " +
+		Claim: "the serving round's quorum/commit split tiles every tenant's simulated time exactly, and " +
 			"for band-local shapes the work-side split is K-invariant (the step multiset is); " +
 			"only the critical-path split and the forced-merge census move with K, because they " +
 			"are properties of the round schedule, not of the computation",
@@ -99,7 +99,7 @@ func E17StageAttribution() Result {
 			"quorum/commit sum WORK over all tenant steps; crit quorum/commit sum each round's critical-shard MAKESPAN split",
 			"band-local rows (uniform/hotspot/broadcast) repeat identical quorum/commit totals at every K — the serve package's K-invariance, per stage",
 			"the global shape deliberately crosses bands: forced serial-component merges appear once K > 1 and grow with it",
-			"all columns are virtual-time and bit-for-bit reproducible; `serve spans` renders the same decomposition per round as a Perfetto trace",
+			"all columns are virtual-time and bit-for-bit reproducible; `serve events` renders the same decomposition per round as a Perfetto trace",
 		},
 	}
 }

@@ -21,7 +21,6 @@ var virtualTimePackages = map[string]bool{
 	"model":       true,
 	"quorum":      true,
 	"mot":         true,
-	"span":        true,
 	"replay":      true,
 	"serve":       true,
 	"experiments": true,

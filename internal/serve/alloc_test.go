@@ -6,87 +6,75 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/replay"
-	"repro/internal/span"
 )
 
 // TestServeRoundZeroAllocs locks the serving hot path's steady-state
 // zero-allocation invariant: admission, band-aware scheduling, generator
-// fill, the pool round and per-tenant accounting all run out of reusable
-// state.
+// fill, the pool round, per-tenant accounting and stage-event recording
+// all run out of reusable state — at the default event depth and at a
+// depth small enough that every round overwrites the ring.
 func TestServeRoundZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
 	}
-	s, err := NewServer(Config{
-		Tenants: []TenantConfig{
-			{Name: "a", Band: 0, Procs: 32, Arrival: Arrival{Window: 2},
-				Source: NewPatternSource(replay.Uniform, 32, 0, 1)},
-			{Name: "b", Band: 1, Procs: 32, Arrival: Arrival{Window: 2},
-				Source: NewPatternSource(replay.Hotspot, 32, 0, 2)},
-			{Name: "c", Band: 2, Procs: 16, Arrival: Arrival{Window: 2},
-				Source: NewPatternSource(replay.Broadcast, 16, 0, 3)},
-		},
-		Bands:   3,
-		Engines: 3,
-		Workers: 0,
-		Seed:    7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 5; i++ { // grow every arena
-		s.Round()
-	}
-	if avg := testing.AllocsPerRun(50, func() {
-		if s.Round() != 3 {
-			t.Fatal("closed-loop round did not schedule every shard")
+	for _, depth := range []int{0, 16} {
+		s, err := NewServer(Config{
+			Tenants: []TenantConfig{
+				{Name: "a", Band: 0, Procs: 32, Arrival: Arrival{Window: 2},
+					Source: NewPatternSource(replay.Uniform, 32, 0, 1)},
+				{Name: "b", Band: 1, Procs: 32, Arrival: Arrival{Window: 2},
+					Source: NewPatternSource(replay.Hotspot, 32, 0, 2)},
+				{Name: "c", Band: 2, Procs: 16, Arrival: Arrival{Window: 2},
+					Source: NewPatternSource(replay.Broadcast, 16, 0, 3)},
+			},
+			Bands:      3,
+			Engines:    3,
+			Workers:    0,
+			Seed:       7,
+			EventDepth: depth,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Errorf("Round allocates %.2f/op in steady state, want 0", avg)
+		for i := 0; i < 5; i++ { // grow every arena
+			s.Round()
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			if s.Round() != 3 {
+				t.Fatal("closed-loop round did not schedule every shard")
+			}
+		}); avg != 0 {
+			t.Errorf("depth %d: Round allocates %.2f/op in steady state, want 0", depth, avg)
+		}
+		if wrapped := s.events.Dropped() > 0; wrapped != (depth != 0) {
+			t.Errorf("depth %d: ring wrapped = %v, want %v", depth, wrapped, depth != 0)
+		}
+		s.Close()
 	}
 }
 
-// TestFlightPushZeroAllocs locks the flight recorder's append: a struct
-// store into a preallocated ring slot, even once the ring wraps.
-func TestFlightPushZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation invariants are measured without the race detector")
-	}
-	f := NewFlightRecorder(8)
-	if avg := testing.AllocsPerRun(200, func() {
-		f.push(FlightEvent{Round: f.total, Kind: FlightRound, A: 1, K: 2})
-	}); avg != 0 {
-		t.Errorf("flight push allocates %.2f/op, want 0", avg)
-	}
-	if f.Dropped() == 0 {
-		t.Error("ring never wrapped — the test did not cover the overwrite path")
-	}
-}
-
-// TestSpanPushZeroAllocs locks the span recorder's append: a flat struct
+// TestEventPushZeroAllocs locks the event log's append: a flat struct
 // store into a preallocated ring slot plus virtual-clock arithmetic, even
-// once the ring wraps. (TestServeRoundZeroAllocs covers the same path
-// end-to-end: Round emits its per-stage spans inside the 0-alloc budget.)
-func TestSpanPushZeroAllocs(t *testing.T) {
+// once the ring wraps.
+func TestEventPushZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
 	}
-	r := span.NewRecorder(8)
+	l := newEventLog(8)
 	if avg := testing.AllocsPerRun(200, func() {
-		r.Push(span.Event{Round: r.Total(), Start: r.Now(), Dur: 3,
-			Stage: span.StageQuorum, Track: 1, A: 2, B: 5})
-		r.Advance(3)
+		l.push(Event{Kind: KindDecision, Round: l.Total(), Start: l.Now(), K: 1, To: 2, A: 3, F1: 0.5})
+		l.push(Event{Kind: KindQuorum, Round: l.Total(), Start: l.Now(), Dur: 3, Track: 1, A: 2, B: 5})
+		l.advance(3)
 	}); avg != 0 {
-		t.Errorf("span push allocates %.2f/op, want 0", avg)
+		t.Errorf("event push allocates %.2f/op, want 0", avg)
 	}
-	if r.Dropped() == 0 {
+	if l.Dropped() == 0 {
 		t.Error("ring never wrapped — the test did not cover the overwrite path")
 	}
 }
 
 // TestSubmitZeroAllocs extends the invariant to external admission: Submit
-// (wait-ring pushes + flight event) and the round that serves the credit
+// (wait-ring pushes + submit event) and the round that serves the credit
 // are allocation-free in steady state.
 func TestSubmitZeroAllocs(t *testing.T) {
 	if raceEnabled {

@@ -159,10 +159,10 @@ func (a *Autoscaler) Observe() int {
 
 	k := s.k
 	// decision records the verdict AND its full window inputs into the
-	// flight recorder — the audit trail that answers WHY the autoscaler
-	// resized (or deliberately held), reproduced bit-for-bit by replay.
+	// event log — the audit trail that answers WHY the autoscaler resized
+	// (or deliberately held), reproduced bit-for-bit by replay.
 	decision := func(to int) {
-		s.flight.push(FlightEvent{Round: s.round, Kind: FlightDecision,
+		s.events.push(Event{Kind: KindDecision, Round: s.round, Start: s.events.Now(),
 			K: int32(k), To: int32(to),
 			A: rejDelta, B: execDelta, C: mergedDelta,
 			F1: queueFrac, F2: avgActive, F3: mergeFrac})

@@ -105,16 +105,14 @@ func (h *HTTPServer) Registry() *prom.Registry { return h.reg }
 //	POST /submit?tenant=NAME&steps=N   offer N step credits (default 1)
 //	GET  /metrics                      Prometheus text exposition
 //	GET  /healthz                      200 ok, 503 once draining
-//	GET  /debug/flight[?limit=N]       flight-recorder dump (JSON, virtual time)
-//	GET  /debug/spans[?limit=N]        span-recorder dump (Perfetto trace JSON)
+//	GET  /debug/events[?limit=N]       event-log dump (Perfetto trace JSON, virtual time)
 //	GET  /debug/pprof/*                stdlib profiles (only with Pprof: true)
 func (h *HTTPServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/submit", h.handleSubmit)
 	mux.HandleFunc("/metrics", h.handleMetrics)
 	mux.HandleFunc("/healthz", h.handleHealthz)
-	mux.HandleFunc("/debug/flight", h.handleFlight)
-	mux.HandleFunc("/debug/spans", h.handleSpans)
+	mux.HandleFunc("/debug/events", h.handleEvents)
 	if h.pprof {
 		// The stdlib handlers self-register on http.DefaultServeMux; mount
 		// them explicitly so they exist only when opted in and only here.
@@ -177,7 +175,7 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	h.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\"tenant\":%q,\"accepted\":%d,\"rejected\":%d}\n", name, acc, rej)
+	fmt.Fprintf(w, "{\"tenant\":%s,\"accepted\":%d,\"rejected\":%d}\n", jsonString(name), acc, rej)
 }
 
 // handleMetrics renders the registry between rounds.
@@ -188,59 +186,32 @@ func (h *HTTPServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	h.reg.WriteTo(w)
 }
 
-// debugQuery enforces the /debug/* read contract shared by the flight
-// and span dumps: GET only (anything else is 405 with an Allow header,
-// matching handleSubmit's shape), plus an optional bounded ?limit=N tail
-// (400 on a malformed or non-positive N). limit 0 means everything the
-// ring retained.
-func debugQuery(w http.ResponseWriter, r *http.Request) (limit int, ok bool) {
+// handleEvents dumps the event log between rounds: the most recent
+// admission events and round-pipeline stages as deterministic
+// Chrome/Perfetto trace-event JSON on the virtual clock, reproduced
+// byte-for-byte by `serve replay -events` from the recorded script. GET
+// only (anything else is 405 with an Allow header, matching handleSubmit's
+// shape); ?limit=N bounds the dump to the N most recent events, the
+// truncation counted in its dropped field (400 on a malformed or
+// non-positive N).
+func (h *HTTPServer) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return 0, false
+		return
 	}
+	limit := 0
 	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
+		var err error
+		if limit, err = strconv.Atoi(v); err != nil || limit < 1 {
 			http.Error(w, fmt.Sprintf("bad limit %q: want a positive integer", v), http.StatusBadRequest)
-			return 0, false
+			return
 		}
-		limit = n
-	}
-	return limit, true
-}
-
-// handleFlight dumps the flight recorder between rounds: the most recent
-// structured round/admission/resize/decision events, in virtual round time,
-// as deterministic JSON. The dump a live run serves here is reproduced
-// byte-for-byte by `serve replay` from the recorded script. ?limit=N
-// bounds the dump to the N most recent events (the truncation is counted
-// in the dump's dropped field).
-func (h *HTTPServer) handleFlight(w http.ResponseWriter, r *http.Request) {
-	limit, ok := debugQuery(w, r)
-	if !ok {
-		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	h.s.WriteFlightTail(w, limit)
-}
-
-// handleSpans dumps the span recorder between rounds: the most recent
-// per-stage round-pipeline spans as deterministic Chrome/Perfetto
-// trace-event JSON, on the virtual makespan clock. Like the flight dump
-// it is replay-reproducible (`serve replay -spans`) and ?limit=N bounds
-// it to the N most recent spans with counted truncation.
-func (h *HTTPServer) handleSpans(w http.ResponseWriter, r *http.Request) {
-	limit, ok := debugQuery(w, r)
-	if !ok {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	h.s.WriteSpansTail(w, limit)
+	h.s.WriteEvents(w, limit)
 }
 
 // handleHealthz flips to 503 once admission stops, so load balancers stop

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/replay"
 )
@@ -140,50 +143,11 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 	checkIdentity(t, s, "after shutdown")
 }
 
-// TestHTTPFlightEndpoint: /debug/flight serves the server's flight dump —
-// byte-identical to WriteFlight — and reflects admissions and rounds.
-func TestHTTPFlightEndpoint(t *testing.T) {
-	s, err := NewServer(externalPair())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	h := NewHTTPServer(s, HTTPOptions{})
-	ts := httptest.NewServer(h.Handler())
-	defer ts.Close()
-
-	postSubmit(t, ts.URL, "ext0", 2)
-	h.Tick()
-	resp, err := http.Get(ts.URL + "/debug/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/flight code %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/debug/flight content-type %q", ct)
-	}
-	var want bytes.Buffer
-	if err := s.WriteFlight(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, want.Bytes()) {
-		t.Errorf("/debug/flight differs from WriteFlight:\nhttp:  %s\ndirect: %s", body, want.Bytes())
-	}
-	for _, frag := range []string{`"kind":"submit","tenant":"ext0","accepted":2`, `"kind":"round"`} {
-		if !strings.Contains(string(body), frag) {
-			t.Errorf("flight dump missing %q in %s", frag, body)
-		}
-	}
-}
-
-// TestHTTPSpansEndpoint: /debug/spans serves the span recorder's
-// Perfetto trace — byte-identical to WriteSpans — and both debug
-// endpoints reject non-GET methods and honor a bounded ?limit=N.
-func TestHTTPSpansEndpoint(t *testing.T) {
+// TestHTTPEventsEndpoint: /debug/events serves the event log's Perfetto
+// trace — byte-identical to WriteEvents, admissions as instants next to the
+// round's stage spans — rejects non-GET methods and honors a bounded
+// ?limit=N.
+func TestHTTPEventsEndpoint(t *testing.T) {
 	s, err := NewServer(externalPair())
 	if err != nil {
 		t.Fatal(err)
@@ -198,81 +162,136 @@ func TestHTTPSpansEndpoint(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.Tick()
 	}
-	resp, err := http.Get(ts.URL + "/debug/spans")
+	resp, err := http.Get(ts.URL + "/debug/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/spans code %d", resp.StatusCode)
+		t.Fatalf("/debug/events code %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/debug/spans content-type %q", ct)
+		t.Errorf("/debug/events content-type %q", ct)
 	}
 	var want bytes.Buffer
-	if err := s.WriteSpans(&want); err != nil {
+	if err := s.WriteEvents(&want, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, want.Bytes()) {
-		t.Errorf("/debug/spans differs from WriteSpans:\nhttp:  %s\ndirect: %s", body, want.Bytes())
+		t.Errorf("/debug/events differs from WriteEvents:\nhttp:  %s\ndirect: %s", body, want.Bytes())
 	}
-	for _, frag := range []string{`"name":"quorum"`, `"name":"merge"`, `"clock":`} {
+	for _, frag := range []string{
+		`{"name":"submit","ph":"i","pid":1,"tid":0,"ts":0,"args":{"round":0,"tenant":"ext0","accepted":3,"rejected":0}}`,
+		`"name":"quorum","ph":"X"`, `"name":"merge","ph":"X"`, `"clock":`,
+	} {
 		if !strings.Contains(string(body), frag) {
-			t.Errorf("span dump missing %q in %s", frag, body)
+			t.Errorf("event dump missing %q in %s", frag, body)
 		}
 	}
 
-	for _, path := range []string{"/debug/flight", "/debug/spans"} {
-		resp, err := http.Post(ts.URL+path, "", nil)
+	resp, err = http.Post(ts.URL+"/debug/events", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /debug/events code %d, want 405", resp.StatusCode)
+	}
+	if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
+		t.Errorf("POST /debug/events Allow %q, want GET", allow)
+	}
+	for _, bad := range []string{"0", "-3", "x"} {
+		resp, err = http.Get(ts.URL + "/debug/events?limit=" + bad)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s code %d, want 405", path, resp.StatusCode)
-		}
-		if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
-			t.Errorf("POST %s Allow %q, want GET", path, allow)
-		}
-		for _, bad := range []string{"0", "-3", "x"} {
-			resp, err = http.Get(ts.URL + path + "?limit=" + bad)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("GET %s?limit=%s code %d, want 400", path, bad, resp.StatusCode)
-			}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET /debug/events?limit=%s code %d, want 400", bad, resp.StatusCode)
 		}
 	}
 
 	// A positive limit truncates oldest-first and says so: the dump's
 	// dropped counter absorbs the truncation, total stays the full count.
-	resp, err = http.Get(ts.URL + "/debug/spans?limit=2")
+	resp, err = http.Get(ts.URL + "/debug/events?limit=2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	total, kept := s.Spans().Total(), int64(2)
+	total, kept := s.Events().Total(), int64(2)
 	wantHeader := fmt.Sprintf(`"total":%d,"dropped":%d`, total, total-kept)
 	if !strings.Contains(string(body), wantHeader) {
-		t.Errorf("limited span dump missing %q in %s", wantHeader, body)
+		t.Errorf("limited event dump missing %q in %s", wantHeader, body)
 	}
-	if got := int64(strings.Count(string(body), `"ph":"X"`)); got != kept {
-		t.Errorf("limited span dump carries %d spans, want %d", got, kept)
+	if got := int64(strings.Count(string(body), `"ph":"X"`) + strings.Count(string(body), `"ph":"i"`)); got != kept {
+		t.Errorf("limited event dump carries %d events, want %d", got, kept)
 	}
-	resp, err = http.Get(ts.URL + "/debug/flight?limit=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	ftotal := s.Flight().Total()
-	wantHeader = fmt.Sprintf(`"total":%d,"dropped":%d`, ftotal, ftotal-1)
-	if !strings.Contains(string(body), wantHeader) {
-		t.Errorf("limited flight dump missing %q in %s", wantHeader, body)
+}
+
+// TestHostileTenantNamesStayJSON: tenant names are caller-chosen, so the
+// event dump (full and limit-ed) and the /submit body must encode them as
+// JSON strings — control bytes, DEL and invalid UTF-8 included — and a
+// valid-UTF-8 name must decode back to itself.
+func TestHostileTenantNamesStayJSON(t *testing.T) {
+	for _, name := range []string{"ctl\x01name", "del\x7fname", "bad\xffutf8", "tab\tname"} {
+		cfg := externalPair()
+		cfg.Tenants[1].Name = name
+		s, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewHTTPServer(s, HTTPOptions{})
+		ts := httptest.NewServer(h.Handler())
+		code, body := postSubmit(t, ts.URL, url.QueryEscape(name), 6) // cap 4: a 429 echoing the name
+		if code != http.StatusTooManyRequests {
+			t.Errorf("%q: submit code %d, want 429", name, code)
+		}
+		var sub struct {
+			Tenant string `json:"tenant"`
+		}
+		if err := json.Unmarshal([]byte(body), &sub); err != nil {
+			t.Errorf("%q: /submit body is not JSON (%v): %s", name, err, body)
+		} else if utf8.ValidString(name) && sub.Tenant != name {
+			t.Errorf("%q: /submit body decodes the tenant as %q", name, sub.Tenant)
+		}
+		h.Tick()
+		h.Tick()
+		for _, limit := range []int{0, 3} {
+			var buf bytes.Buffer
+			if err := s.WriteEvents(&buf, limit); err != nil {
+				t.Fatal(err)
+			}
+			if !json.Valid(buf.Bytes()) {
+				t.Errorf("%q: event dump (limit %d) is not valid JSON:\n%s", name, limit, buf.String())
+				continue
+			}
+			if limit != 0 || !utf8.ValidString(name) {
+				continue
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Name string
+					Pid  int
+					Tid  int
+					Args struct{ Name, Tenant string }
+				}
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			var thread, submit bool
+			for _, ev := range doc.TraceEvents {
+				thread = thread || ev.Name == "thread_name" && ev.Pid == pidTenants && ev.Tid == 1 && ev.Args.Name == name
+				submit = submit || ev.Name == "submit" && ev.Args.Tenant == name
+			}
+			if !thread || !submit {
+				t.Errorf("%q: name did not decode back (thread track %v, submit args %v)", name, thread, submit)
+			}
+		}
+		ts.Close()
+		s.Close()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -72,10 +73,10 @@ func TestHistogramsKInvariant(t *testing.T) {
 					t.Errorf("K=%d tenant %s step-time histogram diverged:\n got %s\nwant %s",
 						K, tn.cfg.Name, got, refStep[i])
 				}
-				// The span layer's per-tenant stage split is K-invariant for
-				// the same reason hStep is: the step multiset — and each
-				// step's retrieval/update decomposition — is a pure function
-				// of the tenant's program.
+				// The per-tenant stage split is K-invariant for the same
+				// reason hStep is: the step multiset — and each step's
+				// retrieval/update decomposition — is a pure function of
+				// the tenant's program.
 				ts := s.TenantStats(i)
 				if ts.QuorumTime != refQuorum[i] || ts.CommitTime != refCommit[i] {
 					t.Errorf("K=%d tenant %s stage split diverged: got %d/%d want %d/%d",
@@ -91,28 +92,22 @@ func TestHistogramsKInvariant(t *testing.T) {
 
 // TestObservabilityWorkerInvariant: worker count is pure wall-clock
 // parallelism, so EVERYTHING the observability layer records — the full
-// flight JSON, the full span-trace JSON (including its critical-path
-// stage split) and every histogram — must be bit-for-bit identical
-// across worker counts at fixed K. SpanDepth 64 forces the span ring to
-// wrap so the truncation accounting is pinned too.
+// event-log dump, the critical-path stage split and every histogram —
+// must be bit-for-bit identical across worker counts at fixed K.
+// EventDepth 64 forces the ring to wrap so the truncation accounting is
+// pinned too.
 func TestObservabilityWorkerInvariant(t *testing.T) {
 	type snap struct {
-		flight string
-		spans  string
+		events string
 		crit   [2]int64
 		hists  []string
 	}
 	take := func(s *Server) snap {
 		var buf bytes.Buffer
-		if err := s.WriteFlight(&buf); err != nil {
+		if err := s.WriteEvents(&buf, 0); err != nil {
 			t.Fatal(err)
 		}
-		sn := snap{flight: buf.String()}
-		buf.Reset()
-		if err := s.WriteSpans(&buf); err != nil {
-			t.Fatal(err)
-		}
-		sn.spans = buf.String()
+		sn := snap{events: buf.String()}
 		st := s.Stats()
 		sn.crit = [2]int64{st.CritQuorumTime, st.CritCommitTime}
 		for _, tn := range s.tenants {
@@ -124,27 +119,21 @@ func TestObservabilityWorkerInvariant(t *testing.T) {
 	}
 	mix := func(workers int) Config {
 		cfg := mixConfig(4, workers)
-		cfg.SpanDepth = 64
+		cfg.EventDepth = 64
 		return cfg
 	}
 	var ref snap
 	serveMix(t, mix(1), func(s *Server) {
 		ref = take(s)
-		if s.flight.Total() == 0 {
-			t.Fatal("flight recorder empty")
-		}
-		if s.spans.Dropped() == 0 {
-			t.Fatal("span ring never wrapped — SpanDepth 64 no longer exercises truncation")
+		if s.events.Dropped() == 0 {
+			t.Fatal("event ring never wrapped — EventDepth 64 no longer exercises truncation")
 		}
 	})
 	for _, workers := range []int{2, 0} {
 		serveMix(t, mix(workers), func(s *Server) {
 			got := take(s)
-			if got.flight != ref.flight {
-				t.Errorf("workers=%d flight dump diverged:\n got %s\nwant %s", workers, got.flight, ref.flight)
-			}
-			if got.spans != ref.spans {
-				t.Errorf("workers=%d span dump diverged:\n got %s\nwant %s", workers, got.spans, ref.spans)
+			if got.events != ref.events {
+				t.Errorf("workers=%d event dump diverged:\n got %s\nwant %s", workers, got.events, ref.events)
 			}
 			if got.crit != ref.crit {
 				t.Errorf("workers=%d critical-path split diverged: got %v want %v", workers, got.crit, ref.crit)
@@ -158,9 +147,10 @@ func TestObservabilityWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestFlightReplayParity: a scripted run's flight dump and histograms are
+// TestFlightReplayParity: a scripted run's event dump and histograms are
 // reproduced exactly by PlayScript on a fresh server — the serve-level
-// half of the `serve replay -flight` contract.
+// half of the `serve replay -events` contract — and the dump carries the
+// script's admission facts next to every pipeline stage.
 func TestFlightReplayParity(t *testing.T) {
 	script := []replay.ScriptEvent{
 		{Round: 0, Tenant: 0, Credits: 3},
@@ -172,7 +162,7 @@ func TestFlightReplayParity(t *testing.T) {
 		{Round: 9}, // drain
 	}
 	const rounds = 14
-	run := func() (string, string, []string, uint64) {
+	run := func() (string, []string, uint64) {
 		s, err := NewServer(externalPair())
 		if err != nil {
 			t.Fatal(err)
@@ -180,12 +170,7 @@ func TestFlightReplayParity(t *testing.T) {
 		defer s.Close()
 		s.PlayScript(script, rounds)
 		var buf bytes.Buffer
-		if err := s.WriteFlight(&buf); err != nil {
-			t.Fatal(err)
-		}
-		flight := buf.String()
-		buf.Reset()
-		if err := s.WriteSpans(&buf); err != nil {
+		if err := s.WriteEvents(&buf, 0); err != nil {
 			t.Fatal(err)
 		}
 		var hists []string
@@ -193,15 +178,12 @@ func TestFlightReplayParity(t *testing.T) {
 			hists = append(hists, histString(tn.hStep), histString(tn.hWait))
 		}
 		hists = append(hists, histString(s.hRoundActive), histString(s.hRoundWork), histString(s.hDedup))
-		return flight, buf.String(), hists, s.Fingerprint()
+		return buf.String(), hists, s.Fingerprint()
 	}
-	flight1, spans1, hists1, fp1 := run()
-	flight2, spans2, hists2, fp2 := run()
-	if flight1 != flight2 {
-		t.Errorf("flight dump not reproducible:\n%s\nvs\n%s", flight1, flight2)
-	}
-	if spans1 != spans2 {
-		t.Errorf("span dump not reproducible:\n%s\nvs\n%s", spans1, spans2)
+	events1, hists1, fp1 := run()
+	events2, hists2, fp2 := run()
+	if events1 != events2 {
+		t.Errorf("event dump not reproducible:\n%s\nvs\n%s", events1, events2)
 	}
 	for i := range hists1 {
 		if hists1[i] != hists2[i] {
@@ -211,23 +193,17 @@ func TestFlightReplayParity(t *testing.T) {
 	if fp1 != fp2 {
 		t.Errorf("fingerprint not reproducible: %x vs %x", fp1, fp2)
 	}
-	for _, frag := range []string{
-		`"kind":"submit","tenant":"ext1","accepted":4,"rejected":2`,
-		`"kind":"resize","from":1,"to":2`,
-		`"kind":"resize","from":2,"to":1`,
-		`"kind":"drain"`,
-		`"kind":"round"`,
+	for _, re := range []string{
+		`"name":"submit","ph":"i",.*"args":\{"round":0,"tenant":"ext1","accepted":4,"rejected":2\}`,
+		`"name":"resize","ph":"i",.*"from":1,"to":2\}`,
+		`"name":"resize","ph":"i",.*"from":2,"to":1\}`,
+		`"name":"drain","ph":"i",.*"args":\{"round":9\}`,
+		`"name":"schedule","ph":"X"`, `"name":"partition","ph":"X"`, `"name":"wait","ph":"X"`,
+		`"name":"quorum","ph":"X"`, `"name":"commit","ph":"X"`, `"name":"route","ph":"X"`,
+		`"name":"merge","ph":"X"`,
 	} {
-		if !strings.Contains(flight1, frag) {
-			t.Errorf("flight dump missing %q:\n%s", frag, flight1)
-		}
-	}
-	for _, frag := range []string{
-		`"name":"schedule"`, `"name":"partition"`, `"name":"wait"`,
-		`"name":"quorum"`, `"name":"commit"`, `"name":"route"`, `"name":"merge"`,
-	} {
-		if !strings.Contains(spans1, frag) {
-			t.Errorf("span dump missing %q:\n%s", frag, spans1)
+		if !regexp.MustCompile(re).MatchString(events1) {
+			t.Errorf("event dump has no line matching %s:\n%s", re, events1)
 		}
 	}
 }

@@ -63,7 +63,7 @@
 // the script's meta line carries the recorded policy, a replay can instead
 // run a SHADOW autoscaler (PlayScriptObserved), which reproduces the same
 // resize stream — the script's own resize events become no-ops — plus the
-// autoscaler's decision records in the flight recorder.
+// autoscaler's decision records in the event log.
 //
 // # Observability
 //
@@ -81,44 +81,42 @@
 //     mixes served to completion the step-time and dedup families are
 //     K-invariant (the step multiset is); wait/occupancy families depend
 //     on the round schedule and are invariant across worker counts only.
-//   - The flight recorder (FlightRecorder) is the lane's black box: a
-//     fixed-size ring of structured round records — admissions and their
-//     accept/reject splits, arrival-overflow rejections, resizes, drain,
-//     and every autoscaler decision WITH its window inputs (rejection /
-//     executed / merged deltas, queue fill, mean occupancy, merge
-//     fraction). GET /debug/flight and Server.WriteFlight dump it as
-//     deterministic JSON; appending is a struct store into a preallocated
-//     slot, and truncation is never silent (the dump counts what the ring
+//   - The event log (EventLog) is one fixed-size ring of flat records per
+//     server. It holds the admission events — submissions and their
+//     accept/reject splits, arrival-overflow rejections, resizes, the
+//     drain, and every autoscaler decision WITH its window inputs
+//     (rejection / executed / merged deltas, queue fill, mean occupancy,
+//     merge fraction) — next to the pipeline stages of every executed
+//     round, which answer WHERE the round went: queue wait, band→shard
+//     scheduling, the union-find component partition (with forced merges),
+//     each tenant step's quorum (retrieval) and commit (update) legs,
+//     per-shard interconnect routing (fabric cycle/hop counter deltas and
+//     peak module load), and the closing report merge. Events are stamped
+//     on a monotone virtual clock that advances by each round's makespan.
+//     GET /debug/events, Server.WriteEvents and `serve events` render the
+//     ring as deterministic Chrome/Perfetto trace-event JSON with server,
+//     tenant and shard tracks (stages as spans, admission events as
+//     instants); `serve replay -events` re-derives a live capture
+//     byte-for-byte. Appending is a struct store into a preallocated slot,
+//     and truncation is never silent (the dump counts what the ring
 //     dropped).
+//   - Stage counters: the quorum/commit split tiles each step's Time
+//     exactly, so the per-tenant pramsim_serve_tenant_stage_time_total
+//     counter families are K-invariant for finite mixes served to
+//     completion (labels are tenant+band+stage only, surviving resizes),
+//     while the critical-path split
+//     (pramsim_serve_round_critical_stage_time_total) follows the round
+//     schedule and is worker/replay-invariant only. Both are lifetime
+//     totals folded in Round, which a wrapping ring could not reproduce.
 //   - The wall-clock side stays quarantined: HTTPOptions.Pprof optionally
 //     mounts the stdlib /debug/pprof/* handlers (host-process profiles,
 //     opt-in, wallclock-scoped http.go only).
 //
-// # Span tracing
-//
-// The span recorder (internal/span) answers the question the round-level
-// telemetry cannot: WHERE did the round go. Every executed round is
-// decomposed into the pipeline stages the engine already counts — queue
-// wait, band→shard scheduling, the union-find component partition (with
-// forced merges), each tenant step's quorum (retrieval) and commit
-// (update) legs, per-shard interconnect routing (fabric cycle/hop
-// counter deltas and peak module load), and the closing report merge —
-// stamped on a monotone virtual clock that advances by each round's
-// makespan. GET /debug/spans, Server.WriteSpans and `serve spans` render
-// the ring as deterministic Chrome/Perfetto trace-event JSON with server,
-// tenant and shard tracks; `serve replay -spans` re-derives a live
-// capture byte-for-byte. The quorum/commit split tiles each step's Time
-// exactly, so the per-tenant pramsim_serve_tenant_stage_time_total
-// counter families are K-invariant for finite mixes served to completion
-// (labels are tenant+band+stage only, surviving resizes), while the
-// critical-path split (pramsim_serve_round_critical_stage_time_total)
-// follows the round schedule and is worker/replay-invariant only.
-//
 // The per-round serving path — admission, scheduling, pool execution,
-// accounting, histogram observation, flight and span recording —
-// performs zero steady-state heap allocations (TestServeRoundZeroAllocs,
-// TestSubmitZeroAllocs, TestFlightPushZeroAllocs, TestSpanPushZeroAllocs),
-// extending the repository's invariant one layer further up the stack.
+// accounting, histogram observation and event recording — performs zero
+// steady-state heap allocations (TestServeRoundZeroAllocs,
+// TestSubmitZeroAllocs, TestEventPushZeroAllocs), extending the
+// repository's invariant one layer further up the stack.
 package serve
 
 import (
@@ -131,7 +129,6 @@ import (
 	"repro/internal/prom"
 	"repro/internal/quorum"
 	"repro/internal/replay"
-	"repro/internal/span"
 )
 
 // Interconnect selects the fabric each pool shard routes its protocol
@@ -318,16 +315,15 @@ type Config struct {
 	// QueueCap is the default per-tenant admission-queue capacity in step
 	// credits (0 → 8).
 	QueueCap int
-	// FlightDepth sizes the flight recorder's event ring (0 → 512). The
-	// ring keeps the most recent events and counts what it overwrote.
-	FlightDepth int
-	// SpanDepth sizes the span recorder's ring (0 → 4096 spans). One
-	// executed round records 3 + 4·(active shards) spans, so the default
-	// keeps a few hundred recent rounds at small K. The depth is NOT part
-	// of the recorded arrival script: a live capture and its replay must
-	// agree on it for the `serve replay -spans` byte-compare, so both
-	// sides rely on the same config default.
-	SpanDepth int
+	// EventDepth sizes the event log's ring (0 → 4096 events). The ring
+	// keeps the most recent events and counts what it overwrote. One
+	// executed round records 3 + 4·(active shards) stage events plus its
+	// admission events, so the default keeps a few hundred recent rounds
+	// at small K. The depth is NOT part of the recorded arrival script: a
+	// live capture and its replay must agree on it for the
+	// `serve replay -events` byte-compare, so both sides rely on the same
+	// config default.
+	EventDepth int
 	// Logf, when non-nil, receives one-shot degradation warnings (band
 	// overlap at admission, first forced merge, source failures). It is
 	// never called on the steady-state path.
@@ -444,21 +440,20 @@ type Server struct {
 
 	rec *replay.Recorder // live trace capture (tenant-lane), nil when off
 
-	// Observability: the flight recorder and the server-wide round
-	// distributions (all virtual-time; observation is allocation-free).
-	flight         *FlightRecorder
+	// Observability (see the package doc): the event log and the
+	// server-wide round distributions (all virtual-time; observation is
+	// allocation-free).
+	events         *EventLog
 	hRoundActive   *prom.Histogram // active shards per executed round
 	hRoundMakespan *prom.Histogram // max shard step time per executed round
 	hRoundWork     *prom.Histogram // summed shard step time per executed round
 	hDedup         *prom.Histogram // post-dedup requests per executed step
 
-	// Span tracing (see the package doc): the stage-span ring plus the
-	// per-shard scratch its hot path reads. nets/netPrev cache each
+	// Per-shard scratch the stage events read. nets/netPrev cache each
 	// shard's mesh handle and fabric counter baseline (nil/zero under
-	// Bipartite) for the route spans' cycle/hop deltas; waitScratch holds
+	// Bipartite) for the route events' cycle/hop deltas; waitScratch holds
 	// the wait (in rounds) of the credit each shard scheduled this round;
 	// critQuorum/critCommit accumulate the critical-path makespan split.
-	spans       *span.Recorder
 	nets        []*mot.Network
 	netPrev     []mot.Stats
 	waitScratch []int64
@@ -473,13 +468,12 @@ type Server struct {
 // Fixed at construction so bucket layouts — part of the exposition — never
 // depend on K, worker counts, or the traffic observed.
 const (
-	stepTimeBuckets    = 24 // per-step simulated time (cycles under MOT2D)
-	queueWaitBuckets   = 16 // queue wait in rounds
-	occupancyBuckets   = 8  // active shards per round
-	roundCostBuckets   = 24 // per-round makespan/work
-	dedupBuckets       = 16 // post-dedup requests per step
-	defaultFlightDepth = 512
-	defaultSpanDepth   = 4096
+	stepTimeBuckets   = 24 // per-step simulated time (cycles under MOT2D)
+	queueWaitBuckets  = 16 // queue wait in rounds
+	occupancyBuckets  = 8  // active shards per round
+	roundCostBuckets  = 24 // per-round makespan/work
+	dedupBuckets      = 16 // post-dedup requests per step
+	defaultEventDepth = 4096
 )
 
 // NewServer builds the deployment: a Lemma 2 parameter point at
@@ -613,16 +607,11 @@ func NewServer(cfg Config) (s *Server, err error) {
 		execTenant: make([]int32, k),
 		logf:       cfg.Logf,
 	}
-	depth := cfg.FlightDepth
+	depth := cfg.EventDepth
 	if depth == 0 {
-		depth = defaultFlightDepth
+		depth = defaultEventDepth
 	}
-	s.flight = NewFlightRecorder(depth)
-	sdepth := cfg.SpanDepth
-	if sdepth == 0 {
-		sdepth = defaultSpanDepth
-	}
-	s.spans = span.NewRecorder(sdepth)
+	s.events = newEventLog(depth)
 	s.waitScratch = make([]int64, k)
 	s.refreshNets()
 	s.hRoundActive = prom.NewHistogram(occupancyBuckets)
@@ -761,7 +750,8 @@ func (s *Server) Submit(id, n int) (accepted, rejected int) {
 	t.submitted += int64(n)
 	if s.draining || t.done {
 		t.rejected += int64(n)
-		s.flight.push(FlightEvent{Round: s.round, Kind: FlightSubmit, Tenant: int32(id), B: int64(n)})
+		s.events.push(Event{Kind: KindSubmit, Round: s.round, Start: s.events.Now(),
+			Track: int32(id), B: int64(n)})
 		return 0, n
 	}
 	accepted = n
@@ -777,8 +767,8 @@ func (s *Server) Submit(id, n int) (accepted, rejected int) {
 	for i := 0; i < accepted; i++ {
 		t.pushWait(s.round)
 	}
-	s.flight.push(FlightEvent{Round: s.round, Kind: FlightSubmit, Tenant: int32(id),
-		A: int64(accepted), B: int64(rejected)})
+	s.events.push(Event{Kind: KindSubmit, Round: s.round, Start: s.events.Now(),
+		Track: int32(id), A: int64(accepted), B: int64(rejected)})
 	return accepted, rejected
 }
 
@@ -811,14 +801,15 @@ func (s *Server) Resize(k int) {
 		s.byShard[t.shard] = append(s.byShard[t.shard], t.id)
 	}
 	s.resizes++
-	s.flight.push(FlightEvent{Round: s.round, Kind: FlightResize, K: int32(prev), To: int32(k)})
+	s.events.push(Event{Kind: KindResize, Round: s.round, Start: s.events.Now(),
+		K: int32(prev), To: int32(k)})
 	if s.logf != nil {
 		s.logf("serve: resized K %d -> %d (round %d, %d tenants re-banded)", prev, k, s.round, len(s.tenants))
 	}
 }
 
 // refreshNets re-caches the per-shard mesh handles (nil under Bipartite)
-// and their fabric counter baselines for the route spans' cycle/hop
+// and their fabric counter baselines for the route events' cycle/hop
 // deltas. Shards that survive a Resize keep their machines — and with
 // them their monotone fabric counters — so surviving baselines carry
 // over and the deltas stay exact across transitions; shards added by a
@@ -931,7 +922,8 @@ func (s *Server) Round() int {
 			t.submitted += int64(n)
 			if room := t.cap - t.credits; n > room {
 				t.rejected += int64(n - room)
-				s.flight.push(FlightEvent{Round: r, Kind: FlightReject, Tenant: int32(t.id), A: int64(n - room)})
+				s.events.push(Event{Kind: KindReject, Round: r, Start: s.events.Now(),
+					Track: int32(t.id), A: int64(n - room)})
 				n = room
 			}
 			t.credits += n
@@ -1002,15 +994,15 @@ func (s *Server) Round() int {
 			s.logf("serve: round %d forced %d serial-component merge(s): cross-band traffic is eroding the disjoint fast path (ForcedMerges counts every one)", r, merges)
 		}
 	}
-	// Span emission (see the package doc's "Span tracing" section): every
-	// stage of this round lands on the recorder's virtual clock at `base`,
-	// in a fixed order — schedule, partition, then per active shard (in
-	// shard order) the tenant's wait marker, quorum and commit legs and
-	// the shard's route view, and finally the merge at the makespan point.
-	base := s.spans.Now()
-	s.spans.Push(span.Event{Round: r, Start: base, Stage: span.StageSchedule,
+	// Stage events (see the package doc's "Observability" section): every
+	// stage of this round lands on the log's virtual clock at `base`, in a
+	// fixed order — schedule, partition, then per active shard (in shard
+	// order) the tenant's wait, quorum and commit legs and the shard's
+	// route view, and finally the merge at the makespan point.
+	base := s.events.Now()
+	s.events.push(Event{Kind: KindSchedule, Round: r, Start: base,
 		A: int64(scheduled), B: int64(s.k)})
-	s.spans.Push(span.Event{Round: r, Start: base, Stage: span.StagePartition,
+	s.events.push(Event{Kind: KindPartition, Round: r, Start: base,
 		A: int64(s.pool.LastComponents()), B: int64(merges), C: int64(s.pool.LastActive())})
 	var makespan, work, critRead int64
 	for sh := range s.execTenant {
@@ -1028,12 +1020,12 @@ func (s *Server) Round() int {
 		readTime, readPhases, liveArea := s.pool.LastStepBreakdown(sh)
 		t.stageQuorum += readTime
 		t.stageCommit += rep.Time - readTime
-		s.spans.Push(span.Event{Round: r, Start: base, Stage: span.StageWait,
+		s.events.push(Event{Kind: KindWait, Round: r, Start: base,
 			Track: id, A: s.waitScratch[sh]})
-		s.spans.Push(span.Event{Round: r, Start: base, Dur: readTime,
-			Stage: span.StageQuorum, Track: id, A: int64(readPhases), B: liveArea})
-		s.spans.Push(span.Event{Round: r, Start: base + readTime, Dur: rep.Time - readTime,
-			Stage: span.StageCommit, Track: id, A: int64(rep.Phases - readPhases)})
+		s.events.push(Event{Kind: KindQuorum, Round: r, Start: base, Dur: readTime,
+			Track: id, A: int64(readPhases), B: liveArea})
+		s.events.push(Event{Kind: KindCommit, Round: r, Start: base + readTime, Dur: rep.Time - readTime,
+			Track: id, A: int64(rep.Phases - readPhases)})
 		// The shard's interconnect view of the same step: routed cycles as
 		// the duration (0 on the unit-cost bipartite fabric), with the
 		// mesh's cycle/hop counter deltas as attributes. Each shard runs at
@@ -1045,8 +1037,8 @@ func (s *Server) Round() int {
 			dc, dh = d.Cycles, d.Hops
 			s.netPrev[sh] = st
 		}
-		s.spans.Push(span.Event{Round: r, Start: base, Dur: rep.NetworkCycles,
-			Stage: span.StageRoute, Track: int32(sh), A: dc, B: dh, C: int64(rep.ModuleContention)})
+		s.events.push(Event{Kind: KindRoute, Round: r, Start: base, Dur: rep.NetworkCycles,
+			Track: int32(sh), A: dc, B: dh, C: int64(rep.ModuleContention)})
 		work += rep.Time
 		if rep.Time > makespan {
 			makespan = rep.Time
@@ -1058,11 +1050,9 @@ func (s *Server) Round() int {
 	s.hRoundActive.Observe(int64(s.pool.LastActive()))
 	s.hRoundMakespan.Observe(makespan)
 	s.hRoundWork.Observe(work)
-	s.flight.push(FlightEvent{Round: r, Kind: FlightRound, K: int32(s.k),
-		A: int64(scheduled), B: int64(merges), C: int64(s.pool.LastActive())})
-	s.spans.Push(span.Event{Round: r, Start: base + makespan, Stage: span.StageMerge,
+	s.events.push(Event{Kind: KindMerge, Round: r, Start: base + makespan,
 		A: int64(s.pool.LastActive()), B: makespan, C: work})
-	s.spans.Advance(makespan)
+	s.events.advance(makespan)
 	return scheduled
 }
 
@@ -1125,11 +1115,11 @@ func (s *Server) Run(rounds int) {
 // executing any rounds. The replay path uses it to reproduce a recorded
 // drain transition at its recorded round; interactive callers usually want
 // Drain, which also runs the queues dry. The false→true transition is a
-// flight event, recorded once.
+// drain event, recorded once.
 func (s *Server) StopAdmission() {
 	if !s.draining {
 		s.draining = true
-		s.flight.push(FlightEvent{Round: s.round, Kind: FlightDrain})
+		s.events.push(Event{Kind: KindDrain, Round: s.round, Start: s.events.Now()})
 	}
 }
 
@@ -1193,7 +1183,7 @@ func (s *Server) PlayScript(events []replay.ScriptEvent, rounds int64) {
 // autoscaler (HTTPServer.Tick observes after every Round; the drain rounds
 // inside Shutdown are not observed). Replaying with a shadow autoscaler
 // built from the recorded policy therefore reproduces the live decision
-// stream — including the flight recorder's "why" records — while the
+// stream — including the event log's "why" records — while the
 // script's own resize events become no-ops (Resize at the already-current
 // K returns immediately).
 func (s *Server) PlayScriptObserved(events []replay.ScriptEvent, rounds int64, observe func()) {
@@ -1234,66 +1224,31 @@ func (s *Server) Close() {
 
 // TenantStats is one tenant's serving account.
 type TenantStats struct {
-	Name      string
-	Band      int
-	Shard     int
-	Procs     int
-	Done      bool
-	Submitted int64 // step credits offered by the arrival process
-	Rejected  int64 // credits refused by the bounded queue
-	Unserved  int64 // credits admitted but voided by source exhaustion
-	Steps     int64 // steps executed
+	Name       string
+	Band       int
+	Shard      int
+	Procs      int
+	Done       bool
+	Submitted  int64 // step credits offered by the arrival process
+	Rejected   int64 // credits refused by the bounded queue
+	Unserved   int64 // credits admitted but voided by source exhaustion
+	Steps      int64 // steps executed
 	Queue      int   // current queue depth (credits)
 	MaxQueue   int   // high-water queue depth
 	SimTime    int64 // summed simulated step time
 	QuorumTime int64 // retrieval-leg share of SimTime (QuorumTime+CommitTime == SimTime)
 	CommitTime int64 // update-leg share of SimTime
 	Phases     int64
-	Copies    int64
-	Cycles    int64
-	MaxCont   int
-	ErrSteps  int64  // steps whose report carried a conflict-discipline error
-	Hash      uint64 // FNV-1a over the tenant's StepReport stream
-	SrcErr    error
+	Copies     int64
+	Cycles     int64
+	MaxCont    int
+	ErrSteps   int64  // steps whose report carried a conflict-discipline error
+	Hash       uint64 // FNV-1a over the tenant's StepReport stream
+	SrcErr     error
 }
 
 // NumTenants returns the mix size.
 func (s *Server) NumTenants() int { return len(s.tenants) }
-
-// Flight exposes the server's flight recorder (diagnostics and tests).
-func (s *Server) Flight() *FlightRecorder { return s.flight }
-
-// WriteFlight dumps the flight recorder as deterministic JSON with tenant
-// ids resolved to names. Call between rounds (or after drain); dumping
-// allocates and is not part of the hot path.
-func (s *Server) WriteFlight(w io.Writer) error {
-	return s.WriteFlightTail(w, 0)
-}
-
-// WriteFlightTail is WriteFlight bounded to the most recent limit events
-// (limit <= 0 dumps everything retained); the dump's dropped count
-// absorbs the truncation, so a cut dump never pretends to be complete.
-func (s *Server) WriteFlightTail(w io.Writer, limit int) error {
-	return s.flight.WriteJSONTail(w, func(id int) string { return s.tenants[id].cfg.Name }, limit)
-}
-
-// Spans exposes the server's span recorder (diagnostics and tests).
-func (s *Server) Spans() *span.Recorder { return s.spans }
-
-// WriteSpans dumps the span recorder as a deterministic Chrome/Perfetto
-// trace-event JSON document with tenant tracks resolved to names. Call
-// between rounds (or after drain); dumping allocates and is not part of
-// the hot path.
-func (s *Server) WriteSpans(w io.Writer) error {
-	return s.WriteSpansTail(w, 0)
-}
-
-// WriteSpansTail is WriteSpans bounded to the most recent limit spans
-// (limit <= 0 dumps everything retained), with counted truncation.
-func (s *Server) WriteSpansTail(w io.Writer, limit int) error {
-	return s.spans.WriteTrace(w, len(s.tenants),
-		func(id int) string { return s.tenants[id].cfg.Name }, limit)
-}
 
 // TenantStats returns tenant i's account.
 func (s *Server) TenantStats(i int) TenantStats {
