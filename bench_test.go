@@ -550,6 +550,35 @@ func BenchmarkProgramPrefixSumDMMPC(b *testing.B) {
 	}
 }
 
+// BenchmarkProgramBitonicSortIdeal runs whole n=1024 bitonic sorts (220
+// EREW steps each) on the ideal P-RAM, so its ns/step is almost all program
+// coordinator.
+func BenchmarkProgramBitonicSortIdeal(b *testing.B) {
+	benchBitonicSort(b, pramsim.NewIdeal(1024, 1024, pramsim.EREW))
+}
+
+// BenchmarkProgramBitonicSortDMMPC is the same sort on the paper's Theorem 2
+// machine: the shape of prambench's sort-dmmpc workload.
+func BenchmarkProgramBitonicSortDMMPC(b *testing.B) {
+	benchBitonicSort(b, pramsim.NewDMMPC(1024, pramsim.DMMPCConfig{Mode: pramsim.EREW}))
+}
+
+// benchBitonicSort runs a fresh n=1024 bitonic sort per iteration on back,
+// built once by the caller, and reports the cost per P-RAM step.
+func benchBitonicSort(b *testing.B, back pramsim.Backend) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		rep, err := pramsim.RunWorkload(workloads.BitonicSort(1024, 42), back)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += rep.Steps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+}
+
 // --- ablation benchmarks (design choices DESIGN.md calls out) --------------
 
 // AblationMOTPolicy: the paper's drop-and-retry collision rule vs pure

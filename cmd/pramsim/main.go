@@ -11,11 +11,16 @@
 // Backends: ideal, mpc, dmmpc, mot2d, luccio, schuster, hashed, all.
 // Workloads: treesum, prefixsum, broadcast, listrank, bitonicsort,
 // matvec, permutation, hotspot.
+//
+// The exit status is 1 when any run fails: a processor panicked, a conflict
+// rule was violated or the result did not verify. A machine too small for
+// the workload is a skipped row, not a failure.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -74,18 +79,32 @@ var allWorkloads = []string{"treesum", "prefixsum", "broadcast", "listrank",
 	"bitonicsort", "matvec", "permutation", "hotspot"}
 
 func main() {
-	backend := flag.String("backend", "dmmpc", "machine model (or 'all')")
-	workload := flag.String("workload", "prefixsum", "P-RAM program (or 'all')")
-	n := flag.Int("n", 64, "processor count (power of two recommended)")
-	seed := flag.Int64("seed", 1, "input/map seed")
-	list := flag.Bool("list", false, "list backends and workloads")
-	showTrace := flag.Bool("trace", false, "print per-step cost distribution after each run")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, prints the table to stdout and
+// returns the exit status, 1 if any run failed (a row skipped because the
+// machine's memory is too small is not a failure).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pramsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	backend := fs.String("backend", "dmmpc", "machine model (or 'all')")
+	workload := fs.String("workload", "prefixsum", "P-RAM program (or 'all')")
+	n := fs.Int("n", 64, "processor count (power of two recommended)")
+	seed := fs.Int64("seed", 1, "input/map seed")
+	list := fs.Bool("list", false, "list backends and workloads")
+	showTrace := fs.Bool("trace", false, "print per-step cost distribution after each run")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		fmt.Println("backends: ", strings.Join(allBackends, ", "))
-		fmt.Println("workloads:", strings.Join(allWorkloads, ", "))
-		return
+		fmt.Fprintln(stdout, "backends: ", strings.Join(allBackends, ", "))
+		fmt.Fprintln(stdout, "workloads:", strings.Join(allWorkloads, ", "))
+		return 0
 	}
 	wNames := []string{*workload}
 	if *workload == "all" {
@@ -98,41 +117,48 @@ func main() {
 
 	tb := stats.NewTable("workload", "backend", "PRAM steps", "sim time",
 		"phases", "net cycles", "max module load", "wall", "ok")
+	failed := 0
 	for _, wn := range wNames {
 		w, ok := workloadByName(wn, *n, *seed)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown workload %q (try -list)\n", wn)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "unknown workload %q (try -list)\n", wn)
+			return 1
 		}
 		for _, bn := range bNames {
 			b, ok := backendByName(bn, w, *seed)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown backend %q (try -list)\n", bn)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "unknown backend %q (try -list)\n", bn)
+				return 1
 			}
 			if b.MemSize() < w.Cells {
 				tb.AddRow(w.Name, b.Name(), "-", "-", "-", "-", "-", "-", "memory too small")
 				continue
 			}
 			var rec *trace.Recorder
-			run := b
+			target := b
 			if *showTrace {
 				rec = trace.Wrap(b)
-				run = rec
+				target = rec
 			}
 			start := time.Now()
-			rep, err := pramsim.RunWorkload(w, run)
+			rep, err := pramsim.RunWorkload(w, target)
 			wall := time.Since(start).Round(time.Microsecond)
 			status := "verified"
 			if err != nil {
 				status = err.Error()
+				failed++
 			}
 			tb.AddRow(w.Name, b.Name(), rep.Steps, rep.SimTime, rep.Phases,
 				rep.NetworkCycles, rep.MaxContention, wall.String(), status)
 			if rec != nil {
-				fmt.Print(rec.Report())
+				fmt.Fprint(stdout, rec.Report())
 			}
 		}
 	}
-	fmt.Print(tb.String())
+	fmt.Fprint(stdout, tb.String())
+	if failed > 0 {
+		fmt.Fprintf(stderr, "pramsim: %d run(s) failed\n", failed)
+		return 1
+	}
+	return 0
 }

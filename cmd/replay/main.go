@@ -1,8 +1,8 @@
 // Command replay records and replays quorum-machine request-batch traces
 // (repro/internal/replay) — the measurement backbone that makes E-family
 // sweeps at n ≥ 4096 routine: machine construction is paid once per trace
-// file and every replayed step skips the program/goroutine front end and
-// the dedup pipeline.
+// file and every replayed step skips the program coordinator and the
+// dedup pipeline.
 //
 // Verbs:
 //

@@ -1,9 +1,11 @@
 // Package machine executes P-RAM programs. Each of the n P-RAM processors
-// runs as a goroutine; a coordinator gathers exactly one memory action per
-// active processor per step, forwards the batch to a model.Backend (the
-// ideal P-RAM or any of the simulating machines), and releases the
-// processors in lockstep — goroutines as P-RAM processors, channels as the
-// synchronous step barrier.
+// runs as a coroutine (iter.Pull) on the goroutine that called Run. One step
+// loop resumes every live processor in ascending id order; each runs until
+// its next Read, Write or Sync and yields that memory action into the step's
+// batch. The loop then executes the batch on a model.Backend (the ideal
+// P-RAM or any of the simulating machines) and hands every reader its value
+// before the next resume — coroutines as P-RAM processors, the step loop as
+// the synchronous step barrier.
 //
 // The same Program therefore runs, unmodified, on every machine model in the
 // repository, with the backend deciding only how much simulated time each
@@ -12,24 +14,40 @@ package machine
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/model"
 )
 
-// Program is the code of one P-RAM processor. It runs in its own goroutine
-// and interacts with shared memory only through p. Returning halts the
-// processor; remaining processors keep stepping.
+// Program is the code of one P-RAM processor. It interacts with shared
+// memory only through p. Returning halts the processor; remaining
+// processors keep stepping. A panic halts only the panicking processor and
+// is reported in RunReport.Panics.
+//
+// Programs run as coroutines on the goroutine that called Run: within a
+// step, processors run one at a time, in ascending id order, each up to its
+// next Read, Write or Sync. Read, Write and Sync must be called from the
+// goroutine the program runs on. runtime.Goexit inside a program (t.FailNow,
+// for example) ends the goroutine that called Run, not just the processor.
 type Program func(p *Proc)
 
 // Proc is the interface a running processor has to the machine: its
 // identity and the three P-RAM step primitives. Each call to Read, Write or
-// Sync is one P-RAM step boundary; local computation between calls is free,
-// exactly as in the model.
+// Sync is one P-RAM step boundary, at which the processor's coroutine yields
+// its memory action to the step loop; local computation between calls is
+// free, exactly as in the model.
 type Proc struct {
-	id int
-	n  int
-	mc *Machine
+	id    int
+	n     int
+	mem   int // backend.MemSize(): addresses must lie in [0, mem)
+	yield func(model.Request) bool
+	val   model.Word // the value the last Read returned, stored by the step loop
+	err   error      // the panic that halted this processor, if any
 }
+
+// stopped is the panic value that unwinds a processor whose run has ended
+// (its coroutine was stopped while parked at a step boundary).
+type stopped struct{}
 
 // ID returns this processor's index in [0, n).
 func (p *Proc) ID() int { return p.id }
@@ -39,20 +57,55 @@ func (p *Proc) N() int { return p.n }
 
 // Read performs a shared-memory read as this processor's action for the
 // current step and returns the value (the cell's content at step start).
+// An address outside shared memory halts the processor with a panic.
 func (p *Proc) Read(a model.Addr) model.Word {
-	return p.mc.submit(p.id, model.Request{Proc: p.id, Op: model.OpRead, Addr: a})
+	p.check("read", a)
+	p.step(model.Request{Proc: p.id, Op: model.OpRead, Addr: a})
+	return p.val
 }
 
 // Write performs a shared-memory write as this processor's action for the
-// current step.
+// current step. An address outside shared memory halts the processor with a
+// panic.
 func (p *Proc) Write(a model.Addr, v model.Word) {
-	p.mc.submit(p.id, model.Request{Proc: p.id, Op: model.OpWrite, Addr: a, Value: v})
+	p.check("write", a)
+	p.step(model.Request{Proc: p.id, Op: model.OpWrite, Addr: a, Value: v})
 }
 
 // Sync spends one step doing only local computation (a P-RAM no-op step),
 // keeping this processor in lockstep with the others.
 func (p *Proc) Sync() {
-	p.mc.submit(p.id, model.Request{Proc: p.id, Op: model.OpNone})
+	p.step(model.Request{Proc: p.id, Op: model.OpNone})
+}
+
+func (p *Proc) check(op string, a model.Addr) {
+	if a < 0 || a >= p.mem {
+		panic(fmt.Errorf("%s of cell %d outside shared memory [0, %d)", op, a, p.mem))
+	}
+}
+
+// step yields this processor's action for the current step and returns once
+// the step has executed.
+func (p *Proc) step(r model.Request) {
+	if !p.yield(r) {
+		panic(stopped{})
+	}
+}
+
+// body is the coroutine hosting program on p. It turns a panic into p.err,
+// so a crashing processor halts alone, and swallows the stopped unwind.
+func (p *Proc) body(program Program) iter.Seq[model.Request] {
+	return func(yield func(model.Request) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(stopped); !ok {
+					p.err = fmt.Errorf("processor %d panicked: %v", p.id, r)
+				}
+			}
+		}()
+		program(p)
+	}
 }
 
 // RunReport aggregates the cost of a complete program run.
@@ -64,7 +117,7 @@ type RunReport struct {
 	CopyAccesses  int64 // total variable-copy accesses
 	MaxContention int   // worst per-module load seen in any step
 	Violations    []error
-	Panics        []error
+	Panics        []error // in step order, ascending processor id within a step
 }
 
 // Err returns the first conflict violation or processor panic, or nil.
@@ -78,117 +131,89 @@ func (r *RunReport) Err() error {
 	return nil
 }
 
-// Machine couples n processor goroutines to a backend. A Machine is
-// single-use: one Run/RunEach consumes it (its channels carry the residue of
-// the finished run), so a second Run panics instead of deadlocking.
+// Machine couples n processors to a backend. A Machine is single-use: one
+// Run/RunEach consumes it, and a second Run panics. A run's processors and
+// step batch belong to that run alone, so every run starts from a fresh
+// Machine (New is cheap; the backend carries the state across runs).
 type Machine struct {
-	backend model.Backend
-	n       int
-
-	subCh    chan submission
-	replyCh  []chan model.Word
+	backend  model.Backend
+	n        int
 	consumed bool
-}
-
-type submission struct {
-	proc int
-	req  model.Request
-	halt bool
-	err  error // non-nil when the processor goroutine panicked
 }
 
 // New returns a machine driving backend with backend.Procs() processors.
 func New(backend model.Backend) *Machine {
-	n := backend.Procs()
-	m := &Machine{
-		backend: backend,
-		n:       n,
-		subCh:   make(chan submission, n),
-		replyCh: make([]chan model.Word, n),
-	}
-	for i := range m.replyCh {
-		m.replyCh[i] = make(chan model.Word, 1)
-	}
-	return m
+	return &Machine{backend: backend, n: backend.Procs()}
 }
 
 // Backend returns the machine's backend.
 func (m *Machine) Backend() model.Backend { return m.backend }
 
-// submit hands the coordinator this processor's action for the current step
-// and blocks until the step has been executed on the backend (the lockstep
-// barrier). For reads the returned word is the read result.
-func (m *Machine) submit(proc int, req model.Request) model.Word {
-	m.subCh <- submission{proc: proc, req: req}
-	return <-m.replyCh[proc]
-}
-
 // Run executes program on all n processors and returns the aggregate cost
-// report. It blocks until every processor has halted.
+// report. It returns once every processor has halted.
 func (m *Machine) Run(program Program) *RunReport {
 	return m.RunEach(func(int) Program { return program })
 }
 
-// RunEach executes a per-processor program selected by pick(id). It blocks
-// until every processor has halted. Calling it (or Run) a second time on
-// the same Machine panics: the step channels of a consumed machine are
-// stale, and reusing them would deadlock the coordinator.
+// RunEach executes a per-processor program selected by pick(id). It returns
+// once every processor has halted. Calling it (or Run) a second time on the
+// same Machine panics. A panic in the backend unwinds RunEach with the
+// backend's panic value, after every processor has been stopped.
 func (m *Machine) RunEach(pick func(id int) Program) *RunReport {
 	if m.consumed {
 		panic("machine.Machine: Run/RunEach called on a consumed machine; create a new Machine with machine.New for each run")
 	}
 	m.consumed = true
-	for i := 0; i < m.n; i++ {
-		go m.runProc(i, pick(i))
-	}
-	return m.coordinate()
-}
-
-// runProc hosts one processor goroutine, converting panics into a halt
-// submission so a crashing processor cannot deadlock the machine.
-func (m *Machine) runProc(id int, program Program) {
+	procs := make([]Proc, m.n)
+	next := make([]func() (model.Request, bool), m.n)
+	stops := make([]func(), m.n)
 	defer func() {
-		var perr error
-		if r := recover(); r != nil {
-			perr = fmt.Errorf("processor %d panicked: %v", id, r)
+		for _, stop := range stops {
+			if stop != nil {
+				stop()
+			}
 		}
-		m.subCh <- submission{proc: id, halt: true, err: perr}
 	}()
-	program(&Proc{id: id, n: m.n, mc: m})
+	mem := m.backend.MemSize()
+	for i := range procs {
+		procs[i] = Proc{id: i, n: m.n, mem: mem}
+		next[i], stops[i] = iter.Pull(procs[i].body(pick(i)))
+	}
+	return m.lockstep(procs, next)
 }
 
-// coordinate is the step loop: gather one submission per active processor,
-// execute the batch, release the barrier.
-func (m *Machine) coordinate() *RunReport {
+// lockstep is the step loop: resume every live processor in ascending id
+// order, gather the actions they yield into one batch reused for the whole
+// run, execute it, and store each reader's value before the next resume. A
+// processor whose coroutine finishes has halted; its next entry becomes nil
+// and its batch slot goes back to idle. The run ends at the first step in
+// which no processor yields.
+//
+//pram:hotpath
+func (m *Machine) lockstep(procs []Proc, next []func() (model.Request, bool)) *RunReport {
 	rep := &RunReport{}
-	active := make([]bool, m.n)
-	for i := range active {
-		active[i] = true
-	}
-	remaining := m.n
-	pending := make([]submission, 0, m.n)
-	for remaining > 0 {
-		pending = pending[:0]
-		need := remaining
-		for len(pending) < need {
-			s := <-m.subCh
-			if s.halt {
-				active[s.proc] = false
-				remaining--
-				need--
-				if s.err != nil {
-					rep.Panics = append(rep.Panics, s.err)
+	batch := model.NewBatch(m.n)
+	for {
+		active := 0
+		for id, resume := range next {
+			if resume == nil {
+				continue
+			}
+			req, ok := resume()
+			if !ok {
+				next[id] = nil
+				batch[id] = model.Request{Proc: id, Op: model.OpNone}
+				if err := procs[id].err; err != nil {
+					//pram:coldalloc a processor panicked: at most once per processor per run
+					rep.Panics = append(rep.Panics, err)
 				}
 				continue
 			}
-			pending = append(pending, s)
+			batch[id] = req
+			active++
 		}
-		if len(pending) == 0 {
-			break // everyone halted
-		}
-		batch := model.NewBatch(m.n)
-		for _, s := range pending {
-			batch[s.proc] = s.req
+		if active == 0 {
+			return rep
 		}
 		sr := m.backend.ExecuteStep(batch)
 		rep.Steps++
@@ -200,15 +225,13 @@ func (m *Machine) coordinate() *RunReport {
 			rep.MaxContention = sr.ModuleContention
 		}
 		if sr.Err != nil {
+			//pram:coldalloc a conflict violation: an erroneous program, not steady state
 			rep.Violations = append(rep.Violations, sr.Err)
 		}
-		for _, s := range pending {
-			if s.req.Op == model.OpRead {
-				m.replyCh[s.proc] <- sr.Values[s.proc]
-			} else {
-				m.replyCh[s.proc] <- 0
+		for id := range batch {
+			if batch[id].Op == model.OpRead {
+				procs[id].val = sr.Values[id]
 			}
 		}
 	}
-	return rep
 }

@@ -1,8 +1,13 @@
 package machine
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ideal"
 	"repro/internal/model"
@@ -116,6 +121,110 @@ func TestPanicIsolatedAndReported(t *testing.T) {
 	}
 	if back.ReadCell(0) != 1 || back.ReadCell(1) != 1 || back.ReadCell(3) != 1 {
 		t.Error("surviving processors did not complete")
+	}
+
+	// Panics arrive in step order, ascending processor id within a step,
+	// so the report (and what Err returns) never depends on scheduling.
+	const wide = 64
+	var want []string
+	for id := 0; id < wide; id += 7 {
+		want = append(want, fmt.Sprintf("processor %d panicked: boom %d", id, id))
+	}
+	for run := 0; run < 100; run++ {
+		rep := New(ideal.New(wide, wide, model.CREW)).RunEach(func(id int) Program {
+			return func(p *Proc) {
+				p.Sync()
+				if id%7 == 0 {
+					panic(fmt.Sprintf("boom %d", id))
+				}
+				p.Write(id, 1)
+			}
+		})
+		if got := messages(rep.Panics); !slices.Equal(got, want) {
+			t.Fatalf("run %d: panics %q, want %q", run, got, want)
+		}
+	}
+}
+
+// messages returns the text of each error in errs.
+func messages(errs []error) []string {
+	var out []string
+	for _, err := range errs {
+		out = append(out, err.Error())
+	}
+	return out
+}
+
+// TestOutOfRangeAddressHaltsProcessor: an address outside shared memory
+// fails the offending processor through the panic path instead of crashing
+// the backend, and the other processors complete.
+func TestOutOfRangeAddressHaltsProcessor(t *testing.T) {
+	const n = 4
+	back := ideal.New(n, n, model.EREW)
+	rep := New(back).RunEach(func(id int) Program {
+		return func(p *Proc) {
+			switch id {
+			case 1:
+				p.Write(-1, 7)
+			case 2:
+				p.Read(n)
+			}
+			p.Write(id, model.Word(10+id))
+		}
+	})
+	want := []string{
+		"processor 1 panicked: write of cell -1 outside shared memory [0, 4)",
+		"processor 2 panicked: read of cell 4 outside shared memory [0, 4)",
+	}
+	if got := messages(rep.Panics); !slices.Equal(got, want) {
+		t.Fatalf("panics %q, want %q", got, want)
+	}
+	for id, cell := range []model.Word{10, 0, 0, 13} {
+		if v := back.ReadCell(id); v != cell {
+			t.Errorf("cell %d = %d, want %d", id, v, cell)
+		}
+	}
+}
+
+// panicAt is a backend whose step number at panics with value.
+type panicAt struct {
+	model.Backend
+	at, step int
+	value    any
+}
+
+func (b *panicAt) ExecuteStep(batch model.Batch) model.StepReport {
+	if b.step++; b.step == b.at {
+		panic(b.value)
+	}
+	return b.Backend.ExecuteStep(batch)
+}
+
+// TestBackendPanicStopsProcessors: a backend panic unwinds Run with the
+// backend's own panic value and leaves no processor behind.
+func TestBackendPanicStopsProcessors(t *testing.T) {
+	const n = 64
+	base := runtime.NumGoroutine()
+	boom := errors.New("backend failure")
+	func() {
+		defer func() {
+			if r := recover(); r != boom {
+				t.Errorf("Run raised %v, want %v", r, boom)
+			}
+		}()
+		back := &panicAt{Backend: ideal.New(n, n, model.EREW), at: 2, value: boom}
+		New(back).Run(func(p *Proc) {
+			for {
+				p.Write(p.ID(), 1)
+			}
+		})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines remain, %d before Run: processors leaked", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestMachineReusePanics: a Machine is single-use; a second Run must fail
-// fast with a clear message instead of deadlocking on stale channels.
+// fast with a clear message telling the caller to build a new Machine.
 func TestMachineReusePanics(t *testing.T) {
 	m := New(ideal.New(4, 16, model.CRCWPriority))
 	rep := m.Run(func(p *Proc) {

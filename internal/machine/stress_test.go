@@ -1,13 +1,14 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/ideal"
 	"repro/internal/model"
 )
 
-// TestThousandProcessors checks the goroutine harness at P-RAM scale:
+// TestThousandProcessors checks the coroutine harness at P-RAM scale:
 // 1024 processors through a multi-round program with mixed halts.
 func TestThousandProcessors(t *testing.T) {
 	const n = 1024
@@ -94,5 +95,42 @@ func TestAllHaltImmediately(t *testing.T) {
 	rep := New(back).Run(func(p *Proc) {})
 	if rep.Steps != 0 || rep.SimTime != 0 {
 		t.Errorf("empty program cost %d steps / %d time", rep.Steps, rep.SimTime)
+	}
+}
+
+// TestNoAllocationPerStep: the step loop reuses one batch for the whole
+// run, so what a run allocates does not grow with its step count.
+func TestNoAllocationPerStep(t *testing.T) {
+	const n = 1024
+	back := ideal.New(n, n, model.EREW)
+	alloc := func(steps int64) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep := New(back).Run(func(p *Proc) {
+			for s := int64(0); s < steps; s++ {
+				if s%2 == 0 {
+					p.Read(p.ID())
+				} else {
+					p.Write(p.ID(), s)
+				}
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if err := rep.Err(); err != nil || rep.Steps != steps {
+			t.Fatalf("%d-step run: %d steps, err %v", steps, rep.Steps, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	alloc(20) // warm the backend's reusable buffers
+	// TotalAlloc counts every goroutine's allocation, so take the least
+	// growth of three tries: background noise only ever adds.
+	growth := uint64(1 << 62)
+	for try := 0; try < 3; try++ {
+		short, long := alloc(20), alloc(220)
+		t.Logf("20 steps: %d bytes, 220 steps: %d bytes", short, long)
+		growth = min(growth, long-min(long, short))
+	}
+	if growth >= 32<<10 {
+		t.Errorf("200 more steps allocated %d more bytes; want no allocation per step", growth)
 	}
 }

@@ -1,8 +1,8 @@
 // Package replay records the quorum machines' post-dedup request-batch
 // streams to disk and replays them straight into the engines — the
 // serving-lane measurement backbone that turns E-family sweeps at n ≥ 4096
-// into pure hot-path measurements: a replayed step skips the program/
-// goroutine front end and the sort/dedup/conflict-check pipeline, and one
+// into pure hot-path measurements: a replayed step skips the program
+// coordinator and the sort/dedup/conflict-check pipeline, and one
 // machine construction (~0.2 s at production sizes) is amortized across an
 // entire trace file.
 //

@@ -361,8 +361,8 @@ func (s *Summary) VerifyOK() bool {
 
 // Replayer streams a trace into freshly built machines. Open pays machine
 // construction once; Step/Run then drive the engines directly with the
-// recorded post-dedup batches — no program layer, no goroutine barrier, no
-// sort/dedup — which is what makes n ≥ 4096 sweeps routine.
+// recorded post-dedup batches — no program coordinator, no sort/dedup —
+// which is what makes n ≥ 4096 sweeps routine.
 type Replayer struct {
 	// Verify compares every replayed step's costs and Values hash against
 	// the recorded ones and, at eof, the store fingerprint. Mismatches

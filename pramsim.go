@@ -3,9 +3,10 @@
 // Information and Computation 92:81–96, 1991), together with every machine
 // model the paper defines or compares against.
 //
-// A P-RAM program is an ordinary Go function run once per processor (one
-// goroutine each); the three primitives Read, Write and Sync are P-RAM step
-// boundaries. The same program runs unchanged on any Backend:
+// A P-RAM program is an ordinary Go function run once per processor, each
+// processor a coroutine resumed in lockstep on the goroutine that called
+// Run; the three primitives Read, Write and Sync are P-RAM step boundaries.
+// The same program runs unchanged on any Backend:
 //
 //	ideal   — the abstract P-RAM itself (unit-time steps)
 //	MPC     — Upfal–Wigderson '87 majority rule, M = n, r = Θ(log m)

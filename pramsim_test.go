@@ -1,6 +1,12 @@
 package pramsim_test
 
 import (
+	"encoding/json"
+	"flag"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,5 +96,111 @@ func TestFacadeModesExported(t *testing.T) {
 			t.Fatalf("duplicate mode %v", m)
 		}
 		seen[m] = true
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_runs.json")
+
+// goldenRun is the observable cost and outcome of one workload run.
+type goldenRun struct {
+	Skipped       string `json:"skipped,omitempty"`
+	Steps         int64  `json:"steps,omitempty"`
+	SimTime       int64  `json:"simTime,omitempty"`
+	Phases        int64  `json:"phases,omitempty"`
+	NetworkCycles int64  `json:"networkCycles,omitempty"`
+	CopyAccesses  int64  `json:"copyAccesses,omitempty"`
+	MaxContention int    `json:"maxContention,omitempty"`
+	Err           string `json:"err,omitempty"`
+}
+
+// goldenBackends builds the seven facade machines for w, sized the way
+// cmd/pramsim sizes them.
+var goldenBackends = []struct {
+	name  string
+	build func(w pramsim.Workload, seed int64) pramsim.Backend
+}{
+	{"ideal", func(w pramsim.Workload, _ int64) pramsim.Backend {
+		return pramsim.NewIdeal(w.Procs, w.Cells, w.Mode)
+	}},
+	{"mpc", func(w pramsim.Workload, seed int64) pramsim.Backend {
+		return pramsim.NewMPC(w.Procs, pramsim.MPCConfig{Mode: w.Mode, Seed: seed})
+	}},
+	{"dmmpc", func(w pramsim.Workload, seed int64) pramsim.Backend {
+		return pramsim.NewDMMPC(w.Procs, pramsim.DMMPCConfig{Mode: w.Mode, Seed: seed})
+	}},
+	{"mot2d", func(w pramsim.Workload, seed int64) pramsim.Backend {
+		return pramsim.NewMOT2D(w.Procs, pramsim.MOTConfig{Mode: w.Mode, Seed: seed})
+	}},
+	{"luccio", func(w pramsim.Workload, seed int64) pramsim.Backend {
+		return pramsim.NewLuccio(w.Procs, pramsim.MOTConfig{Mode: w.Mode, Seed: seed})
+	}},
+	{"schuster", func(w pramsim.Workload, seed int64) pramsim.Backend {
+		return pramsim.NewSchuster(w.Procs, pramsim.SchusterConfig{MemCells: w.Cells, Mode: w.Mode, Seed: seed})
+	}},
+	{"hashed", func(w pramsim.Workload, seed int64) pramsim.Backend {
+		return pramsim.NewHashed(w.Procs, pramsim.HashedConfig{MemCells: w.Cells, Mode: w.Mode, Seed: seed})
+	}},
+}
+
+// TestGoldenRunReports pins the RunReport of every standard workload on
+// every facade machine: the program coordinator may change how processors
+// are scheduled, never what a run costs or how it ends.
+func TestGoldenRunReports(t *testing.T) {
+	const n, seed = 64, 1
+	got := map[string]goldenRun{}
+	for _, w := range workloads.All(n, seed) {
+		for _, gb := range goldenBackends {
+			b := gb.build(w, seed)
+			key := w.Name + "/" + gb.name
+			if b.MemSize() < w.Cells {
+				got[key] = goldenRun{Skipped: "memory too small"}
+				continue
+			}
+			rep, err := pramsim.RunWorkload(w, b)
+			g := goldenRun{
+				Steps:         rep.Steps,
+				SimTime:       rep.SimTime,
+				Phases:        rep.Phases,
+				NetworkCycles: rep.NetworkCycles,
+				CopyAccesses:  rep.CopyAccesses,
+				MaxContention: rep.MaxContention,
+			}
+			if err != nil {
+				g.Err = err.Error()
+			}
+			got[key] = g
+		}
+	}
+	path := filepath.Join("testdata", "golden_runs.json")
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update to create): %v", err)
+	}
+	var want map[string]goldenRun
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range slices.Sorted(maps.Keys(want)) {
+		if g, ok := got[key]; !ok {
+			t.Errorf("%s: missing", key)
+		} else if g != want[key] {
+			t.Errorf("%s: got %+v, want %+v", key, g, want[key])
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d runs, golden has %d", len(got), len(want))
 	}
 }
