@@ -579,6 +579,30 @@ func benchBitonicSort(b *testing.B, back pramsim.Backend) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }
 
+// BenchmarkProgramReadEveryStepIdeal runs 1024 processors that Read at
+// each of 220 steps, so none ever has a Write or Sync queued: the
+// coordinator resumes every processor at every step, the worst case for
+// its action queues.
+func BenchmarkProgramReadEveryStepIdeal(b *testing.B) {
+	const n = 1024
+	back := pramsim.NewIdeal(n, n, pramsim.EREW)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		rep := pramsim.Run(back, func(p *pramsim.Proc) {
+			for s := 0; s < 220; s++ {
+				p.Read(p.ID())
+			}
+		})
+		if err := rep.Err(); err != nil {
+			b.Fatal(err)
+		}
+		steps += rep.Steps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+}
+
 // --- ablation benchmarks (design choices DESIGN.md calls out) --------------
 
 // AblationMOTPolicy: the paper's drop-and-retry collision rule vs pure

@@ -115,17 +115,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bNames = allBackends
 	}
 
-	tb := stats.NewTable("workload", "backend", "PRAM steps", "sim time",
-		"phases", "net cycles", "max module load", "wall", "ok")
-	failed := 0
+	var ws []pramsim.Workload
 	for _, wn := range wNames {
 		w, ok := workloadByName(wn, *n, *seed)
 		if !ok {
 			fmt.Fprintf(stderr, "unknown workload %q (try -list)\n", wn)
 			return 1
 		}
+		ws = append(ws, w)
+	}
+	return runTable(ws, bNames, *seed, *showTrace, stdout, stderr)
+}
+
+// runTable runs every workload on every named backend, prints the table to
+// stdout and returns the exit status: 1 if any run failed.
+func runTable(ws []pramsim.Workload, bNames []string, seed int64, showTrace bool, stdout, stderr io.Writer) int {
+	tb := stats.NewTable("workload", "backend", "PRAM steps", "sim time",
+		"phases", "net cycles", "max module load", "wall", "ok")
+	failed := 0
+	for _, w := range ws {
 		for _, bn := range bNames {
-			b, ok := backendByName(bn, w, *seed)
+			b, ok := backendByName(bn, w, seed)
 			if !ok {
 				fmt.Fprintf(stderr, "unknown backend %q (try -list)\n", bn)
 				return 1
@@ -136,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			var rec *trace.Recorder
 			target := b
-			if *showTrace {
+			if showTrace {
 				rec = trace.Wrap(b)
 				target = rec
 			}

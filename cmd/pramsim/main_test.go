@@ -3,25 +3,32 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/workloads"
+
+	pramsim "repro"
 )
 
-// TestExitStatus: a failed run fails the command. Bitonic partners id^j
-// reach past n when n is not a power of two, so n=12 reads outside the
-// ideal machine's 12 cells.
+// TestExitStatus: a failed run fails the command; verified runs, at any n,
+// do not.
 func TestExitStatus(t *testing.T) {
-	for _, tc := range []struct {
-		n    string
-		want int
-		row  string
-	}{
-		{"12", 1, "outside shared memory [0, 12)"},
-		{"16", 0, "verified"},
-	} {
+	for _, n := range []string{"12", "16"} {
 		var stdout, stderr strings.Builder
-		got := run([]string{"-backend", "ideal", "-workload", "bitonicsort", "-n", tc.n}, &stdout, &stderr)
-		if got != tc.want || !strings.Contains(stdout.String(), tc.row) {
-			t.Errorf("-n %s: exit %d, want %d with a %q row\nstdout:\n%s\nstderr:\n%s",
-				tc.n, got, tc.want, tc.row, stdout.String(), stderr.String())
+		got := run([]string{"-backend", "ideal", "-workload", "bitonicsort", "-n", n}, &stdout, &stderr)
+		if got != 0 || !strings.Contains(stdout.String(), "verified") {
+			t.Errorf("-n %s: exit %d, want 0 with a verified row\nstdout:\n%s\nstderr:\n%s",
+				n, got, stdout.String(), stderr.String())
 		}
+	}
+
+	bad := workloads.BitonicSort(16, 1)
+	bad.Program = func(int) pramsim.Program {
+		return func(p *pramsim.Proc) { p.Read(bad.Cells) }
+	}
+	var stdout, stderr strings.Builder
+	got := runTable([]pramsim.Workload{bad}, []string{"ideal"}, 1, false, &stdout, &stderr)
+	if want := "outside shared memory [0, 16)"; got != 1 || !strings.Contains(stdout.String(), want) {
+		t.Errorf("failing run: exit %d, want 1 with a %q row\nstdout:\n%s\nstderr:\n%s",
+			got, want, stdout.String(), stderr.String())
 	}
 }

@@ -1,11 +1,20 @@
 // Package machine executes P-RAM programs. Each of the n P-RAM processors
-// runs as a coroutine (iter.Pull) on the goroutine that called Run. One step
-// loop resumes every live processor in ascending id order; each runs until
-// its next Read, Write or Sync and yields that memory action into the step's
-// batch. The loop then executes the batch on a model.Backend (the ideal
-// P-RAM or any of the simulating machines) and hands every reader its value
-// before the next resume — coroutines as P-RAM processors, the step loop as
-// the synchronous step barrier.
+// runs as a coroutine (iter.Pull) on the goroutine that called Run and
+// keeps a bounded queue of the memory actions it has issued but the machine
+// has not executed yet. Only a Read returns anything to a processor, so
+// Write and Sync just queue their action and return: a processor runs on
+// through its local computation until it Reads or fills its queue, and only
+// then yields. One step loop takes one queued action from every live
+// processor, in ascending id order, into the step's batch, and resumes a
+// processor only when its queue is empty. The loop then executes the batch
+// on a model.Backend (the ideal P-RAM or any of the simulating machines)
+// and stores every reader's value before that reader is resumed —
+// coroutines as P-RAM processors, the step loop as the synchronous step
+// barrier.
+//
+// Queueing moves only when a processor's Go code runs, never what a step
+// does: every step's batch, the RunReport and the final memory are those
+// of resuming every processor at every step.
 //
 // The same Program therefore runs, unmodified, on every machine model in the
 // repository, with the backend deciding only how much simulated time each
@@ -22,60 +31,81 @@ import (
 // Program is the code of one P-RAM processor. It interacts with shared
 // memory only through p. Returning halts the processor; remaining
 // processors keep stepping. A panic halts only the panicking processor and
-// is reported in RunReport.Panics.
+// is reported in RunReport.Panics. Either takes effect at the step after
+// the one that executes the processor's last Read, Write or Sync.
 //
-// Programs run as coroutines on the goroutine that called Run: within a
-// step, processors run one at a time, in ascending id order, each up to its
-// next Read, Write or Sync. Read, Write and Sync must be called from the
-// goroutine the program runs on. runtime.Goexit inside a program (t.FailNow,
-// for example) ends the goroutine that called Run, not just the processor.
+// Programs run as coroutines on the goroutine that called Run, one at a
+// time, resumed in ascending id order within a step. A processor is resumed
+// only to take the value of its Read or when its action queue is full, so
+// its local computation may run ahead of the steps that execute its queued
+// Writes and Syncs: code between actions must depend only on what Read
+// returns, not on what other processors' code has done. Read, Write and
+// Sync must be called from the goroutine the program runs on.
+// runtime.Goexit inside a program (t.FailNow, for example) ends the
+// goroutine that called Run, not just the processor, and may end it before
+// the processor's earlier queued actions have executed.
 type Program func(p *Proc)
 
 // Proc is the interface a running processor has to the machine: its
 // identity and the three P-RAM step primitives. Each call to Read, Write or
-// Sync is one P-RAM step boundary, at which the processor's coroutine yields
-// its memory action to the step loop; local computation between calls is
-// free, exactly as in the model.
+// Sync is one P-RAM step of this processor; local computation between calls
+// is free, exactly as in the model. Write and Sync queue their action and
+// return at once unless that fills the queue; Read queues its action and
+// yields until the step that executes it has run.
 type Proc struct {
-	id    int
-	n     int
-	mem   int // backend.MemSize(): addresses must lie in [0, mem)
-	yield func(model.Request) bool
-	val   model.Word // the value the last Read returned, stored by the step loop
-	err   error      // the panic that halted this processor, if any
+	// Read and the step loop touch the fields up to and including the
+	// first queue slot at every step. They fit one 64-byte cache line, so
+	// a program that Reads at every step touches one line of its Proc per
+	// step.
+	head, tail uint8 // queue[head:tail] are issued actions still to execute
+	id         int32
+	mem        int // backend.MemSize(): addresses must lie in [0, mem)
+	yield      func(struct{}) bool
+	val        model.Word // the value the last Read returned, stored by the step loop
+	queue      [queueCap]model.Request
+	n          int
+	err        error   // the panic that halted this processor, if any
+	_          [8]byte // pads Proc to nine whole cache lines
 }
+
+// queueCap bounds each processor's action queue: a run of Writes and Syncs
+// yields once per queueCap actions. On an n = 1024 bitonic sort any bound
+// from 8 up runs at about the same speed; each slot costs a processor 32
+// bytes.
+const queueCap = 16
 
 // stopped is the panic value that unwinds a processor whose run has ended
 // (its coroutine was stopped while parked at a step boundary).
 type stopped struct{}
 
 // ID returns this processor's index in [0, n).
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return int(p.id) }
 
 // N returns the machine's processor count.
 func (p *Proc) N() int { return p.n }
 
-// Read performs a shared-memory read as this processor's action for the
-// current step and returns the value (the cell's content at step start).
-// An address outside shared memory halts the processor with a panic.
+// Read performs a shared-memory read as this processor's next step and
+// returns the value (the cell's content at the start of that step). An
+// address outside shared memory halts the processor with a panic.
 func (p *Proc) Read(a model.Addr) model.Word {
 	p.check("read", a)
-	p.step(model.Request{Proc: p.id, Op: model.OpRead, Addr: a})
+	p.queue[p.tail] = model.Request{Proc: int(p.id), Op: model.OpRead, Addr: a}
+	p.tail++
+	p.wait()
 	return p.val
 }
 
-// Write performs a shared-memory write as this processor's action for the
-// current step. An address outside shared memory halts the processor with a
-// panic.
+// Write performs a shared-memory write as this processor's next step. An
+// address outside shared memory halts the processor with a panic.
 func (p *Proc) Write(a model.Addr, v model.Word) {
 	p.check("write", a)
-	p.step(model.Request{Proc: p.id, Op: model.OpWrite, Addr: a, Value: v})
+	p.push(model.Request{Proc: int(p.id), Op: model.OpWrite, Addr: a, Value: v})
 }
 
-// Sync spends one step doing only local computation (a P-RAM no-op step),
-// keeping this processor in lockstep with the others.
+// Sync spends this processor's next step doing only local computation (a
+// P-RAM no-op step), keeping it in lockstep with the others.
 func (p *Proc) Sync() {
-	p.step(model.Request{Proc: p.id, Op: model.OpNone})
+	p.push(model.Request{Proc: int(p.id), Op: model.OpNone})
 }
 
 func (p *Proc) check(op string, a model.Addr) {
@@ -84,18 +114,27 @@ func (p *Proc) check(op string, a model.Addr) {
 	}
 }
 
-// step yields this processor's action for the current step and returns once
-// the step has executed.
-func (p *Proc) step(r model.Request) {
-	if !p.yield(r) {
+// push queues an action that returns nothing, yielding only if the queue
+// is now full.
+func (p *Proc) push(r model.Request) {
+	p.queue[p.tail] = r
+	if p.tail++; p.tail == queueCap {
+		p.wait()
+	}
+}
+
+// wait yields to the step loop and returns once every queued action has
+// executed.
+func (p *Proc) wait() {
+	if !p.yield(struct{}{}) {
 		panic(stopped{})
 	}
 }
 
 // body is the coroutine hosting program on p. It turns a panic into p.err,
 // so a crashing processor halts alone, and swallows the stopped unwind.
-func (p *Proc) body(program Program) iter.Seq[model.Request] {
-	return func(yield func(model.Request) bool) {
+func (p *Proc) body(program Program) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
@@ -165,8 +204,9 @@ func (m *Machine) RunEach(pick func(id int) Program) *RunReport {
 	}
 	m.consumed = true
 	procs := make([]Proc, m.n)
-	next := make([]func() (model.Request, bool), m.n)
+	next := make([]func() (struct{}, bool), m.n)
 	stops := make([]func(), m.n)
+	live := make([]int, m.n)
 	defer func() {
 		for _, stop := range stops {
 			if stop != nil {
@@ -176,43 +216,50 @@ func (m *Machine) RunEach(pick func(id int) Program) *RunReport {
 	}()
 	mem := m.backend.MemSize()
 	for i := range procs {
-		procs[i] = Proc{id: i, n: m.n, mem: mem}
+		procs[i] = Proc{id: int32(i), n: m.n, mem: mem}
 		next[i], stops[i] = iter.Pull(procs[i].body(pick(i)))
+		live[i] = i
 	}
-	return m.lockstep(procs, next)
+	return m.lockstep(procs, next, live)
 }
 
-// lockstep is the step loop: resume every live processor in ascending id
-// order, gather the actions they yield into one batch reused for the whole
-// run, execute it, and store each reader's value before the next resume. A
-// processor whose coroutine finishes has halted; its next entry becomes nil
-// and its batch slot goes back to idle. The run ends at the first step in
-// which no processor yields.
+// lockstep is the step loop. Each step it visits the live processors in
+// ascending id order and writes the next queued action of each into one
+// batch reused for the whole run, resuming a processor first if its queue
+// is empty. A processor whose coroutine has finished and whose queue is
+// drained halts: it leaves live, and its batch slot goes back to idle. The
+// loop then executes the batch and stores each reader's value. The run
+// ends at the first step with no live processor left.
 //
 //pram:hotpath
-func (m *Machine) lockstep(procs []Proc, next []func() (model.Request, bool)) *RunReport {
+func (m *Machine) lockstep(procs []Proc, next []func() (struct{}, bool), live []int) *RunReport {
 	rep := &RunReport{}
 	batch := model.NewBatch(m.n)
 	for {
-		active := 0
-		for id, resume := range next {
-			if resume == nil {
-				continue
+		kept := 0
+		for _, id := range live {
+			p := &procs[id]
+			if p.head == p.tail && next[id] != nil {
+				p.head, p.tail = 0, 0
+				if _, ok := next[id](); !ok {
+					next[id] = nil
+				}
 			}
-			req, ok := resume()
-			if !ok {
-				next[id] = nil
+			if p.head == p.tail {
 				batch[id] = model.Request{Proc: id, Op: model.OpNone}
-				if err := procs[id].err; err != nil {
+				if p.err != nil {
 					//pram:coldalloc a processor panicked: at most once per processor per run
-					rep.Panics = append(rep.Panics, err)
+					rep.Panics = append(rep.Panics, p.err)
 				}
 				continue
 			}
-			batch[id] = req
-			active++
+			batch[id] = p.queue[p.head]
+			p.head++
+			live[kept] = id
+			kept++
 		}
-		if active == 0 {
+		live = live[:kept]
+		if kept == 0 {
 			return rep
 		}
 		sr := m.backend.ExecuteStep(batch)

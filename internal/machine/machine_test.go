@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/ideal"
 	"repro/internal/model"
@@ -143,6 +144,54 @@ func TestPanicIsolatedAndReported(t *testing.T) {
 		if got := messages(rep.Panics); !slices.Equal(got, want) {
 			t.Fatalf("run %d: panics %q, want %q", run, got, want)
 		}
+	}
+}
+
+// TestWritesAndSyncsDoNotYield: a processor runs through Writes and Syncs
+// without yielding until its queue is full, so its local code runs ahead
+// of the steps that execute them, and it is resumed once the queue drains.
+func TestWritesAndSyncsDoNotYield(t *testing.T) {
+	var queued, refilled bool
+	var seen [][2]bool // processor 1's view of the flags before its Read at each step
+	rep := New(ideal.New(2, 2, model.EREW)).RunEach(func(id int) Program {
+		if id == 0 {
+			return func(p *Proc) {
+				for range 10 {
+					p.Write(0, 1)
+				}
+				queued = true
+				for range queueCap - 10 { // the last Sync fills the queue
+					p.Sync()
+				}
+				refilled = true
+				p.Sync()
+			}
+		}
+		return func(p *Proc) {
+			for range queueCap + 2 {
+				seen = append(seen, [2]bool{queued, refilled})
+				p.Read(1)
+			}
+		}
+	})
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for step, flags := range seen {
+		if want := [2]bool{true, step >= queueCap}; flags != want {
+			t.Fatalf("step %d: processor 0 had queued %v, refilled %v; want %v", step, flags[0], flags[1], want)
+		}
+	}
+}
+
+// TestProcLayout pins the cache-line layout Proc's comment describes.
+func TestProcLayout(t *testing.T) {
+	var p Proc
+	if size := unsafe.Sizeof(p); size%64 != 0 {
+		t.Errorf("Proc is %d bytes, not a whole number of 64-byte lines", size)
+	}
+	if end := unsafe.Offsetof(p.queue) + unsafe.Sizeof(p.queue[0]); end > 64 {
+		t.Errorf("Proc's first queue slot ends at byte %d, past the first cache line", end)
 	}
 }
 

@@ -3,6 +3,7 @@ package memmap
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // GenerateBanded draws a seeded pseudo-random map whose variable space and
@@ -41,21 +42,18 @@ func GenerateBanded(p Params, seed int64, bands int) *Map {
 	rng := rand.New(rand.NewSource(seed))
 	r := p.R()
 	mp := &Map{P: p, copies: make([]uint32, p.Mem*r)}
-	scratch := make(map[uint32]bool, r)
 	for v := 0; v < p.Mem; v++ {
 		b := BandOf(v, p.Mem, bands)
 		lo, hi := BandRange(b, p.M, bands)
-		clear(scratch)
 		row := mp.copies[v*r : (v+1)*r]
-		for j := 0; j < r; j++ {
-			for {
-				mod := uint32(lo + rng.Intn(hi-lo))
-				if !scratch[mod] {
-					scratch[mod] = true
-					row[j] = mod
-					break
-				}
+		for j := range row {
+			// Redraw until the module is new to the row: r is a small
+			// constant, so scanning the drawn prefix beats any set.
+			mod := uint32(lo + rng.Intn(hi-lo))
+			for slices.Contains(row[:j], mod) {
+				mod = uint32(lo + rng.Intn(hi-lo))
 			}
+			row[j] = mod
 		}
 	}
 	return mp

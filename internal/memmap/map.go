@@ -1,9 +1,6 @@
 package memmap
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Map is a memory map Γ: variable → the 2c−1 distinct modules holding its
 // copies. Copies of one variable always reside in distinct modules, so a
@@ -17,30 +14,10 @@ type Map struct {
 // Generate draws a seeded pseudo-random map for the given parameters. The
 // proofs of Lemma 1/Lemma 2 show that all but a vanishing fraction of maps
 // have the expansion property, so a random draw is precisely the object the
-// paper reasons about; use Audit to quantify a particular draw.
+// paper reasons about; use Audit to quantify a particular draw. It is
+// GenerateBanded with a single band.
 func Generate(p Params, seed int64) *Map {
-	if err := p.Validate(); err != nil {
-		panic("memmap.Generate: " + err.Error())
-	}
-	rng := rand.New(rand.NewSource(seed))
-	r := p.R()
-	mp := &Map{P: p, copies: make([]uint32, p.Mem*r)}
-	scratch := make(map[uint32]bool, r)
-	for v := 0; v < p.Mem; v++ {
-		clear(scratch)
-		row := mp.copies[v*r : (v+1)*r]
-		for j := 0; j < r; j++ {
-			for {
-				mod := uint32(rng.Intn(p.M))
-				if !scratch[mod] {
-					scratch[mod] = true
-					row[j] = mod
-					break
-				}
-			}
-		}
-	}
-	return mp
+	return GenerateBanded(p, seed, 1)
 }
 
 // R returns the redundancy (copies per variable).

@@ -215,12 +215,17 @@ func checkGroup(group []ConflictRec, mode Mode) error {
 				Procs: groupProcs(group, false), Kind: "concurrent access"}
 		}
 	case CREW:
-		writers := groupProcs(group, true)
-		if len(writers) > 1 {
-			return &ConflictError{Mode: mode, Addr: group[0].Addr,
-				Procs: writers, Kind: "concurrent write"}
+		writers := 0
+		for _, g := range group {
+			if g.Write {
+				writers++
+			}
 		}
-		if len(writers) == 1 && len(group) > 1 {
+		if writers > 1 {
+			return &ConflictError{Mode: mode, Addr: group[0].Addr,
+				Procs: groupProcs(group, true), Kind: "concurrent write"}
+		}
+		if writers == 1 && len(group) > 1 {
 			return &ConflictError{Mode: mode, Addr: group[0].Addr,
 				Procs: groupProcs(group, false), Kind: "read/write collision"}
 		}

@@ -72,7 +72,7 @@ func TestExecuteBatchTwoStageZeroAllocs(t *testing.T) {
 
 // TestExecuteStepZeroAllocs locks the whole backend step pipeline — conflict
 // check, sorted dedup, engine, interconnect, report — at zero steady-state
-// allocations under CRCW-Priority.
+// allocations under every conflict mode, each on a batch legal under it.
 func TestExecuteStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
@@ -80,23 +80,54 @@ func TestExecuteStepZeroAllocs(t *testing.T) {
 	const n = 256
 	p := memmap.LemmaTwo(n, 2, 1)
 	st := NewStore(memmap.Generate(p, 11))
-	m := NewMachine("alloc-test", n, model.CRCWPriority, st, NewCompleteBipartite())
-	batch := model.NewBatch(n)
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: (i * 7) % n}
-		} else {
-			batch[i] = model.Request{Proc: i, Op: model.OpWrite, Addr: (i * 3) % n, Value: model.Word(i)}
-		}
+	// request gives processor i's action: even processors read, odd ones
+	// write.
+	cases := []struct {
+		mode    model.Mode
+		request func(i int) model.Request
+	}{
+		{model.CRCWPriority, func(i int) model.Request { // colliding reads and writes
+			if i%2 == 0 {
+				return model.Request{Proc: i, Op: model.OpRead, Addr: (i * 7) % n}
+			}
+			return model.Request{Proc: i, Op: model.OpWrite, Addr: (i * 3) % n, Value: model.Word(i)}
+		}},
+		{model.EREW, func(i int) model.Request { // every address once
+			if i%2 == 0 {
+				return model.Request{Proc: i, Op: model.OpRead, Addr: i}
+			}
+			return model.Request{Proc: i, Op: model.OpWrite, Addr: i, Value: model.Word(i)}
+		}},
+		{model.CREW, func(i int) model.Request { // pairs of readers, distinct writers
+			if i%2 == 0 {
+				return model.Request{Proc: i, Op: model.OpRead, Addr: i % (n / 4)}
+			}
+			return model.Request{Proc: i, Op: model.OpWrite, Addr: n/2 + i/2, Value: model.Word(i)}
+		}},
+		{model.CRCWCommon, func(i int) model.Request { // writers of one cell agree
+			if i%2 == 0 {
+				return model.Request{Proc: i, Op: model.OpRead, Addr: i}
+			}
+			return model.Request{Proc: i, Op: model.OpWrite, Addr: n + i%8, Value: model.Word(i % 8)}
+		}},
 	}
-	for i := 0; i < 3; i++ {
-		m.ExecuteStep(batch)
-	}
-	if avg := testing.AllocsPerRun(20, func() {
-		if rep := m.ExecuteStep(batch); rep.Err != nil {
-			t.Fatal(rep.Err)
-		}
-	}); avg != 0 {
-		t.Errorf("ExecuteStep allocates %.1f/op in steady state, want 0", avg)
+	for _, c := range cases {
+		t.Run(c.mode.String(), func(t *testing.T) {
+			m := NewMachine("alloc-test", n, c.mode, st, NewCompleteBipartite())
+			batch := model.NewBatch(n)
+			for i := range batch {
+				batch[i] = c.request(i)
+			}
+			for i := 0; i < 3; i++ {
+				m.ExecuteStep(batch)
+			}
+			if avg := testing.AllocsPerRun(20, func() {
+				if rep := m.ExecuteStep(batch); rep.Err != nil {
+					t.Fatal(rep.Err)
+				}
+			}); avg != 0 {
+				t.Errorf("ExecuteStep allocates %.1f/op in steady state, want 0", avg)
+			}
+		})
 	}
 }

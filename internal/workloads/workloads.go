@@ -13,10 +13,12 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/machine"
 	"repro/internal/model"
+	"repro/internal/xmath"
 )
 
 // Workload is a self-verifying P-RAM program.
@@ -251,20 +253,26 @@ func ListRank(n int, seed int64) Workload {
 	}
 }
 
-// BitonicSort sorts n = 2^k random words in cells [0,n) with Batcher's
-// bitonic network: O(log²n) compare-exchange rounds, EREW (each round
-// touches disjoint pairs, the lower partner doing the work).
+// BitonicSort sorts n random words in cells [0,n) with Batcher's bitonic
+// network: O(log²n) compare-exchange rounds, EREW (each round touches
+// disjoint pairs, the lower partner doing the work). The network spans n
+// rounded up to a power of two, N: it has N processors and N cells, and
+// cells [n,N) hold the largest Word, so they sort to the end.
 func BitonicSort(n int, seed int64) Workload {
+	size := xmath.CeilPow2(n)
 	input := randWords(n, seed, 1<<30)
+	for len(input) < size {
+		input = append(input, math.MaxInt64)
+	}
 	return Workload{
 		Name:  fmt.Sprintf("bitonicsort(n=%d)", n),
-		Procs: n,
-		Cells: n,
+		Procs: size,
+		Cells: size,
 		Mode:  model.EREW,
 		Setup: func(b model.Backend) { b.LoadCells(0, input) },
 		Program: func(id int) machine.Program {
 			return func(p *machine.Proc) {
-				for k := 2; k <= n; k *= 2 {
+				for k := 2; k <= size; k *= 2 {
 					for j := k / 2; j > 0; j /= 2 {
 						partner := id ^ j
 						if partner > id {
@@ -290,7 +298,7 @@ func BitonicSort(n int, seed int64) Workload {
 		},
 		Verify: func(b model.Backend) error {
 			prev := b.ReadCell(0)
-			for i := 1; i < n; i++ {
+			for i := 1; i < size; i++ {
 				cur := b.ReadCell(i)
 				if cur < prev {
 					return fmt.Errorf("not sorted at %d: %d > %d", i, prev, cur)

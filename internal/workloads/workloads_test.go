@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ideal"
@@ -75,6 +76,24 @@ func TestBitonicSortSortsAdversarialInput(t *testing.T) {
 	w.Setup = func(b model.Backend) { b.LoadCells(0, desc) }
 	if _, err := RunOn(w, idealFor(w)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBitonicSortNonPowerSizes: the network is padded to a power of two
+// and the n inputs come out sorted ahead of the padding.
+func TestBitonicSortNonPowerSizes(t *testing.T) {
+	for _, n := range []int{1, 3, 5, 12, 17} {
+		w := BitonicSort(n, 3)
+		b := idealFor(w)
+		if _, err := RunOn(w, b); err != nil {
+			t.Errorf("n=%d: %v", n, err)
+			continue
+		}
+		for i, want := range slices.Sorted(slices.Values(randWords(n, 3, 1<<30))) {
+			if got := b.ReadCell(i); got != want {
+				t.Errorf("n=%d: cell %d = %d, want %d", n, i, got, want)
+			}
+		}
 	}
 }
 

@@ -4,9 +4,12 @@
 // model the paper defines or compares against.
 //
 // A P-RAM program is an ordinary Go function run once per processor, each
-// processor a coroutine resumed in lockstep on the goroutine that called
-// Run; the three primitives Read, Write and Sync are P-RAM step boundaries.
-// The same program runs unchanged on any Backend:
+// processor a coroutine on the goroutine that called Run; each call of the
+// three primitives Read, Write and Sync is one P-RAM step. Write and Sync
+// are queued without leaving the processor's code, which is resumed only
+// to take a Read's value (or when its short action queue is full), so a
+// processor's local computation may run ahead of the steps that execute
+// its queued actions. The same program runs unchanged on any Backend:
 //
 //	ideal   — the abstract P-RAM itself (unit-time steps)
 //	MPC     — Upfal–Wigderson '87 majority rule, M = n, r = Θ(log m)
