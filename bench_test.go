@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	pramsim "repro"
@@ -89,6 +90,35 @@ func BenchmarkE3DMMPCStep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep := dm.ExecuteStep(batch)
 				if rep.Err != nil {
+					b.Fatal(rep.Err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkE3DMMPCStepHotspot is E3 in the memory-bound regime of
+// prambench's hotspot-dmmpc: CRCW-Priority steps with 85% of accesses on
+// 16 hot cells and the rest spread over all n² cells, so the dedup front
+// end leaves ~170 requests whose cold rows miss the caches. A fixed set
+// of pre-generated batches is replayed in turn; reads and writes
+// alternate.
+func BenchmarkE3DMMPCStepHotspot(b *testing.B) {
+	for _, n := range []int{1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			dm := core.NewDMMPC(n, core.Config{Mode: model.CRCWPriority})
+			gen := replay.NewGenerator(replay.Hotspot, 1, n, dm.MemSize(), 1)
+			batches := make([]model.Batch, 256)
+			for i := range batches {
+				batches[i] = slices.Clone(gen.Step(i)[0])
+			}
+			for _, batch := range batches[:8] { // grow the arenas
+				dm.ExecuteStep(batch)
+			}
+			b.ReportAllocs() // steady state must stay at 0 allocs/op
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep := dm.ExecuteStep(batches[i%len(batches)]); rep.Err != nil {
 					b.Fatal(rep.Err)
 				}
 			}

@@ -186,14 +186,15 @@ func (nw *Network) Topology() Topology { return nw.topo }
 // (quorum.CycleTimed).
 func (nw *Network) TimeInCycles() bool { return true }
 
+var _ quorum.BandwidthSetter = (*Network)(nil)
+
 // SetBandwidth implements quorum.BandwidthSetter: it retunes the module
 // service rate per cycle, the knob the two-stage schedule's pipelined
-// stage 2 turns up to O(log n).
-func (nw *Network) SetBandwidth(perPhase int) {
-	if perPhase < 1 {
-		perPhase = 1
-	}
-	nw.cfg.ModuleCapacity = perPhase
+// stage 2 turns up to O(log n), and returns the rate it replaces.
+func (nw *Network) SetBandwidth(perPhase int) (previous int) {
+	previous = nw.cfg.ModuleCapacity
+	nw.cfg.ModuleCapacity = max(perPhase, 1)
+	return previous
 }
 
 // Stats returns accumulated counters.

@@ -1,6 +1,8 @@
 package quorum
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/memmap"
@@ -129,5 +131,43 @@ func TestExecuteStepZeroAllocs(t *testing.T) {
 				t.Errorf("ExecuteStep allocates %.1f/op in steady state, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestRandomStepsDoNotAllocate runs a DMMPC (n = 256, M = n² modules) on
+// seeded random addresses, alternating read and write steps, so every step
+// reaches modules the steps before it did not: no per-module structure may
+// grow with the modules a run has touched.
+func TestRandomStepsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation invariants are measured without the race detector")
+	}
+	const n = 256
+	st := NewStore(memmap.Generate(memmap.LemmaTwo(n, 2, 1), 1))
+	m := NewMachine("dmmpc", n, model.CRCWPriority, st, NewCompleteBipartite())
+	rng := rand.New(rand.NewSource(17))
+	batch := model.NewBatch(n)
+	step := func(s int) {
+		for i := range batch {
+			batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: rng.Intn(m.MemSize())}
+			if s%2 == 1 {
+				batch[i].Op, batch[i].Value = model.OpWrite, model.Word(s)
+			}
+		}
+		if rep := m.ExecuteStep(batch); rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+	}
+	for s := 0; s < 4; s++ {
+		step(s)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for s := 4; s < 204; s++ {
+		step(s)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 32<<10 {
+		t.Errorf("200 random steps allocated %d bytes; want no allocation per step", grew)
 	}
 }

@@ -13,6 +13,10 @@ import (
 // cell index (v·r + Copy in the store's row-major cell array), resolved
 // once at schedule time (interconnects ignore it; the engine's grant loop
 // uses it to touch the granted cell without re-deriving the index).
+//
+// The engine builds Attempts only for interconnects that route a whole
+// phase at once; on the complete bipartite graph it admits each copy
+// access as it schedules it and builds none.
 type Attempt struct {
 	Proc   int
 	Module int
@@ -75,6 +79,15 @@ type Result struct {
 // Engine runs the cluster-based two-stage access protocol over a store and
 // an interconnect.
 //
+// A phase takes one of two paths, chosen once by NewEngine. Over a
+// *CompleteBipartite the engine handles each copy access in one pass: it
+// schedules the access, has the interconnect arbitrate it, and on a grant
+// reads or writes the store cell at once (bipartitePhase). Over any other
+// interconnect — the 2DMOT, or a wrapper — it schedules the whole phase
+// as Attempts, routes them with RoutePhase, then applies the grants
+// (routedPhase). Both paths apply grants through one helper and produce
+// bit-for-bit the same Results and store.
+//
 // All per-batch working state lives in a scratch arena owned by the engine
 // and reused across batches, so in steady state ExecuteBatch performs zero
 // heap allocations (an invariant locked in by TestExecuteBatchZeroAllocs).
@@ -86,6 +99,10 @@ type Engine struct {
 	c        int // quorum size
 	r        int // redundancy 2c−1 (= cluster size)
 	clusters int // ⌈n/r⌉
+
+	// bip is net when net is the complete bipartite graph: phases then
+	// take the one-pass bipartitePhase instead of routedPhase.
+	bip *CompleteBipartite
 
 	// MaxPhases caps the phase loop so corrupted maps surface as a stalled
 	// Result instead of an infinite loop. Zero selects a generous default.
@@ -102,8 +119,9 @@ type engineScratch struct {
 	qfill    []int // per-cluster fill cursors during bucketing
 	qbuf     []int // request indices, bucketed by cluster
 	rr       []int // per-cluster round-robin cursors
+	active   []int // clusters that may still hold live requests, ascending
 	attempts []Attempt
-	owners   []int // parallel to attempts: request index
+	owners   []int // parallel to attempts: request index (routedPhase only)
 	trace    []int // live-trace accumulator (spans both two-stage stages)
 
 	// Primary result buffers back the Result of the exported entry points;
@@ -121,9 +139,11 @@ type engineScratch struct {
 func NewEngine(store *Store, net Interconnect, n int) *Engine {
 	p := store.Map().P
 	r := p.R()
+	bip, _ := net.(*CompleteBipartite)
 	return &Engine{
 		store:    store,
 		net:      net,
+		bip:      bip,
 		n:        n,
 		c:        p.C,
 		r:        r,
@@ -131,7 +151,7 @@ func NewEngine(store *Store, net Interconnect, n int) *Engine {
 	}
 }
 
-// maxPhases returns the stall cap.
+// maxPhases returns the stall cap for a batch of requests.
 func (e *Engine) maxPhases(requests int) int {
 	if e.MaxPhases > 0 {
 		return e.MaxPhases
@@ -190,15 +210,16 @@ func (e *Engine) secondaryBuffers(n int) ([]model.Word, []bool) {
 func (e *Engine) ExecuteBatch(reqs []Request) Result {
 	e.sc.trace = e.sc.trace[:0]
 	values, satisfied := e.primaryBuffers(len(reqs))
-	return e.run(reqs, values, satisfied)
+	return e.run(reqs, values, satisfied, e.maxPhases(len(reqs)))
 }
 
 // run executes one batch into the given result buffers, appending the live
 // trace to the shared arena accumulator (so the two-stage schedule's stages
-// land in one contiguous trace).
+// land in one contiguous trace). It stops with Result.Stalled after
+// phaseCap phases.
 //
 //pram:hotpath
-func (e *Engine) run(reqs []Request, values []model.Word, satisfied []bool) Result {
+func (e *Engine) run(reqs []Request, values []model.Word, satisfied []bool, phaseCap int) Result {
 	res := Result{Values: values, Satisfied: satisfied}
 	if len(reqs) == 0 {
 		return res
@@ -239,62 +260,34 @@ func (e *Engine) run(reqs []Request, values []model.Word, satisfied []bool) Resu
 		sc.qbuf[sc.qfill[k]] = i
 		sc.qfill[k]++
 	}
+	sc.active = sc.active[:0]
+	for k := 0; k < clusters; k++ {
+		if sc.qstart[k+1] > sc.qstart[k] {
+			sc.active = append(sc.active, k)
+		}
+	}
 
 	live := len(reqs)
-	phaseCap := e.maxPhases(len(reqs))
 	traceStart := len(sc.trace)
-	attempts := sc.attempts[:0]
-	owners := sc.owners[:0]
 	for phase := 0; live > 0; phase++ {
 		if phase >= phaseCap {
 			res.Stalled = true
 			break
 		}
-		attempts = attempts[:0]
-		owners = owners[:0]
-		for k := 0; k < clusters; k++ {
-			idx := e.nextLive(sc.qbuf[sc.qstart[k]:sc.qstart[k+1]], &sc.rr[k], states)
-			if idx < 0 {
-				continue
-			}
-			attempts, owners = e.scheduleRequest(k, idx, reqs[idx], &states[idx], attempts, owners)
+		var accesses, finished, load int
+		var t int64
+		if e.bip != nil {
+			accesses, finished, t, load = e.bipartitePhase(reqs, states, now)
+		} else {
+			accesses, finished, t, load = e.routedPhase(reqs, states, now)
 		}
-		granted, t, load := e.net.RoutePhase(attempts)
+		live -= finished
 		res.Phases++
 		res.Time += t
-		if load > res.MaxModuleLoad {
-			res.MaxModuleLoad = load
-		}
-		for ai, ok := range granted {
-			if !ok {
-				continue
-			}
-			a := attempts[ai]
-			st := &states[owners[ai]]
-			if st.accessed&(1<<uint(a.Copy)) != 0 {
-				continue // duplicate grant of the same copy; ignore
-			}
-			st.accessed |= 1 << uint(a.Copy)
-			st.count++
-			res.CopyAccesses++
-			if a.Write {
-				e.store.WriteSlot(a.Slot, reqs[owners[ai]].Value, now)
-			} else {
-				v, ts := e.store.ReadSlot(a.Slot)
-				if !st.anyAccess || ts > st.bestTS {
-					st.bestTS, st.bestVal = ts, v
-				}
-				st.anyAccess = true
-			}
-			if st.count >= e.c && !st.done {
-				st.done = true
-				live--
-			}
-		}
+		res.CopyAccesses += int64(accesses)
+		res.MaxModuleLoad = max(res.MaxModuleLoad, load)
 		sc.trace = append(sc.trace, live)
 	}
-	sc.attempts = attempts
-	sc.owners = owners
 	res.LiveTrace = sc.trace[traceStart:len(sc.trace):len(sc.trace)]
 	for i := range reqs {
 		satisfied[i] = states[i].done
@@ -303,6 +296,110 @@ func (e *Engine) run(reqs []Request, values []model.Word, satisfied []bool) Resu
 		}
 	}
 	return res
+}
+
+// bipartitePhase runs one phase on the complete bipartite graph in a single
+// pass: each cluster takes its next live request, and each member's copy
+// access is admitted by e.bip and, if granted, touches the store at once.
+// Clusters go in ascending order and members take copies in ascending j,
+// so accesses arrive in ascending processor order — the arbitration
+// order — and store effects land in the order routedPhase's grant loop
+// applies them. A phase has at most n accesses, one per processor. It
+// returns the granted accesses, the requests they completed, and the
+// phase's time and peak module load.
+//
+//pram:hotpath
+func (e *Engine) bipartitePhase(reqs []Request, states []reqState, now uint64) (accesses, finished int, t int64, load int) {
+	cb, sc, mp := e.bip, &e.sc, e.store.Map()
+	cb.beginPhase(e.n)
+	kept := 0
+	for _, k := range sc.active {
+		idx := e.nextLive(k, states)
+		if idx < 0 {
+			continue // drained: drop the cluster from later phases
+		}
+		sc.active[kept] = k
+		kept++
+		rq, st := &reqs[idx], &states[idx]
+		copies := mp.Copies(rq.Var)
+		rowBase := int32(rq.Var * e.r)
+		members := e.members(k)
+		for j := 0; j < e.r && members > 0; j++ {
+			if st.accessed&(1<<uint(j)) != 0 {
+				continue
+			}
+			members--
+			if !cb.admit(copies[j]) {
+				continue
+			}
+			accesses++
+			if e.grant(rq, st, j, rowBase+int32(j), now) {
+				finished++
+			}
+		}
+	}
+	sc.active = sc.active[:kept]
+	t, load = cb.endPhase()
+	return accesses, finished, t, load
+}
+
+// routedPhase runs one phase through an interconnect that must see the
+// whole phase at once (the 2DMOT, or any wrapper around an interconnect):
+// it schedules every attempt, routes them, then applies the grants in
+// attempt order. It returns the granted accesses, the requests they
+// completed, and the phase's time and peak module load.
+//
+//pram:hotpath
+func (e *Engine) routedPhase(reqs []Request, states []reqState, now uint64) (accesses, finished int, t int64, load int) {
+	sc := &e.sc
+	attempts, owners := sc.attempts[:0], sc.owners[:0]
+	kept := 0
+	for _, k := range sc.active {
+		idx := e.nextLive(k, states)
+		if idx < 0 {
+			continue // drained: drop the cluster from later phases
+		}
+		sc.active[kept] = k
+		kept++
+		attempts, owners = e.scheduleRequest(k, idx, reqs[idx], &states[idx], attempts, owners)
+	}
+	sc.active = sc.active[:kept]
+	sc.attempts, sc.owners = attempts, owners
+	granted, t, load := e.net.RoutePhase(attempts)
+	for ai, ok := range granted {
+		if !ok {
+			continue
+		}
+		a, idx := &attempts[ai], owners[ai]
+		accesses++
+		if e.grant(&reqs[idx], &states[idx], a.Copy, a.Slot, now) {
+			finished++
+		}
+	}
+	return accesses, finished, t, load
+}
+
+// grant applies one granted copy access: it marks copy j of the request
+// accessed and writes or reads the copy's store cell (a read keeps the
+// first copy with the highest timestamp). It reports whether the access
+// completed the request's quorum of c copies.
+func (e *Engine) grant(rq *Request, st *reqState, j int, slot int32, now uint64) bool {
+	st.accessed |= 1 << uint(j)
+	st.count++
+	if rq.Write {
+		e.store.WriteSlot(slot, rq.Value, now)
+	} else {
+		v, ts := e.store.ReadSlot(slot)
+		if !st.anyAccess || ts > st.bestTS {
+			st.bestTS, st.bestVal = ts, v
+		}
+		st.anyAccess = true
+	}
+	if st.count == e.c {
+		st.done = true
+		return true
+	}
+	return false
 }
 
 // clusterOf maps a processor id to its cluster, clamping overflow ids into
@@ -315,9 +412,15 @@ func (e *Engine) clusterOf(proc int) int {
 	return k
 }
 
-// nextLive advances a cluster's round-robin cursor to its next unsatisfied
+// members returns the number of processors in cluster k: r, or fewer in a
+// short last cluster.
+func (e *Engine) members(k int) int { return min(e.r, e.n-k*e.r) }
+
+// nextLive advances cluster k's round-robin cursor to its next unsatisfied
 // request, returning −1 if none remain.
-func (e *Engine) nextLive(queue []int, cursor *int, states []reqState) int {
+func (e *Engine) nextLive(k int, states []reqState) int {
+	queue := e.sc.qbuf[e.sc.qstart[k]:e.sc.qstart[k+1]]
+	cursor := &e.sc.rr[k]
 	for scanned := 0; scanned < len(queue); scanned++ {
 		idx := queue[*cursor%len(queue)]
 		*cursor++
@@ -333,11 +436,7 @@ func (e *Engine) nextLive(queue []int, cursor *int, states []reqState) int {
 // distinct module by the map's distinctness invariant.
 func (e *Engine) scheduleRequest(k, idx int, rq Request, st *reqState, attempts []Attempt, owners []int) ([]Attempt, []int) {
 	base := k * e.r
-	end := base + e.r
-	if end > e.n {
-		end = e.n
-	}
-	members := end - base
+	members := e.members(k)
 	copies := e.store.Map().Copies(rq.Var)
 	rowBase := int32(rq.Var * e.r)
 	member := 0

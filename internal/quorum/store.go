@@ -14,24 +14,32 @@
 // # Zero-allocation invariant
 //
 // The hot path — Machine.ExecuteStep (the dedup front end, then the step
-// body) → Engine.ExecuteBatch → Interconnect.RoutePhase — performs zero
-// heap allocations in steady state, so benchmarks measure the protocol
-// rather than the garbage collector. Every per-step and per-batch
-// structure lives in a scratch arena owned by its component and reused
-// across invocations: the engine keeps request states, flattened cluster
-// queues, attempt/owner buffers and the live-trace accumulator; the
-// backend keeps the sorted dedup records, the post-dedup step and the
-// dense per-processor values buffer; the bipartite interconnect keeps a
-// phase-stamped per-module load table. The price is aliasing —
+// body) → Engine.ExecuteBatch → one phase at a time, either
+// Engine.bipartitePhase (on the complete bipartite graph: each copy access
+// is arbitrated by CompleteBipartite and applied to the store in the same
+// pass) or Engine.routedPhase → Interconnect.RoutePhase (on the 2DMOT and
+// on wrapping interconnects) — performs zero heap allocations in steady
+// state, whichever addresses a step touches, so benchmarks measure the
+// protocol rather than the garbage collector. Every per-step and
+// per-batch structure lives in a scratch arena owned by its component and
+// reused across invocations: the engine keeps request states, flattened
+// cluster queues, the attempt/owner buffers of routed phases and the
+// live-trace accumulator; the backend keeps the sorted dedup records, the
+// post-dedup step and the dense per-processor values buffer; the
+// bipartite interconnect keeps a phase-local module → load table sized by
+// the processor count, not by the module count M. The price is aliasing —
 // Result and StepReport slices are valid only until the next call on the
 // same component — and single-threadedness per machine instance. The Pool
 // extends the invariant across engines: its post-dedup step slots,
 // union-find arrays, component buffers, worker pool and merged-report
 // buffers are all reused, so a steady-state ExecuteSteps is
 // allocation-free too (pool tests lock it).
-// testing.AllocsPerRun tests (alloc_test.go) lock the invariant; golden
+// testing.AllocsPerRun tests (alloc_test.go) lock the invariant, and
+// TestRandomStepsDoNotAllocate checks it over random addresses; golden
 // trace tests (golden_test.go, testdata/) pin the behavior bit-for-bit to
-// the pre-arena reference implementation.
+// the pre-arena reference implementation, and FuzzEngine
+// (reference_test.go) holds both phase loops to a clean-room statement of
+// the protocol written with plain maps.
 //
 // # Shard-ownership invariant
 //
@@ -138,7 +146,8 @@
 // package — nothing here may read the wall clock (nowallclock), range
 // over a map without a commutativity annotation (nomaprange), or touch
 // global math/rand state (noglobalrand) — and the steady-state hot
-// path is annotated //pram:hotpath (Engine.run, Machine.ExecuteStep, its
+// path is annotated //pram:hotpath (Engine.run and its two phase loops
+// Engine.bipartitePhase and Engine.routedPhase, Machine.ExecuteStep, its
 // front end Machine.dedup and step body Machine.execute,
 // Machine.ExecuteDedupStep/openDedup, Pool.ExecuteSteps/ExecuteDedupSteps),
 // so

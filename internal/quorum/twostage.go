@@ -28,9 +28,10 @@ type TwoStageConfig struct {
 
 // BandwidthSetter is implemented by interconnects whose per-phase module
 // service rate can be retuned between stages (the complete bipartite graph
-// and the 2DMOT's module queues both support it).
+// and the 2DMOT's module queues both support it). SetBandwidth returns the
+// setting it replaces, so the two-stage schedule can restore it.
 type BandwidthSetter interface {
-	SetBandwidth(perPhase int)
+	SetBandwidth(perPhase int) (previous int)
 }
 
 // stage1Budget resolves the stage 1 phase cap.
@@ -61,10 +62,7 @@ func (e *Engine) ExecuteBatchTwoStage(reqs []Request, cfg TwoStageConfig) Result
 	values, satisfied := e.primaryBuffers(len(reqs))
 	// Stage 1: the ordinary round-robin loop, capped at the budget. A
 	// "stall" here is not an error — it is the designed handoff point.
-	saveMax := e.MaxPhases
-	e.MaxPhases = cfg.stage1Budget(e.n, e.r)
-	stage1 := e.run(reqs, values, satisfied)
-	e.MaxPhases = saveMax
+	stage1 := e.run(reqs, values, satisfied, cfg.stage1Budget(e.n, e.r))
 	stage1.Stage1Phases = stage1.Phases
 	if !stage1.Stalled {
 		return stage1
@@ -81,11 +79,11 @@ func (e *Engine) ExecuteBatchTwoStage(reqs []Request, cfg TwoStageConfig) Result
 	e.sc.liveReqs = liveReqs
 	e.sc.liveIdx = liveIdx
 	if bs, ok := e.net.(BandwidthSetter); ok {
-		bs.SetBandwidth(cfg.stage2Bandwidth(e.n))
-		defer bs.SetBandwidth(1)
+		previous := bs.SetBandwidth(cfg.stage2Bandwidth(e.n))
+		defer bs.SetBandwidth(previous)
 	}
 	values2, satisfied2 := e.secondaryBuffers(len(liveReqs))
-	stage2 := e.run(liveReqs, values2, satisfied2)
+	stage2 := e.run(liveReqs, values2, satisfied2, e.maxPhases(len(liveReqs)))
 	// Merge stage 2 outcomes into stage 1's result frame.
 	merged := stage1
 	merged.Stalled = stage2.Stalled

@@ -88,19 +88,52 @@ func TestTwoStageFinishesInStageOneWhenEasy(t *testing.T) {
 	}
 }
 
+// TestTwoStageRestoresBandwidth: a batch that reaches stage 2 leaves the
+// interconnect at the bandwidth it was built with, and never changes the
+// engine's exported MaxPhases, not even while stage 1 runs.
 func TestTwoStageRestoresBandwidth(t *testing.T) {
 	const n = 128
-	cb := NewCompleteBipartite()
+	cb := &CompleteBipartite{Bandwidth: 2}
+	probe := &maxPhasesProbe{CompleteBipartite: cb}
 	p := memmap.LemmaTwo(n, 2, 1)
-	eng := NewEngine(NewStore(memmap.Generate(p, 3)), cb, n)
+	mp := memmap.Generate(p, 3)
 	reqs := make([]Request, n)
 	for i := range reqs {
 		reqs[i] = Request{Proc: i, Var: i, Write: true, Value: 1}
 	}
-	eng.ExecuteBatchTwoStage(reqs, TwoStageConfig{Stage1Phases: 1})
-	if cb.Bandwidth != 1 {
-		t.Errorf("bandwidth left at %d after stage 2", cb.Bandwidth)
+	for _, net := range []Interconnect{cb, probe} {
+		eng := NewEngine(NewStore(mp), net, n)
+		probe.eng = eng
+		for batch := 0; batch < 2; batch++ {
+			if res := eng.ExecuteBatchTwoStage(reqs, TwoStageConfig{Stage1Phases: 1}); res.Stage2Phases == 0 {
+				t.Fatalf("%T batch %d: stage 2 never engaged", net, batch)
+			}
+			if cb.Bandwidth != 2 {
+				t.Fatalf("%T batch %d: bandwidth left at %d after stage 2, want 2", net, batch, cb.Bandwidth)
+			}
+		}
+		if eng.MaxPhases != 0 {
+			t.Errorf("%T: MaxPhases left at %d, want 0", net, eng.MaxPhases)
+		}
 	}
+	for i, seen := range probe.seen {
+		if seen != 0 {
+			t.Fatalf("phase %d ran with MaxPhases = %d, want 0 throughout", i, seen)
+		}
+	}
+}
+
+// maxPhasesProbe is a CompleteBipartite that records its engine's
+// exported MaxPhases at every phase it routes.
+type maxPhasesProbe struct {
+	*CompleteBipartite
+	eng  *Engine
+	seen []int
+}
+
+func (p *maxPhasesProbe) RoutePhase(attempts []Attempt) ([]bool, int64, int) {
+	p.seen = append(p.seen, p.eng.MaxPhases)
+	return p.CompleteBipartite.RoutePhase(attempts)
 }
 
 func TestTwoStageBudgetDefaults(t *testing.T) {
