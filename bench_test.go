@@ -250,7 +250,11 @@ func BenchmarkE12PoolStep(b *testing.B) {
 	const nTotal = 256
 	for _, K := range []int{1, 4} {
 		b.Run(fmt.Sprintf("n=%d/K=%d", nTotal, K), func(b *testing.B) {
-			dp := core.NewDMMPCPool(nTotal/K, core.Config{Engines: K})
+			built, err := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K}.BuildPool(K)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dp := built.Pool
 			mem := dp.Store().Map().Vars()
 			batches := make([]model.Batch, K)
 			for sh := range batches {
@@ -283,7 +287,7 @@ func BenchmarkE12PoolStep(b *testing.B) {
 // path (and its zero-alloc steady state) in the CI bench smoke.
 func BenchmarkE13ReplayStep(b *testing.B) {
 	const n, steps = 256, 4
-	cfg := replay.Config{Kind: replay.KindMOT2D, Lanes: 1, Procs: n, Mode: model.CRCWPriority}
+	cfg := core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: n, Mode: model.CRCWPriority}
 	built, err := cfg.Build()
 	if err != nil {
 		b.Fatal(err)

@@ -105,7 +105,7 @@ func permBatch(n int, seed int64) model.Batch {
 // poolBandBatches builds one permutation read step per engine, each inside
 // its own variable band — the band-local traffic of K independent programs,
 // which the banded map turns into K disjoint module components.
-func poolBandBatches(dp *core.DMMPCPool, seed int64) []model.Batch {
+func poolBandBatches(dp *quorum.Pool, seed int64) []model.Batch {
 	k, n, mem := dp.Engines(), dp.ShardProcs(), dp.Store().Map().Vars()
 	rng := rand.New(rand.NewSource(seed))
 	batches := make([]model.Batch, k)
@@ -178,7 +178,7 @@ func measure(name string, back model.Backend, batch model.Batch) Result {
 // measurePool runs a multi-engine pool benchmark: one op is a full
 // ExecuteSteps — K concurrent shard steps plus the deterministic report
 // merge — with sim counters from the aggregate report.
-func measurePool(name string, dp *core.DMMPCPool, batches []model.Batch) Result {
+func measurePool(name string, dp *quorum.Pool, batches []model.Batch) Result {
 	agg, _ := dp.ExecuteSteps(batches) // warm the arenas; grab sim counters
 	if agg.Err != nil {
 		fmt.Fprintf(os.Stderr, "benchmark %s: %v\n", name, agg.Err)
@@ -350,7 +350,12 @@ func main() {
 		const nTotal = 1024
 		var speedup [2]float64
 		for _, K := range []int{1, 2, 4, 8} {
-			dp := core.NewDMMPCPool(nTotal/K, core.Config{Engines: K, Workers: *parallel})
+			built, err := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K, Workers: *parallel}.BuildPool(K)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "E12 build:", err)
+				os.Exit(1)
+			}
+			dp := built.Pool
 			batches := poolBandBatches(dp, 5)
 			res := measurePool(fmt.Sprintf("E12PoolStep/n=%d/K=%d", nTotal, K), dp, batches)
 			snap.Results = append(snap.Results, res)
@@ -380,7 +385,7 @@ func main() {
 		delta float64
 		steps int
 	}{{1024, 1.8, 4}, {4096, 1.333, 3}} {
-		rcfg := replay.Config{Kind: replay.KindMOT2D, Lanes: 1, Procs: c.n,
+		rcfg := core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: c.n,
 			Mode: model.CRCWPriority, KExp: 1.5, Gran: c.delta}
 		constructStart := time.Now()
 		built, err := rcfg.Build()

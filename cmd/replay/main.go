@@ -29,6 +29,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/mot"
 	"repro/internal/replay"
@@ -118,7 +119,7 @@ func cmdRecord(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("record: -o FILE is required")
 	}
-	kind, err := replay.ParseMachineKind(*machine)
+	kind, err := core.ParseKind(*machine)
 	if err != nil {
 		return err
 	}
@@ -138,12 +139,12 @@ func cmdRecord(args []string) error {
 	default:
 		return fmt.Errorf("unknown policy %q", *policy)
 	}
-	cfg := replay.Config{
+	spec := core.Spec{
 		Kind: kind, Lanes: *engines, Procs: *n, Mode: md, Seed: *seed,
 		KExp: *kExp, Gran: *gran, DualRail: *dualRail, Policy: pol,
 		TwoStage: *twoStage, Parallelism: *par, Workers: *workers,
 	}
-	built, err := cfg.Build()
+	built, err := spec.Build()
 	if err != nil {
 		return err
 	}
@@ -159,7 +160,7 @@ func cmdRecord(args []string) error {
 	if *loads > 0 {
 		replay.LoadImage(built, *loads, *wseed)
 	}
-	gen := replay.NewGenerator(pat, built.Cfg.Lanes, built.Cfg.Procs, built.Params.Mem, *wseed)
+	gen := replay.NewGenerator(pat, built.Spec.Lanes, built.Spec.Procs, built.Params.Mem, *wseed)
 	start := time.Now()
 	for s := 0; s < *steps; s++ {
 		batches := gen.Step(s)
@@ -185,7 +186,7 @@ func cmdRecord(args []string) error {
 		return err
 	}
 	fmt.Printf("recorded %s: %s, %d steps x %d lanes (%s pattern), %d bytes, live run %v\n",
-		*out, built.Cfg, *steps, built.Cfg.Lanes, pat, st.Size(), elapsed.Round(time.Millisecond))
+		*out, built.Spec, *steps, built.Spec.Lanes, pat, st.Size(), elapsed.Round(time.Millisecond))
 	return nil
 }
 
@@ -244,7 +245,7 @@ func cmdRun(args []string, verify bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %s\n", path, rp.Config())
+	fmt.Printf("%s: %s\n", path, rp.Spec())
 	fmt.Printf("  construction %v (amortized over the file), replay %v\n",
 		buildTime.Round(time.Millisecond), elapsed.Round(time.Millisecond))
 	perStep := time.Duration(0)
@@ -316,7 +317,7 @@ func cmdBench(args []string) error {
 	if steps == 0 {
 		return fmt.Errorf("trace has no steps")
 	}
-	fmt.Printf("%s: %s\n", path, rp.Config())
+	fmt.Printf("%s: %s\n", path, rp.Spec())
 	fmt.Printf("  construction %v once; %d passes, %d replayed steps in %v\n",
 		buildTime.Round(time.Millisecond), *passes, steps, elapsed.Round(time.Millisecond))
 	fmt.Printf("  %v per replayed step (%.0f steps/sec)\n",
@@ -363,7 +364,7 @@ func cmdInfo(args []string) error {
 		}
 	}
 	st, _ := os.Stat(path)
-	fmt.Printf("%s: %s\n", path, r.Config())
+	fmt.Printf("%s: %s\n", path, r.Spec())
 	fmt.Printf("  %d bytes, %d step frames, %d load frames, %d barriers\n",
 		st.Size(), steps, loads, barriers)
 	fmt.Printf("  eof: %d steps, fingerprint %x\n", eof.Steps, eof.Fingerprint)

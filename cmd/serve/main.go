@@ -293,7 +293,7 @@ func parseTenants(spec string, sf *sharedFlags, arrival serve.Arrival) ([]serve.
 			if err != nil {
 				return nil, fmt.Errorf("tenant %d: %s: %v", i, file, err)
 			}
-			tc.Procs = r.Config().Procs
+			tc.Procs = r.Spec().Procs
 			tc.Source = serve.NewTraceSource(data, lane, false)
 			tc.Name = fmt.Sprintf("t%d-trace", i)
 		default:

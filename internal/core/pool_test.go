@@ -6,11 +6,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/memmap"
 	"repro/internal/model"
+	"repro/internal/quorum"
 )
 
 // bandStep builds one step per shard: every processor of shard k writes or
 // reads inside shard k's own variable band.
-func poolBandSteps(dp *core.DMMPCPool, round int) []model.Batch {
+func poolBandSteps(dp *quorum.Pool, round int) []model.Batch {
 	k := dp.Engines()
 	n := dp.ShardProcs()
 	mem := dp.Store().Map().Vars()
@@ -31,12 +32,26 @@ func poolBandSteps(dp *core.DMMPCPool, round int) []model.Batch {
 	return batches
 }
 
+// buildPool builds a spec that must yield a pool.
+func buildPool(t *testing.T, s core.Spec) *quorum.Pool {
+	t.Helper()
+	b, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Pool == nil {
+		t.Fatalf("%v built a single machine, want a pool", b.Spec)
+	}
+	t.Cleanup(b.Pool.Close)
+	return b.Pool
+}
+
 // TestDMMPCPoolServesDisjointPrograms: the banded deployment runs K
 // band-local programs at full parallelism (K components every step) and
 // commits their writes.
 func TestDMMPCPoolServesDisjointPrograms(t *testing.T) {
 	const n = 32
-	dp := core.NewDMMPCPool(n, core.Config{Engines: 4})
+	dp := buildPool(t, core.Spec{Kind: core.KindDMMPC, Lanes: 4, Procs: n})
 	if dp.Engines() != 4 {
 		t.Fatalf("pool has %d engines, want 4", dp.Engines())
 	}
@@ -72,7 +87,7 @@ func TestDMMPCPoolServesDisjointPrograms(t *testing.T) {
 // shard machine.
 func TestDMMPCPoolTwoStage(t *testing.T) {
 	const n = 32
-	dp := core.NewDMMPCPool(n, core.Config{Engines: 2, TwoStage: true})
+	dp := buildPool(t, core.Spec{Kind: core.KindDMMPC, Lanes: 2, Procs: n, TwoStage: true})
 	batches := poolBandSteps(dp, 0)
 	agg, _ := dp.ExecuteSteps(batches)
 	if agg.Err != nil {
@@ -83,13 +98,18 @@ func TestDMMPCPoolTwoStage(t *testing.T) {
 	}
 }
 
-// TestDMMPCPoolEnvDefault: Engines: 0 resolves from the environment, so
-// the CI race job's PRAMSIM_ENGINES=4 exercises a real multi-engine pool
-// here without the test hard-coding a count.
+// TestDMMPCPoolEnvDefault: Lanes 0 and engine count 0 resolve from the
+// environment, so the CI race job's PRAMSIM_ENGINES=4 exercises a real
+// multi-engine pool here without the test hard-coding a count.
 func TestDMMPCPoolEnvDefault(t *testing.T) {
-	dp := core.NewDMMPCPool(16, core.Config{})
-	if dp.Engines() < 1 {
-		t.Fatalf("resolved %d engines", dp.Engines())
+	b, err := core.Spec{Kind: core.KindDMMPC, Procs: 16}.BuildPool(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Pool.Close()
+	dp := b.Pool
+	if dp.Engines() < 1 || dp.Engines() != b.Spec.Lanes {
+		t.Fatalf("resolved %d engines over %d lanes", dp.Engines(), b.Spec.Lanes)
 	}
 	batches := poolBandSteps(dp, 1)
 	if agg, _ := dp.ExecuteSteps(batches); agg.Err != nil {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/replay"
 	"repro/internal/stats"
@@ -41,7 +42,7 @@ func E14ReplaySweep() Result {
 	var worstMerge float64
 	for _, pattern := range []replay.Pattern{replay.Banded, replay.Uniform} {
 		for _, K := range []int{1, 2, 4, 8} {
-			cfg := replay.Config{Kind: replay.KindDMMPC, Lanes: K, Procs: nTotal / K,
+			cfg := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K,
 				Mode: model.CRCWPriority}
 			row, mergeRate := replaySweepPoint(cfg, pattern, rounds)
 			if pattern == replay.Uniform && mergeRate > worstMerge {
@@ -67,7 +68,7 @@ func E14ReplaySweep() Result {
 // replaySweepPoint records one (config, pattern) workload in memory and
 // replays it with verification, returning the rendered table row and the
 // merge rate.
-func replaySweepPoint(cfg replay.Config, pattern replay.Pattern, rounds int) ([]any, float64) {
+func replaySweepPoint(cfg core.Spec, pattern replay.Pattern, rounds int) ([]any, float64) {
 	built, err := cfg.Build()
 	if err != nil {
 		return []any{pattern.String(), cfg.Lanes, cfg.Procs, 0, "build error", err.Error(), "-", "-", "-"}, 0

@@ -24,7 +24,7 @@ type Machine struct {
 type Config struct {
 	// K is the memory-size exponent m = n^K (default 2).
 	K float64
-	// Mode is the P-RAM conflict convention (default CRCW-Priority).
+	// Mode is the P-RAM conflict convention. The zero value is EREW.
 	Mode model.Mode
 	// Seed draws the memory map (default 1).
 	Seed int64

@@ -135,10 +135,15 @@ type engineScratch struct {
 	liveIdx    []int
 }
 
-// NewEngine returns an engine for n processors over store and net.
+// NewEngine returns an engine for n processors over store and net. It
+// panics when the map's redundancy exceeds 64, the width of the per-request
+// copy bitmask.
 func NewEngine(store *Store, net Interconnect, n int) *Engine {
 	p := store.Map().P
 	r := p.R()
+	if r > 64 {
+		panic(fmt.Sprintf("quorum.Engine: redundancy %d exceeds bitmask width", r))
+	}
 	bip, _ := net.(*CompleteBipartite)
 	return &Engine{
 		store:    store,
@@ -163,7 +168,7 @@ func (e *Engine) maxPhases(requests int) int {
 
 // reqState tracks one live request through the phases.
 type reqState struct {
-	accessed  uint64 // bitmask of copies touched (r ≤ 64 always holds here)
+	accessed  uint64 // bitmask of copies touched (NewEngine enforces r ≤ 64)
 	count     int
 	done      bool
 	bestTS    uint64
@@ -223,10 +228,6 @@ func (e *Engine) run(reqs []Request, values []model.Word, satisfied []bool, phas
 	res := Result{Values: values, Satisfied: satisfied}
 	if len(reqs) == 0 {
 		return res
-	}
-	if e.r > 64 {
-		//pram:coldalloc guarded construction-error panic, unreachable in steady state
-		panic(fmt.Sprintf("quorum.Engine: redundancy %d exceeds bitmask width", e.r))
 	}
 	now := e.store.StampBatch(reqs)
 	sc := &e.sc

@@ -131,15 +131,16 @@ func TestFreshCopiesInvariantUnderLoad(t *testing.T) {
 	}
 }
 
-// TestEngineOversizedRedundancyPanics guards the copy bitmask width.
+// TestEngineOversizedRedundancyPanics guards the copy bitmask width: the
+// engine refuses a map with r > 64 at construction.
 func TestEngineOversizedRedundancyPanics(t *testing.T) {
 	p := memmap.Params{N: 8, M: 512, Mem: 64, K: 2, Eps: 1, B: 4, C: 40} // r = 79 > 64
 	mp := memmap.Generate(p, 1)
-	eng := NewEngine(NewStore(mp), NewCompleteBipartite(), 8)
 	defer func() {
 		if recover() == nil {
 			t.Error("r > 64 did not panic")
 		}
 	}()
+	eng := NewEngine(NewStore(mp), NewCompleteBipartite(), 8)
 	eng.ExecuteBatch([]Request{{Proc: 0, Var: 1, Write: true, Value: 1}})
 }

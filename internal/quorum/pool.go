@@ -172,9 +172,10 @@ func (p *Pool) newMachine(i int) *Machine {
 	return m
 }
 
-// ResolveEngines maps the PoolConfig.Engines / core.Config.Engines
-// encoding to a concrete shard count ≥ 1: 0 consults PRAMSIM_ENGINES,
-// < 0 uses GOMAXPROCS.
+// ResolveEngines maps an engine-count encoding — PoolConfig.Engines,
+// core.Spec.Lanes, the engine count of core.Spec.BuildPool and
+// serve.Config.Engines — to a concrete shard count ≥ 1: 0 consults
+// PRAMSIM_ENGINES, < 0 uses GOMAXPROCS.
 func ResolveEngines(k int) int {
 	if k == 0 {
 		k = envEngines()

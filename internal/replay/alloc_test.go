@@ -5,12 +5,13 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
 // allocTrace records a small read-only trace (broadcast reads are
 // idempotent, so multi-pass replay is exact) and opens a replayer over it.
-func allocTrace(t *testing.T, cfg Config) ([]byte, *Replayer, *bytes.Reader) {
+func allocTrace(t *testing.T, cfg core.Spec) ([]byte, *Replayer, *bytes.Reader) {
 	t.Helper()
 	data, _, _ := recordRun(t, cfg, Broadcast, 8, 0)
 	rd := bytes.NewReader(data)
@@ -48,7 +49,7 @@ func TestReplayStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
 	}
-	_, rp, rd := allocTrace(t, Config{Kind: KindDMMPC, Lanes: 1, Procs: 64, Mode: model.CRCWPriority})
+	_, rp, rd := allocTrace(t, core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 64, Mode: model.CRCWPriority})
 	for i := 0; i < 20; i++ { // grow reader and engine arenas, cross a rewind
 		stepOrRewind(t, rp, rd)
 	}
@@ -65,7 +66,7 @@ func TestPoolReplayStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
 	}
-	_, rp, rd := allocTrace(t, Config{Kind: KindDMMPC, Lanes: 4, Procs: 16, Mode: model.CRCWPriority})
+	_, rp, rd := allocTrace(t, core.Spec{Kind: core.KindDMMPC, Lanes: 4, Procs: 16, Mode: model.CRCWPriority})
 	for i := 0; i < 20; i++ {
 		stepOrRewind(t, rp, rd)
 	}
@@ -82,7 +83,7 @@ func TestVerifyReplayZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
 	}
-	_, rp, rd := allocTrace(t, Config{Kind: KindMOT2D, Lanes: 1, Procs: 16, Mode: model.CRCWPriority})
+	_, rp, rd := allocTrace(t, core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: 16, Mode: model.CRCWPriority})
 	rp.Verify = true
 	for i := 0; i < 20; i++ {
 		stepOrRewind(t, rp, rd)

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/mot"
 	"repro/internal/quorum"
@@ -121,10 +122,10 @@ func appendFixed64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-// encodeHeader renders the header frame payload from a normalized config
+// encodeHeader renders the header frame payload from a normalized spec
 // and the derived validation fields of its build.
-func encodeHeader(buf []byte, b *Built, startFingerprint uint64) []byte {
-	c := b.Cfg
+func encodeHeader(buf []byte, b *core.Built, startFingerprint uint64) []byte {
+	c := b.Spec
 	buf = binary.AppendUvarint(buf, formatVersion)
 	buf = append(buf, byte(c.Kind))
 	buf = binary.AppendUvarint(buf, uint64(c.Lanes))
@@ -306,40 +307,40 @@ func (d *decoder) finish() error {
 	return d.err
 }
 
-// decodeHeader parses a header payload into a config plus the derived
+// decodeHeader parses a header payload into a spec plus the derived
 // validation fields.
-func decodeHeader(payload []byte) (cfg Config, mem, modules, redundancy, side int, startFP uint64, err error) {
+func decodeHeader(payload []byte) (spec core.Spec, mem, modules, redundancy, side int, startFP uint64, err error) {
 	d := &decoder{buf: payload}
 	if v := d.uvarint(); d.err == nil && v != formatVersion {
-		return cfg, 0, 0, 0, 0, 0, corruptf("format version %d, this reader speaks %d", v, formatVersion)
+		return spec, 0, 0, 0, 0, 0, corruptf("format version %d, this reader speaks %d", v, formatVersion)
 	}
-	cfg.Kind = MachineKind(d.byte())
-	cfg.Lanes = int(d.uvarint())
-	cfg.Procs = int(d.uvarint())
-	cfg.Mode = model.Mode(d.byte())
-	cfg.Seed = d.varint()
-	cfg.KExp = math.Float64frombits(d.fixed64())
-	cfg.Gran = math.Float64frombits(d.fixed64())
+	spec.Kind = core.Kind(d.byte())
+	spec.Lanes = int(d.uvarint())
+	spec.Procs = int(d.uvarint())
+	spec.Mode = model.Mode(d.byte())
+	spec.Seed = d.varint()
+	spec.KExp = math.Float64frombits(d.fixed64())
+	spec.Gran = math.Float64frombits(d.fixed64())
 	flags := d.byte()
-	cfg.DualRail = flags&1 != 0
-	cfg.TwoStage = flags&2 != 0
-	cfg.Policy = mot.Policy(d.byte())
-	cfg.Stage1Phases = int(d.uvarint())
-	cfg.Stage2Bandwidth = int(d.uvarint())
+	spec.DualRail = flags&1 != 0
+	spec.TwoStage = flags&2 != 0
+	spec.Policy = mot.Policy(d.byte())
+	spec.Stage1Phases = int(d.uvarint())
+	spec.Stage2Bandwidth = int(d.uvarint())
 	mem = int(d.uvarint())
 	modules = int(d.uvarint())
 	redundancy = int(d.uvarint())
 	side = int(d.uvarint())
 	startFP = d.fixed64()
 	if err := d.finish(); err != nil {
-		return cfg, 0, 0, 0, 0, 0, err
+		return spec, 0, 0, 0, 0, 0, err
 	}
 	const sane = 1 << 40 // bound header dimensions before they reach Build
-	if cfg.Lanes < 1 || cfg.Lanes > 1<<20 || cfg.Procs < 1 || cfg.Procs > sane ||
+	if spec.Lanes < 1 || spec.Lanes > 1<<20 || spec.Procs < 1 || spec.Procs > sane ||
 		mem < 1 || mem > sane || flags > 3 ||
-		math.IsNaN(cfg.KExp) || math.IsInf(cfg.KExp, 0) ||
-		math.IsNaN(cfg.Gran) || math.IsInf(cfg.Gran, 0) {
-		return cfg, 0, 0, 0, 0, 0, corruptf("implausible header dimensions (lanes=%d procs=%d mem=%d)", cfg.Lanes, cfg.Procs, mem)
+		math.IsNaN(spec.KExp) || math.IsInf(spec.KExp, 0) ||
+		math.IsNaN(spec.Gran) || math.IsInf(spec.Gran, 0) {
+		return spec, 0, 0, 0, 0, 0, corruptf("implausible header dimensions (lanes=%d procs=%d mem=%d)", spec.Lanes, spec.Procs, mem)
 	}
-	return cfg, mem, modules, redundancy, side, startFP, nil
+	return spec, mem, modules, redundancy, side, startFP, nil
 }

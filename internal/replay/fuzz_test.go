@@ -7,6 +7,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -26,7 +27,7 @@ func drainTrace(data []byte) error {
 // smallTrace records the seed-corpus trace: small enough to mutate
 // exhaustively, covering loads, reads, writes and multi-reader fan-out.
 func smallTrace(t testing.TB) []byte {
-	cfg := Config{Kind: KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
+	cfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
 	built, err := cfg.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +50,7 @@ func smallTrace(t testing.TB) []byte {
 
 // poolTrace is a small multi-lane seed (barrier frames, lane layout).
 func poolTrace(t testing.TB) []byte {
-	data, _, _ := recordRun(t, Config{Kind: KindDMMPC, Lanes: 2, Procs: 8, Mode: model.CRCWPriority}, Banded, 3, 8)
+	data, _, _ := recordRun(t, core.Spec{Kind: core.KindDMMPC, Lanes: 2, Procs: 8, Mode: model.CRCWPriority}, Banded, 3, 8)
 	return data
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/memmap"
 	"repro/internal/model"
 )
@@ -158,12 +159,12 @@ func (g *Generator) request(proc int, write bool, addr int) model.Request {
 // LoadImage initializes `count` cells per lane (band-local, so lanes load
 // disjoint ranges) with seeded values through the recorded LoadCells path,
 // in chunks. It is the standard workload-setup preamble of a recorded run.
-func LoadImage(b *Built, count int, seed int64) {
+func LoadImage(b *core.Built, count int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	const chunk = 4096
 	vals := make([]model.Word, chunk)
-	for k := 0; k < b.Cfg.Lanes; k++ {
-		lo, hi := memmap.BandRange(k, b.Params.Mem, b.Cfg.Lanes)
+	for k := 0; k < b.Spec.Lanes; k++ {
+		lo, hi := memmap.BandRange(k, b.Params.Mem, b.Spec.Lanes)
 		n := count
 		if n > hi-lo {
 			n = hi - lo

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/quorum"
 )
@@ -30,7 +31,7 @@ import (
 type Recorder struct {
 	mu      sync.Mutex // guards w/err on the flush paths
 	w       *bufio.Writer
-	built   *Built
+	built   *core.Built
 	lanes   int
 	steps   int64
 	pending [][]byte // per-lane framed bytes awaiting the round barrier
@@ -42,7 +43,7 @@ type Recorder struct {
 // attaches the recorder to built's machines. The store must still be in
 // its post-construction state (the header embeds its fingerprint and
 // replaying readers verify it): attach before any loads or steps.
-func NewRecorder(w io.Writer, built *Built) (*Recorder, error) {
+func NewRecorder(w io.Writer, built *core.Built) (*Recorder, error) {
 	r, err := NewSinkRecorder(w, built)
 	if err != nil {
 		return nil, err
@@ -61,14 +62,14 @@ func NewRecorder(w io.Writer, built *Built) (*Recorder, error) {
 // serving front end records through a translating sink that renames shard
 // lanes to stable tenant lanes (so the lane count survives online pool
 // resizes), and forwards to this recorder's StepSink methods itself.
-// built.Machine and built.Pool may both be nil; only Cfg (normalized, with
+// built.Machine and built.Pool may both be nil; only Spec (normalized, with
 // Lanes the caller's lane count), Store, Params and Side are read.
-func NewSinkRecorder(w io.Writer, built *Built) (*Recorder, error) {
+func NewSinkRecorder(w io.Writer, built *core.Built) (*Recorder, error) {
 	r := &Recorder{
 		w:       bufio.NewWriter(w),
 		built:   built,
-		lanes:   built.Cfg.Lanes,
-		pending: make([][]byte, built.Cfg.Lanes),
+		lanes:   built.Spec.Lanes,
+		pending: make([][]byte, built.Spec.Lanes),
 	}
 	if _, err := r.w.Write(magic[:]); err != nil {
 		return nil, fmt.Errorf("replay: writing magic: %w", err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/mot"
 )
@@ -31,7 +32,7 @@ func roundString(agg *model.StepReport, lanes []model.StepReport) string {
 // recordRun builds cfg's machines, records `steps` generated steps (after
 // a LoadImage preamble) and returns the trace bytes, the live run's round
 // strings, and the final store fingerprint.
-func recordRun(t testing.TB, cfg Config, pattern Pattern, steps, loads int) ([]byte, []string, uint64) {
+func recordRun(t testing.TB, cfg core.Spec, pattern Pattern, steps, loads int) ([]byte, []string, uint64) {
 	t.Helper()
 	built, err := cfg.Build()
 	if err != nil {
@@ -45,7 +46,7 @@ func recordRun(t testing.TB, cfg Config, pattern Pattern, steps, loads int) ([]b
 	if loads > 0 {
 		LoadImage(built, loads, 99)
 	}
-	gen := NewGenerator(pattern, built.Cfg.Lanes, built.Cfg.Procs, built.Params.Mem, 7)
+	gen := NewGenerator(pattern, built.Spec.Lanes, built.Spec.Procs, built.Params.Mem, 7)
 	var rounds []string
 	for s := 0; s < steps; s++ {
 		batches := gen.Step(s)
@@ -87,24 +88,24 @@ func replayRun(t *testing.T, data []byte) ([]string, Summary, uint64) {
 // bipartite and 2DMOT interconnects, dual-rail, two-stage, K ∈ {1, 4}.
 var roundTripConfigs = []struct {
 	name    string
-	cfg     Config
+	cfg     core.Spec
 	pattern Pattern
 }{
-	{"dmmpc", Config{Kind: KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Uniform},
-	{"dmmpc-twostage", Config{Kind: KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority, TwoStage: true}, Uniform},
-	{"dmmpc-K4", Config{Kind: KindDMMPC, Lanes: 4, Procs: 8, Mode: model.CRCWPriority}, Banded},
-	{"dmmpc-K4-cross", Config{Kind: KindDMMPC, Lanes: 4, Procs: 8, Mode: model.CRCWPriority}, Uniform},
-	{"dmmpc-K4-twostage", Config{Kind: KindDMMPC, Lanes: 4, Procs: 8, Mode: model.CRCWPriority, TwoStage: true}, Banded},
-	{"mot2d", Config{Kind: KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}, Uniform},
-	{"mot2d-queue", Config{Kind: KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority, Policy: mot.QueueOnCollision}, Uniform},
-	{"mot2d-dualrail", Config{Kind: KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority, DualRail: true}, Uniform},
-	{"mot2d-twostage", Config{Kind: KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority, TwoStage: true}, Uniform},
-	{"mot2d-dualrail-twostage", Config{Kind: KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority, DualRail: true, TwoStage: true}, Uniform},
-	{"mot2d-K4", Config{Kind: KindMOT2D, Lanes: 4, Procs: 8, Mode: model.CRCWPriority}, Banded},
-	{"mot2d-K4-dualrail", Config{Kind: KindMOT2D, Lanes: 4, Procs: 8, Mode: model.CRCWPriority, DualRail: true}, Banded},
-	{"luccio", Config{Kind: KindLuccio, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}, Uniform},
-	{"dmmpc-hotspot", Config{Kind: KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Hotspot},
-	{"dmmpc-broadcast", Config{Kind: KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Broadcast},
+	{"dmmpc", core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Uniform},
+	{"dmmpc-twostage", core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority, TwoStage: true}, Uniform},
+	{"dmmpc-K4", core.Spec{Kind: core.KindDMMPC, Lanes: 4, Procs: 8, Mode: model.CRCWPriority}, Banded},
+	{"dmmpc-K4-cross", core.Spec{Kind: core.KindDMMPC, Lanes: 4, Procs: 8, Mode: model.CRCWPriority}, Uniform},
+	{"dmmpc-K4-twostage", core.Spec{Kind: core.KindDMMPC, Lanes: 4, Procs: 8, Mode: model.CRCWPriority, TwoStage: true}, Banded},
+	{"mot2d", core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}, Uniform},
+	{"mot2d-queue", core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority, Policy: mot.QueueOnCollision}, Uniform},
+	{"mot2d-dualrail", core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority, DualRail: true}, Uniform},
+	{"mot2d-twostage", core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority, TwoStage: true}, Uniform},
+	{"mot2d-dualrail-twostage", core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: 8, Mode: model.CRCWPriority, DualRail: true, TwoStage: true}, Uniform},
+	{"mot2d-K4", core.Spec{Kind: core.KindMOT2D, Lanes: 4, Procs: 8, Mode: model.CRCWPriority}, Banded},
+	{"mot2d-K4-dualrail", core.Spec{Kind: core.KindMOT2D, Lanes: 4, Procs: 8, Mode: model.CRCWPriority, DualRail: true}, Banded},
+	{"luccio", core.Spec{Kind: core.KindLuccio, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}, Uniform},
+	{"dmmpc-hotspot", core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Hotspot},
+	{"dmmpc-broadcast", core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Broadcast},
 }
 
 // TestRoundTrip is the acceptance property: for every covered config,
@@ -142,7 +143,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func quorumLanes(c Config) int {
+func quorumLanes(c core.Spec) int {
 	if c.Lanes < 1 {
 		return 1
 	}
@@ -153,7 +154,7 @@ func quorumLanes(c Config) int {
 // replays must verify — replay must not depend on reader or machine state
 // left over from a previous open.
 func TestSecondReplayIsIndependent(t *testing.T) {
-	data, _, _ := recordRun(t, Config{Kind: KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Uniform, 8, 16)
+	data, _, _ := recordRun(t, core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Uniform, 8, 16)
 	for i := 0; i < 2; i++ {
 		_, sum, _ := replayRun(t, data)
 		if !sum.VerifyOK() {
@@ -166,7 +167,7 @@ func TestSecondReplayIsIndependent(t *testing.T) {
 // through one Replayer via Reset — the multi-pass benchmark path.
 func TestResetReplaysAnotherPass(t *testing.T) {
 	// Broadcast steps are read-only, so a second pass stays verified.
-	data, _, _ := recordRun(t, Config{Kind: KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Broadcast, 6, 0)
+	data, _, _ := recordRun(t, core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}, Broadcast, 6, 0)
 	rp, err := Open(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +195,7 @@ func TestResetReplaysAnotherPass(t *testing.T) {
 // post-construction store state; Open detects a trace whose recorder
 // attached late.
 func TestPreloadedStoreRejected(t *testing.T) {
-	cfg := Config{Kind: KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}
+	cfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}
 	built, err := cfg.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/quorum"
 )
@@ -47,9 +48,9 @@ const (
 // so corrupt and truncated files surface as errors wrapping ErrCorrupt or
 // ErrTruncated, never as panics or silent misreads.
 type Reader struct {
-	br  *bufio.Reader
-	cfg Config
-	mem int // variable-space bound for id validation
+	br   *bufio.Reader
+	spec core.Spec
+	mem  int // variable-space bound for id validation
 
 	// Derived validation fields decoded from the header.
 	hdrMem, hdrModules, hdrRedundancy, hdrSide int
@@ -99,18 +100,18 @@ func (r *Reader) readPreamble() error {
 	if kind != kindHeader {
 		return corruptf("first frame has kind %#x, want header", kind)
 	}
-	cfg, mem, modules, redundancy, side, startFP, err := decodeHeader(payload)
+	spec, mem, modules, redundancy, side, startFP, err := decodeHeader(payload)
 	if err != nil {
 		return err
 	}
-	r.cfg, r.mem = cfg, mem
+	r.spec, r.mem = spec, mem
 	r.hdrMem, r.hdrModules, r.hdrRedundancy, r.hdrSide = mem, modules, redundancy, side
 	r.startFP = startFP
 	return nil
 }
 
-// Config returns the trace's machine configuration (valid after NewReader).
-func (r *Reader) Config() Config { return r.cfg }
+// Spec returns the trace's machine spec (valid after NewReader).
+func (r *Reader) Spec() core.Spec { return r.spec }
 
 // readFrame reads one raw frame into the reusable buffer and checks its CRC.
 //
@@ -216,8 +217,8 @@ func (r *Reader) decodeLoadFrame(payload []byte, f *Frame) error {
 	}
 	// The < 0 arm matters: a uvarint ≥ 2^63 wraps negative through the
 	// int cast and would index the replayer's lane arrays out of range.
-	if f.Lane < 0 || f.Lane >= r.cfg.Lanes {
-		return corruptf("load frame lane %d outside [0,%d)", f.Lane, r.cfg.Lanes)
+	if f.Lane < 0 || f.Lane >= r.spec.Lanes {
+		return corruptf("load frame lane %d outside [0,%d)", f.Lane, r.spec.Lanes)
 	}
 	if f.LoadBase < 0 || f.LoadBase+n > r.mem {
 		return corruptf("load frame range [%d,%d) outside memory [0,%d)", f.LoadBase, f.LoadBase+n, r.mem)
@@ -241,11 +242,11 @@ func (r *Reader) decodeStepFrame(payload []byte, f *Frame) error {
 	if d.err != nil {
 		return d.err
 	}
-	if f.Lane < 0 || f.Lane >= r.cfg.Lanes { // < 0: uvarint wrapped the int cast
+	if f.Lane < 0 || f.Lane >= r.spec.Lanes { // < 0: uvarint wrapped the int cast
 		//pram:coldalloc corrupt-input error exit
-		return corruptf("step frame lane %d outside [0,%d)", f.Lane, r.cfg.Lanes)
+		return corruptf("step frame lane %d outside [0,%d)", f.Lane, r.spec.Lanes)
 	}
-	procs := r.cfg.Procs
+	procs := r.spec.Procs
 	f.Reads = growCap(f.Reads, nReads)
 	f.ReaderOff = growCap(f.ReaderOff, nReads+1)
 	f.Writes = growCap(f.Writes, nWrites)
@@ -374,7 +375,7 @@ type Replayer struct {
 	OnRound func(agg model.StepReport, lanes []model.StepReport)
 
 	r         *Reader
-	built     *Built
+	built     *core.Built
 	sum       Summary
 	passSteps int64 // step frames executed this pass (reset by Reset)
 
@@ -401,10 +402,10 @@ func OpenConfigured(src io.Reader, par, workers int) (*Replayer, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := r.Config()
-	cfg.Parallelism = par
-	cfg.Workers = workers
-	built, err := cfg.Build()
+	spec := r.Spec()
+	spec.Parallelism = par
+	spec.Workers = workers
+	built, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -423,21 +424,21 @@ func OpenConfigured(src io.Reader, par, workers int) (*Replayer, error) {
 		return nil, corruptf("start fingerprint mismatch: trace %x vs fresh store %x (store was modified before recording started?)", r.startFP, fp)
 	}
 	rp := &Replayer{r: r, built: built}
-	if cfg.Lanes > 1 {
-		rp.round = make([]quorum.DedupStep, cfg.Lanes)
-		rp.roundCost = make([]StepCosts, cfg.Lanes)
-		rp.roundSet = make([]bool, cfg.Lanes)
+	if spec.Lanes > 1 {
+		rp.round = make([]quorum.DedupStep, spec.Lanes)
+		rp.roundCost = make([]StepCosts, spec.Lanes)
+		rp.roundSet = make([]bool, spec.Lanes)
 	} else {
 		rp.singleRep = make([]model.StepReport, 1)
 	}
 	return rp, nil
 }
 
-// Config returns the trace's machine configuration.
-func (rp *Replayer) Config() Config { return rp.built.Cfg }
+// Spec returns the trace's machine spec.
+func (rp *Replayer) Spec() core.Spec { return rp.built.Spec }
 
 // Built exposes the constructed machines (for drivers and benchmarks).
-func (rp *Replayer) Built() *Built { return rp.built }
+func (rp *Replayer) Built() *core.Built { return rp.built }
 
 // Summary returns the accumulated run summary.
 func (rp *Replayer) Summary() Summary { return rp.sum }
@@ -501,9 +502,9 @@ func (rp *Replayer) Step() (executed bool, err error) {
 			if rp.built.Pool == nil {
 				return false, corruptf("barrier frame in a single-lane trace")
 			}
-			if rp.roundFill != rp.built.Cfg.Lanes {
+			if rp.roundFill != rp.built.Spec.Lanes {
 				//pram:coldalloc corrupt-input error exit
-				return false, corruptf("round barrier after %d of %d lanes", rp.roundFill, rp.built.Cfg.Lanes)
+				return false, corruptf("round barrier after %d of %d lanes", rp.roundFill, rp.built.Spec.Lanes)
 			}
 			agg, lanes := rp.built.Pool.ExecuteDedupSteps(rp.round)
 			for k := range lanes {
@@ -519,7 +520,7 @@ func (rp *Replayer) Step() (executed bool, err error) {
 		case KindEOF:
 			if rp.roundFill != 0 {
 				//pram:coldalloc corrupt-input error exit
-				return false, corruptf("eof frame inside an unfinished round (%d of %d lanes)", rp.roundFill, rp.built.Cfg.Lanes)
+				return false, corruptf("eof frame inside an unfinished round (%d of %d lanes)", rp.roundFill, rp.built.Spec.Lanes)
 			}
 			if f.Steps != rp.passSteps {
 				//pram:coldalloc corrupt-input error exit

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -35,7 +36,7 @@ type BatchSource struct {
 	lane int
 	loop bool
 
-	batch model.Batch // indexed by proc, len = Config().Procs
+	batch model.Batch // indexed by proc, len = Spec().Procs
 	steps int64
 	done  bool
 	err   error
@@ -52,20 +53,20 @@ func NewBatchSource(data []byte, lane int, loop bool) (*BatchSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	if lane < 0 || lane >= r.Config().Lanes {
-		return nil, corruptf("lane %d outside the trace's %d lanes", lane, r.Config().Lanes)
+	if lane < 0 || lane >= r.Spec().Lanes {
+		return nil, corruptf("lane %d outside the trace's %d lanes", lane, r.Spec().Lanes)
 	}
 	s.r = r
-	s.batch = model.NewBatch(r.Config().Procs)
+	s.batch = model.NewBatch(r.Spec().Procs)
 	return s, nil
 }
 
-// Config returns the trace's recorded machine configuration.
-func (s *BatchSource) Config() Config { return s.r.Config() }
+// Spec returns the trace's recorded machine spec.
+func (s *BatchSource) Spec() core.Spec { return s.r.Spec() }
 
 // Procs returns the per-lane processor count — the width of the batches
 // NextBatch yields.
-func (s *BatchSource) Procs() int { return s.r.Config().Procs }
+func (s *BatchSource) Procs() int { return s.r.Spec().Procs }
 
 // Mem returns the trace's variable-space size: every address NextBatch
 // yields is in [0, Mem()).

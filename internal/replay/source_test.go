@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
 // recordSourceTrace records a small single-machine uniform workload and
 // returns the trace bytes plus the per-step recorded costs and the final
 // store fingerprint.
-func recordSourceTrace(t *testing.T, cfg Config, steps int) ([]byte, []StepCosts, uint64) {
+func recordSourceTrace(t *testing.T, cfg core.Spec, steps int) ([]byte, []StepCosts, uint64) {
 	t.Helper()
 	built, err := cfg.Build()
 	if err != nil {
@@ -41,7 +42,7 @@ func recordSourceTrace(t *testing.T, cfg Config, steps int) ([]byte, []StepCosts
 // through the NORMAL ExecuteStep front end reproduces the recorded per-step
 // costs and the recorded final store image exactly.
 func TestBatchSourceRoundTrip(t *testing.T) {
-	cfg := Config{Kind: KindDMMPC, Lanes: 1, Procs: 24, Mode: model.CRCWPriority}
+	cfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 24, Mode: model.CRCWPriority}
 	data, costs, fp := recordSourceTrace(t, cfg, 12)
 
 	src, err := NewBatchSource(data, 0, false)
@@ -51,7 +52,7 @@ func TestBatchSourceRoundTrip(t *testing.T) {
 	if src.Procs() != 24 {
 		t.Fatalf("Procs = %d, want 24", src.Procs())
 	}
-	fresh, err := src.Config().Build()
+	fresh, err := src.Spec().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestBatchSourceRoundTrip(t *testing.T) {
 // TestBatchSourceLoop verifies the looping mode rewinds at eof and keeps
 // yielding the same step sequence.
 func TestBatchSourceLoop(t *testing.T) {
-	cfg := Config{Kind: KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
+	cfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
 	data, costs, _ := recordSourceTrace(t, cfg, 5)
 	src, err := NewBatchSource(data, 0, true)
 	if err != nil {
@@ -114,7 +115,7 @@ func TestBatchSourceLoop(t *testing.T) {
 // TestBatchSourceLaneSelection checks multi-lane traces split per lane and
 // out-of-range lanes are rejected.
 func TestBatchSourceLaneSelection(t *testing.T) {
-	cfg := Config{Kind: KindDMMPC, Lanes: 2, Procs: 8, Mode: model.CRCWPriority}
+	cfg := core.Spec{Kind: core.KindDMMPC, Lanes: 2, Procs: 8, Mode: model.CRCWPriority}
 	built, err := cfg.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestBatchSourceLaneSelection(t *testing.T) {
 
 // TestBatchSourceTruncated verifies a corrupt stream surfaces through Err.
 func TestBatchSourceTruncated(t *testing.T) {
-	cfg := Config{Kind: KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
+	cfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
 	data, _, _ := recordSourceTrace(t, cfg, 5)
 	src, err := NewBatchSource(data[:len(data)-10], 0, false)
 	if err != nil {

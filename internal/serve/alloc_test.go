@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/replay"
 )
@@ -106,7 +107,7 @@ func TestServeTraceRoundZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
 	}
-	rcfg := replay.Config{Kind: replay.KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}
+	rcfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 16, Mode: model.CRCWPriority}
 	built, err := rcfg.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -74,8 +74,8 @@ func NewAutoscaler(s *Server, cfg AutoscaleConfig) *Autoscaler {
 	if cfg.Min < 1 {
 		cfg.Min = 1
 	}
-	if cfg.Max < 1 || cfg.Max > s.bands {
-		cfg.Max = s.bands
+	if cfg.Max < 1 || cfg.Max > s.Bands() {
+		cfg.Max = s.Bands()
 	}
 	if cfg.Min > cfg.Max {
 		cfg.Min = cfg.Max

@@ -123,6 +123,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/memmap"
 	"repro/internal/model"
 	"repro/internal/mot"
@@ -143,10 +144,10 @@ const (
 	Bipartite Interconnect = iota
 	// MOT2D gives every shard its OWN √M × √M two-dimensional mesh of
 	// trees with modules at the leaves (the paper's Theorem 3 machine,
-	// core.NewMOT2DPool's deployment): phase costs become real routed
-	// cycle counts, and the SoA router core carries the serving lane. The
-	// Lemma 2 (KExp, Eps) point is replaced by a Theorem 3 (KExp, Gran)
-	// point sized at nMax·Bands total processors.
+	// core.KindMOT2D): phase costs become real routed cycle counts, and
+	// the SoA router core carries the serving lane. The Lemma 2 (KExp, ε)
+	// point is replaced by a Theorem 3 (KExp, Gran) point sized at
+	// nMax·Bands total processors.
 	MOT2D
 )
 
@@ -273,12 +274,17 @@ type TenantConfig struct {
 	QueueCap int
 }
 
-// Config assembles a serving deployment.
+// Config assembles a serving deployment. NewServer maps it onto one
+// core.Spec — Kind from Interconnect, Lanes = Bands, Procs = the largest
+// tenant's — with the serving defaults below, and builds its pool with
+// core.Spec.BuildPool(Engines).
 type Config struct {
 	// Tenants is the workload mix. At least one.
 	Tenants []TenantConfig
 	// Bands is how many variable bands the map is cut into (0 → one per
-	// tenant). Must be ≥ every tenant's Band+1.
+	// tenant). Must be ≥ every tenant's Band+1. StartTrace needs one band
+	// per tenant: its header is the deployment's core.Spec, with Lanes =
+	// Bands.
 	Bands int
 	// Engines is the pool's engine count K (0 consults PRAMSIM_ENGINES,
 	// < 0 GOMAXPROCS).
@@ -296,13 +302,14 @@ type Config struct {
 	// Interconnect selects each shard's fabric: Bipartite (default) or
 	// MOT2D per-shard meshes.
 	Interconnect Interconnect
-	// KExp and Eps are the Lemma 2 exponents (0 → 2 and 1). Under MOT2D,
-	// KExp is the Theorem 3 memory exponent instead (0 → 1.5) and Eps is
-	// unused.
-	KExp, Eps float64
+	// KExp is the memory exponent m = n^KExp at n = nMax·Bands: Lemma 2's
+	// k under Bipartite (0 → 2), Theorem 3's under MOT2D (0 → 1.5). The
+	// bipartite pool always uses Lemma 2's default ε = 1.
+	KExp float64
 	// Gran is the Theorem 3 granularity exponent δ for MOT2D meshes
-	// (0 → 1.5): the grid side is ceilPow2((nMax·Bands)^((1+δ)/2)), so
-	// bigger mixes need a smaller δ to stay inside mot.MaxSide.
+	// (0 → 1.5; unused under Bipartite): the grid side is
+	// ceilPow2((nMax·Bands)^((1+δ)/2)), so bigger mixes need a smaller δ
+	// to stay inside mot.MaxSide.
 	Gran float64
 	// DualRail enables the row+column dual-rail banks on MOT2D meshes
 	// (Theorem 3's closing remark; halves the redundancy).
@@ -401,23 +408,13 @@ func (t *tenant) popWait() int64 {
 // be called from one goroutine; the pool spreads each round's work
 // internally.
 type Server struct {
-	pool   *quorum.Pool
-	store  *quorum.Store
-	params memmap.Params
-	ic     Interconnect
-	side   int // MOT2D grid side (0 under Bipartite)
-	bands  int
-	k      int
-	nMax   int
-
-	// Resolved construction parameters, kept so StartTrace can synthesize
-	// a faithful PRAMTRC1 header for the deployment.
-	mode     model.Mode
-	seed     int64
-	kExp     float64
-	eps      float64
-	gran     float64
-	dualRail bool
+	pool *quorum.Pool
+	// built is the deployment's machine spec (Lanes = Bands, Procs = the
+	// largest tenant's), its store and its parameter point; StartTrace
+	// writes it as the trace header.
+	built *core.Built
+	ic    Interconnect
+	k     int
 
 	tenants []*tenant
 	byShard [][]int // tenant ids per shard, in admission order
@@ -476,13 +473,13 @@ const (
 	defaultEventDepth = 4096
 )
 
-// NewServer builds the deployment: a Lemma 2 parameter point at
-// maxProcs·Bands total processors, a map banded by the TENANT band count
-// (K-invariant, see the package doc), one store, and a K-engine bipartite
-// pool whose machines are sized to the largest tenant — tenants with
-// smaller Procs simply leave the upper processors idle, so lanes of
-// uneven sizes multiplex onto one pool. Infeasible parameter points
-// surface as errors, not panics.
+// NewServer builds the deployment through core.Spec.BuildPool: a Lemma 2
+// (Bipartite) or Theorem 3 (MOT2D) parameter point at maxProcs·Bands total
+// processors, a map banded by the TENANT band count (K-invariant, see the
+// package doc), one store, and a K-engine pool whose machines are sized to
+// the largest tenant — tenants with smaller Procs simply leave the upper
+// processors idle, so lanes of uneven sizes multiplex onto one pool.
+// Infeasible parameter points surface as errors, not panics.
 func NewServer(cfg Config) (s *Server, err error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("serve: no tenants")
@@ -507,76 +504,31 @@ func NewServer(cfg Config) (s *Server, err error) {
 			nMax = t.Procs
 		}
 	}
-	mode := cfg.Mode
-	if mode == model.EREW {
-		mode = model.CRCWPriority
+	spec := core.Spec{Kind: core.KindDMMPC, Lanes: bands, Procs: nMax, Mode: cfg.Mode, Seed: cfg.Seed,
+		KExp: cfg.KExp, DualRail: cfg.DualRail, Workers: cfg.Workers}
+	if spec.Mode == model.EREW {
+		spec.Mode = model.CRCWPriority
 	}
-	kExp, eps, seed := cfg.KExp, cfg.Eps, cfg.Seed
-	if kExp == 0 {
-		kExp = 2
-		if cfg.Interconnect == MOT2D {
+	if cfg.Interconnect == MOT2D {
+		spec.Kind, spec.Gran = core.KindMOT2D, cfg.Gran
+		if spec.KExp == 0 {
 			// Meshes pay side = (nTotal·m-granularity)^((1+δ)/2) in silicon;
 			// the Theorem 3 experiments run m = n^1.5 at production sizes.
-			kExp = 1.5
+			spec.KExp = 1.5
+		}
+		if spec.Gran == 0 {
+			spec.Gran = 1.5
 		}
 	}
-	if eps == 0 {
-		eps = 1
+	// The map is banded by the TENANT band count, so per-tenant results
+	// stay K-invariant; the pool's K shards each get their own
+	// interconnect.
+	built, err := spec.BuildPool(cfg.Engines)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	gran := cfg.Gran
-	if gran == 0 {
-		gran = 1.5
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	// The memmap generators and pool constructor panic on infeasible
-	// points (bands below the redundancy, oversized stores, meshes past
-	// the dense-edge ceiling); a serving config must not crash the
-	// deployment. The recover is scoped to exactly those calls: a panic in
-	// a user SourceFactory (admitted below, outside this closure) stays a
-	// panic with its stack intact.
-	var p memmap.Params
-	var side int
-	var store *quorum.Store
-	var pool *quorum.Pool
-	k := quorum.ResolveEngines(cfg.Engines)
-	if err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("serve: infeasible deployment parameters: %v", r)
-			}
-		}()
-		if cfg.Interconnect == MOT2D {
-			// Theorem 3 point at the TOTAL processor count, one mesh per
-			// shard — core.NewMOT2DPool's wiring, banded by the TENANT
-			// count so per-tenant results stay K-invariant.
-			if cfg.DualRail {
-				p, side = memmap.TheoremThreeDual(nMax*bands, kExp, gran)
-			} else {
-				p, side = memmap.TheoremThree(nMax*bands, kExp, gran)
-			}
-			if nMax > side {
-				return fmt.Errorf("largest tenant procs %d exceed grid side %d (raise Gran)", nMax, side)
-			}
-			store = quorum.NewStore(memmap.GenerateBanded(p, seed, bands))
-			pool = quorum.NewPool("serve", store,
-				func(int) quorum.Interconnect {
-					return mot.NewNetwork(side, mot.ModulesAtLeaves,
-						mot.Config{DualRail: cfg.DualRail})
-				},
-				quorum.PoolConfig{Engines: k, Procs: nMax, Mode: mode, Workers: cfg.Workers})
-			return nil
-		}
-		p = memmap.LemmaTwo(nMax*bands, kExp, eps)
-		store = quorum.NewStore(memmap.GenerateBanded(p, seed, bands))
-		pool = quorum.NewPool("serve", store,
-			func(int) quorum.Interconnect { return quorum.NewCompleteBipartite() },
-			quorum.PoolConfig{Engines: k, Procs: nMax, Mode: mode, Workers: cfg.Workers})
-		return nil
-	}(); err != nil {
-		return nil, err
-	}
+	pool := built.Pool
+	k := pool.Engines()
 	// Every error return below this point must retire the pool's executor
 	// goroutines: a rejected config (bad tenant, trace kind mismatch) is a
 	// recoverable error, not a license to leak workers.
@@ -588,19 +540,9 @@ func NewServer(cfg Config) (s *Server, err error) {
 
 	s = &Server{
 		pool:       pool,
-		store:      store,
-		params:     p,
+		built:      built,
 		ic:         cfg.Interconnect,
-		side:       side,
-		bands:      bands,
 		k:          k,
-		nMax:       nMax,
-		mode:       mode,
-		seed:       seed,
-		kExp:       kExp,
-		eps:        eps,
-		gran:       gran,
-		dualRail:   cfg.DualRail,
 		byShard:    make([][]int, k),
 		cursor:     make([]int, k),
 		batches:    make([]model.Batch, k),
@@ -628,12 +570,12 @@ func NewServer(cfg Config) (s *Server, err error) {
 		if tc.Name == "" {
 			tc.Name = fmt.Sprintf("tenant%d", i)
 		}
-		lo, hi := memmap.BandRange(tc.Band, p.Mem, bands)
+		lo, hi := memmap.BandRange(tc.Band, built.Params.Mem, bands)
 		t := &tenant{
 			cfg:   tc,
 			id:    i,
 			shard: tc.Band % k,
-			band:  Band{Lo: lo, Hi: hi, Mem: p.Mem},
+			band:  Band{Lo: lo, Hi: hi, Mem: built.Params.Mem},
 			cap:   qcap,
 		}
 		if tc.QueueCap > 0 {
@@ -657,11 +599,7 @@ func NewServer(cfg Config) (s *Server, err error) {
 			// replaying e.g. a bipartite capture into mesh shards silently
 			// changes what the recorded stream meant. Addresses remap fine
 			// either way, so a config flag can override.
-			want := replay.KindDMMPC
-			if cfg.Interconnect == MOT2D {
-				want = replay.KindMOT2D
-			}
-			if rc.Kind != want {
+			if rc.Kind != spec.Kind {
 				if !cfg.AllowTraceKindMismatch {
 					return nil, fmt.Errorf(
 						"serve: tenant %q: trace was recorded on a %v machine but the pool serves %v interconnects; set AllowTraceKindMismatch (cmd/serve -allow-kind-mismatch) to replay it anyway",
@@ -698,23 +636,24 @@ func NewServer(cfg Config) (s *Server, err error) {
 func (s *Server) Engines() int { return s.k }
 
 // Bands returns the map's band count.
-func (s *Server) Bands() int { return s.bands }
+func (s *Server) Bands() int { return s.built.Spec.Lanes }
 
 // Interconnect returns the per-shard fabric kind.
 func (s *Server) Interconnect() Interconnect { return s.ic }
 
 // Side returns the per-shard mesh side under MOT2D (0 under Bipartite).
-func (s *Server) Side() int { return s.side }
+func (s *Server) Side() int { return s.built.Side }
 
-// Params returns the deployment's Lemma 2 parameter point.
-func (s *Server) Params() memmap.Params { return s.params }
+// Params returns the deployment's parameter point: Lemma 2's under
+// Bipartite, Theorem 3's under MOT2D.
+func (s *Server) Params() memmap.Params { return s.built.Params }
 
 // Pool exposes the underlying engine pool (diagnostics and tests).
 func (s *Server) Pool() *quorum.Pool { return s.pool }
 
 // Fingerprint returns the current store fingerprint — the serving run's
 // committed-state digest.
-func (s *Server) Fingerprint() uint64 { return s.store.Fingerprint() }
+func (s *Server) Fingerprint() uint64 { return s.built.Store.Fingerprint() }
 
 // TenantID resolves a tenant name to its index (the Submit handle).
 func (s *Server) TenantID(name string) (int, bool) {
@@ -834,28 +773,20 @@ func (s *Server) refreshNets() {
 // are TENANT ids, not pool shards: a translating sink renames each
 // executed step's shard lane to the tenant it served, so the capture has
 // a fixed lane count (the mix size) and survives online Resize — a trace
-// of the workload, not of the momentary pool shape. Stop with StopTrace
-// (before reading w); only one trace may be active.
+// of the workload, not of the momentary pool shape. The header is the
+// deployment's spec, whose map a reader rebuilds banded Lanes ways, so
+// StartTrace refuses a deployment whose band count differs from its
+// tenant count. Stop with StopTrace (before reading w); only one trace
+// may be active.
 func (s *Server) StartTrace(w io.Writer) error {
 	if s.rec != nil {
 		return fmt.Errorf("serve: a trace is already being recorded")
 	}
-	kind := replay.KindDMMPC
-	gran := s.eps // the DMMPC header convention: Gran is the Lemma 2 ε
-	if s.ic == MOT2D {
-		kind = replay.KindMOT2D
-		gran = s.gran
+	if tenants, bands := len(s.tenants), s.built.Spec.Lanes; tenants != bands {
+		return fmt.Errorf("serve: cannot trace %d tenants on %d bands: a trace has one lane per tenant and replays on a map banded once per lane",
+			tenants, bands)
 	}
-	built := &replay.Built{
-		Cfg: replay.Config{
-			Kind: kind, Lanes: len(s.tenants), Procs: s.nMax, Mode: s.mode,
-			Seed: s.seed, KExp: s.kExp, Gran: gran, DualRail: s.dualRail,
-		},
-		Store:  s.store,
-		Params: s.params,
-		Side:   s.side,
-	}
-	rec, err := replay.NewSinkRecorder(w, built)
+	rec, err := replay.NewSinkRecorder(w, s.built)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/replay"
 )
@@ -114,9 +115,9 @@ func TestServeMOT2DRoundZeroAllocs(t *testing.T) {
 
 // recordTrace captures a short single-lane trace on the given machine kind
 // and returns its bytes.
-func recordTrace(t *testing.T, kind replay.MachineKind, procs int) []byte {
+func recordTrace(t *testing.T, kind core.Kind, procs int) []byte {
 	t.Helper()
-	rcfg := replay.Config{Kind: kind, Lanes: 1, Procs: procs, Mode: model.CRCWPriority}
+	rcfg := core.Spec{Kind: kind, Lanes: 1, Procs: procs, Mode: model.CRCWPriority}
 	built, err := rcfg.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +144,8 @@ func recordTrace(t *testing.T, kind replay.MachineKind, procs int) []byte {
 // refused at admission, allowed only by the explicit override, and passes
 // cleanly when the kinds agree.
 func TestServeTraceKindValidation(t *testing.T) {
-	dmmpc := recordTrace(t, replay.KindDMMPC, 8)
-	mot2d := recordTrace(t, replay.KindMOT2D, 8)
+	dmmpc := recordTrace(t, core.KindDMMPC, 8)
+	mot2d := recordTrace(t, core.KindMOT2D, 8)
 	// Procs 64 over one band keeps the Theorem 3 point feasible (side 256,
 	// well above the redundancy) while the 8-proc traces ride in the lower
 	// processors.

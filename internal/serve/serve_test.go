@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/prom"
 	"repro/internal/replay"
@@ -245,7 +246,7 @@ func TestServeBurstyArrivals(t *testing.T) {
 // tenant and checks the trace's step count and run-to-run determinism.
 func TestServeTraceTenant(t *testing.T) {
 	// Record a small single-lane DMMPC trace.
-	rcfg := replay.Config{Kind: replay.KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
+	rcfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
 	built, err := rcfg.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -374,15 +375,40 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := NewServer(bad); err == nil {
 		t.Error("missing source accepted")
 	}
-	// Infeasible map point (bands below redundancy) errors, not panics.
+	// An infeasible parameter point errors, not panics: one processor on
+	// one band leaves Lemma 2 with M = n^(1+ε) = 1 module, not more than n.
 	tiny := Config{
-		Tenants: []TenantConfig{{Name: "t", Band: 0, Procs: 2, Source: NewPatternSource(replay.Uniform, 2, 1, 1)}},
+		Tenants: []TenantConfig{{Name: "t", Band: 0, Procs: 1, Source: NewPatternSource(replay.Uniform, 1, 1, 1)}},
 		Bands:   1,
 	}
-	tiny.Tenants[0].Band = 0
-	tiny.Bands = 1
-	tiny.Eps = 0.0001 // M ≈ n: far fewer modules per band than the redundancy
-	if _, err := NewServer(tiny); err == nil {
-		t.Skip("tiny point unexpectedly feasible; validation covered elsewhere")
+	if _, err := NewServer(tiny); err == nil || !strings.Contains(err.Error(), "infeasible") {
+		t.Errorf("infeasible point: err = %v, want an infeasible-parameters error", err)
+	}
+}
+
+// TestStartTraceRejectsBandTenantMismatch: a serve trace has one lane per
+// tenant, and its reader rebuilds the map banded once per lane. With more
+// bands than tenants that rebuild is a different machine, so StartTrace
+// refuses instead of writing a capture replay.Open rejects.
+func TestStartTraceRejectsBandTenantMismatch(t *testing.T) {
+	s, err := NewServer(Config{
+		Tenants: []TenantConfig{{Name: "t", Band: 0, Procs: 16, Arrival: Arrival{Window: 1},
+			Source: NewPatternSource(replay.Uniform, 16, 2, 1)}},
+		Bands: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var buf bytes.Buffer
+	err = s.StartTrace(&buf)
+	if err == nil || !strings.Contains(err.Error(), "1 tenants on 2 bands") {
+		t.Fatalf("StartTrace: %v, want an error naming 1 tenant and 2 bands", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused trace wrote %d bytes", buf.Len())
+	}
+	if err := s.ServeAll(10); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/replay"
 )
@@ -72,20 +73,20 @@ func (g *genSource) NextBatch() (model.Batch, bool) {
 }
 
 // TraceConfigured is implemented by sources backed by a recorded PRAMTRC1
-// trace: TraceConfig returns the trace's header configuration (machine
-// kind, lane shape, knobs) and true. Wrapper sources forward it, so the
+// trace: TraceConfig returns the trace's header spec (machine kind, lane
+// shape, knobs) and true. Wrapper sources forward it, so the
 // header survives adapters like Remap and NewServer can validate the
 // recorded machine kind against the pool's interconnect.
 type TraceConfigured interface {
-	TraceConfig() (replay.Config, bool)
+	TraceConfig() (core.Spec, bool)
 }
 
 // TraceHeader unwraps a source's recorded trace header, if it has one.
-func TraceHeader(src Source) (replay.Config, bool) {
+func TraceHeader(src Source) (core.Spec, bool) {
 	if tc, ok := src.(TraceConfigured); ok {
 		return tc.TraceConfig()
 	}
-	return replay.Config{}, false
+	return core.Spec{}, false
 }
 
 // remapSource folds a source's addresses into a band with a modular remap
@@ -128,7 +129,7 @@ func (r *remapSource) NextBatch() (model.Batch, bool) {
 
 // TraceConfig implements TraceConfigured by delegation: remapping does not
 // change what was recorded.
-func (r *remapSource) TraceConfig() (replay.Config, bool) {
+func (r *remapSource) TraceConfig() (core.Spec, bool) {
 	return TraceHeader(r.inner)
 }
 
@@ -137,7 +138,7 @@ func (r *remapSource) TraceConfig() (replay.Config, bool) {
 type traceSource struct{ *replay.BatchSource }
 
 // TraceConfig implements TraceConfigured.
-func (t traceSource) TraceConfig() (replay.Config, bool) { return t.Config(), true }
+func (t traceSource) TraceConfig() (core.Spec, bool) { return t.Spec(), true }
 
 // NewTraceSource returns a factory serving one lane of a recorded PRAMTRC1
 // trace (replay.BatchSource) as tenant traffic, with the trace's addresses
