@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -146,70 +145,26 @@ func BenchmarkE4MPCStep(b *testing.B) {
 
 // --- E5: Theorem 3, 2DMOT step (and the Luccio'90 baseline) --------------
 
+// BenchmarkE5MOT2DStep steps the Theorem 3 machine on a permutation read.
+// From n=1024 on, K=1.5 keeps the memory map light and δ pins the grid
+// side at mot.MaxSide (16384), the largest the router's 32-bit dense edge
+// ids allow: the production sizes.
 func BenchmarkE5MOT2DStep(b *testing.B) {
-	for _, n := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			mt := core.NewMOT2D(n, core.MOTConfig{})
-			batch := permBatch(n, 5)
-			b.ReportAllocs() // steady state must stay at 0 allocs/op
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := mt.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
-		})
-	}
-}
-
-// E5 at production sizes with the router-parallelism sweep: the same
-// machine stepped with the serial reference router (par=1) and the
-// multi-core router at increasing worker counts. Routing is bit-for-bit
-// identical at every setting (the differential tests enforce it), so the
-// sweep isolates wall-clock scaling. K=1.5 keeps the memory map light and
-// δ pins the grid side at 16384, the 32-bit dense-edge ceiling.
-func BenchmarkE5MOT2DStepParallel(b *testing.B) {
-	cfgs := []struct {
-		n     int
-		delta float64
-	}{{1024, 1.8}, {4096, 1.333}}
-	sweep := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		sweep = append(sweep, p)
-	}
-	for _, c := range cfgs {
-		mt := core.NewMOT2D(c.n, core.MOTConfig{K: 1.5, Delta: c.delta})
-		batch := permBatch(c.n, 5)
-		for _, par := range sweep {
-			b.Run(fmt.Sprintf("n=%d/par=%d", c.n, par), func(b *testing.B) {
-				mt.SetParallelism(par)
-				b.ReportAllocs() // steady state must stay at 0 allocs/op
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rep := mt.ExecuteStep(batch)
-					if rep.Err != nil {
-						b.Fatal(rep.Err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkE5MOT2DStepSoA names the SoA router's production acceptance
-// point for the CI bench smoke: the n=1024 step on the 16384-side grid
-// (the 32-bit dense-edge ceiling), once through the serial cycle loop and
-// once through the component-sharded worker pool. The pair is the unit the
-// perf lane tracks — serial is the bit-for-bit reference, parallel the
-// wall-clock contender — and both must hold the zero-alloc steady state.
-func BenchmarkE5MOT2DStepSoA(b *testing.B) {
-	mt := core.NewMOT2D(1024, core.MOTConfig{K: 1.5, Delta: 1.8})
-	batch := permBatch(1024, 5)
-	for _, par := range []int{1, 2} {
-		b.Run(fmt.Sprintf("n=1024/par=%d", par), func(b *testing.B) {
-			mt.SetParallelism(par)
-			b.ReportAllocs() // steady state must stay at 0 allocs/op
+	for _, c := range []struct {
+		n   int
+		cfg core.MOTConfig
+	}{
+		{16, core.MOTConfig{}},
+		{64, core.MOTConfig{}},
+		{256, core.MOTConfig{}},
+		{1024, core.MOTConfig{K: 1.5, Delta: 1.8}},
+		{4096, core.MOTConfig{K: 1.5, Delta: 1.333}},
+	} {
+		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
+			mt := core.NewMOT2D(c.n, c.cfg)
+			batch := permBatch(c.n, 5)
+			mt.ExecuteStep(batch) // grow the arenas: the loop measures the steady state
+			b.ReportAllocs()      // steady state must stay at 0 allocs/op
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep := mt.ExecuteStep(batch)

@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/bench [-out DIR] [-benchtime 1s] [-parallel N] [-diff]
+//	go run ./cmd/bench [-out DIR] [-benchtime 1s] [-diff]
 //	                   [-cpuprofile FILE] [-memprofile FILE]
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run, for
@@ -91,6 +91,20 @@ type Snapshot struct {
 var seedBaseline = map[string]float64{
 	"E3DMMPCStep/n=1024": 1828312,
 	"E5MOT2DStep/n=256":  13714533,
+}
+
+// e5Points are the E5MOT2DStep machines. From n=1024 on, K=1.5 keeps the
+// memory map light and δ pins the grid side at mot.MaxSide (16384), the
+// largest the router's 32-bit dense edge ids allow.
+var e5Points = []struct {
+	n   int
+	cfg core.MOTConfig
+}{
+	{16, core.MOTConfig{}},
+	{64, core.MOTConfig{}},
+	{256, core.MOTConfig{}},
+	{1024, core.MOTConfig{K: 1.5, Delta: 1.8}},
+	{4096, core.MOTConfig{K: 1.5, Delta: 1.333}},
 }
 
 func permBatch(n int, seed int64) model.Batch {
@@ -239,7 +253,6 @@ func main() {
 	benchtime := flag.Duration("benchtime", time.Second, "target duration per benchmark")
 	diff := flag.Bool("diff", false, "compare the newest two snapshots in -out and exit 1 on zero-alloc regressions")
 	threshold := flag.Float64("threshold", 0.10, "ns/op regression tolerance for -diff (0.10 = 10%)")
-	parallel := flag.Int("parallel", -1, "router workers for the parallel E5 comparison runs (-1 = GOMAXPROCS)")
 	runs := flag.Int("runs", benchRuns, "repeats per benchmark; the minimum is recorded")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole benchmark run to FILE")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to FILE after the run")
@@ -308,30 +321,10 @@ func main() {
 		snap.Results = append(snap.Results,
 			measure(fmt.Sprintf("E4MPCStep/n=%d", n), m, permBatch(n, 5)))
 	}
-	for _, n := range []int{16, 64, 256} {
-		mt := core.NewMOT2D(n, core.MOTConfig{})
+	for _, c := range e5Points {
+		mt := core.NewMOT2D(c.n, c.cfg)
 		snap.Results = append(snap.Results,
-			measure(fmt.Sprintf("E5MOT2DStep/n=%d", n), mt, permBatch(n, 5)))
-	}
-	// Serial-vs-parallel router comparison at production sizes: the SAME
-	// machine measured with the serial reference router and again with the
-	// multi-core router (bit-for-bit identical simulation, wall clock
-	// only). n=1024 rides K=1.5/δ=1.8 so the 16384-side grid stays inside
-	// the 32-bit dense edge index range.
-	for _, n := range []int{256, 1024} {
-		cfg := core.MOTConfig{}
-		if n >= 1024 {
-			cfg = core.MOTConfig{K: 1.5, Delta: 1.8}
-		}
-		mt := core.NewMOT2D(n, cfg)
-		batch := permBatch(n, 5)
-		mt.SetParallelism(1)
-		serial := measure(fmt.Sprintf("E5MOT2DStepSerial/n=%d", n), mt, batch)
-		mt.SetParallelism(*parallel)
-		par := measure(fmt.Sprintf("E5MOT2DStepParallel/n=%d", n), mt, batch)
-		snap.Results = append(snap.Results, serial, par)
-		fmt.Printf("E5 n=%d parallel speedup: %.2fx (%d workers)\n",
-			n, serial.NsPerOp/par.NsPerOp, mt.Net.Parallelism())
+			measure(fmt.Sprintf("E5MOT2DStep/n=%d", c.n), mt, permBatch(c.n, 5)))
 	}
 	for _, n := range []int{16, 64} {
 		lu := core.NewLuccio(n, core.MOTConfig{})
@@ -350,7 +343,7 @@ func main() {
 		const nTotal = 1024
 		var speedup [2]float64
 		for _, K := range []int{1, 2, 4, 8} {
-			built, err := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K, Workers: *parallel}.BuildPool(K)
+			built, err := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K}.BuildPool(K)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "E12 build:", err)
 				os.Exit(1)
@@ -583,10 +576,6 @@ func main() {
 			attempts[i] = quorum.Attempt{Proc: i, Module: (i * 37) % 1024, Var: i, Copy: 0}
 		}
 		snap.Results = append(snap.Results, measureMicro("MOTNetworkPhase/side=1024", func() {
-			nw.RoutePhase(attempts)
-		}))
-		nw.SetParallelism(*parallel)
-		snap.Results = append(snap.Results, measureMicro("MOTNetworkPhaseParallel/side=1024", func() {
 			nw.RoutePhase(attempts)
 		}))
 	}

@@ -18,8 +18,7 @@
 // -engines K (pool lanes), -steps, -pattern uniform|banded|hotspot|
 // broadcast, -loads cells-per-lane, -mode, -seed (map), -wseed (workload),
 // -k (memory exponent), -gran (ε/δ), -dualrail, -twostage, -policy
-// drop|queue. Runtime-only knobs everywhere: -par (router workers),
-// -workers (pool executors).
+// drop|queue. Runtime-only knob everywhere: -workers (pool executors).
 package main
 
 import (
@@ -73,9 +72,9 @@ func usage() {
                 [-loads L] [-mode crcw|crcw-common|crcw-arbitrary|crew|erew]
                 [-seed S] [-wseed S] [-k EXP] [-gran EXP] [-dualrail]
                 [-twostage] [-policy drop|queue]
-  replay run    [-passes N] [-par P] [-workers W] FILE
-  replay verify [-par P] [-workers W] FILE
-  replay bench  [-passes N] [-par P] [-workers W] FILE
+  replay run    [-passes N] [-workers W] FILE
+  replay verify [-workers W] FILE
+  replay bench  [-passes N] [-workers W] FILE
   replay info   FILE`)
 }
 
@@ -113,7 +112,6 @@ func cmdRecord(args []string) error {
 	dualRail := fs.Bool("dualrail", false, "2DMOT row+column banks")
 	twoStage := fs.Bool("twostage", false, "faithful UW'87 two-stage schedule")
 	policy := fs.String("policy", "drop", "2DMOT edge policy: drop or queue")
-	par := fs.Int("par", 0, "router workers (wall-clock only)")
 	workers := fs.Int("workers", 0, "pool executor goroutines (wall-clock only)")
 	fs.Parse(args)
 	if *out == "" {
@@ -142,7 +140,7 @@ func cmdRecord(args []string) error {
 	spec := core.Spec{
 		Kind: kind, Lanes: *engines, Procs: *n, Mode: md, Seed: *seed,
 		KExp: *kExp, Gran: *gran, DualRail: *dualRail, Policy: pol,
-		TwoStage: *twoStage, Parallelism: *par, Workers: *workers,
+		TwoStage: *twoStage, Workers: *workers,
 	}
 	built, err := spec.Build()
 	if err != nil {
@@ -206,7 +204,6 @@ func cmdRun(args []string, verify bool) error {
 	}
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	passes := fs.Int("passes", 1, "replay passes (multi-pass is for read-only traces)")
-	par := fs.Int("par", 0, "router workers (wall-clock only)")
 	workers := fs.Int("workers", 0, "pool executor goroutines (wall-clock only)")
 	path, err := openTraceArg(fs, args)
 	if err != nil {
@@ -224,7 +221,7 @@ func cmdRun(args []string, verify bool) error {
 	}
 	defer f.Close()
 	buildStart := time.Now()
-	rp, err := replay.OpenConfigured(f, *par, *workers)
+	rp, err := replay.OpenConfigured(f, *workers)
 	if err != nil {
 		return err
 	}
@@ -279,7 +276,6 @@ func cmdRun(args []string, verify bool) error {
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	passes := fs.Int("passes", 10, "replay passes over the in-memory trace")
-	par := fs.Int("par", 0, "router workers (wall-clock only)")
 	workers := fs.Int("workers", 0, "pool executor goroutines (wall-clock only)")
 	path, err := openTraceArg(fs, args)
 	if err != nil {
@@ -291,7 +287,7 @@ func cmdBench(args []string) error {
 	}
 	rd := bytes.NewReader(data)
 	buildStart := time.Now()
-	rp, err := replay.OpenConfigured(rd, *par, *workers)
+	rp, err := replay.OpenConfigured(rd, *workers)
 	if err != nil {
 		return err
 	}

@@ -30,17 +30,16 @@ type MOTConfig struct {
 	// stage-2 module queues served at O(log n) per phase — the pipelining
 	// Luccio et al. (1990) and Theorem 3 use.
 	TwoStage bool
-	// Parallelism selects the network router's worker count: 0 consults
-	// PRAMSIM_PARALLEL (default serial), 1 forces the serial reference
-	// router, > 1 uses that many workers, < 0 uses GOMAXPROCS. Routing is
-	// bit-for-bit identical at every setting (see repro/internal/mot).
+	// Parallelism is ignored: the mesh router is one serial pass. The
+	// field remains because cmd/prambench, which changes only with the
+	// benchmark, still sets it.
 	Parallelism int
 }
 
 // spec is the single-machine Spec of a mesh constructor.
 func (c MOTConfig) spec(kind Kind, n int) Spec {
 	return Spec{Kind: kind, Lanes: 1, Procs: n, Mode: c.Mode, Seed: c.Seed, KExp: c.K, Gran: c.Delta,
-		Policy: c.Policy, DualRail: c.DualRail, TwoStage: c.TwoStage, Parallelism: c.Parallelism}
+		Policy: c.Policy, DualRail: c.DualRail, TwoStage: c.TwoStage}
 }
 
 // MOT2D is the Theorem 3 machine: a √M × √M two-dimensional mesh of trees

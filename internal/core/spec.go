@@ -88,11 +88,9 @@ type Spec struct {
 	Stage1Phases    int
 	Stage2Bandwidth int
 
-	// Parallelism (mesh router workers, see mot.Config) and Workers (pool
-	// executors, see quorum.PoolConfig) are wall-clock knobs: they never
-	// affect results and are not persisted.
-	Parallelism int
-	Workers     int
+	// Workers (pool executors, see quorum.PoolConfig) is a wall-clock
+	// knob: it never affects results and is not persisted.
+	Workers int
 }
 
 // normalize resolves defaulted fields, so a persisted spec pins them
@@ -214,12 +212,12 @@ func (s Spec) build(engines int) (b *Built, err error) {
 		} else {
 			p, side = memmap.TheoremThree(n, s.KExp, s.Gran)
 		}
-		cfg := mot.Config{Policy: s.Policy, DualRail: s.DualRail, Parallelism: s.Parallelism}
+		cfg := mot.Config{Policy: s.Policy, DualRail: s.DualRail}
 		newNet = func(int) quorum.Interconnect { return mot.NewNetwork(side, mot.ModulesAtLeaves, cfg) }
 	case KindLuccio:
 		side = xmath.CeilPow2(n)
 		p = memmap.LemmaOne(n, s.KExp)
-		cfg := mot.Config{Policy: s.Policy, Parallelism: s.Parallelism}
+		cfg := mot.Config{Policy: s.Policy}
 		newNet = func(int) quorum.Interconnect { return mot.NewNetwork(side, mot.ModulesAtRoots, cfg) }
 	}
 	var ts *quorum.TwoStageConfig

@@ -2,6 +2,7 @@ package mot
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,12 +79,91 @@ func TestQueuePolicyAlwaysGrantsAll(t *testing.T) {
 	}
 }
 
+// TestRoutePhaseOrderInvariant checks that the order of a phase's attempts
+// matters only through the (Proc, index) priority: reordering them while
+// each processor's own attempts keep their relative order permutes the
+// grants and changes neither the cycles, the load nor the Stats. The
+// ascending reorder takes the census's presorted path, as the engine's
+// phases do; the random draws and reorders take its sort. Module ids are
+// interned in attempt order, so the reorders also give the modules other
+// phase-local ids and claim keys.
+func TestRoutePhaseOrderInvariant(t *testing.T) {
+	for _, side := range sweepSides {
+		for ci, c := range sweepCases {
+			t.Run(c.name(side, ci), func(t *testing.T) {
+				base := NewNetwork(side, c.pl, c.config())
+				ascending := NewNetwork(side, c.pl, c.config())
+				shuffled := NewNetwork(side, c.pl, c.config())
+				rng := rand.New(rand.NewSource(int64(97*side + ci)))
+				for phase := 0; phase < 12; phase++ {
+					attempts := refAttempts(rng, side, c.dualRail, phaseLoad(phase%3))
+					g, cycles, load := base.RoutePhase(attempts)
+					want := slices.Clone(g)
+					for _, r := range []struct {
+						nw   *Network
+						perm []int
+					}{
+						{ascending, byProc(attempts)},
+						{shuffled, priorityShuffle(rng, attempts)},
+					} {
+						moved := make([]quorum.Attempt, len(attempts))
+						for j, i := range r.perm {
+							moved[j] = attempts[i]
+						}
+						gm, cm, lm := r.nw.RoutePhase(moved)
+						if cm != cycles || lm != load {
+							t.Fatalf("phase %d: reordered (cycles=%d load=%d) != original (cycles=%d load=%d)",
+								phase, cm, lm, cycles, load)
+						}
+						for j, i := range r.perm {
+							if gm[j] != want[i] {
+								t.Fatalf("phase %d: attempt %d moved to %d: grant %v, want %v", phase, i, j, gm[j], want[i])
+							}
+						}
+					}
+				}
+				if base.Stats() != ascending.Stats() || base.Stats() != shuffled.Stats() {
+					t.Fatalf("stats diverged:\n original  %+v\n ascending %+v\n shuffled  %+v",
+						base.Stats(), ascending.Stats(), shuffled.Stats())
+				}
+			})
+		}
+	}
+}
+
+// byProc returns the attempt indices stably sorted by processor.
+func byProc(attempts []quorum.Attempt) []int {
+	perm := make([]int, len(attempts))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(x, y int) int { return attempts[x].Proc - attempts[y].Proc })
+	return perm
+}
+
+// priorityShuffle returns a random order of the attempt indices in which
+// each processor's attempts keep their relative order: it shuffles the
+// indices, then hands the slots a processor landed on back to its
+// attempts in ascending order.
+func priorityShuffle(rng *rand.Rand, attempts []quorum.Attempt) []int {
+	perm := rng.Perm(len(attempts))
+	next := map[int][]int{} // per processor: its attempt indices, ascending
+	for i, a := range attempts {
+		next[a.Proc] = append(next[a.Proc], i)
+	}
+	for j, i := range perm {
+		p := attempts[i].Proc
+		perm[j], next[p] = next[p][0], next[p][1:]
+	}
+	return perm
+}
+
 // FuzzRoutePhase is the differential harness as a fuzz target: a fuzzed
 // byte string drives topology choice and per-phase attempt streams through
-// the retired AoS reference router (reference_test.go), a serial SoA
-// network and a parallel SoA network, which must stay bit-for-bit
-// identical (grants, cycles, loads, stats) on every input the fuzzer
-// invents. A capacity bump mid-stream exercises SetBandwidth on all three.
+// the reference router (reference_test.go) and the production network,
+// which must stay bit-for-bit identical (grants, cycles, loads, stats) on
+// every input the fuzzer invents. A capacity bump mid-stream exercises
+// SetBandwidth on both.
 func FuzzRoutePhase(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0x03, 0x41, 0x7f, 0x10, 0xee})
 	f.Add(int64(42), uint8(3), []byte{0xff, 0x00, 0xa5, 0x5a})
@@ -101,12 +181,8 @@ func FuzzRoutePhase(f *testing.F) {
 		}
 		dualRail := pl == ModulesAtLeaves && shape&16 != 0
 		cfg := Config{Policy: pol, DualRail: dualRail}
-		serCfg, parCfg := cfg, cfg
-		serCfg.Parallelism = 1
-		parCfg.Parallelism = 2 + int(shape%3)
 		ref := newRefNetwork(side, pl, cfg)
-		ser := NewNetwork(side, pl, serCfg)
-		par := NewNetwork(side, pl, parCfg)
+		nw := NewNetwork(side, pl, cfg)
 		rng := rand.New(rand.NewSource(seed))
 		banks := side
 		if dualRail {
@@ -122,20 +198,17 @@ func FuzzRoutePhase(f *testing.F) {
 			}
 			if phases == 2 {
 				ref.SetBandwidth(2)
-				ser.SetBandwidth(2)
-				par.SetBandwidth(2)
+				nw.SetBandwidth(2)
 			}
 			phases++
 			gr, cr, lr := ref.RoutePhase(attempts)
-			gs, cs, ls := ser.RoutePhase(attempts)
-			gp, cp, lp := par.RoutePhase(attempts)
-			if cr != cs || lr != ls || cs != cp || ls != lp {
-				t.Fatalf("reference (cycles=%d load=%d) != serial (%d/%d) != parallel (%d/%d)",
-					cr, lr, cs, ls, cp, lp)
+			gn, cn, ln := nw.RoutePhase(attempts)
+			if cr != cn || lr != ln {
+				t.Fatalf("reference (cycles=%d load=%d) != network (%d/%d)", cr, lr, cn, ln)
 			}
-			for i := range gs {
-				if gr[i] != gs[i] || gs[i] != gp[i] {
-					t.Fatalf("grant[%d]: reference=%v serial=%v parallel=%v", i, gr[i], gs[i], gp[i])
+			for i := range gn {
+				if gr[i] != gn[i] {
+					t.Fatalf("grant[%d]: reference=%v network=%v", i, gr[i], gn[i])
 				}
 			}
 			attempts = attempts[:0]
@@ -153,10 +226,10 @@ func FuzzRoutePhase(f *testing.F) {
 			}
 		}
 		flush()
-		if ref.Stats() != ser.Stats() || ser.Stats() != par.Stats() {
-			t.Fatalf("stats diverged:\n reference %+v\n serial    %+v\n parallel  %+v",
-				ref.Stats(), ser.Stats(), par.Stats())
+		if ref.Stats() != nw.Stats() {
+			t.Fatalf("stats diverged:\n reference %+v\n network   %+v", ref.Stats(), nw.Stats())
 		}
+		checkDropReplies(t, ref)
 	})
 }
 

@@ -224,14 +224,48 @@ func TestEmptyPhaseFree(t *testing.T) {
 	}
 }
 
+// TestProcBeyondRootsPanics: a processor id outside [0, side) or a module
+// id outside the network's banks is refused with a named panic instead of
+// indexing out of range or folding onto another bank, and the refused
+// phase leaves no census counts behind.
 func TestProcBeyondRootsPanics(t *testing.T) {
-	nw := NewNetwork(8, ModulesAtLeaves, Config{})
-	defer func() {
-		if recover() == nil {
-			t.Error("oversized proc id did not panic")
-		}
-	}()
-	nw.RoutePhase([]quorum.Attempt{{Proc: 8, Module: 0}})
+	cases := []struct {
+		name string
+		pl   Placement
+		cfg  Config
+		att  quorum.Attempt
+		want string
+	}{
+		{"proc=side", ModulesAtLeaves, Config{}, quorum.Attempt{Proc: 8, Module: 0}, "processor id"},
+		{"proc=-1", ModulesAtLeaves, Config{}, quorum.Attempt{Proc: -1, Module: 0}, "processor id"},
+		{"module=side", ModulesAtLeaves, Config{}, quorum.Attempt{Proc: 1, Module: 8}, "module id"},
+		{"module=-5", ModulesAtLeaves, Config{}, quorum.Attempt{Proc: 1, Module: -5}, "module id"},
+		{"module=2side-dual", ModulesAtLeaves, Config{DualRail: true}, quorum.Attempt{Proc: 1, Module: 16}, "module id"},
+		{"module=side-roots", ModulesAtRoots, Config{DualRail: true}, quorum.Attempt{Proc: 1, Module: 8}, "module id"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nw := NewNetwork(8, c.pl, c.cfg)
+			ok := quorum.Attempt{Proc: 2, Module: 3, Var: 5}
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, c.want) {
+						t.Errorf("panic %q does not name the %s", msg, c.want)
+					}
+				}()
+				nw.RoutePhase([]quorum.Attempt{ok, c.att})
+			}()
+			granted, cycles, _ := nw.RoutePhase([]quorum.Attempt{ok})
+			if want := int64(2*nw.Topology().servicePos() + 1); !granted[0] || cycles != want {
+				t.Errorf("after the refused phase a lone packet took %d cycles (granted %v), want %d",
+					cycles, granted[0], want)
+			}
+			if len(nw.walked) != 0 {
+				t.Error("the refused phase left its census counts behind: a lone packet was walked")
+			}
+		})
+	}
 }
 
 func TestPlacementString(t *testing.T) {

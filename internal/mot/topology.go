@@ -14,72 +14,47 @@
 // with a conflicting request"); replies and module queues use FIFO waiting,
 // which is the stage-2 pipelining of Luccio et al. (1990).
 //
+// # Census and walk
+//
+// The synchronous cycle loop the network models settles every conflict in
+// favour of the lower (Proc, attempt index): an edge claimed twice in one
+// cycle, a module past its service capacity, a queued packet that retries.
+// So a packet's whole trajectory depends only on the packets before it in
+// that order, and RoutePhase settles packets one at a time, each
+// completely, in that order, in two passes over the phase's attempts:
+//
+//   - The census counts the packets of the phase on each row tree, each
+//     column tree and each module. A path uses at most three trees: its
+//     processor's row tree, one column tree and, on the dual rail's row
+//     rail, the target row's tree.
+//   - The settle pass grants a quiet packet — alone on every tree it uses
+//     and on its module — in closed form: a tree or module with one user
+//     cannot have a conflict, so the packet moves one hop per cycle and is
+//     served on arrival (path-length hops, one service, path length + 1
+//     cycles). Every other packet is walked hop by hop from the phase's
+//     first cycle. On a shared tree each hop takes its (edge, cycle) pair
+//     and loses if a packet settled earlier holds it; the edge id follows
+//     from (tree, level, coordinate), so no path is stored. At a shared
+//     module the packet takes a (module, cycle) service against
+//     ModuleCapacity and waits while the module is full; each waiting
+//     cycle adds one to that cycle's backlog, and MaxQueue is the largest
+//     backlog. A request-leg loser is refused under DropOnCollision and
+//     waits under QueueOnCollision; a reply-leg loser always waits.
+//
+// The claims live in one open-addressed table per phase, sized from the
+// census (the walked packets' hops on shared trees plus their services).
+// A slot stamped with a cycle at or before the phase's start is free, so
+// the table is never cleared. At production sizes most packets are quiet
+// (about 94% at n=1024 on a 16384-side grid), so the walk is the rare
+// case.
+//
 // # Zero-allocation invariant
 //
-// Network.RoutePhase performs zero heap allocations in steady state:
-// packet state lives in reusable structure-of-arrays lanes (see below),
-// paths are dense edge indices (see denseEdgeID) written into a reusable
-// arena, edge contention is a cycle-stamped claim-set that never needs
-// clearing (the global cycle counter never repeats), module counters are
-// phase-interned, and each cycle walks a compacted active-packet list.
-// testing.AllocsPerRun tests lock the invariant; golden-trace tests pin
-// grants, cycle counts and Stats bit-for-bit to the pre-arena reference
-// implementation.
-//
-// # SoA layout & claim resolution
-//
-// Packet state is STRUCTURE-OF-ARRAYS: instead of a []packet
-// array-of-structs, the router keeps four parallel dense int32 lanes
-// indexed by packet id (== attempt index) —
-//
-//	pktCur  absolute index of the packet's next edge in the path arena
-//	pktEnd  absolute end-of-path offset (reaching it is the grant)
-//	pktSrv  absolute module-service offset, −1 once served (the flag and
-//	        the position share a lane: a packet is "not yet served" iff
-//	        pktSrv ≥ 0, and "at its service point" iff pktCur == pktSrv)
-//	pktMod  phase-local module id for service accounting
-//
-// plus cold side-tables (pktPrio for the sort path, pktTrees for the
-// parallel partition) that the cycle loop never touches. The compacted
-// active list holds indices into these lanes in ascending order, so a
-// cycle's sweep reads each lane sequentially — cache-linear, 16 hot bytes
-// per packet instead of a 32-byte struct.
-//
-// Edge-claim resolution is branch-free on the hot path. The claim-set is
-// open-addressed and cycle-stamped; the first probe exploits an
-// idempotent-store trick: a slot stamped with an older cycle is free
-// (claim it — store cycle and key), and a same-cycle slot holding the
-// SAME key is a collision for which re-storing (cycle, key) is a no-op —
-// so both outcomes share one unconditional store and the verdict
-// `ok = slot.cycle != cycle` is a flag, not a branch. Only a same-cycle
-// slot holding a different key (< 25% of claims at the table's 4-slots-
-// per-packet sizing) falls into the claimEdgeProbe continuation. The
-// verdict then drives the whole per-packet update as conditional moves:
-// the cursor advances by b2i(ok), the grant flag is the pure predicate
-// `cur == pktEnd`, a drop-policy refusal is the predicate
-// `!ok && unserved`, and the survivor is compacted onto the active list
-// by bumping the write cursor with b2i(keep). The only branch left in
-// the loop body is the once-per-packet module-service point.
-//
-// # Tree-partition invariant (multi-core routing)
-//
-// The 4a trees of the 2DMOT are edge-disjoint, and a packet interacts with
-// other packets through exactly two mechanisms: edge contention (possible
-// only between packets whose paths share a tree) and module service
-// capacity (possible only between packets addressing the same module
-// leaf). A request path traverses at most three trees — row tree of the
-// issuing processor, column tree of the bank, and (on the dual-rail row
-// rail) the row tree of the target row — all known at injection time.
-// Partitioning a phase's packets into connected components of the
-// "shares a tree or a module" relation therefore yields groups with
-// disjoint edge sets, disjoint module counters and disjoint result slots,
-// and the synchronous cycle loop factorizes exactly: advancing each
-// component independently and merging — counter sums, makespan max, and
-// per-cycle module backlogs summed by cycle offset (all components start
-// at the same global cycle) — reproduces the serial router bit for bit.
-// Config.Parallelism > 1 exploits this on a bounded worker pool (see
-// parallel.go); the differential tests, FuzzRoutePhase and the golden
-// traces under PRAMSIM_PARALLEL pin the equivalence.
+// Network.RoutePhase performs zero heap allocations in steady state: the
+// census tables, the settle order and the claim table are reused and only
+// grow. testing.AllocsPerRun tests lock the invariant; the golden traces
+// and the reference router in reference_test.go — the cycle loop in its
+// plainest form — pin grants, cycle counts, loads and Stats bit for bit.
 package mot
 
 import (
@@ -130,8 +105,9 @@ func edgeID(kind, dir, tree, childLevel, childPos int) uint64 {
 // Directed tree edges also have a DENSE index: within one tree the edge to
 // the child at (level, pos) gets offset 2^level − 2 + pos ∈ [0, 2a−2), and
 // the (kind, dir, tree) triple selects one of 4a trees, giving the compact
-// range [0, 4a·(2a−2)). The router's cycle-stamped tables are keyed by
-// these indices instead of map lookups on the packed uint64 ids.
+// range [0, 4a·(2a−2)). The router's claim table is keyed by these
+// indices; two edges get equal dense indices iff their packed ids are
+// equal (TestDensePathMatchesEdgeIDs locks this).
 
 // EdgesPerTree returns the directed-edge count of one tree: 2a−2.
 func (t Topology) EdgesPerTree() int { return 2*t.Side - 2 }
@@ -139,67 +115,11 @@ func (t Topology) EdgesPerTree() int { return 2*t.Side - 2 }
 // DenseEdgeSpace returns the size of the dense directed-edge index range.
 func (t Topology) DenseEdgeSpace() int { return 4 * t.Side * t.EdgesPerTree() }
 
-// denseEdgeID maps a directed tree edge to its dense index. It is the
-// arithmetic counterpart of edgeID: two edges get equal dense indices iff
-// their packed ids are equal (TestDensePathMatchesEdgeIDs locks this).
-func (t Topology) denseEdgeID(kind, dir, tree, childLevel, childPos int) int32 {
-	ept := t.EdgesPerTree()
-	return int32(((kind<<1|dir)*t.Side+tree)*ept + (1 << childLevel) - 2 + childPos)
-}
-
-// appendRequestPathDense appends requestPath's edges as dense indices.
-func (t Topology) appendRequestPathDense(dst []int32, proc, row, col int) []int32 {
-	d := t.Depth
-	for l := 1; l <= d; l++ {
-		dst = append(dst, t.denseEdgeID(kindRow, dirDown, proc, l, col>>(d-l)))
-	}
-	for l := d; l >= 1; l-- {
-		dst = append(dst, t.denseEdgeID(kindCol, dirUp, col, l, proc>>(d-l)))
-	}
-	if t.Placement == ModulesAtLeaves {
-		for l := 1; l <= d; l++ {
-			dst = append(dst, t.denseEdgeID(kindCol, dirDown, col, l, row>>(d-l)))
-		}
-	}
-	// --- service point: len so far ---
-	if t.Placement == ModulesAtLeaves {
-		for l := d; l >= 1; l-- {
-			dst = append(dst, t.denseEdgeID(kindCol, dirUp, col, l, row>>(d-l)))
-		}
-	}
-	for l := 1; l <= d; l++ {
-		dst = append(dst, t.denseEdgeID(kindCol, dirDown, col, l, proc>>(d-l)))
-	}
-	for l := d; l >= 1; l-- {
-		dst = append(dst, t.denseEdgeID(kindRow, dirUp, proc, l, col>>(d-l)))
-	}
-	return dst
-}
-
-// appendRequestPathRowRailDense appends requestPathRowRail's edges as dense
-// indices.
-func (t Topology) appendRequestPathRowRailDense(dst []int32, proc, row, col int) []int32 {
-	d := t.Depth
-	for l := 1; l <= d; l++ {
-		dst = append(dst, t.denseEdgeID(kindRow, dirDown, proc, l, row>>(d-l)))
-	}
-	for l := d; l >= 1; l-- {
-		dst = append(dst, t.denseEdgeID(kindCol, dirUp, row, l, proc>>(d-l)))
-	}
-	for l := 1; l <= d; l++ {
-		dst = append(dst, t.denseEdgeID(kindRow, dirDown, row, l, col>>(d-l)))
-	}
-	// --- service at leaf (row, col) ---
-	for l := d; l >= 1; l-- {
-		dst = append(dst, t.denseEdgeID(kindRow, dirUp, row, l, col>>(d-l)))
-	}
-	for l := 1; l <= d; l++ {
-		dst = append(dst, t.denseEdgeID(kindCol, dirDown, row, l, proc>>(d-l)))
-	}
-	for l := d; l >= 1; l-- {
-		dst = append(dst, t.denseEdgeID(kindRow, dirUp, proc, l, row>>(d-l)))
-	}
-	return dst
+// treeEdges returns the dense index of directed tree (kind, dir, tree)'s
+// first edge: its edge to the child at (level, pos) is that plus
+// 2^level − 2 + pos.
+func (t Topology) treeEdges(kind, dir, tree int) int32 {
+	return int32(((kind<<1|dir)*t.Side + tree) * t.EdgesPerTree())
 }
 
 // Topology captures the static shape of an a×a 2DMOT.
@@ -209,16 +129,16 @@ type Topology struct {
 	Placement Placement
 }
 
-// MaxSide is the largest supported grid side: the router keys its
-// claim-sets and path arenas by int32 dense edge indices, so the dense
-// directed-edge space 4a·(2a−2) = 8a²−8a must fit int32. Side 16384 yields
-// 2,147,352,576 < 2³¹−1 edges; the next power of two overflows.
+// MaxSide is the largest supported grid side: the router keys its claim
+// table by int32 dense edge indices, so the dense directed-edge space
+// 4a·(2a−2) = 8a²−8a must fit int32. Side 16384 yields 2,147,352,576 <
+// 2³¹−1 edges; the next power of two overflows.
 const MaxSide = 16384
 
 // NewTopology validates and returns an a×a 2DMOT shape. It panics when
 // side is not a power of two or breaches the int32 dense-edge ceiling
-// (side > MaxSide) — the router's claim-sets and path arenas are keyed by
-// int32 dense edge indices, and a silent wraparound would corrupt routing.
+// (side > MaxSide) — the router's claim table is keyed by int32 dense edge
+// indices, and a silent wraparound would corrupt routing.
 func NewTopology(side int, pl Placement) Topology {
 	if !xmath.IsPow2(side) {
 		panic(fmt.Sprintf("mot: side %d must be a power of two", side))

@@ -104,30 +104,6 @@ func NewMachine(name string, n int, mode model.Mode, store *Store, net Interconn
 // Engine exposes the underlying engine (for tuning MaxPhases in tests).
 func (m *Machine) Engine() *Engine { return m.eng }
 
-// ParallelismSetter is implemented by interconnects whose phase routing
-// can spread across OS cores (the 2DMOT packet network advances disjoint
-// tree-connectivity components on a worker pool). Implementations must
-// keep grants, times and loads bit-for-bit identical to their serial
-// routing — the knob trades wall-clock only, never determinism.
-type ParallelismSetter interface {
-	// SetParallelism selects the worker count: 1 forces serial routing,
-	// > 1 uses that many workers, < 0 all of GOMAXPROCS, and 0 the
-	// implementation default.
-	SetParallelism(workers int)
-}
-
-// SetParallelism forwards the multi-core routing knob to the machine's
-// interconnect and reports whether it supports one. Interconnects that are
-// already cheap per phase (the ideal complete bipartite graph) ignore the
-// knob and keep their single-threaded routing.
-func (m *Machine) SetParallelism(workers int) bool {
-	ps, ok := m.eng.net.(ParallelismSetter)
-	if ok {
-		ps.SetParallelism(workers)
-	}
-	return ok
-}
-
 // SetTwoStage switches the machine to the two-stage schedule (nil reverts
 // to the plain round-robin loop).
 func (m *Machine) SetTwoStage(cfg *TwoStageConfig) { m.twoStage = cfg }

@@ -6,23 +6,20 @@
 // "Shard-ownership invariant"). Each step the Pool partitions the shard
 // batches into MODULE-CONNECTIVITY COMPONENTS: the finest grouping in
 // which two batches that touch any common module (any module holding a
-// copy of a variable either batch accesses) land in the same group. The
-// union-find mirrors the 2DMOT router's tree-connectivity components one
-// level up the stack: what trees are to a phase's packets, modules are to
-// a step's batches. Components share no store segments and no module
-// clocks, so they execute fully in parallel; batches inside a component
-// are executed serially in ascending shard order by a single worker — the
+// copy of a variable either batch accesses) land in the same group.
+// Components share no store segments and no module clocks, so they
+// execute fully in parallel; batches inside a component are executed
+// serially in ascending shard order by a single worker — the
 // deterministic merge that resolves module contention without a lock. The
 // result is bit-for-bit identical to executing every shard serially in
-// index order (pool differential tests), so the Engines knob, like the
-// router's Parallelism knob, trades wall-clock only.
+// index order (pool differential tests), so the Engines knob trades
+// wall-clock only.
 //
-// The worker pool is bounded and persistent, patterned on the router's:
-// the caller participates as worker 0, background workers park on a token
-// channel between steps and pull components off an atomic cursor, and a
-// runtime cleanup retires the goroutines when the Pool becomes
-// unreachable. Steady-state ExecuteSteps performs zero heap allocations
-// (TestPoolExecuteStepsZeroAllocs).
+// The worker pool is bounded and persistent: the caller participates as
+// worker 0, background workers park on a token channel between steps and
+// pull components off an atomic cursor, and a runtime cleanup retires the
+// goroutines when the Pool becomes unreachable. Steady-state ExecuteSteps
+// performs zero heap allocations (TestPoolExecuteStepsZeroAllocs).
 package quorum
 
 import (
@@ -193,8 +190,7 @@ func ResolveEngines(k int) int {
 // engine count, or "on"/"true"/"max" for GOMAXPROCS; unset, empty, "off",
 // "false" or "0" select a single engine. Any other value panics: a
 // malformed knob silently collapsing to one engine would let CI
-// pool-equivalence runs test nothing (the same contract as
-// PRAMSIM_PARALLEL).
+// pool-equivalence runs test nothing.
 func envEngines() int {
 	switch v := os.Getenv("PRAMSIM_ENGINES"); v {
 	case "", "off", "false", "0":

@@ -212,8 +212,7 @@ func TestDifferentialPoolMOT(t *testing.T) {
 // TestDifferentialPoolEnvEngines builds the pool with Engines: 0 so the
 // shard count resolves from PRAMSIM_ENGINES — under the CI race job
 // (PRAMSIM_ENGINES=4) this doubles as the pool-equivalence check for the
-// env-configured engine count, with the router's own PRAMSIM_PARALLEL
-// workers running inside each shard.
+// env-configured engine count.
 func TestDifferentialPoolEnvEngines(t *testing.T) {
 	K := quorum.ResolveEngines(0)
 	const nPer = 16

@@ -63,12 +63,11 @@
 //
 // The Pool enforces the ownership rule: each step it partitions the shard
 // batches into module-connectivity components (union-find over touched
-// modules, mirroring the 2DMOT router's tree-connectivity components) and
-// hands each component to exactly one worker goroutine, which executes the
-// component's batches serially in ascending shard order. A goroutine may
-// touch a module's segment and clock only while executing the component
-// that owns that module this step; between steps the pool's barrier
-// publishes every write. Batches that contend on a module are thereby
+// modules) and hands each component to exactly one worker goroutine,
+// which executes the component's batches serially in ascending shard
+// order. A goroutine may touch a module's segment and clock only while
+// executing the component that owns that module this step; between steps
+// the pool's barrier publishes every write. Batches that contend on a module are thereby
 // MERGED into one serial component — that deterministic merge, not a lock,
 // is how contention is resolved, so the result is bit-for-bit identical to
 // running every shard serially in index order (pool differential tests).

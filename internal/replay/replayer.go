@@ -391,19 +391,17 @@ type Replayer struct {
 
 // Open reads a trace's header from src and builds its machines. The
 // returned Replayer is positioned at the first post-header frame.
-func Open(src io.Reader) (*Replayer, error) { return OpenConfigured(src, 0, 0) }
+func Open(src io.Reader) (*Replayer, error) { return OpenConfigured(src, 0) }
 
-// OpenConfigured is Open with the runtime wall-clock knobs set: par is the
-// interconnect router's worker count, workers the pool's executor count
-// (both 0 for the defaults). Neither affects replayed results — bit-for-bit
-// determinism is the router's and pool's contract.
-func OpenConfigured(src io.Reader, par, workers int) (*Replayer, error) {
+// OpenConfigured is Open with the pool's executor count set (0 for the
+// default). It does not affect replayed results — bit-for-bit determinism
+// is the pool's contract.
+func OpenConfigured(src io.Reader, workers int) (*Replayer, error) {
 	r, err := NewReader(src)
 	if err != nil {
 		return nil, err
 	}
 	spec := r.Spec()
-	spec.Parallelism = par
 	spec.Workers = workers
 	built, err := spec.Build()
 	if err != nil {

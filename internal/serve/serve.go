@@ -145,7 +145,7 @@ const (
 	// MOT2D gives every shard its OWN √M × √M two-dimensional mesh of
 	// trees with modules at the leaves (the paper's Theorem 3 machine,
 	// core.KindMOT2D): phase costs become real routed cycle counts, and
-	// the SoA router core carries the serving lane. The Lemma 2 (KExp, ε)
+	// the mesh router carries the serving lane. The Lemma 2 (KExp, ε)
 	// point is replaced by a Theorem 3 (KExp, Gran) point sized at
 	// nMax·Bands total processors.
 	MOT2D

@@ -78,9 +78,9 @@ func TestServeDeterministicMOT2D(t *testing.T) {
 }
 
 // TestServeMOT2DRoundZeroAllocs extends the serving lane's steady-state
-// zero-allocation invariant to mesh-backed shards: the SoA router's arenas
-// compose with the pool and the admission path without per-round heap
-// traffic.
+// zero-allocation invariant to mesh-backed shards: the mesh router's
+// reusable tables compose with the pool and the admission path without
+// per-round heap traffic.
 func TestServeMOT2DRoundZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")

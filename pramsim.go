@@ -32,11 +32,10 @@
 //	})
 //	fmt.Println(rep.SimTime, "network cycles")
 //
-// The mesh-of-trees machines route packets on multiple OS cores when
-// MOTConfig.Parallelism > 1 (or PRAMSIM_PARALLEL is set): phases are
-// partitioned into tree-connectivity components and advanced on a worker
-// pool, bit-for-bit identical to the serial router — simulated time,
-// grants and statistics never depend on the setting.
+// The mesh-of-trees machines route each phase in one serial pass that
+// grants a packet alone on its trees and module in closed form and walks
+// only the rest hop by hop (see repro/internal/mot); MOTConfig.Parallelism
+// is ignored.
 package pramsim
 
 import (
