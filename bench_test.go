@@ -1,11 +1,15 @@
-// Benchmarks, one family per experiment in DESIGN.md §4 / EXPERIMENTS.md,
-// plus micro-benchmarks of the substrates. Run:
+// Benchmarks, one family per experiment of `go run ./cmd/experiments`,
+// plus micro-benchmarks of the substrates. This file is the repo's only
+// benchmark fixture table: `go run ./cmd/bench` records it into a
+// BENCH_<date>.json snapshot. Run it directly with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
 // The E-family benchmarks measure SIMULATOR throughput (wall time per
 // simulated P-RAM step); the simulated-time results themselves are
-// regenerated by `go run ./cmd/experiments`.
+// regenerated by `go run ./cmd/experiments`. Step benchmarks also report
+// the simulated costs of one step as the metrics sim-time, sim-phases,
+// sim-cycles and sim-copies, which snapshots record.
 package pramsim_test
 
 import (
@@ -42,6 +46,97 @@ func permBatch(n int, seed int64) model.Batch {
 		batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: perm[i]}
 	}
 	return batch
+}
+
+// benchOp times op after one untimed call, which grows the arenas op
+// reuses so that the loop measures the steady state: 0 allocs/op on every
+// zero-alloc hot path, at any b.N. It then reports that call's simulated
+// costs.
+func benchOp(b *testing.B, op func() model.StepReport) {
+	rep := op()
+	if rep.Err != nil {
+		b.Fatal(rep.Err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := op(); r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+	reportSim(b, rep)
+}
+
+// reportSim reports a step's nonzero simulated costs. It must run after
+// the timed loop: b.ResetTimer drops metrics reported before it.
+func reportSim(b *testing.B, rep model.StepReport) {
+	for _, m := range []struct {
+		v    int64
+		unit string
+	}{
+		{rep.Time, "sim-time"},
+		{int64(rep.Phases), "sim-phases"},
+		{rep.NetworkCycles, "sim-cycles"},
+		{rep.CopyAccesses, "sim-copies"},
+	} {
+		if m.v != 0 {
+			b.ReportMetric(float64(m.v), m.unit)
+		}
+	}
+}
+
+// benchStep times one backend step on batch.
+func benchStep(b *testing.B, back model.Backend, batch model.Batch) {
+	benchOp(b, func() model.StepReport { return back.ExecuteStep(batch) })
+}
+
+// benchWriteBatch times one quorum engine batch in which each of n
+// processors writes its own variable.
+func benchWriteBatch(b *testing.B, eng *quorum.Engine, n int) {
+	reqs := make([]quorum.Request, n)
+	for i := range reqs {
+		reqs[i] = quorum.Request{Proc: i, Var: i, Write: true, Value: 1}
+	}
+	benchOp(b, func() model.StepReport {
+		if eng.ExecuteBatch(reqs).Stalled {
+			b.Fatal("stalled")
+		}
+		return model.StepReport{}
+	})
+}
+
+// benchServe times one serving round over a closed-loop banded mix of
+// uniform tenants with procs processors each, one band per tenant; cfg
+// sets the rest of the deployment. A round must schedule min(tenants,
+// cfg.Engines) tenant steps. Uniform draws vary the batch shapes, so 16
+// untimed rounds grow the arenas; the steady state must stay at 0
+// allocs/op. It returns the server for checks after the loop.
+func benchServe(b *testing.B, cfg serve.Config, tenants, procs int) *serve.Server {
+	cfg.Bands, cfg.Seed = tenants, 7
+	for i := 0; i < tenants; i++ {
+		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
+			Name: fmt.Sprintf("g%d", i), Band: i, Procs: procs,
+			Arrival: serve.Arrival{Window: 2},
+			Source:  serve.NewPatternSource(replay.Uniform, procs, 0, int64(100+i)),
+		})
+	}
+	s, err := serve.NewServer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	want := min(tenants, cfg.Engines)
+	for i := 0; i < 16; i++ {
+		s.Round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.Round() != want {
+			b.Fatal("serving round under-scheduled")
+		}
+	}
+	return s
 }
 
 // --- E1: Theorem 1 lower bound -----------------------------------------
@@ -82,16 +177,7 @@ func BenchmarkE2ExpansionAudit(b *testing.B) {
 func BenchmarkE3DMMPCStep(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			dm := core.NewDMMPC(n, core.Config{})
-			batch := permBatch(n, 5)
-			b.ReportAllocs() // steady state must stay at 0 allocs/op
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := dm.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
+			benchStep(b, core.NewDMMPC(n, core.Config{}), permBatch(n, 5))
 		})
 	}
 }
@@ -111,7 +197,7 @@ func BenchmarkE3DMMPCStepHotspot(b *testing.B) {
 			for i := range batches {
 				batches[i] = slices.Clone(gen.Step(i)[0])
 			}
-			for _, batch := range batches[:8] { // grow the arenas
+			for _, batch := range batches { // grow the arenas to every batch's shape
 				dm.ExecuteStep(batch)
 			}
 			b.ReportAllocs() // steady state must stay at 0 allocs/op
@@ -130,15 +216,7 @@ func BenchmarkE3DMMPCStepHotspot(b *testing.B) {
 func BenchmarkE4MPCStep(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m := mpc.New(n, mpc.Config{})
-			batch := permBatch(n, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := m.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
+			benchStep(b, mpc.New(n, mpc.Config{}), permBatch(n, 5))
 		})
 	}
 }
@@ -161,17 +239,7 @@ func BenchmarkE5MOT2DStep(b *testing.B) {
 		{4096, core.MOTConfig{K: 1.5, Delta: 1.333}},
 	} {
 		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
-			mt := core.NewMOT2D(c.n, c.cfg)
-			batch := permBatch(c.n, 5)
-			mt.ExecuteStep(batch) // grow the arenas: the loop measures the steady state
-			b.ReportAllocs()      // steady state must stay at 0 allocs/op
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := mt.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
+			benchStep(b, core.NewMOT2D(c.n, c.cfg), permBatch(c.n, 5))
 		})
 	}
 }
@@ -179,115 +247,146 @@ func BenchmarkE5MOT2DStep(b *testing.B) {
 func BenchmarkE5LuccioStep(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			lu := core.NewLuccio(n, core.MOTConfig{})
-			batch := permBatch(n, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := lu.ExecuteStep(batch)
-				if rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
+			benchStep(b, core.NewLuccio(n, core.MOTConfig{}), permBatch(n, 5))
 		})
 	}
 }
 
 // --- E12: multi-engine pool serving K programs concurrently ---------------
 
-// BenchmarkE12PoolStep: the same aggregate workload (nTotal processors,
-// one band-local permutation read each) served as K independent programs
-// by K concurrent engines over one banded, module-sharded memory image.
-// Execution is bit-for-bit identical at every K (pool differential tests);
-// the sweep isolates serving throughput. cmd/bench runs the production
-// n=1024 family; here a lighter point guards the path (and its
-// zero-alloc steady state) in the CI bench smoke.
+// benchBandPool times one round of the E12 pool — K concurrent shard
+// steps plus the deterministic report merge. The pool serves a Lemma 2
+// image for 1024 processors as K band-local programs of 1024/K processors
+// on K engines, with workers executor goroutines (0 for the default).
+// Each shard reads a permutation of its own variable band, which the
+// banded map turns into K disjoint module components; one generator draws
+// every shard's permutation, in shard order.
+func benchBandPool(b *testing.B, K, workers int) {
+	const nTotal = 1024
+	built, err := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K, Workers: workers}.BuildPool(K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dp := built.Pool
+	b.Cleanup(dp.Close)
+	n, mem := dp.ShardProcs(), dp.Store().Map().Vars()
+	rng := rand.New(rand.NewSource(5))
+	batches := make([]model.Batch, K)
+	for sh := range batches {
+		lo, _ := memmap.BandRange(sh, mem, K)
+		perm := rng.Perm(n)
+		batch := model.NewBatch(n)
+		for i := 0; i < n; i++ {
+			batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: lo + perm[i]}
+		}
+		batches[sh] = batch
+	}
+	benchOp(b, func() model.StepReport {
+		agg, _ := dp.ExecuteSteps(batches)
+		return agg
+	})
+}
+
+// BenchmarkE12PoolStep: the same aggregate workload (1024 processors, one
+// band-local permutation read each) served as K independent programs by
+// K concurrent engines over one banded, module-sharded memory image.
+// Execution is bit-for-bit identical at every K (pool differential tests),
+// so the sweep isolates serving throughput.
 func BenchmarkE12PoolStep(b *testing.B) {
-	const nTotal = 256
-	for _, K := range []int{1, 4} {
-		b.Run(fmt.Sprintf("n=%d/K=%d", nTotal, K), func(b *testing.B) {
-			built, err := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K}.BuildPool(K)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dp := built.Pool
-			mem := dp.Store().Map().Vars()
-			batches := make([]model.Batch, K)
-			for sh := range batches {
-				lo, _ := memmap.BandRange(sh, mem, K)
-				n := dp.ShardProcs()
-				perm := rand.New(rand.NewSource(int64(sh) + 5)).Perm(n)
-				batch := model.NewBatch(n)
-				for i := 0; i < n; i++ {
-					batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: lo + perm[i]}
-				}
-				batches[sh] = batch
-			}
-			b.ReportAllocs() // steady state must stay at 0 allocs/op
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if agg, _ := dp.ExecuteSteps(batches); agg.Err != nil {
-					b.Fatal(agg.Err)
-				}
-			}
+	for _, K := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("n=1024/K=%d", K), func(b *testing.B) {
+			benchBandPool(b, K, 0)
 		})
 	}
 }
 
+// BenchmarkE12PoolStepSerial is the K=4 point with the executor forced
+// onto the caller goroutine.
+func BenchmarkE12PoolStepSerial(b *testing.B) {
+	b.Run("n=1024/K=4", func(b *testing.B) {
+		benchBandPool(b, 4, 1)
+	})
+}
+
 // --- E13: trace replay straight into the engine ---------------------------
 
+// e13Points are the E13 machines: the E5 production shapes in
+// CRCW-Priority mode, each recorded for a few steps of a permutation read.
+var e13Points = []struct {
+	n     int
+	delta float64
+	steps int
+}{{1024, 1.8, 4}, {4096, 1.333, 3}}
+
+// buildE13 builds the E13 machine for n processors at grid exponent delta.
+func buildE13(b *testing.B, n int, delta float64) *core.Built {
+	built, err := core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: n,
+		Mode: model.CRCWPriority, KExp: 1.5, Gran: delta}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return built
+}
+
+// BenchmarkE13LiveStep: the E13 machine's full ExecuteStep front end, the
+// live counterpart of E13ReplayStep.
+func BenchmarkE13LiveStep(b *testing.B) {
+	for _, c := range e13Points {
+		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
+			benchStep(b, buildE13(b, c.n, c.delta).Machine, permBatch(c.n, 5))
+		})
+	}
+}
+
 // BenchmarkE13ReplayStep: one replayed step — trace-frame decode plus
-// ExecuteDedupStep, rewinding the in-memory trace at end of file — on an
-// E5-shape machine. cmd/bench runs the production n ∈ {1024, 4096} family
-// with the live-step comparison; this lighter point guards the replay read
-// path (and its zero-alloc steady state) in the CI bench smoke.
+// ExecuteDedupStep, rewinding the in-memory trace at end of file — of a
+// short recording on the E13 machine. Replay pays machine construction
+// once per trace file instead of once per sweep point.
 func BenchmarkE13ReplayStep(b *testing.B) {
-	const n, steps = 256, 4
-	cfg := core.Spec{Kind: core.KindMOT2D, Lanes: 1, Procs: n, Mode: model.CRCWPriority}
-	built, err := cfg.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	rec, err := replay.NewRecorder(&buf, built)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := permBatch(n, 5)
-	for s := 0; s < steps; s++ {
-		if rep := built.Machine.ExecuteStep(batch); rep.Err != nil {
-			b.Fatal(rep.Err)
-		}
-	}
-	if err := rec.Close(); err != nil {
-		b.Fatal(err)
-	}
-	rd := bytes.NewReader(buf.Bytes())
-	rp, err := replay.Open(rd)
-	if err != nil {
-		b.Fatal(err)
-	}
-	step := func() {
-		for {
-			executed, err := rp.Step()
+	for _, c := range e13Points {
+		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
+			built := buildE13(b, c.n, c.delta)
+			var buf bytes.Buffer
+			rec, err := replay.NewRecorder(&buf, built)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if executed {
-				return
+			batch := permBatch(c.n, 5)
+			for s := 0; s < c.steps; s++ {
+				if rep := built.Machine.ExecuteStep(batch); rep.Err != nil {
+					b.Fatal(rep.Err)
+				}
 			}
-			rd.Seek(0, io.SeekStart)
-			if err := rp.Reset(rd); err != nil {
+			if err := rec.Close(); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-	for i := 0; i < steps+1; i++ { // warm arenas across a rewind
-		step()
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+			rd := bytes.NewReader(buf.Bytes())
+			rp, err := replay.Open(rd)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var last model.StepReport
+			rp.OnRound = func(agg model.StepReport, _ []model.StepReport) { last = agg }
+			step := func() model.StepReport {
+				for {
+					executed, err := rp.Step()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if executed {
+						return last
+					}
+					rd.Seek(0, io.SeekStart)
+					if err := rp.Reset(rd); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			for s := 0; s < c.steps; s++ { // with benchOp's untimed step, warm across a rewind
+				step()
+			}
+			benchOp(b, step)
+		})
 	}
 }
 
@@ -295,100 +394,47 @@ func BenchmarkE13ReplayStep(b *testing.B) {
 
 // BenchmarkE14ServeStep: one steady-state serving round of the
 // internal/serve front end — admission, band-aware scheduling, generator
-// fill, pool round, accounting — on a small closed-loop banded mix.
-// cmd/bench runs the production T=8/K-sweep family; this point guards the
-// serving hot path (and its zero-alloc steady state) in the CI bench
-// smoke.
+// fill, pool round, accounting — on a closed-loop banded mix of T tenants
+// over K = T engines.
 func BenchmarkE14ServeStep(b *testing.B) {
-	const tenants, procs = 2, 32
-	cfg := serve.Config{Bands: tenants, Engines: tenants, Seed: 7}
-	for i := 0; i < tenants; i++ {
-		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
-			Name: fmt.Sprintf("g%d", i), Band: i, Procs: procs,
-			Arrival: serve.Arrival{Window: 2},
-			Source:  serve.NewPatternSource(replay.Uniform, procs, 0, int64(100+i)),
+	for _, c := range []struct{ tenants, procs int }{{2, 32}, {4, 64}} {
+		b.Run(fmt.Sprintf("T=%d/K=%d", c.tenants, c.tenants), func(b *testing.B) {
+			benchServe(b, serve.Config{Engines: c.tenants}, c.tenants, c.procs)
 		})
-	}
-	s, err := serve.NewServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 16; i++ { // warm the arenas (uniform draws vary batch shape)
-		s.Round()
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.Round() != tenants {
-			b.Fatal("serving round under-scheduled")
-		}
 	}
 }
 
-// BenchmarkE14ServeStepMOT2D: the same steady-state serving round with
-// per-shard 2DMOT meshes behind the pool (2 × 64 procs → a 512-side grid
-// per engine) — guards the mesh-backed serving hot path and its zero-alloc
-// steady state in the CI bench smoke.
+// BenchmarkE14ServeStepMOT2D: the T=2/K=2 round with per-shard 2DMOT
+// meshes behind the pool (2 × 64 procs → a 512-side grid per engine).
 func BenchmarkE14ServeStepMOT2D(b *testing.B) {
-	const tenants, procs = 2, 64
-	cfg := serve.Config{Bands: tenants, Engines: tenants, Seed: 7, Interconnect: serve.MOT2D}
-	for i := 0; i < tenants; i++ {
-		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
-			Name: fmt.Sprintf("g%d", i), Band: i, Procs: procs,
-			Arrival: serve.Arrival{Window: 2},
-			Source:  serve.NewPatternSource(replay.Uniform, procs, 0, int64(100+i)),
-		})
-	}
-	s, err := serve.NewServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 16; i++ { // warm the arenas (uniform draws vary batch shape)
-		s.Round()
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.Round() != tenants {
-			b.Fatal("serving round under-scheduled")
-		}
-	}
+	b.Run("T=2/K=2", func(b *testing.B) {
+		benchServe(b, serve.Config{Engines: 2, Interconnect: serve.MOT2D}, 2, 64)
+	})
 }
 
-// BenchmarkE14ServeStepSpans: the same steady-state serving round with a
-// deliberately tiny event ring (depth 64), so every round overwrites —
-// proving event recording rides the hot path at 0 allocs/op on the
-// overwrite path too.
+// BenchmarkE14ServeStepSpans: the T=2/K=2 round with a deliberately tiny
+// event ring (depth 64), so every round overwrites — proving event
+// recording rides the hot path at 0 allocs/op on the overwrite path too.
 func BenchmarkE14ServeStepSpans(b *testing.B) {
-	const tenants, procs = 2, 32
-	cfg := serve.Config{Bands: tenants, Engines: tenants, Seed: 7, EventDepth: 64}
-	for i := 0; i < tenants; i++ {
-		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
-			Name: fmt.Sprintf("g%d", i), Band: i, Procs: procs,
-			Arrival: serve.Arrival{Window: 2},
-			Source:  serve.NewPatternSource(replay.Uniform, procs, 0, int64(100+i)),
-		})
-	}
-	s, err := serve.NewServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 16; i++ { // warm the arenas (uniform draws vary batch shape)
-		s.Round()
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.Round() != tenants {
-			b.Fatal("serving round under-scheduled")
+	b.Run("T=2/K=2", func(b *testing.B) {
+		s := benchServe(b, serve.Config{Engines: 2, EventDepth: 64}, 2, 32)
+		if s.Events().Dropped() == 0 {
+			b.Fatal("event ring never wrapped — depth 64 no longer exercises the overwrite path")
 		}
-	}
-	b.StopTimer()
-	if s.Events().Dropped() == 0 {
-		b.Fatal("event ring never wrapped — depth 64 no longer exercises the overwrite path")
+	})
+}
+
+// BenchmarkE14ServeThroughput sweeps one 8-tenant closed-loop mix (8 × 128
+// simulated processors, band-local uniform traffic) over K engines; a
+// round runs min(8, K) tenant steps. Per-tenant results are bit-for-bit
+// identical at every K (serve differential tests), so the sweep isolates
+// serving throughput exactly like E12 one layer down.
+func BenchmarkE14ServeThroughput(b *testing.B) {
+	const tenants, procs = 8, 128
+	for _, K := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("n=%d/K=%d", tenants*procs, K), func(b *testing.B) {
+			benchServe(b, serve.Config{Engines: K}, tenants, procs)
+		})
 	}
 }
 
@@ -396,22 +442,13 @@ func BenchmarkE14ServeStepSpans(b *testing.B) {
 
 func BenchmarkE6HashedRandomStep(b *testing.B) {
 	const n = 256
-	hm := hashsim.New(n, hashsim.Config{})
-	batch := permBatch(n, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hm.ExecuteStep(batch)
-	}
+	benchStep(b, hashsim.New(n, hashsim.Config{}), permBatch(n, 5))
 }
 
 func BenchmarkE6HashedAdversarialStep(b *testing.B) {
 	const n = 256
 	hm := hashsim.New(n, hashsim.Config{})
-	batch := hashsim.AdversarialBatch(hm.Hash(), n, hm.MemSize())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hm.ExecuteStep(batch)
-	}
+	benchStep(b, hm, hashsim.AdversarialBatch(hm.Hash(), n, hm.MemSize()))
 }
 
 // --- E7: Schuster IDA memory ---------------------------------------------
@@ -419,12 +456,7 @@ func BenchmarkE6HashedAdversarialStep(b *testing.B) {
 func BenchmarkE7IDAReadStep(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			mem := ida.NewMemory(n, ida.Config{MemCells: 4096})
-			batch := permBatch(n, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mem.ExecuteStep(batch)
-			}
+			benchStep(b, ida.NewMemory(n, ida.Config{MemCells: 4096}), permBatch(n, 5))
 		})
 	}
 }
@@ -474,34 +506,25 @@ func BenchmarkMemmapGenerate(b *testing.B) {
 
 func BenchmarkQuorumWriteBatch(b *testing.B) {
 	const n = 256
-	p := memmap.LemmaTwo(n, 2, 1)
-	st := quorum.NewStore(memmap.Generate(p, 11))
-	eng := quorum.NewEngine(st, quorum.NewCompleteBipartite(), n)
-	reqs := make([]quorum.Request, n)
-	for i := range reqs {
-		reqs[i] = quorum.Request{Proc: i, Var: i, Write: true, Value: 1}
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eng.ExecuteBatch(reqs)
-		if res.Stalled {
-			b.Fatal("stalled")
-		}
-	}
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		st := quorum.NewStore(memmap.Generate(memmap.LemmaTwo(n, 2, 1), 11))
+		benchWriteBatch(b, quorum.NewEngine(st, quorum.NewCompleteBipartite(), n), n)
+	})
 }
 
 func BenchmarkMOTNetworkPhase(b *testing.B) {
-	nw := mot.NewNetwork(1024, mot.ModulesAtLeaves, mot.Config{})
-	attempts := make([]quorum.Attempt, 256)
-	for i := range attempts {
-		attempts[i] = quorum.Attempt{Proc: i, Module: (i * 37) % 1024, Var: i, Copy: 0}
-	}
-	b.ReportAllocs() // steady state must stay at 0 allocs/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw.RoutePhase(attempts)
-	}
+	const side = 1024
+	b.Run(fmt.Sprintf("side=%d", side), func(b *testing.B) {
+		nw := mot.NewNetwork(side, mot.ModulesAtLeaves, mot.Config{})
+		attempts := make([]quorum.Attempt, 256)
+		for i := range attempts {
+			attempts[i] = quorum.Attempt{Proc: i, Module: (i * 37) % side, Var: i, Copy: 0}
+		}
+		benchOp(b, func() model.StepReport {
+			nw.RoutePhase(attempts)
+			return model.StepReport{}
+		})
+	})
 }
 
 func BenchmarkGFInterpolation(b *testing.B) {
@@ -592,7 +615,7 @@ func BenchmarkProgramReadEveryStepIdeal(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }
 
-// --- ablation benchmarks (design choices DESIGN.md calls out) --------------
+// --- ablation benchmarks (the design choices experiment e10 compares) ------
 
 // AblationMOTPolicy: the paper's drop-and-retry collision rule vs pure
 // store-and-forward queueing on the same permutation step.
@@ -602,12 +625,7 @@ func BenchmarkAblationMOTPolicy(b *testing.B) {
 		p    mot.Policy
 	}{{"drop", mot.DropOnCollision}, {"queue", mot.QueueOnCollision}} {
 		b.Run(pol.name, func(b *testing.B) {
-			mt := core.NewMOT2D(64, core.MOTConfig{Policy: pol.p})
-			batch := permBatch(64, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mt.ExecuteStep(batch)
-			}
+			benchStep(b, core.NewMOT2D(64, core.MOTConfig{Policy: pol.p}), permBatch(64, 5))
 		})
 	}
 }
@@ -620,12 +638,7 @@ func BenchmarkAblationDualRail(b *testing.B) {
 		on   bool
 	}{{"single", false}, {"dual", true}} {
 		b.Run(dr.name, func(b *testing.B) {
-			mt := core.NewMOT2D(64, core.MOTConfig{DualRail: dr.on})
-			batch := permBatch(64, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mt.ExecuteStep(batch)
-			}
+			benchStep(b, core.NewMOT2D(64, core.MOTConfig{DualRail: dr.on}), permBatch(64, 5))
 		})
 	}
 }
@@ -640,17 +653,7 @@ func BenchmarkAblationAlgebraicMap(b *testing.B) {
 		mp   *memmap.Map
 	}{{"random", memmap.Generate(p, 11)}, {"algebraic", memmap.GenerateAlgebraic(p, 11)}} {
 		b.Run(mk.name, func(b *testing.B) {
-			eng := quorum.NewEngine(quorum.NewStore(mk.mp), quorum.NewCompleteBipartite(), n)
-			reqs := make([]quorum.Request, n)
-			for i := range reqs {
-				reqs[i] = quorum.Request{Proc: i, Var: i, Write: true, Value: 1}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if eng.ExecuteBatch(reqs).Stalled {
-					b.Fatal("stalled")
-				}
-			}
+			benchWriteBatch(b, quorum.NewEngine(quorum.NewStore(mk.mp), quorum.NewCompleteBipartite(), n), n)
 		})
 	}
 }
@@ -661,19 +664,8 @@ func BenchmarkAblationModuleBandwidth(b *testing.B) {
 	const n = 256
 	for _, bw := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("bw=%d", bw), func(b *testing.B) {
-			p := memmap.LemmaTwo(n, 2, 1)
-			st := quorum.NewStore(memmap.Generate(p, 11))
-			eng := quorum.NewEngine(st, &quorum.CompleteBipartite{Bandwidth: bw, PhaseCost: 1}, n)
-			reqs := make([]quorum.Request, n)
-			for i := range reqs {
-				reqs[i] = quorum.Request{Proc: i, Var: i, Write: true, Value: 1}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if eng.ExecuteBatch(reqs).Stalled {
-					b.Fatal("stalled")
-				}
-			}
+			st := quorum.NewStore(memmap.Generate(memmap.LemmaTwo(n, 2, 1), 11))
+			benchWriteBatch(b, quorum.NewEngine(st, &quorum.CompleteBipartite{Bandwidth: bw, PhaseCost: 1}, n), n)
 		})
 	}
 }
@@ -686,14 +678,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		on   bool
 	}{{"roundrobin", false}, {"twostage", true}} {
 		b.Run(ts.name, func(b *testing.B) {
-			dm := core.NewDMMPC(256, core.Config{TwoStage: ts.on})
-			batch := permBatch(256, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if rep := dm.ExecuteStep(batch); rep.Err != nil {
-					b.Fatal(rep.Err)
-				}
-			}
+			benchStep(b, core.NewDMMPC(256, core.Config{TwoStage: ts.on}), permBatch(256, 5))
 		})
 	}
 }

@@ -10,9 +10,10 @@
 //	replay run    [-passes N] FILE        replay a trace, print a summary
 //	replay verify FILE                    replay + verify costs/hashes/
 //	                                      fingerprint; exit 1 on mismatch
-//	replay bench  [-passes N] FILE        replay from memory, report
-//	                                      wall-clock per replayed step
 //	replay info   FILE                    print the header and frame counts
+//
+// `run` prints the wall time per replayed step; the benchmark of a
+// replayed step is the root package's E13ReplayStep.
 //
 // Record shape flags: -machine dmmpc|mot2d|luccio, -n procs-per-lane,
 // -engines K (pool lanes), -steps, -pattern uniform|banded|hotspot|
@@ -22,7 +23,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -47,8 +47,6 @@ func main() {
 		err = cmdRun(os.Args[2:], false)
 	case "verify":
 		err = cmdRun(os.Args[2:], true)
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "info":
 		err = cmdInfo(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -74,7 +72,6 @@ func usage() {
                 [-twostage] [-policy drop|queue]
   replay run    [-passes N] [-workers W] FILE
   replay verify [-workers W] FILE
-  replay bench  [-passes N] [-workers W] FILE
   replay info   FILE`)
 }
 
@@ -213,7 +210,7 @@ func cmdRun(args []string, verify bool) error {
 		// Reset does not rewind the store, so a second pass over a trace
 		// with writes would advance the Lamport stamps past the recorded
 		// run and fail the fingerprint check on a perfectly good file.
-		return fmt.Errorf("verify replays exactly one pass (use run or bench for multi-pass)")
+		return fmt.Errorf("verify replays exactly one pass (use run for multi-pass)")
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -270,55 +267,6 @@ func cmdRun(args []string, verify bool) error {
 		fmt.Printf("  verify OK: %d steps bit-for-bit, fingerprint %x\n",
 			sum.Steps, sum.ReplayFingerprint)
 	}
-	return nil
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	passes := fs.Int("passes", 10, "replay passes over the in-memory trace")
-	workers := fs.Int("workers", 0, "pool executor goroutines (wall-clock only)")
-	path, err := openTraceArg(fs, args)
-	if err != nil {
-		return err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	rd := bytes.NewReader(data)
-	buildStart := time.Now()
-	rp, err := replay.OpenConfigured(rd, *workers)
-	if err != nil {
-		return err
-	}
-	buildTime := time.Since(buildStart)
-	// Warm pass (grows every arena), then timed passes.
-	if _, err := rp.Run(); err != nil {
-		return err
-	}
-	start := time.Now()
-	var steps int64
-	before := rp.Summary().Steps
-	for p := 0; p < *passes; p++ {
-		rd.Seek(0, 0)
-		if err := rp.Reset(rd); err != nil {
-			return err
-		}
-		if _, err := rp.Run(); err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-	steps = rp.Summary().Steps - before
-	if steps == 0 {
-		return fmt.Errorf("trace has no steps")
-	}
-	fmt.Printf("%s: %s\n", path, rp.Spec())
-	fmt.Printf("  construction %v once; %d passes, %d replayed steps in %v\n",
-		buildTime.Round(time.Millisecond), *passes, steps, elapsed.Round(time.Millisecond))
-	fmt.Printf("  %v per replayed step (%.0f steps/sec)\n",
-		(elapsed / time.Duration(steps)).Round(time.Microsecond),
-		float64(steps)/elapsed.Seconds())
 	return nil
 }
 

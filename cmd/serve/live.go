@@ -204,6 +204,19 @@ func summarize(s *serve.Server, elapsed time.Duration) {
 	printSummary(o)
 }
 
+// Bounds on how long a client may hold a connection, and the goroutine
+// serving it, without making progress: one that never finishes its
+// request headers, and an idle keep-alive connection.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the live server's http.Server for handler.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func cmdHTTP(args []string) error {
 	fs := flag.NewFlagSet("serve http", flag.ExitOnError)
 	sf := addShared(fs)
@@ -287,7 +300,7 @@ func cmdHTTP(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: h.Handler()}
+	srv := newHTTPServer(h.Handler())
 	go srv.Serve(ln)
 	go h.Loop(*every)
 	logf("listening on http://%s — POST /submit?tenant=NAME&steps=N, GET /metrics, GET /healthz (K=%d, round every %v)",

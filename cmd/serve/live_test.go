@@ -152,3 +152,13 @@ func TestLiveEventsReplayBitForBit(t *testing.T) {
 		t.Errorf("replay fingerprint %016x != recorded %016x", fp, sc.Fingerprint)
 	}
 }
+
+// TestHTTPServerTimeouts: the live server bounds both a client that never
+// finishes its request headers and an idle keep-alive connection, so
+// neither holds a connection and its goroutine forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: want both set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+}
