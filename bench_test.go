@@ -252,23 +252,22 @@ func BenchmarkE5LuccioStep(b *testing.B) {
 	}
 }
 
-// --- E12: multi-engine pool serving K programs concurrently ---------------
+// --- E12: multi-engine pool serving K programs in lockstep rounds ---------
 
-// benchBandPool times one round of the E12 pool — K concurrent shard
-// steps plus the deterministic report merge. The pool serves a Lemma 2
-// image for 1024 processors as K band-local programs of 1024/K processors
-// on K engines, with workers executor goroutines (0 for the default).
-// Each shard reads a permutation of its own variable band, which the
-// banded map turns into K disjoint module components; one generator draws
-// every shard's permutation, in shard order.
-func benchBandPool(b *testing.B, K, workers int) {
+// benchBandPool times one round of the E12 pool — the module census, K
+// shard steps in shard order and the deterministic report merge, all on
+// one goroutine. The pool serves a Lemma 2 image for 1024 processors as K
+// band-local programs of 1024/K processors on K engines. Each shard reads
+// a permutation of its own variable band, which the banded map turns into
+// K disjoint module components; one generator draws every shard's
+// permutation, in shard order.
+func benchBandPool(b *testing.B, K int) {
 	const nTotal = 1024
-	built, err := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K, Workers: workers}.BuildPool(K)
+	built, err := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K}.BuildPool(K)
 	if err != nil {
 		b.Fatal(err)
 	}
 	dp := built.Pool
-	b.Cleanup(dp.Close)
 	n, mem := dp.ShardProcs(), dp.Store().Map().Vars()
 	rng := rand.New(rand.NewSource(5))
 	batches := make([]model.Batch, K)
@@ -288,24 +287,17 @@ func benchBandPool(b *testing.B, K, workers int) {
 }
 
 // BenchmarkE12PoolStep: the same aggregate workload (1024 processors, one
-// band-local permutation read each) served as K independent programs by
-// K concurrent engines over one banded, module-sharded memory image.
-// Execution is bit-for-bit identical at every K (pool differential tests),
-// so the sweep isolates serving throughput.
+// band-local permutation read each) served as K independent programs by K
+// engines over one banded, module-sharded memory image. Execution is
+// bit-for-bit identical at every K (pool differential tests), and every
+// round runs on one goroutine, so the sweep measures the per-shard and
+// census overhead of splitting one workload K ways, not scaling.
 func BenchmarkE12PoolStep(b *testing.B) {
 	for _, K := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("n=1024/K=%d", K), func(b *testing.B) {
-			benchBandPool(b, K, 0)
+			benchBandPool(b, K)
 		})
 	}
-}
-
-// BenchmarkE12PoolStepSerial is the K=4 point with the executor forced
-// onto the caller goroutine.
-func BenchmarkE12PoolStepSerial(b *testing.B) {
-	b.Run("n=1024/K=4", func(b *testing.B) {
-		benchBandPool(b, 4, 1)
-	})
 }
 
 // --- E13: trace replay straight into the engine ---------------------------
@@ -426,9 +418,10 @@ func BenchmarkE14ServeStepSpans(b *testing.B) {
 
 // BenchmarkE14ServeThroughput sweeps one 8-tenant closed-loop mix (8 × 128
 // simulated processors, band-local uniform traffic) over K engines; a
-// round runs min(8, K) tenant steps. Per-tenant results are bit-for-bit
-// identical at every K (serve differential tests), so the sweep isolates
-// serving throughput exactly like E12 one layer down.
+// round runs min(8, K) tenant steps on one goroutine. Per-tenant results
+// are bit-for-bit identical at every K (serve differential tests), so the
+// sweep measures per-round scheduling and census overhead against the
+// steps a round carries, like E12 one layer down, not scaling.
 func BenchmarkE14ServeThroughput(b *testing.B) {
 	const tenants, procs = 8, 128
 	for _, K := range []int{1, 2, 4, 8} {

@@ -19,7 +19,7 @@
 // -engines K (pool lanes), -steps, -pattern uniform|banded|hotspot|
 // broadcast, -loads cells-per-lane, -mode, -seed (map), -wseed (workload),
 // -k (memory exponent), -gran (ε/δ), -dualrail, -twostage, -policy
-// drop|queue. Runtime-only knob everywhere: -workers (pool executors).
+// drop|queue.
 package main
 
 import (
@@ -70,8 +70,8 @@ func usage() {
                 [-loads L] [-mode crcw|crcw-common|crcw-arbitrary|crew|erew]
                 [-seed S] [-wseed S] [-k EXP] [-gran EXP] [-dualrail]
                 [-twostage] [-policy drop|queue]
-  replay run    [-passes N] [-workers W] FILE
-  replay verify [-workers W] FILE
+  replay run    [-passes N] FILE
+  replay verify FILE
   replay info   FILE`)
 }
 
@@ -109,7 +109,6 @@ func cmdRecord(args []string) error {
 	dualRail := fs.Bool("dualrail", false, "2DMOT row+column banks")
 	twoStage := fs.Bool("twostage", false, "faithful UW'87 two-stage schedule")
 	policy := fs.String("policy", "drop", "2DMOT edge policy: drop or queue")
-	workers := fs.Int("workers", 0, "pool executor goroutines (wall-clock only)")
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("record: -o FILE is required")
@@ -137,7 +136,7 @@ func cmdRecord(args []string) error {
 	spec := core.Spec{
 		Kind: kind, Lanes: *engines, Procs: *n, Mode: md, Seed: *seed,
 		KExp: *kExp, Gran: *gran, DualRail: *dualRail, Policy: pol,
-		TwoStage: *twoStage, Workers: *workers,
+		TwoStage: *twoStage,
 	}
 	built, err := spec.Build()
 	if err != nil {
@@ -201,7 +200,6 @@ func cmdRun(args []string, verify bool) error {
 	}
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	passes := fs.Int("passes", 1, "replay passes (multi-pass is for read-only traces)")
-	workers := fs.Int("workers", 0, "pool executor goroutines (wall-clock only)")
 	path, err := openTraceArg(fs, args)
 	if err != nil {
 		return err
@@ -218,7 +216,7 @@ func cmdRun(args []string, verify bool) error {
 	}
 	defer f.Close()
 	buildStart := time.Now()
-	rp, err := replay.OpenConfigured(f, *workers)
+	rp, err := replay.Open(f)
 	if err != nil {
 		return err
 	}

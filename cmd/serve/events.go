@@ -40,7 +40,7 @@ func cmdEvents(args []string) error {
 		return err
 	}
 	cfg := serve.Config{
-		Tenants: tcs, Engines: sf.engines, Workers: sf.workers,
+		Tenants: tcs, Engines: sf.engines,
 		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
 	}
 	if err := sf.applyShared(&cfg); err != nil {

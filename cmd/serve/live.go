@@ -41,8 +41,8 @@ import (
 // a shadow autoscaler and reproduce the event log's decision events;
 // readers predating the key ignore it (unknown keys are forward-compatible).
 func metaLine(sf *sharedFlags, tenants, arrival string, engines int, autoscale string) string {
-	return fmt.Sprintf("tenants=%s arrival=%s n=%d engines=%d workers=%d queue=%d mode=%s seed=%d wseed=%d interconnect=%s kexp=%g gran=%g dualrail=%t allowkind=%t autoscale=%s",
-		strconv.Quote(tenants), strconv.Quote(arrival), sf.procs, engines, sf.workers, sf.queue,
+	return fmt.Sprintf("tenants=%s arrival=%s n=%d engines=%d queue=%d mode=%s seed=%d wseed=%d interconnect=%s kexp=%g gran=%g dualrail=%t allowkind=%t autoscale=%s",
+		strconv.Quote(tenants), strconv.Quote(arrival), sf.procs, engines, sf.queue,
 		strconv.Quote(sf.mode), sf.seed, sf.wseed, strconv.Quote(sf.interconnect),
 		sf.kexp, sf.gran, sf.dualRail, sf.allowKind, strconv.Quote(autoscale))
 }
@@ -120,7 +120,6 @@ func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 	sf := &sharedFlags{
 		procs:        num("n", 64),
 		engines:      num("engines", 1),
-		workers:      num("workers", 0),
 		queue:        num("queue", 8),
 		seed:         int64(num("seed", 1)),
 		wseed:        int64(num("wseed", 99)),
@@ -151,7 +150,7 @@ func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 		return serve.Config{}, err
 	}
 	cfg := serve.Config{
-		Tenants: tcs, Engines: sf.engines, Workers: sf.workers,
+		Tenants: tcs, Engines: sf.engines,
 		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
 	}
 	if err := sf.applyShared(&cfg); err != nil {
@@ -171,6 +170,18 @@ func metaValue(meta, key string) (string, error) {
 		return "", err
 	}
 	return kv[key], nil
+}
+
+// checkScriptTenants rejects a script whose submissions name a tenant the
+// rebuilt deployment does not have (Server.Submit panics on those).
+func checkScriptTenants(events []replay.ScriptEvent, tenants int) error {
+	for i, ev := range events {
+		if !ev.IsResize() && !ev.IsDrain() && ev.Tenant >= tenants {
+			return fmt.Errorf("script event %d (a %d %d %d) submits to tenant %d, but the meta line builds %d tenants",
+				i, ev.Round, ev.Tenant, ev.Credits, ev.Tenant, tenants)
+		}
+	}
+	return nil
 }
 
 // parseAutoscale decodes MIN:MAX[:WINDOW].
@@ -245,7 +256,7 @@ func cmdHTTP(args []string) error {
 		return err
 	}
 	cfg := serve.Config{
-		Tenants: tcs, Engines: sf.engines, Workers: sf.workers,
+		Tenants: tcs, Engines: sf.engines,
 		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
 	}
 	if err := sf.applyShared(&cfg); err != nil {
@@ -259,7 +270,6 @@ func cmdHTTP(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer s.Pool().Close()
 
 	var opts serve.HTTPOptions
 	opts.Logf = logf
@@ -369,7 +379,9 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer s.Pool().Close()
+	if err := checkScriptTenants(sc.Events, s.NumTenants()); err != nil {
+		return err
+	}
 
 	var rerec bytes.Buffer
 	if *trace != "" {

@@ -1,7 +1,8 @@
 // Command serve runs the multi-tenant serving front end
 // (repro/internal/serve): a mix of tenants — synthetic pattern generators
 // or recorded PRAMTRC1 traces — admitted through bounded queues and
-// scheduled band-aware onto a pool of K concurrent quorum engines.
+// scheduled band-aware onto a pool of K quorum engines, one virtual round
+// co-scheduling up to K tenant steps.
 //
 // Verbs:
 //
@@ -110,8 +111,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  serve run     -tenants SPEC [-n procs] [-engines K] [-workers W]
-                [-rounds N] [-queue CAP] [-arrival A] [-mode M]
+  serve run     -tenants SPEC [-n procs] [-engines K] [-rounds N]
+                [-queue CAP] [-arrival A] [-mode M]
                 [-interconnect bipartite|mot2d] [-kexp K] [-gran D]
                 [-dualrail] [-allow-kind-mismatch]
                 [-seed S] [-wseed S] [-check] [-metrics FILE] [-v]
@@ -133,7 +134,6 @@ func usage() {
 type sharedFlags struct {
 	procs        int
 	engines      int
-	workers      int
 	rounds       int
 	queue        int
 	seed         int64
@@ -151,7 +151,6 @@ func addShared(fs *flag.FlagSet) *sharedFlags {
 	sf := &sharedFlags{}
 	fs.IntVar(&sf.procs, "n", 64, "processors per synthetic tenant")
 	fs.IntVar(&sf.engines, "engines", 0, "engine count K (0 = PRAMSIM_ENGINES, <0 = GOMAXPROCS)")
-	fs.IntVar(&sf.workers, "workers", 0, "pool executor goroutines (0 = min(K, GOMAXPROCS))")
 	fs.IntVar(&sf.rounds, "rounds", 100, "admission rounds before draining (0 = run finite mixes to source exhaustion)")
 	fs.IntVar(&sf.queue, "queue", 8, "per-tenant admission queue capacity (step credits)")
 	fs.Int64Var(&sf.seed, "seed", 1, "memory-map seed")
@@ -347,10 +346,6 @@ func execute(cfg serve.Config, rounds int) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Close on EVERY exit: the ServeAll and SrcErr error returns below used
-	// to leak the pool's worker goroutines. Close is idempotent, so the
-	// success path needs no special casing.
-	defer s.Pool().Close()
 	start := time.Now()
 	if rounds <= 0 {
 		if err := s.ServeAll(1 << 20); err != nil {
@@ -443,7 +438,7 @@ func cmdRun(args []string) error {
 			return serve.Config{}, err
 		}
 		cfg := serve.Config{
-			Tenants: tcs, Engines: sf.engines, Workers: sf.workers,
+			Tenants: tcs, Engines: sf.engines,
 			Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
 		}
 		if err := sf.applyShared(&cfg); err != nil {
@@ -534,10 +529,7 @@ func cmdLoadgen(args []string) error {
 			return err
 		}
 	}
-	cfg := serve.Config{
-		Engines: sf.engines, Workers: sf.workers,
-		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-	}
+	cfg := serve.Config{Engines: sf.engines, Mode: mode, Seed: sf.seed, QueueCap: sf.queue}
 	if err := sf.applyShared(&cfg); err != nil {
 		return err
 	}

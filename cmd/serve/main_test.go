@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/replay"
@@ -118,45 +117,100 @@ func (failingSource) Procs() int                     { return 8 }
 func (failingSource) NextBatch() (model.Batch, bool) { return nil, false }
 func (failingSource) Err() error                     { return errBoom }
 
-// TestExecuteClosesPoolOnError is the goroutine-leak regression: the
-// ServeAll and SrcErr error returns in execute used to skip Pool.Close,
-// stranding the pool's executor goroutines.
-func TestExecuteClosesPoolOnError(t *testing.T) {
-	mkCfg := func() serve.Config {
-		return serve.Config{
-			Tenants: []serve.TenantConfig{{
-				Name: "doomed", Band: 0, Procs: 8, Arrival: serve.Arrival{Window: 1},
-				Source: func(serve.Band) serve.Source { return failingSource{} },
-			}},
-			Bands: 1, Engines: 4, Workers: 4, Seed: 3,
-		}
+// goroutineWatch counts the samples that found more goroutines than the
+// sample before.
+type goroutineWatch struct{ last, rises int }
+
+func (w *goroutineWatch) sample() {
+	n := runtime.NumGoroutine()
+	if n > w.last {
+		w.rises++
 	}
-	// Warm up lazy runtime goroutines before taking the baseline.
-	if _, err := execute(mkCfg(), 0); err == nil {
+	w.last = n
+}
+
+// watchedSource samples its watch each time the server pulls a batch, so
+// the watch sees goroutines that earlier rounds left running.
+type watchedSource struct {
+	serve.Source
+	w *goroutineWatch
+}
+
+func (s watchedSource) NextBatch() (model.Batch, bool) {
+	s.w.sample()
+	return s.Source.NextBatch()
+}
+
+// TestExecuteStartsNoGoroutine: serving runs on the caller. Neither two
+// busy tenants on a four-engine pool, sampled from inside their rounds,
+// nor execute's error path raise the goroutine count.
+func TestExecuteStartsNoGoroutine(t *testing.T) {
+	w := &goroutineWatch{last: runtime.NumGoroutine()}
+	tenant := func(name string, band int, pat replay.Pattern) serve.TenantConfig {
+		return serve.TenantConfig{Name: name, Band: band, Procs: 8, Arrival: serve.Arrival{Window: 1},
+			Source: func(b serve.Band) serve.Source {
+				return watchedSource{serve.NewPatternSource(pat, 8, 6, int64(band+1))(b), w}
+			}}
+	}
+	o, err := execute(serve.Config{
+		Tenants: []serve.TenantConfig{tenant("a", 0, replay.Uniform), tenant("b", 1, replay.Hotspot)},
+		Bands:   2, Engines: 4, Seed: 3,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.serverStats.ExecRounds < 2 {
+		t.Fatalf("%d rounds executed, want several", o.serverStats.ExecRounds)
+	}
+	failing := serve.Config{
+		Tenants: []serve.TenantConfig{{
+			Name: "doomed", Band: 0, Procs: 8, Arrival: serve.Arrival{Window: 1},
+			Source: func(serve.Band) serve.Source { return failingSource{} },
+		}},
+		Bands: 1, Engines: 4, Seed: 3,
+	}
+	if _, err := execute(failing, 0); err == nil {
 		t.Fatal("execute with a failing source did not error")
 	}
-	time.Sleep(50 * time.Millisecond)
-	baseline := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		if _, err := execute(mkCfg(), 0); err == nil {
-			t.Fatal("execute with a failing source did not error")
-		}
+	w.sample()
+	if w.rises > 0 {
+		t.Errorf("the goroutine count rose %d times while serving", w.rises)
 	}
-	var n int
-	for wait := 0; wait < 100; wait++ {
-		if n = runtime.NumGoroutine(); n <= baseline {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+}
+
+// TestReplayRejectsUnknownTenant: a script submission to a tenant the meta
+// line's deployment does not have fails `serve replay` with an error that
+// names the event, before any round runs.
+func TestReplayRejectsUnknownTenant(t *testing.T) {
+	sf := &sharedFlags{procs: 8, engines: 1, queue: 4, seed: 3, wseed: 42, mode: "crcw"}
+	path := filepath.Join(t.TempDir(), "bad.ars")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Errorf("goroutines leaked across failed executes: baseline %d, now %d", baseline, n)
+	rec, err := replay.NewScriptRecorder(f, metaLine(sf, "uniform,hotspot", "external", 1, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Submit(0, 0, 1)
+	rec.Submit(0, 7, 1)
+	if err := rec.Close(nil, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdReplay([]string{"-script", path})
+	if err == nil || !strings.Contains(err.Error(), "(a 0 7 1)") {
+		t.Fatalf("replay of a script naming tenant 7 of 2: %v, want an error naming the event", err)
+	}
 }
 
 // TestMetaRoundTrip pins the script meta line: the deployment spec a live
 // run records must rebuild an equivalent config at replay time.
 func TestMetaRoundTrip(t *testing.T) {
 	sf := &sharedFlags{
-		procs: 16, workers: 2, queue: 6, seed: 5, wseed: 42,
+		procs: 16, queue: 6, seed: 5, wseed: 42,
 		mode: "crcw", interconnect: "bipartite", kexp: 2, gran: 0,
 	}
 	meta := metaLine(sf, "uniform:5,hotspot:5", "external", 2, "1:4:8")
@@ -186,6 +240,61 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 	if kv["tenants"] != `trace:/odd path/mix:v1.trc:1` || kv["arrival"] != "closed:2" {
 		t.Errorf("quoted meta round-trip: %q / %q", kv["tenants"], kv["arrival"])
+	}
+}
+
+// TestReplayIgnoresLegacyWorkersMeta: scripts recorded while the pool still
+// had an executor carry a `workers=W` meta key. They must still replay, and
+// the key must not change a byte of the replayed event log.
+func TestReplayIgnoresLegacyWorkersMeta(t *testing.T) {
+	sf := &sharedFlags{procs: 8, queue: 4, seed: 3, wseed: 42, mode: "crcw"}
+	meta := metaLine(sf, "uniform,hotspot", "external", 2, "")
+	legacy := strings.Replace(meta, " queue=", " workers=2 queue=", 1)
+	if legacy == meta {
+		t.Fatalf("meta line %q has no queue key to anchor the legacy workers key", meta)
+	}
+	replayEvents := func(meta string) string {
+		t.Helper()
+		var script strings.Builder
+		rec, err := replay.NewScriptRecorder(&script, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := int64(0); r < 6; r++ {
+			rec.Submit(r, int(r%2), 2)
+		}
+		if err := rec.Close(nil, 12, 0); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := replay.ReadScript(strings.NewReader(script.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := configFromMeta(sc.Meta, false)
+		if err != nil {
+			t.Fatalf("meta %q: %v", sc.Meta, err)
+		}
+		s, err := serve.NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := checkScriptTenants(sc.Events, s.NumTenants()); err != nil {
+			t.Fatal(err)
+		}
+		s.PlayScript(sc.Events, sc.Rounds)
+		var events strings.Builder
+		if err := s.WriteEvents(&events, 0); err != nil {
+			t.Fatal(err)
+		}
+		return events.String()
+	}
+	want, got := replayEvents(meta), replayEvents(legacy)
+	if !strings.Contains(want, `"name":"submit"`) {
+		t.Fatal("replayed event log holds no submission — the script no longer exercises the server")
+	}
+	if got != want {
+		t.Errorf("a workers= meta key changed the replay:\ncurrent:\n%s\nlegacy:\n%s", want, got)
 	}
 }
 

@@ -130,9 +130,6 @@ func TestConstructionPins(t *testing.T) {
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if b.Pool != nil {
-			b.Pool.Close()
-		}
 		got[c.name] = pinLine(name, b.Params, b.Side, b.Lane(0).MemSize(), b.Store, fp, buf.Bytes())
 	}
 

@@ -42,13 +42,12 @@ func buildPool(t *testing.T, s core.Spec) *quorum.Pool {
 	if b.Pool == nil {
 		t.Fatalf("%v built a single machine, want a pool", b.Spec)
 	}
-	t.Cleanup(b.Pool.Close)
 	return b.Pool
 }
 
 // TestDMMPCPoolServesDisjointPrograms: the banded deployment runs K
-// band-local programs at full parallelism (K components every step) and
-// commits their writes.
+// band-local programs as K disjoint components every step and commits
+// their writes.
 func TestDMMPCPoolServesDisjointPrograms(t *testing.T) {
 	const n = 32
 	dp := buildPool(t, core.Spec{Kind: core.KindDMMPC, Lanes: 4, Procs: n})
@@ -106,7 +105,6 @@ func TestDMMPCPoolEnvDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Pool.Close()
 	dp := b.Pool
 	if dp.Engines() < 1 || dp.Engines() != b.Spec.Lanes {
 		t.Fatalf("resolved %d engines over %d lanes", dp.Engines(), b.Spec.Lanes)

@@ -54,8 +54,7 @@ func ParseKind(s string) (Kind, error) {
 // Spec is one parameter point of a quorum machine: the paper's (n, k, ε)
 // on K(n, n^(1+ε)) or (n, k, δ) on a √M × √M mesh, plus the deployment
 // shape and protocol knobs. Two Builds of one Spec construct bit-for-bit
-// interchangeable machines; a trace header persists every field except
-// the wall-clock knobs.
+// interchangeable machines; a trace header persists every field.
 type Spec struct {
 	// Kind is the machine family.
 	Kind Kind
@@ -87,10 +86,6 @@ type Spec struct {
 	TwoStage        bool
 	Stage1Phases    int
 	Stage2Bandwidth int
-
-	// Workers (pool executors, see quorum.PoolConfig) is a wall-clock
-	// knob: it never affects results and is not persisted.
-	Workers int
 }
 
 // normalize resolves defaulted fields, so a persisted spec pins them
@@ -233,7 +228,7 @@ func (s Spec) build(engines int) (b *Built, err error) {
 		return b, nil
 	}
 	b.Pool = quorum.NewPool(name, b.Store, newNet,
-		quorum.PoolConfig{Engines: engines, Procs: s.Procs, Mode: s.Mode, Workers: s.Workers, TwoStage: ts})
+		quorum.PoolConfig{Engines: engines, Procs: s.Procs, Mode: s.Mode, TwoStage: ts})
 	return b, nil
 }
 

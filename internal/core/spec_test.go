@@ -33,13 +33,11 @@ func TestSpecBuildShapes(t *testing.T) {
 	if err != nil || pool.Pool == nil || pool.Pool.Engines() != 4 {
 		t.Fatalf("Lanes 4: %+v, %v", pool, err)
 	}
-	pool.Pool.Close()
 	wide, err := core.Spec{Kind: core.KindDMMPC, Lanes: 4, Procs: 8}.BuildPool(2)
 	if err != nil || wide.Pool.Engines() != 2 || wide.Params != pool.Params ||
 		wide.Store.Fingerprint() != pool.Store.Fingerprint() {
 		t.Fatalf("BuildPool(2) over 4 lanes: %+v, %v", wide, err)
 	}
-	wide.Pool.Close()
 	if _, err := (core.Spec{Kind: core.KindLuccio, Lanes: 2, Procs: 8}).Build(); err == nil {
 		t.Error("a 2-lane Luccio spec built")
 	}

@@ -25,10 +25,10 @@ import (
 // {1,2,4,8}, then REPLAYED straight into a fresh pool, measuring
 // wall-clock step latency alongside the pool's serial-component census.
 // The banded pattern keeps lanes on disjoint module bands (components
-// stay at K: the zero-locking fast path the serving front end schedules
-// for), the uniform pattern lets lanes collide on modules, so the sweep
-// shows exactly what serial-component merges cost as K grows — the
-// latency-vs-merge-rate trade the multi-tenant scheduler navigates. Each
+// stay at K: the merge-free shape the serving front end schedules for),
+// the uniform pattern lets lanes collide on modules, so the sweep shows
+// how the merge rate grows with K — the signal the multi-tenant
+// scheduler's autoscaler reads. Each
 // replay is verified (recorded costs, Values hashes, final fingerprint)
 // before its timing is reported; render with `cmd/experiments -csv e14`
 // for the CSV form.

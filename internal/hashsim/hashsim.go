@@ -13,8 +13,10 @@
 package hashsim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/butterfly"
@@ -48,14 +50,24 @@ func (h Hash) Module(addr model.Addr) int {
 
 // Machine is the hashed-memory machine (model.Backend).
 type Machine struct {
-	n    int
-	mode model.Mode
-	h    Hash
-	mem  model.SliceStore
-	bfly *butterfly.Network // nil = abstract module-load cost model
+	n     int
+	mode  model.Mode
+	h     Hash
+	mem   model.SliceStore
+	store model.Store        // mem boxed once (boxing a slice per step allocates)
+	bfly  *butterfly.Network // nil = abstract module-load cost model
+
+	// Step scratch, reused so that the abstract model allocates nothing.
+	checker model.ConflictChecker
+	vals    []model.Word
+	keys    []modAddr
 
 	maxLoadSeen int
 }
+
+// modAddr is one request's (module, address) pair: sorted, the pairs group
+// each module's distinct variables.
+type modAddr struct{ mod, addr int }
 
 // Config sizes the machine.
 type Config struct {
@@ -63,7 +75,7 @@ type Config struct {
 	MemCells int
 	// Modules is M (default n, the classical MPC granularity).
 	Modules int
-	// Mode is the conflict convention (default CRCW-Priority).
+	// Mode is the conflict convention (the zero value is EREW).
 	Mode model.Mode
 	// Seed draws the hash function.
 	Seed int64
@@ -93,6 +105,7 @@ func New(n int, cfg Config) *Machine {
 		h:    NewHash(cfg.Modules, cfg.Seed),
 		mem:  make(model.SliceStore, cfg.MemCells),
 	}
+	m.store = m.mem
 	if cfg.Butterfly {
 		if !xmath.IsPow2(n) {
 			panic(fmt.Sprintf("hashsim: butterfly needs n=%d to be a power of two", n))
@@ -127,26 +140,35 @@ func (mc *Machine) MaxLoadSeen() int { return mc.maxLoadSeen }
 // module (modules serve one request per phase; concurrent accesses to the
 // SAME variable combine, as in Ranade-style emulations).
 func (mc *Machine) ExecuteStep(batch model.Batch) model.StepReport {
-	vals, err := model.ResolveStep(mc.mem, batch, mc.mode)
-	perModule := make(map[int]map[model.Addr]bool)
+	vals, err := mc.checker.ResolveStepInto(mc.vals, mc.store, batch, mc.mode)
+	mc.vals = vals
+	keys := mc.keys[:0]
 	for _, r := range batch {
-		if r.Op == model.OpNone {
-			continue
+		if r.Op != model.OpNone {
+			keys = append(keys, modAddr{mc.h.Module(r.Addr), r.Addr})
 		}
-		mod := mc.h.Module(r.Addr)
-		if perModule[mod] == nil {
-			perModule[mod] = make(map[model.Addr]bool)
-		}
-		perModule[mod][r.Addr] = true
 	}
-	maxLoad := 0
-	var accesses int64
-	//pram:unordered sum and max over per-module set sizes commute
-	for _, vars := range perModule {
-		accesses += int64(len(vars))
-		if len(vars) > maxLoad {
-			maxLoad = len(vars)
+	mc.keys = keys
+	slices.SortFunc(keys, func(a, b modAddr) int {
+		if a.mod != b.mod {
+			return cmp.Compare(a.mod, b.mod)
 		}
+		return cmp.Compare(a.addr, b.addr)
+	})
+	// Walk the sorted pairs, counting each module's distinct variables.
+	maxLoad, load := 0, 0
+	var accesses int64
+	for i, k := range keys {
+		switch {
+		case i > 0 && k == keys[i-1]:
+			continue // the same variable again: combined
+		case i > 0 && k.mod == keys[i-1].mod:
+			load++
+		default:
+			load = 1
+		}
+		accesses++
+		maxLoad = max(maxLoad, load)
 	}
 	if maxLoad > mc.maxLoadSeen {
 		mc.maxLoadSeen = maxLoad

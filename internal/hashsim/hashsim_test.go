@@ -120,3 +120,35 @@ func TestIdleStepFree(t *testing.T) {
 		t.Errorf("idle step charged %d", rep.Time)
 	}
 }
+
+// TestExecuteStepZeroAllocs: once its scratch has grown, a step of the
+// abstract module-load model allocates nothing — on random reads, on the
+// adversarial step, and on a mixed step that the EREW check scans.
+func TestExecuteStepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation invariants are measured without the race detector")
+	}
+	const n = 256
+	hm := New(n, Config{Seed: 5})
+	rng := rand.New(rand.NewSource(8))
+	random := model.NewBatch(n)
+	mixed := model.NewBatch(n)
+	for i, a := range rng.Perm(hm.MemSize())[:n] {
+		random[i] = model.Request{Proc: i, Op: model.OpRead, Addr: a}
+		mixed[i] = random[i]
+		if i%3 == 0 {
+			mixed[i] = model.Request{Proc: i, Op: model.OpWrite, Addr: a, Value: model.Word(i)}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		b    model.Batch
+	}{{"random", random}, {"mixed", mixed}, {"adversarial", AdversarialBatch(hm.Hash(), n, hm.MemSize())}} {
+		if rep := hm.ExecuteStep(c.b); rep.Err != nil {
+			t.Fatalf("%s: %v", c.name, rep.Err)
+		}
+		if avg := testing.AllocsPerRun(20, func() { hm.ExecuteStep(c.b) }); avg != 0 {
+			t.Errorf("%s step allocates %.1f/op, want 0", c.name, avg)
+		}
+	}
+}

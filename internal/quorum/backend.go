@@ -42,10 +42,9 @@ func (e *StallError) Error() string {
 // instead of building per-step maps, and the StepReport's Values slice is a
 // dense per-processor buffer reused across steps.
 //
-// A Machine is single-threaded, but several Machines may share one Store:
-// the Pool runs one Machine per workload shard concurrently under the
-// store's shard-ownership invariant (see the package doc), scheduling
-// machines whose steps touch overlapping module sets onto one goroutine.
+// A Machine is single-threaded, and several Machines may share one Store:
+// the Pool runs one Machine per workload shard, all on its caller, under
+// the store's shard-ownership invariant (see the package doc).
 type Machine struct {
 	name  string
 	n     int

@@ -1,11 +1,10 @@
-// Differential test harness for the multi-engine pool: concurrent
-// execution is only correct if it is BIT-FOR-BIT the serial single-engine
-// reference — same per-shard StepReports, same aggregate, same replicated
-// memory image (values AND timestamps) — across interconnects, policies,
-// rails, schedules, seeds and engine counts. The reference is the plain
-// loop the pool replaces: the same K machines' steps executed one after
-// another in ascending shard order on a second store drawn from the same
-// map. (External package so the MOT-backed cases can import
+// Differential test harness for the multi-engine pool: a pool round is
+// only correct if it is BIT-FOR-BIT the serial single-engine reference —
+// same per-shard StepReports, same aggregate, same replicated memory
+// image (values AND timestamps) — across interconnects, policies, rails,
+// schedules, seeds and engine counts. The reference is the plain loop
+// the pool wraps: the same K machines' steps executed one after another
+// in ascending shard order on a second store drawn from the same map. (External package so the MOT-backed cases can import
 // repro/internal/mot, which itself imports quorum.)
 package quorum_test
 
@@ -30,11 +29,11 @@ type poolHarness struct {
 
 // newPoolHarness builds the pool and reference sides with independent
 // stores over the same map and independent interconnect instances.
-func newPoolHarness(mp *memmap.Map, k, nPer, workers int, mode model.Mode,
+func newPoolHarness(mp *memmap.Map, k, nPer int, mode model.Mode,
 	newNet func(shard int) quorum.Interconnect, twoStage *quorum.TwoStageConfig) *poolHarness {
 	h := &poolHarness{
 		pool: quorum.NewPool("pool", quorum.NewStore(mp), newNet,
-			quorum.PoolConfig{Engines: k, Procs: nPer, Mode: mode, Workers: workers, TwoStage: twoStage}),
+			quorum.PoolConfig{Engines: k, Procs: nPer, Mode: mode, TwoStage: twoStage}),
 		ref:  make([]*quorum.Machine, k),
 		refR: make([]model.StepReport, k),
 		mem:  mp.Vars(),
@@ -123,8 +122,8 @@ func runDifferentialSteps(t *testing.T, h *poolHarness, seed int64, steps int, c
 }
 
 // TestDifferentialPoolBipartite sweeps the DMMPC-style pool over engine
-// counts, worker counts, band layouts and traffic mixes, asserting
-// bit-for-bit equality with the serial reference.
+// counts, band layouts and traffic mixes, asserting bit-for-bit equality
+// with the serial reference.
 func TestDifferentialPoolBipartite(t *testing.T) {
 	newCB := func(int) quorum.Interconnect { return quorum.NewCompleteBipartite() }
 	for _, K := range []int{1, 2, 4, 8} {
@@ -141,28 +140,12 @@ func TestDifferentialPoolBipartite(t *testing.T) {
 						} else {
 							mp = memmap.Generate(p, seed*31)
 						}
-						h := newPoolHarness(mp, K, nPer, -1, model.CRCWPriority, newCB, nil)
+						h := newPoolHarness(mp, K, nPer, model.CRCWPriority, newCB, nil)
 						runDifferentialSteps(t, h, seed*977, 5, cross)
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestDifferentialPoolWorkerCounts pins worker-count independence: 1
-// (serial caller), 2, and an oversubscribed count shake out different
-// component interleavings, all bit-for-bit identical.
-func TestDifferentialPoolWorkerCounts(t *testing.T) {
-	const K, nPer = 4, 16
-	p := memmap.LemmaTwo(nPer*K, 2, 1)
-	mp := memmap.GenerateBanded(p, 7, K)
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("w=%d", workers), func(t *testing.T) {
-			h := newPoolHarness(mp, K, nPer, workers, model.CRCWPriority,
-				func(int) quorum.Interconnect { return quorum.NewCompleteBipartite() }, nil)
-			runDifferentialSteps(t, h, 5, 6, 0.2)
-		})
 	}
 }
 
@@ -202,7 +185,7 @@ func TestDifferentialPoolMOT(t *testing.T) {
 					return mot.NewNetwork(side, mot.ModulesAtLeaves,
 						mot.Config{Policy: c.policy, DualRail: c.dualRail})
 				}
-				h := newPoolHarness(mp, K, nPer, -1, model.CRCWPriority, newNet, c.twoStage)
+				h := newPoolHarness(mp, K, nPer, model.CRCWPriority, newNet, c.twoStage)
 				runDifferentialSteps(t, h, 23+int64(K), 4, 0.2)
 			}
 		})
@@ -218,7 +201,7 @@ func TestDifferentialPoolEnvEngines(t *testing.T) {
 	const nPer = 16
 	p := memmap.LemmaTwo(nPer*K, 2, 1)
 	mp := memmap.GenerateBanded(p, 3, K)
-	h := newPoolHarness(mp, K, nPer, 0, model.CRCWPriority,
+	h := newPoolHarness(mp, K, nPer, model.CRCWPriority,
 		func(int) quorum.Interconnect { return quorum.NewCompleteBipartite() }, nil)
 	if h.pool.Engines() != K {
 		t.Fatalf("pool resolved %d engines, want %d", h.pool.Engines(), K)
@@ -227,8 +210,8 @@ func TestDifferentialPoolEnvEngines(t *testing.T) {
 }
 
 // TestPoolExecuteStepsZeroAllocs locks the pool's steady-state
-// zero-allocation invariant: partition, worker dispatch, K shard steps and
-// the report merge all run out of reused arenas.
+// zero-allocation invariant: the census, K shard steps and the report
+// merge all run out of reused arenas.
 func TestPoolExecuteStepsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
@@ -238,7 +221,7 @@ func TestPoolExecuteStepsZeroAllocs(t *testing.T) {
 	mp := memmap.GenerateBanded(p, 11, K)
 	pl := quorum.NewPool("alloc", quorum.NewStore(mp),
 		func(int) quorum.Interconnect { return quorum.NewCompleteBipartite() },
-		quorum.PoolConfig{Engines: K, Procs: nPer, Mode: model.CRCWPriority, Workers: -1})
+		quorum.PoolConfig{Engines: K, Procs: nPer, Mode: model.CRCWPriority})
 	batches := make([]model.Batch, K)
 	mem := mp.Vars()
 	for k := range batches {
@@ -254,7 +237,7 @@ func TestPoolExecuteStepsZeroAllocs(t *testing.T) {
 		}
 		batches[k] = b
 	}
-	for i := 0; i < 5; i++ { // grow arenas, warm the worker set
+	for i := 0; i < 5; i++ { // grow arenas
 		if agg, _ := pl.ExecuteSteps(batches); agg.Err != nil {
 			t.Fatal(agg.Err)
 		}

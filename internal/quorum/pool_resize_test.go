@@ -43,9 +43,9 @@ func resizePools(nPer, bands, liveK, refK int) (live, ref *quorum.Pool) {
 	mp := memmap.GenerateBanded(p, 11, bands)
 	newCB := func(int) quorum.Interconnect { return quorum.NewCompleteBipartite() }
 	live = quorum.NewPool("live", quorum.NewStore(mp), newCB,
-		quorum.PoolConfig{Engines: liveK, Procs: nPer, Mode: model.CRCWPriority, Workers: -1})
+		quorum.PoolConfig{Engines: liveK, Procs: nPer, Mode: model.CRCWPriority})
 	ref = quorum.NewPool("ref", quorum.NewStore(mp), newCB,
-		quorum.PoolConfig{Engines: refK, Procs: nPer, Mode: model.CRCWPriority, Workers: 1})
+		quorum.PoolConfig{Engines: refK, Procs: nPer, Mode: model.CRCWPriority})
 	return live, ref
 }
 
@@ -100,8 +100,6 @@ func TestPoolResizeShrinkGrowDifferential(t *testing.T) {
 		}
 	}
 	checkResizeStores(t, live, ref)
-	live.Close()
-	ref.Close()
 }
 
 // TestPoolResizeGrowBeyondStart grows a pool past its construction-time K
@@ -119,14 +117,12 @@ func TestPoolResizeGrowBeyondStart(t *testing.T) {
 		runResizeRound(t, live, ref, bands, r)
 	}
 	checkResizeStores(t, live, ref)
-	live.Close()
-	ref.Close()
 }
 
-// TestPoolResizeCensusAndWorkers pins the transition bookkeeping: census
-// getters never report above the new K, the worker count re-resolves
-// against it, and degenerate calls behave (same-K no-op, k<1 panics).
-func TestPoolResizeCensusAndWorkers(t *testing.T) {
+// TestPoolResizeCensus pins the transition bookkeeping: census getters
+// never report above the new K, and degenerate calls behave (same-K no-op,
+// k<1 panics).
+func TestPoolResizeCensus(t *testing.T) {
 	const nPer, bands = 8, 4
 	live, _ := resizePools(nPer, bands, 4, 1)
 	mem := live.Store().Map().Vars()
@@ -144,9 +140,6 @@ func TestPoolResizeCensusAndWorkers(t *testing.T) {
 		t.Fatalf("post-resize census above new K: comp=%d active=%d",
 			live.LastComponents(), live.LastActive())
 	}
-	if got, want := live.Workers(), live.Engines(); got > want {
-		t.Fatalf("Workers() = %d after Resize(2), want ≤ %d", got, want)
-	}
 	live.Resize(2) // same-K: must be a no-op, not a rebuild
 	if live.Engines() != 2 {
 		t.Fatalf("Engines() = %d after same-K resize", live.Engines())
@@ -159,7 +152,6 @@ func TestPoolResizeCensusAndWorkers(t *testing.T) {
 		}()
 		live.Resize(0)
 	}()
-	live.Close()
 }
 
 // TestPoolResizeSinkLanes checks that shards created by a grow record
@@ -179,7 +171,6 @@ func TestPoolResizeSinkLanes(t *testing.T) {
 	if got := fmt.Sprint(sink.lanes); got != "map[0:1 1:1 2:1 3:1]" {
 		t.Fatalf("sink lanes after grow = %s, want one step on each of 0..3", got)
 	}
-	live.Close()
 }
 
 // laneSink counts RecordStep calls per lane.

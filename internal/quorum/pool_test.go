@@ -11,13 +11,13 @@ import (
 // bandedPoolSetup builds a K-engine pool over a banded map: shard k's
 // variable band maps only into shard k's module band, so shards touching
 // their own bands form K disjoint components by construction.
-func bandedPoolSetup(t testing.TB, nPerShard, k int, workers int) *Pool {
+func bandedPoolSetup(t testing.TB, nPerShard, k int) *Pool {
 	t.Helper()
 	p := memmap.LemmaTwo(nPerShard*k, 2, 1)
 	mp := memmap.GenerateBanded(p, 11, k)
 	return NewPool("pool-test", NewStore(mp),
 		func(int) Interconnect { return NewCompleteBipartite() },
-		PoolConfig{Engines: k, Procs: nPerShard, Mode: model.CRCWPriority, Workers: workers})
+		PoolConfig{Engines: k, Procs: nPerShard, Mode: model.CRCWPriority})
 }
 
 // bandBatch builds a step in which every processor of shard k reads or
@@ -39,11 +39,11 @@ func bandBatch(pl *Pool, shard, round int) model.Batch {
 }
 
 // TestPoolDisjointBandsFullParallelism: band-local traffic on a banded map
-// partitions into exactly K components, and committed memory matches the
-// per-shard writes.
+// forms exactly K components, and committed memory matches the per-shard
+// writes.
 func TestPoolDisjointBandsFullParallelism(t *testing.T) {
 	const nPer, K = 32, 4
-	pl := bandedPoolSetup(t, nPer, K, -1)
+	pl := bandedPoolSetup(t, nPer, K)
 	batches := make([]model.Batch, K)
 	for round := 0; round < 3; round++ {
 		for k := range batches {
@@ -77,7 +77,7 @@ func TestPoolDisjointBandsFullParallelism(t *testing.T) {
 // share that variable's modules and must be merged into one component.
 func TestPoolContentionMergesComponents(t *testing.T) {
 	const nPer, K = 8, 4
-	pl := bandedPoolSetup(t, nPer, K, -1)
+	pl := bandedPoolSetup(t, nPer, K)
 	batches := make([]model.Batch, K)
 	for k := range batches {
 		b := model.NewBatch(nPer)
@@ -90,11 +90,55 @@ func TestPoolContentionMergesComponents(t *testing.T) {
 	}
 }
 
+// TestPoolComponentsCountOnlyMerges: LastComponents is K minus the unions
+// that joined two separate components. Each shard reads the first variable
+// of its own band plus the bands listed for it; a link that closes a cycle
+// joins shards already merged and must not lower the count again.
+func TestPoolComponentsCountOnlyMerges(t *testing.T) {
+	const nPer, K = 8, 4
+	for _, c := range []struct {
+		name  string
+		reads [K][]int // extra bands shard k reads from
+		want  int
+	}{
+		{"pair", [K][]int{1: {0}}, 3},
+		{"two pairs", [K][]int{1: {0}, 3: {2}}, 2},
+		{"cycle", [K][]int{0: {2}, 1: {0}, 2: {1}}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pl := bandedPoolSetup(t, nPer, K)
+			mem := pl.Store().Map().Vars()
+			bandVar := func(band int) int {
+				lo, _ := memmap.BandRange(band, mem, K)
+				return lo
+			}
+			batches := make([]model.Batch, K)
+			for k := range batches {
+				b := model.NewBatch(nPer)
+				b[0] = model.Request{Proc: 0, Op: model.OpRead, Addr: bandVar(k)}
+				for i, band := range c.reads[k] {
+					b[i+1] = model.Request{Proc: i + 1, Op: model.OpRead, Addr: bandVar(band)}
+				}
+				batches[k] = b
+			}
+			if agg, _ := pl.ExecuteSteps(batches); agg.Err != nil {
+				t.Fatal(agg.Err)
+			}
+			if got := pl.LastComponents(); got != c.want {
+				t.Errorf("%d components, want %d", got, c.want)
+			}
+			if got := pl.LastActive(); got != K {
+				t.Errorf("LastActive = %d, want %d", got, K)
+			}
+		})
+	}
+}
+
 // TestPoolAggregateReport: aggregate semantics over shards — makespan
 // fields take maxima, work sums, Values land at shard offsets.
 func TestPoolAggregateReport(t *testing.T) {
 	const nPer, K = 16, 2
-	pl := bandedPoolSetup(t, nPer, K, 1)
+	pl := bandedPoolSetup(t, nPer, K)
 	// Shard writes, then shard reads; check values at global offsets.
 	writes := make([]model.Batch, K)
 	for k := range writes {
@@ -129,23 +173,6 @@ func TestPoolAggregateReport(t *testing.T) {
 	}
 	if agg.CopyAccesses != wantCopies {
 		t.Errorf("aggregate CopyAccesses = %d, want summed %d", agg.CopyAccesses, wantCopies)
-	}
-}
-
-// TestPoolWorkersResolution pins the Workers encoding.
-func TestPoolWorkersResolution(t *testing.T) {
-	maxp := runtime.GOMAXPROCS(0)
-	cases := []struct{ w, k, want int }{
-		{1, 8, 1},
-		{3, 8, 3},
-		{100, 8, 8}, // clamped to K
-		{0, 2, min(2, maxp)},
-		{-1, 64, min(64, maxp)},
-	}
-	for _, c := range cases {
-		if got := resolveWorkers(c.w, c.k); got != c.want {
-			t.Errorf("resolveWorkers(%d, %d) = %d, want %d", c.w, c.k, got, c.want)
-		}
 	}
 }
 
@@ -193,7 +220,7 @@ func TestResolveEnginesEnv(t *testing.T) {
 // TestPoolBatchCountMismatch: feeding the wrong number of shard batches is
 // a programming error and must not be silently truncated.
 func TestPoolBatchCountMismatch(t *testing.T) {
-	pl := bandedPoolSetup(t, 8, 2, 1)
+	pl := bandedPoolSetup(t, 8, 2)
 	defer func() {
 		if recover() == nil {
 			t.Error("ExecuteSteps accepted a mismatched batch count")

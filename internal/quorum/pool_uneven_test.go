@@ -4,7 +4,7 @@
 // including empty (idle) lanes. The equal-sized-shard matrix in
 // pool_differential_test.go never exercises that shape; these tests pin it
 // to the same serial shard-order reference, with the same bit-for-bit
-// contract, across worker counts and traffic mixes.
+// contract, across traffic mixes.
 package quorum_test
 
 import (
@@ -48,43 +48,41 @@ func TestDifferentialPoolUnevenShards(t *testing.T) {
 	newCB := func(int) quorum.Interconnect { return quorum.NewCompleteBipartite() }
 	// Lane widths 16, 8, 4, 0: lane 3 is an always-empty (idle) shard.
 	widths := [K]int{nPer, nPer / 2, nPer / 4, 0}
-	for _, workers := range []int{1, 4} {
-		for _, cross := range []float64{0, 0.3} {
-			t.Run(fmt.Sprintf("w=%d/cross=%.1f", workers, cross), func(t *testing.T) {
-				p := memmap.LemmaTwo(nPer*K, 2, 1)
-				for seed := int64(1); seed <= 3; seed++ {
-					mp := memmap.GenerateBanded(p, seed*13, K)
-					h := newPoolHarness(mp, K, nPer, workers, model.CRCWPriority, newCB, nil)
-					rng := rand.New(rand.NewSource(seed * 577))
-					batches := make([]model.Batch, K)
-					var refAgg model.StepReport
-					for s := 0; s < 6; s++ {
-						for sh := range batches {
-							batches[sh] = unevenBatch(rng, h, sh, widths[sh], cross)
-						}
-						agg, shardReps := h.pool.ExecuteSteps(batches)
-						for sh := 0; sh < K; sh++ {
-							h.refR[sh] = h.ref[sh].ExecuteStep(batches[sh])
-						}
-						for sh := 0; sh < K; sh++ {
-							if fp, fr := stepFingerprint(shardReps[sh]), stepFingerprint(h.refR[sh]); fp != fr {
-								t.Fatalf("step %d shard %d diverged:\n pool %s\n ref  %s", s, sh, fp, fr)
-							}
-						}
-						model.MergeStepReports(&refAgg, h.refR, h.pool.ShardProcs())
-						if fa, fr := stepFingerprint(agg), stepFingerprint(refAgg); fa != fr {
-							t.Fatalf("step %d aggregate diverged:\n pool %s\n ref  %s", s, fa, fr)
-						}
-						if got := h.pool.LastActive(); got > 3 {
-							t.Fatalf("step %d: LastActive=%d with a permanently idle lane", s, got)
+	for _, cross := range []float64{0, 0.3} {
+		t.Run(fmt.Sprintf("cross=%.1f", cross), func(t *testing.T) {
+			p := memmap.LemmaTwo(nPer*K, 2, 1)
+			for seed := int64(1); seed <= 3; seed++ {
+				mp := memmap.GenerateBanded(p, seed*13, K)
+				h := newPoolHarness(mp, K, nPer, model.CRCWPriority, newCB, nil)
+				rng := rand.New(rand.NewSource(seed * 577))
+				batches := make([]model.Batch, K)
+				var refAgg model.StepReport
+				for s := 0; s < 6; s++ {
+					for sh := range batches {
+						batches[sh] = unevenBatch(rng, h, sh, widths[sh], cross)
+					}
+					agg, shardReps := h.pool.ExecuteSteps(batches)
+					for sh := 0; sh < K; sh++ {
+						h.refR[sh] = h.ref[sh].ExecuteStep(batches[sh])
+					}
+					for sh := 0; sh < K; sh++ {
+						if fp, fr := stepFingerprint(shardReps[sh]), stepFingerprint(h.refR[sh]); fp != fr {
+							t.Fatalf("step %d shard %d diverged:\n pool %s\n ref  %s", s, sh, fp, fr)
 						}
 					}
-					if hp, hr := h.pool.Store().Fingerprint(), h.ref[0].Store().Fingerprint(); hp != hr {
-						t.Fatalf("store images diverged: pool %x, ref %x", hp, hr)
+					model.MergeStepReports(&refAgg, h.refR, h.pool.ShardProcs())
+					if fa, fr := stepFingerprint(agg), stepFingerprint(refAgg); fa != fr {
+						t.Fatalf("step %d aggregate diverged:\n pool %s\n ref  %s", s, fa, fr)
+					}
+					if got := h.pool.LastActive(); got > 3 {
+						t.Fatalf("step %d: LastActive=%d with a permanently idle lane", s, got)
 					}
 				}
-			})
-		}
+				if hp, hr := h.pool.Store().Fingerprint(), h.ref[0].Store().Fingerprint(); hp != hr {
+					t.Fatalf("store images diverged: pool %x, ref %x", hp, hr)
+				}
+			}
+		})
 	}
 }
 
@@ -97,7 +95,7 @@ func TestPoolLastActiveCensus(t *testing.T) {
 	mp := memmap.GenerateBanded(p, 3, K)
 	pool := quorum.NewPool("census", quorum.NewStore(mp),
 		func(int) quorum.Interconnect { return quorum.NewCompleteBipartite() },
-		quorum.PoolConfig{Engines: K, Procs: nPer, Mode: model.CRCWPriority, Workers: 1})
+		quorum.PoolConfig{Engines: K, Procs: nPer, Mode: model.CRCWPriority})
 	batches := make([]model.Batch, K)
 	for active := 0; active <= K; active++ {
 		for sh := 0; sh < K; sh++ {
@@ -117,11 +115,5 @@ func TestPoolLastActiveCensus(t *testing.T) {
 		if got := pool.LastComponents(); got != K {
 			t.Errorf("active=%d: LastComponents = %d, want %d (disjoint bands + idle singletons)", active, got, K)
 		}
-	}
-	// Close retires the worker set and stays reusable + idempotent.
-	pool.Close()
-	pool.Close()
-	if agg, _ := pool.ExecuteSteps(batches); agg.Err != nil {
-		t.Fatalf("ExecuteSteps after Close: %v", agg.Err)
 	}
 }

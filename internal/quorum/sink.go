@@ -20,7 +20,7 @@ import (
 // Every call comes from the goroutine driving the machine or pool. A
 // single Machine calls RecordStep at the end of ExecuteStep. A Pool calls
 // it once per shard (lane k is shard k, see Pool.SetStepSink) in ascending
-// lane order after a round's components finish, idle shards included, and
+// lane order after a round's shard steps run, idle shards included, and
 // then calls StepBarrier.
 type StepSink interface {
 	// RecordStep reports one executed step: its post-dedup form (the

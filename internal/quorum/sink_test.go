@@ -226,9 +226,8 @@ func TestDedupStepDoesNotRecord(t *testing.T) {
 	}
 }
 
-// TestPoolSetStepSinkLanes: the pool records every round on the caller,
-// lanes 0..K−1 in ascending order then the barrier, even when its
-// components run on parallel workers; replaying the rounds reproduces the
+// TestPoolSetStepSinkLanes: the pool records every round, lanes 0..K−1 in
+// ascending order then the barrier; replaying the rounds reproduces the
 // breakdown accessors and the store image.
 func TestPoolSetStepSinkLanes(t *testing.T) {
 	const k, nPer = 4, 8
@@ -236,10 +235,9 @@ func TestPoolSetStepSinkLanes(t *testing.T) {
 	mp := memmap.GenerateBanded(p, 7, k)
 	newPool := func(name string) *Pool {
 		return NewPool(name, NewStore(mp), func(int) Interconnect { return NewCompleteBipartite() },
-			PoolConfig{Engines: k, Procs: nPer, Mode: model.CRCWPriority, Workers: 4})
+			PoolConfig{Engines: k, Procs: nPer, Mode: model.CRCWPriority})
 	}
 	pl := newPool("sink")
-	defer pl.Close()
 	sink := &captureSink{}
 	pl.SetStepSink(sink)
 
@@ -276,7 +274,6 @@ func TestPoolSetStepSinkLanes(t *testing.T) {
 	// Replaying the captured rounds through ExecuteDedupSteps on a fresh
 	// pool reproduces the breakdown accessors and the store image.
 	pl2 := newPool("sink2")
-	defer pl2.Close()
 	for r := 0; r < rounds; r++ {
 		pl2.ExecuteDedupSteps(sink.steps[r*k : (r+1)*k])
 		for sh := 0; sh < k; sh++ {

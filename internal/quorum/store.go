@@ -30,10 +30,9 @@
 // the processor count, not by the module count M. The price is aliasing —
 // Result and StepReport slices are valid only until the next call on the
 // same component — and single-threadedness per machine instance. The Pool
-// extends the invariant across engines: its post-dedup step slots,
-// union-find arrays, component buffers, worker pool and merged-report
-// buffers are all reused, so a steady-state ExecuteSteps is
-// allocation-free too (pool tests lock it).
+// extends the invariant across engines: its post-dedup step slots, census
+// tables and merged-report buffers are all reused, so a steady-state
+// ExecuteSteps is allocation-free too (pool tests lock it).
 // testing.AllocsPerRun tests (alloc_test.go) lock the invariant, and
 // TestRandomStepsDoNotAllocate checks it over random addresses; golden
 // trace tests (golden_test.go, testdata/) pin the behavior bit-for-bit to
@@ -51,26 +50,23 @@
 // batch mutates is therefore owned by the modules the batch touches: the
 // union of memmap rows of its variables, ALL 2c−1 modules per variable,
 // not only the quorum that ends up granted. That makes module sets the
-// unit of concurrency: engines whose batches touch disjoint module sets
-// share NO mutable store state and may execute fully in parallel with
-// zero locking. (Module-level grouping is deliberately conservative —
+// unit of independence: engines whose batches touch disjoint module sets
+// share NO mutable store state, so their steps commute — any order gives
+// the same bytes. (Module-level grouping is deliberately conservative —
 // distinct variables never share cells even inside one module — but the
 // module is the machine's physical resource and the granularity every
 // deployment story shards by. The cell ARRAY stays row-major because the
 // protocol touches copies row-wise; ownership, not byte adjacency, is
-// what the concurrency contract needs, and the modules a row spans are
-// disjoint between components either way.)
+// what the contract needs, and the modules a row spans are disjoint
+// between components either way.)
 //
-// The Pool enforces the ownership rule: each step it partitions the shard
-// batches into module-connectivity components (union-find over touched
-// modules) and hands each component to exactly one worker goroutine,
-// which executes the component's batches serially in ascending shard
-// order. A goroutine may touch a module's segment and clock only while
-// executing the component that owns that module this step; between steps
-// the pool's barrier publishes every write. Batches that contend on a module are thereby
-// MERGED into one serial component — that deterministic merge, not a lock,
-// is how contention is resolved, so the result is bit-for-bit identical to
-// running every shard serially in index order (pool differential tests).
+// The Pool takes the ownership census every round: a union-find over the
+// touched modules groups the shard batches into module-connectivity
+// components, and K minus their count is the round's forced-merge count,
+// which the serving layer reports. It then runs every shard step on the
+// calling goroutine in ascending shard order — the serial reference order
+// of the pool differential tests — so batches that contend on a module
+// are resolved by that order, not by a lock.
 //
 // Timestamps come from per-row logical clocks, not one global counter:
 // copy timestamps are only ever COMPARED within one variable's row (a
@@ -115,9 +111,9 @@
 // bipartite graph's phase stamps) evolves only per routed batch. The one
 // contract is completeness: the sink must see every step and load since
 // construction, which is why recorders attach before the first step. A
-// Pool records each round on the caller after its components finish: shard
-// k under lane k in ascending lane order — the same serial reference order
-// the pool's determinism contract is stated in — then StepBarrier.
+// Pool records each round after its shard steps run: shard k under lane k
+// in ascending lane order — the order the steps ran in — then
+// StepBarrier.
 //
 // # Serving lane
 //
@@ -125,17 +121,15 @@
 // (repro/internal/serve, cmd/serve): tenants submit step batches through
 // bounded admission queues and a deterministic scheduler assigns each
 // tenant to a shard by its variable band (memmap.GenerateBanded), so
-// co-scheduled tenants touch disjoint module sets and every round runs on
-// the disjoint-component fast path above. Three pool affordances exist
-// for that layer: shard machines accept batches NARROWER than their
-// processor count (tenants of uneven sizes multiplex onto one pool — idle
-// lanes pass empty batches and stay singleton components; the
-// uneven-shard differential tests pin this against the serial reference),
-// LastActive/LastComponents expose the per-round occupancy and component
-// census (K − LastComponents() is the round's forced serial-merge count,
-// the serving layer's degradation signal), and Close retires the executor
-// goroutines eagerly for graceful shutdown — the pool stays usable and
-// restarts them lazily if stepped again.
+// co-scheduled tenants touch disjoint module sets and the census above
+// finds no forced merge. Two pool affordances exist for that layer: shard
+// machines accept batches NARROWER than their processor count (tenants of
+// uneven sizes multiplex onto one pool — idle lanes pass empty batches
+// and stay singleton components; the uneven-shard differential tests pin
+// this against the serial reference), and LastActive/LastComponents
+// expose the per-round occupancy and component census (K −
+// LastComponents() is the round's forced serial-merge count, the serving
+// layer's degradation signal).
 //
 // # Invariants are machine-enforced
 //
@@ -174,10 +168,10 @@ import (
 // scattered across 2c−1 segments), while the per-module segment index
 // (ModuleSegment/ModuleCells, built lazily) materializes exactly which
 // cells each module's shard owns — what a distributed deployment would
-// place on module m's node, and the partition the Pool's component
-// scheduler enforces. The logical clock shards the same way (one stamp
-// per variable row, owned by the row's module set). See the package doc's
-// "Shard-ownership invariant" section for the concurrency rules.
+// place on module m's node, and the partition the Pool's census counts.
+// The logical clock shards the same way (one stamp per variable row,
+// owned by the row's module set). See the package doc's "Shard-ownership
+// invariant" section for the ownership rules.
 type Store struct {
 	mp       *memmap.Map
 	r        int
@@ -264,8 +258,7 @@ func (s *Store) Map() *memmap.Map { return s.mp }
 // row's ordering is carried entirely by its own write chain. The Engine
 // calls this once per batch in place of a global tick; batches writing
 // disjoint variable sets neither observe nor perturb each other's clocks,
-// which is what lets pool engines run disjoint-module components
-// concurrently yet bit-for-bit identically to serial execution.
+// which is why disjoint-module components commute.
 func (s *Store) StampBatch(reqs []Request) uint64 {
 	var now uint64
 	writes := false
@@ -378,8 +371,8 @@ func (s *Store) ModuleCells(mod int) []int32 {
 // Fingerprint hashes the full copy state — every (value, timestamp) pair in
 // variable-major order — with FNV-1a. Two stores with equal fingerprints
 // hold bit-for-bit identical replicated images, which is how the pool
-// differential tests compare concurrent execution against the serial
-// reference without exporting the arrays.
+// differential tests compare pool rounds against the serial reference
+// without exporting the arrays.
 func (s *Store) Fingerprint() uint64 {
 	const (
 		offset = 14695981039346656037

@@ -60,6 +60,29 @@ func TestReplayStepZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestReplayResetZeroAllocs: rewinding a replayer onto its trace (magic
+// and header frame) allocates nothing. TestReplayStepZeroAllocs rewinds
+// once per several steps, so its average would round one allocation per
+// rewind down to 0.
+func TestReplayResetZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation invariants are measured without the race detector")
+	}
+	_, rp, rd := allocTrace(t, core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 64, Mode: model.CRCWPriority})
+	rewind := func() {
+		if _, err := rd.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if err := rp.Reset(rd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewind()
+	if avg := testing.AllocsPerRun(50, rewind); avg != 0 {
+		t.Errorf("Reset allocates %.1f/op, want 0", avg)
+	}
+}
+
 // TestPoolReplayStepZeroAllocs extends the invariant to multi-lane pool
 // traces (round assembly arenas plus ExecuteDedupSteps).
 func TestPoolReplayStepZeroAllocs(t *testing.T) {

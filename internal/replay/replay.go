@@ -37,8 +37,7 @@
 //	                 start-of-recording store fingerprint) that Open
 //	                 cross-checks against a fresh build, so
 //	                 parameter-derivation drift or a pre-loaded store fails
-//	                 loudly instead of replaying wrong costs. The spec's
-//	                 wall-clock knob (Workers) is not persisted.
+//	                 loudly instead of replaying wrong costs.
 //	load    (0x02) — one LoadCells call: lane, base address, values
 //	                 (zigzag varints). Setup-time memory initialization.
 //	step    (0x03) — one executed step of one lane: the deduplicated read

@@ -56,11 +56,12 @@ type Reader struct {
 	hdrMem, hdrModules, hdrRedundancy, hdrSide int
 	startFP                                    uint64
 
-	frame  Frame
-	buf    []byte
-	crcBuf [4]byte // reusable checksum read buffer (it would escape as a local)
-	sawEOF bool
-	err    error // sticky
+	frame    Frame
+	buf      []byte
+	magicBuf [8]byte // reusable magic and checksum read buffers (they
+	crcBuf   [4]byte // would escape as locals through io.ReadFull)
+	sawEOF   bool
+	err      error // sticky
 }
 
 // NewReader opens a trace stream: it consumes the magic and header frame
@@ -86,12 +87,11 @@ func (r *Reader) Reset(src io.Reader) error {
 
 // readPreamble consumes magic plus header frame.
 func (r *Reader) readPreamble() error {
-	var got [8]byte
-	if _, err := io.ReadFull(r.br, got[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.magicBuf[:]); err != nil {
 		return corruptf("reading magic: %v", err)
 	}
-	if got != magic {
-		return corruptf("bad magic %q", got[:])
+	if r.magicBuf != magic {
+		return corruptf("bad magic %q", r.magicBuf[:])
 	}
 	kind, payload, err := r.readFrame()
 	if err != nil {
@@ -391,18 +391,12 @@ type Replayer struct {
 
 // Open reads a trace's header from src and builds its machines. The
 // returned Replayer is positioned at the first post-header frame.
-func Open(src io.Reader) (*Replayer, error) { return OpenConfigured(src, 0) }
-
-// OpenConfigured is Open with the pool's executor count set (0 for the
-// default). It does not affect replayed results — bit-for-bit determinism
-// is the pool's contract.
-func OpenConfigured(src io.Reader, workers int) (*Replayer, error) {
+func Open(src io.Reader) (*Replayer, error) {
 	r, err := NewReader(src)
 	if err != nil {
 		return nil, err
 	}
 	spec := r.Spec()
-	spec.Workers = workers
 	built, err := spec.Build()
 	if err != nil {
 		return nil, err

@@ -157,6 +157,11 @@ func ReadScript(rd io.Reader) (*Script, error) {
 		if text == "" {
 			continue
 		}
+		if strings.ContainsRune(text, '\r') {
+			// The recorder cannot write one back: it refuses a CR in meta,
+			// and a reader drops a CR that ends a line.
+			return nil, fmt.Errorf("replay: script line %d: carriage return inside a line", line)
+		}
 		if sawEnd {
 			return nil, fmt.Errorf("replay: script line %d: content after end line", line)
 		}
@@ -170,7 +175,7 @@ func ReadScript(rd io.Reader) (*Script, error) {
 			s.Meta = rest
 		case "a":
 			var ev ScriptEvent
-			if _, err := fmt.Sscanf(rest, "%d %d %d", &ev.Round, &ev.Tenant, &ev.Credits); err != nil {
+			if err := scanInts(rest, &ev.Round, &ev.Tenant, &ev.Credits); err != nil {
 				return nil, fmt.Errorf("replay: script line %d: bad submission %q: %v", line, text, err)
 			}
 			if ev.Round < 0 || ev.Tenant < 0 || ev.Credits < 1 {
@@ -179,7 +184,7 @@ func ReadScript(rd io.Reader) (*Script, error) {
 			s.Events = append(s.Events, ev)
 		case "r":
 			var ev ScriptEvent
-			if _, err := fmt.Sscanf(rest, "%d %d", &ev.Round, &ev.K); err != nil {
+			if err := scanInts(rest, &ev.Round, &ev.K); err != nil {
 				return nil, fmt.Errorf("replay: script line %d: bad resize %q: %v", line, text, err)
 			}
 			if ev.Round < 0 || ev.K < 1 {
@@ -188,7 +193,7 @@ func ReadScript(rd io.Reader) (*Script, error) {
 			s.Events = append(s.Events, ev)
 		case "d":
 			var ev ScriptEvent
-			if _, err := fmt.Sscanf(rest, "%d", &ev.Round); err != nil {
+			if err := scanInts(rest, &ev.Round); err != nil {
 				return nil, fmt.Errorf("replay: script line %d: bad drain %q: %v", line, text, err)
 			}
 			if ev.Round < 0 {
@@ -238,4 +243,27 @@ func ReadScript(rd io.Reader) (*Script, error) {
 		return nil, fmt.Errorf("replay: script is truncated (no end line)")
 	}
 	return s, nil
+}
+
+// scanInts parses rest as exactly len(dst) space-separated decimal
+// integers into *int64 or *int fields; fmt.Sscanf would accept trailing
+// tokens.
+func scanInts(rest string, dst ...any) error {
+	f := strings.Fields(rest)
+	if len(f) != len(dst) {
+		return fmt.Errorf("%d fields, want %d", len(f), len(dst))
+	}
+	for i, d := range dst {
+		var err error
+		switch d := d.(type) {
+		case *int64:
+			*d, err = strconv.ParseInt(f[i], 10, 64)
+		case *int:
+			*d, err = strconv.Atoi(f[i])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,16 +2,25 @@ package replay
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestScriptRoundTrip records a representative script and parses it back.
-func TestScriptRoundTrip(t *testing.T) {
+// sampleTenants is sampleScript's footer.
+var sampleTenants = []ScriptTenant{
+	{Name: "uniform", Steps: 5, Hash: 0xdeadbeefcafe},
+	{Name: "a name with spaces", Steps: 2, Hash: 0x1},
+}
+
+// sampleScript records a representative script: submissions, resizes, a
+// drain and a footer.
+func sampleScript(tb testing.TB) []byte {
 	var buf bytes.Buffer
 	rec, err := NewScriptRecorder(&buf, `tenants="uniform:20,hotspot:10" n=64 engines=2`)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	rec.Submit(0, 0, 4)
 	rec.Submit(0, 1, 2)
@@ -19,15 +28,15 @@ func TestScriptRoundTrip(t *testing.T) {
 	rec.Submit(3, 0, 1)
 	rec.Resize(9, 2)
 	rec.Drain(11)
-	tenants := []ScriptTenant{
-		{Name: "uniform", Steps: 5, Hash: 0xdeadbeefcafe},
-		{Name: "a name with spaces", Steps: 2, Hash: 0x1},
+	if err := rec.Close(sampleTenants, 12, 0xfeedface); err != nil {
+		tb.Fatal(err)
 	}
-	if err := rec.Close(tenants, 12, 0xfeedface); err != nil {
-		t.Fatal(err)
-	}
+	return buf.Bytes()
+}
 
-	s, err := ReadScript(&buf)
+// TestScriptRoundTrip records a representative script and parses it back.
+func TestScriptRoundTrip(t *testing.T) {
+	s, err := ReadScript(bytes.NewReader(sampleScript(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +65,8 @@ func TestScriptRoundTrip(t *testing.T) {
 	if !s.Events[5].IsDrain() || s.Events[5].IsResize() {
 		t.Error("event 5 should classify as a drain")
 	}
-	if len(s.Tenants) != 2 || s.Tenants[0] != tenants[0] || s.Tenants[1] != tenants[1] {
-		t.Errorf("tenants = %+v, want %+v", s.Tenants, tenants)
+	if !slices.Equal(s.Tenants, sampleTenants) {
+		t.Errorf("tenants = %+v, want %+v", s.Tenants, sampleTenants)
 	}
 	if s.Rounds != 12 || s.Fingerprint != 0xfeedface {
 		t.Errorf("footer = (%d, %x), want (12, feedface)", s.Rounds, s.Fingerprint)
@@ -78,6 +87,11 @@ func TestScriptRejectsMalformed(t *testing.T) {
 		{"dup meta", "PRAMARS1\nmeta x\nmeta y\nend 0 0\n", "duplicate meta"},
 		{"bad op", "PRAMARS1\nmeta x\nq 1 2\nend 0 0\n", "unknown op"},
 		{"bad submit", "PRAMARS1\nmeta x\na 0 zero 1\nend 0 0\n", "bad submission"},
+		{"submit trailing token", "PRAMARS1\nmeta x\na 1 2 3 junk\nend 0 0\n", "bad submission"},
+		{"resize trailing token", "PRAMARS1\nmeta x\nr 1 2 3\nend 0 0\n", "bad resize"},
+		{"drain missing round", "PRAMARS1\nmeta x\nd\nend 0 0\n", "bad drain"},
+		{"meta CR", "PRAMARS1\nmeta x\ry\nend 0 0\n", "carriage return"},
+		{"name ends in CR", "PRAMARS1\nmeta x\nt 1 0 u\r\r\nend 0 0\n", "carriage return"},
 		{"zero credits", "PRAMARS1\nmeta x\na 0 0 0\nend 0 0\n", "bad submission"},
 		{"zero k", "PRAMARS1\nmeta x\nr 4 0\nend 0 0\n", "bad resize"},
 		{"bad tenant", "PRAMARS1\nmeta x\nt 5 nothex u\nend 0 0\n", "bad tenant hash"},
@@ -96,4 +110,46 @@ func TestScriptRejectsMalformed(t *testing.T) {
 	if _, err := NewScriptRecorder(&bytes.Buffer{}, "two\nlines"); err == nil {
 		t.Error("multiline meta accepted")
 	}
+}
+
+// FuzzReadScript: ReadScript either rejects its input, or the script it
+// returns re-records through ScriptRecorder and reads back identical.
+func FuzzReadScript(f *testing.F) {
+	sample := sampleScript(f)
+	f.Add(string(sample))
+	f.Add(string(sample[:len(sample)-8])) // truncated inside the end line
+	f.Add("PRAMARS1\nmeta x\ry\nend 0 0\n")
+	f.Add("PRAMARS1\nmeta x\na 1 2 3 junk\nend 0 0\n")
+	f.Add("PRAMARS1\nmeta x\nt 1 0 u\r\r\nend 0 0\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ReadScript(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		rec, err := NewScriptRecorder(&buf, s.Meta)
+		if err != nil {
+			t.Fatalf("parsed meta %q does not record: %v", s.Meta, err)
+		}
+		for _, ev := range s.Events {
+			switch {
+			case ev.IsResize():
+				rec.Resize(ev.Round, ev.K)
+			case ev.IsDrain():
+				rec.Drain(ev.Round)
+			default:
+				rec.Submit(ev.Round, ev.Tenant, ev.Credits)
+			}
+		}
+		if err := rec.Close(s.Tenants, s.Rounds, s.Fingerprint); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadScript(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-recorded script does not parse: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("re-recorded script reads back %+v, parsed %+v", back, s)
+		}
+	})
 }

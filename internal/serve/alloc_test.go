@@ -30,7 +30,6 @@ func TestServeRoundZeroAllocs(t *testing.T) {
 			},
 			Bands:      3,
 			Engines:    3,
-			Workers:    0,
 			Seed:       7,
 			EventDepth: depth,
 		})

@@ -13,7 +13,7 @@ import (
 type AutoscaleConfig struct {
 	// Min and Max bound K. Min 0 → 1. Max 0 → the server's band count —
 	// shards beyond the band count can never receive a tenant, so growing
-	// past it only burns goroutines; an explicit Max is clamped to it too.
+	// past it only adds idle machines; an explicit Max is clamped to it too.
 	Min, Max int
 	// Interval is the decision window in observed rounds (0 → 16): signals
 	// accumulate over the window and at most one resize fires per window.

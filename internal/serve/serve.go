@@ -4,27 +4,29 @@
 // generators reusing the replay package's patterns, or recorded PRAMTRC1
 // traces via replay.BatchSource), queues them behind bounded per-tenant
 // admission queues with explicit backpressure, and schedules them onto a
-// pool of K concurrent quorum engines with BAND-AWARE placement: each
-// tenant owns one variable band of a memmap.GenerateBanded image and is
-// pinned to shard band%K, so tenants that are co-scheduled in a round
-// touch disjoint module bands by construction and hit the pool's
-// zero-locking disjoint-component fast path.
+// pool of K quorum engines with BAND-AWARE placement: each tenant owns one
+// variable band of a memmap.GenerateBanded image and is pinned to shard
+// band%K, so tenants that are co-scheduled in a round touch disjoint
+// module bands by construction and the pool's census finds no forced
+// merge. K sets how many tenant steps one virtual round co-schedules (a
+// round's simulated cost is its slowest step's); it buys no host
+// parallelism, since every round runs on the calling goroutine.
 //
 // # Determinism
 //
 // A serving run is a pure function of (map seed, tenant specs, arrival
 // script): there is no wall clock anywhere. Rounds advance a virtual
 // round counter; arrivals are arithmetic in that counter; the scheduler is
-// a deterministic round-robin per shard; and the pool's own contract makes
-// each round bit-for-bit independent of its worker count. The memory map
-// is banded by the TENANT count (not by K), and band-local tenants write
-// only their own rows, so per-tenant StepReports and the final store
-// fingerprint are ALSO invariant across the engine count K — a mix served
-// at K=8 is, per tenant, the same computation as at K=1, merely faster
-// (TestServeDeterministic locks this across K ∈ {1,2,4,8} and worker
-// counts). The one caveat is backpressure: rejection counts depend on how
-// fast queues drain, so open-loop mixes that overflow their queues are
-// deterministic per (K, script) but not across K.
+// a deterministic round-robin per shard; and the pool runs each round's
+// shard steps on the caller in shard order. The memory map is banded by
+// the TENANT count (not by K), and band-local tenants write only their own
+// rows, so per-tenant StepReports and the final store fingerprint are ALSO
+// invariant across the engine count K — a mix served at K=8 is, per
+// tenant, the same computation as at K=1 in fewer rounds
+// (TestServeDeterministic locks this across K ∈ {1,2,4,8}). The one
+// caveat is backpressure: rejection counts depend on how fast queues
+// drain, so open-loop mixes that overflow their queues are deterministic
+// per (K, script) but not across K.
 //
 // # Backpressure and degradation
 //
@@ -32,25 +34,25 @@
 // the cap is REJECTED and counted (Rejected per tenant), never silently
 // dropped or blocked on. Placement degradation is equally loud: admitting
 // a tenant whose band another tenant already owns bumps BandOverlaps (the
-// two serialize behind one shard's queue instead of running in parallel),
+// two serialize behind one shard's queue instead of sharing a round),
 // and any round whose batches collide on a module — cross-band traffic —
 // counts its forced serial-component merges (ForcedMerges, from the
 // pool's component census). Both fire the optional Logf hook once, so a
-// deployment sees its fast path eroding instead of just slowing down.
+// deployment sees its placement eroding instead of guessing at it.
 //
 // # Autoscaling and resize determinism
 //
-// The engine count K is a wall-clock knob, not a semantic one, and the
-// Autoscaler exploits that: watching the degradation signals the server
-// already counts (forced merges, pool occupancy, queue depth, rejection
-// rate), it grows or shrinks K online via Server.Resize — the pool adds or
-// retires shard machines and every tenant re-bands to shard band%K, with
-// no data movement (the store is module-sharded) and no accounting reset,
-// so the admission identity submitted == steps + queue + rejected +
-// unserved holds through every transition. Because per-tenant results are
-// K-invariant, a resize changes occupancy and wall clock only: per-tenant
-// hashes and the store fingerprint are unchanged by WHEN (or whether) the
-// autoscaler acts.
+// The engine count K shapes the round schedule but not per-tenant
+// results, and the Autoscaler exploits that: watching the degradation
+// signals the server already counts (forced merges, pool occupancy, queue
+// depth, rejection rate), it grows or shrinks K online via Server.Resize —
+// the pool adds or retires shard machines and every tenant re-bands to
+// shard band%K, with no data movement (the store is module-sharded) and no
+// accounting reset, so the admission identity submitted == steps + queue +
+// rejected + unserved holds through every transition. Because per-tenant
+// results are K-invariant, a resize changes occupancy and the round
+// schedule only: per-tenant hashes and the store fingerprint are unchanged
+// by WHEN (or whether) the autoscaler acts.
 //
 // The caveat is, as ever, rejection determinism: Rejected counts depend
 // on queue drain rates, and drain rates depend on K. An open-loop or
@@ -80,7 +82,7 @@
 //     All render as Prometheus histogram families on /metrics. For finite
 //     mixes served to completion the step-time and dedup families are
 //     K-invariant (the step multiset is); wait/occupancy families depend
-//     on the round schedule and are invariant across worker counts only.
+//     on the round schedule, so they are K-variant but replay-invariant.
 //   - The event log (EventLog) is one fixed-size ring of flat records per
 //     server. It holds the admission events — submissions and their
 //     accept/reject splits, arrival-overflow rejections, resizes, the
@@ -106,7 +108,7 @@
 //     completion (labels are tenant+band+stage only, surviving resizes),
 //     while the critical-path split
 //     (pramsim_serve_round_critical_stage_time_total) follows the round
-//     schedule and is worker/replay-invariant only. Both are lifetime
+//     schedule and is replay-invariant only. Both are lifetime
 //     totals folded in Round, which a wrapping ring could not reproduce.
 //   - The wall-clock side stays quarantined: HTTPOptions.Pprof optionally
 //     mounts the stdlib /debug/pprof/* handlers (host-process profiles,
@@ -289,8 +291,6 @@ type Config struct {
 	// Engines is the pool's engine count K (0 consults PRAMSIM_ENGINES,
 	// < 0 GOMAXPROCS).
 	Engines int
-	// Workers bounds the pool's executor goroutines (quorum.PoolConfig).
-	Workers int
 	// Mode is the conflict convention. The zero value selects
 	// CRCW-Priority: a multi-tenant front end serves arbitrary concurrent
 	// traffic, and an exclusivity discipline would make every hotspot or
@@ -372,7 +372,7 @@ type tenant struct {
 	waitHead int
 	waitLen  int
 
-	// Per-tenant distributions (virtual time; K- and worker-invariant for
+	// Per-tenant distributions (virtual time; K-invariant for
 	// finite mixes run to completion, see the package doc).
 	hStep *prom.Histogram // per-step simulated time
 	hWait *prom.Histogram // queue wait in rounds per executed credit
@@ -405,8 +405,7 @@ func (t *tenant) popWait() int64 {
 }
 
 // Server multiplexes the tenant mix onto the engine pool. All methods must
-// be called from one goroutine; the pool spreads each round's work
-// internally.
+// be called from one goroutine, which also runs every round's pool steps.
 type Server struct {
 	pool *quorum.Pool
 	// built is the deployment's machine spec (Lanes = Bands, Procs = the
@@ -463,7 +462,7 @@ type Server struct {
 
 // Histogram bucket counts (finite power-of-two buckets; see prom.Histogram).
 // Fixed at construction so bucket layouts — part of the exposition — never
-// depend on K, worker counts, or the traffic observed.
+// depend on K or the traffic observed.
 const (
 	stepTimeBuckets   = 24 // per-step simulated time (cycles under MOT2D)
 	queueWaitBuckets  = 16 // queue wait in rounds
@@ -480,7 +479,7 @@ const (
 // the largest tenant — tenants with smaller Procs simply leave the upper
 // processors idle, so lanes of uneven sizes multiplex onto one pool.
 // Infeasible parameter points surface as errors, not panics.
-func NewServer(cfg Config) (s *Server, err error) {
+func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("serve: no tenants")
 	}
@@ -505,7 +504,7 @@ func NewServer(cfg Config) (s *Server, err error) {
 		}
 	}
 	spec := core.Spec{Kind: core.KindDMMPC, Lanes: bands, Procs: nMax, Mode: cfg.Mode, Seed: cfg.Seed,
-		KExp: cfg.KExp, DualRail: cfg.DualRail, Workers: cfg.Workers}
+		KExp: cfg.KExp, DualRail: cfg.DualRail}
 	if spec.Mode == model.EREW {
 		spec.Mode = model.CRCWPriority
 	}
@@ -529,16 +528,7 @@ func NewServer(cfg Config) (s *Server, err error) {
 	}
 	pool := built.Pool
 	k := pool.Engines()
-	// Every error return below this point must retire the pool's executor
-	// goroutines: a rejected config (bad tenant, trace kind mismatch) is a
-	// recoverable error, not a license to leak workers.
-	defer func() {
-		if err != nil {
-			pool.Close()
-		}
-	}()
-
-	s = &Server{
+	s := &Server{
 		pool:       pool,
 		built:      built,
 		ic:         cfg.Interconnect,
@@ -1147,11 +1137,9 @@ func (s *Server) applyEvent(ev replay.ScriptEvent) {
 	}
 }
 
-// Close drains the server and retires the pool's executor goroutines.
-func (s *Server) Close() {
-	s.Drain()
-	s.pool.Close()
-}
+// Close drains the server (Drain). A server holds no goroutine and no
+// operating-system resource, so draining is all there is to close.
+func (s *Server) Close() { s.Drain() }
 
 // TenantStats is one tenant's serving account.
 type TenantStats struct {
@@ -1211,7 +1199,7 @@ type Stats struct {
 	// makespan — the simulated time the serving lane actually took —
 	// where the per-tenant stage times sum WORK. Which shard is critical
 	// depends on the round schedule, so the split is K-variant but
-	// worker- and replay-invariant.
+	// replay-invariant.
 	CritQuorumTime int64
 	CritCommitTime int64
 }

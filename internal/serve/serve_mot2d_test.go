@@ -15,7 +15,7 @@ import (
 // 2DMOT meshes: the production-size point of the acceptance criterion
 // (nTotal = 2048, δ = 1.5 → side 16384, the dense-edge ceiling's last
 // feasible power of two).
-func mot2dMixConfig(engines, workers int) Config {
+func mot2dMixConfig(engines int) Config {
 	return Config{
 		Tenants: []TenantConfig{
 			{Name: "uniform", Band: 0, Procs: 1024, Arrival: Arrival{Window: 1},
@@ -25,7 +25,6 @@ func mot2dMixConfig(engines, workers int) Config {
 		},
 		Bands:        2,
 		Engines:      engines,
-		Workers:      workers,
 		Seed:         13,
 		Interconnect: MOT2D,
 	}
@@ -35,10 +34,9 @@ func mot2dMixConfig(engines, workers int) Config {
 // production size on per-shard meshes: the same seed and arrival script
 // must produce identical per-tenant StepReport streams (hashes), step
 // counts and final store fingerprints across every engine count
-// K ∈ {1,2,4,8} and worker count — mesh-backed serving parallelism trades
-// wall clock only, exactly like the bipartite lane.
+// K ∈ {1,2,4,8}, exactly like the bipartite lane.
 func TestServeDeterministicMOT2D(t *testing.T) {
-	refStats, refFP := runMix(t, mot2dMixConfig(1, 1))
+	refStats, refFP := runMix(t, mot2dMixConfig(1))
 	for _, st := range refStats {
 		if st.Steps != 3 {
 			t.Fatalf("tenant %s executed %d steps, want 3", st.Name, st.Steps)
@@ -48,32 +46,30 @@ func TestServeDeterministicMOT2D(t *testing.T) {
 		}
 	}
 	for _, K := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 0} {
-			t.Run(fmt.Sprintf("K=%d/workers=%d", K, workers), func(t *testing.T) {
-				s, err := NewServer(mot2dMixConfig(K, workers))
-				if err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
+			s, err := NewServer(mot2dMixConfig(K))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Interconnect() != MOT2D || s.Side() != 16384 {
+				t.Fatalf("deployment shape: interconnect=%v side=%d, want mot2d/16384",
+					s.Interconnect(), s.Side())
+			}
+			s.Close()
+			stats, fp := runMix(t, mot2dMixConfig(K))
+			if fp != refFP {
+				t.Errorf("fingerprint %x, want %x", fp, refFP)
+			}
+			for i, st := range stats {
+				ref := refStats[i]
+				if st.Steps != ref.Steps || st.Hash != ref.Hash ||
+					st.SimTime != ref.SimTime || st.Cycles != ref.Cycles {
+					t.Errorf("tenant %s diverged: got {steps=%d hash=%x t=%d cyc=%d}, want {steps=%d hash=%x t=%d cyc=%d}",
+						st.Name, st.Steps, st.Hash, st.SimTime, st.Cycles,
+						ref.Steps, ref.Hash, ref.SimTime, ref.Cycles)
 				}
-				if s.Interconnect() != MOT2D || s.Side() != 16384 {
-					t.Fatalf("deployment shape: interconnect=%v side=%d, want mot2d/16384",
-						s.Interconnect(), s.Side())
-				}
-				s.Close()
-				stats, fp := runMix(t, mot2dMixConfig(K, workers))
-				if fp != refFP {
-					t.Errorf("fingerprint %x, want %x", fp, refFP)
-				}
-				for i, st := range stats {
-					ref := refStats[i]
-					if st.Steps != ref.Steps || st.Hash != ref.Hash ||
-						st.SimTime != ref.SimTime || st.Cycles != ref.Cycles {
-						t.Errorf("tenant %s diverged: got {steps=%d hash=%x t=%d cyc=%d}, want {steps=%d hash=%x t=%d cyc=%d}",
-							st.Name, st.Steps, st.Hash, st.SimTime, st.Cycles,
-							ref.Steps, ref.Hash, ref.SimTime, ref.Cycles)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -215,7 +211,7 @@ func TestParseInterconnect(t *testing.T) {
 // TestServeMOT2DInfeasibleSideErrors checks a mix too large for the
 // dense-edge ceiling surfaces as a construction error, not a panic.
 func TestServeMOT2DInfeasibleSideErrors(t *testing.T) {
-	cfg := mot2dMixConfig(1, 1)
+	cfg := mot2dMixConfig(1)
 	cfg.Gran = 3 // side = ceilPow2(2048^2) = 2^22 ≫ mot.MaxSide
 	if _, err := NewServer(cfg); err == nil {
 		t.Error("ceiling-breaching mesh accepted")

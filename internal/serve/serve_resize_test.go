@@ -13,9 +13,9 @@ import (
 // fingerprint as the fixed-K reference run — a resize trades wall clock
 // and occupancy only.
 func TestServeResizeKInvariance(t *testing.T) {
-	refStats, refFP := runMix(t, mixConfig(1, 1))
+	refStats, refFP := runMix(t, mixConfig(1))
 
-	s, err := NewServer(mixConfig(4, 0))
+	s, err := NewServer(mixConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestServeResizeKInvariance(t *testing.T) {
 // TestServeResizeOccupancy pins the operational point of a resize: with
 // one tenant per band, K controls how many shards carry work each round.
 func TestServeResizeOccupancy(t *testing.T) {
-	s, err := NewServer(mixConfig(4, 0))
+	s, err := NewServer(mixConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,6 @@ func TestServeRoundObserveZeroAllocs(t *testing.T) {
 		},
 		Bands:   3,
 		Engines: 3,
-		Workers: 0,
 		Seed:    7,
 	})
 	if err != nil {

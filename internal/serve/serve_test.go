@@ -15,7 +15,7 @@ import (
 // mixConfig builds a fresh 4-tenant finite mix — uneven tenant sizes,
 // mixed patterns, closed-loop window 2 — over 4 bands. Source factories
 // hold per-server state, so every call returns an independent config.
-func mixConfig(engines, workers int) Config {
+func mixConfig(engines int) Config {
 	return Config{
 		Tenants: []TenantConfig{
 			{Name: "alpha", Band: 0, Procs: 16, Arrival: Arrival{Window: 2},
@@ -29,7 +29,6 @@ func mixConfig(engines, workers int) Config {
 		},
 		Bands:   4,
 		Engines: engines,
-		Workers: workers,
 		Seed:    7,
 	}
 }
@@ -59,10 +58,9 @@ func runMix(t *testing.T, cfg Config) ([]TenantStats, uint64) {
 // TestServeDeterministic is the acceptance differential: the same seed and
 // arrival script must produce identical per-tenant StepReport streams
 // (hashes), step counts and final store fingerprints across every engine
-// count K ∈ {1,2,4,8} and worker count — serving parallelism trades wall
-// clock only.
+// count K ∈ {1,2,4,8}.
 func TestServeDeterministic(t *testing.T) {
-	refStats, refFP := runMix(t, mixConfig(1, 1))
+	refStats, refFP := runMix(t, mixConfig(1))
 	wantSteps := []int64{20, 20, 15, 10}
 	for i, st := range refStats {
 		if st.Steps != wantSteps[i] {
@@ -73,24 +71,22 @@ func TestServeDeterministic(t *testing.T) {
 		}
 	}
 	for _, K := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 0} {
-			t.Run(fmt.Sprintf("K=%d/workers=%d", K, workers), func(t *testing.T) {
-				stats, fp := runMix(t, mixConfig(K, workers))
-				if fp != refFP {
-					t.Errorf("fingerprint %x, want %x", fp, refFP)
+		t.Run(fmt.Sprintf("K=%d", K), func(t *testing.T) {
+			stats, fp := runMix(t, mixConfig(K))
+			if fp != refFP {
+				t.Errorf("fingerprint %x, want %x", fp, refFP)
+			}
+			for i, st := range stats {
+				ref := refStats[i]
+				if st.Steps != ref.Steps || st.Hash != ref.Hash ||
+					st.SimTime != ref.SimTime || st.Phases != ref.Phases ||
+					st.Copies != ref.Copies || st.MaxCont != ref.MaxCont {
+					t.Errorf("tenant %s diverged: got {steps=%d hash=%x t=%d ph=%d cp=%d cont=%d}, want {steps=%d hash=%x t=%d ph=%d cp=%d cont=%d}",
+						st.Name, st.Steps, st.Hash, st.SimTime, st.Phases, st.Copies, st.MaxCont,
+						ref.Steps, ref.Hash, ref.SimTime, ref.Phases, ref.Copies, ref.MaxCont)
 				}
-				for i, st := range stats {
-					ref := refStats[i]
-					if st.Steps != ref.Steps || st.Hash != ref.Hash ||
-						st.SimTime != ref.SimTime || st.Phases != ref.Phases ||
-						st.Copies != ref.Copies || st.MaxCont != ref.MaxCont {
-						t.Errorf("tenant %s diverged: got {steps=%d hash=%x t=%d ph=%d cp=%d cont=%d}, want {steps=%d hash=%x t=%d ph=%d cp=%d cont=%d}",
-							st.Name, st.Steps, st.Hash, st.SimTime, st.Phases, st.Copies, st.MaxCont,
-							ref.Steps, ref.Hash, ref.SimTime, ref.Phases, ref.Copies, ref.MaxCont)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -98,7 +94,7 @@ func TestServeDeterministic(t *testing.T) {
 // band-local mix never forces a serial-component merge at any K.
 func TestServeBandedMixStaysMergeFree(t *testing.T) {
 	for _, K := range []int{1, 2, 4} {
-		s, err := NewServer(mixConfig(K, 0))
+		s, err := NewServer(mixConfig(K))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +323,7 @@ func TestServeUnevenTenantsShareShard(t *testing.T) {
 // TestServeMetricsExposition renders the serving metrics and spot-checks
 // family presence and a tenant sample.
 func TestServeMetricsExposition(t *testing.T) {
-	s, err := NewServer(mixConfig(2, 0))
+	s, err := NewServer(mixConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,17 +356,17 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := NewServer(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	bad := mixConfig(1, 0)
+	bad := mixConfig(1)
 	bad.Tenants[2].Band = 9
 	if _, err := NewServer(bad); err == nil {
 		t.Error("out-of-range band accepted")
 	}
-	bad = mixConfig(1, 0)
+	bad = mixConfig(1)
 	bad.Tenants[0].Procs = 0
 	if _, err := NewServer(bad); err == nil {
 		t.Error("zero procs accepted")
 	}
-	bad = mixConfig(1, 0)
+	bad = mixConfig(1)
 	bad.Tenants[0].Source = nil
 	if _, err := NewServer(bad); err == nil {
 		t.Error("missing source accepted")
