@@ -400,7 +400,7 @@ func BenchmarkE14ServeStep(b *testing.B) {
 // meshes behind the pool (2 × 64 procs → a 512-side grid per engine).
 func BenchmarkE14ServeStepMOT2D(b *testing.B) {
 	b.Run("T=2/K=2", func(b *testing.B) {
-		benchServe(b, serve.Config{Engines: 2, Interconnect: serve.MOT2D}, 2, 64)
+		benchServe(b, serve.Config{Engines: 2, Interconnect: core.KindMOT2D}, 2, 64)
 	})
 }
 

@@ -97,7 +97,7 @@ func cmdRecord(args []string) error {
 	out := fs.String("o", "", "output trace file (required)")
 	machine := fs.String("machine", "dmmpc", "machine kind: dmmpc, mot2d or luccio")
 	n := fs.Int("n", 64, "processors per lane")
-	engines := fs.Int("engines", 1, "workload-shard lanes K (0 consults PRAMSIM_ENGINES)")
+	engines := fs.Int("engines", 1, "workload-shard lanes K (0 = 1)")
 	steps := fs.Int("steps", 100, "steps to record per lane")
 	pattern := fs.String("pattern", "uniform", "workload: uniform, banded, hotspot or broadcast")
 	loads := fs.Int("loads", 0, "cells per lane to initialize (recorded as load frames)")

@@ -11,10 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-
-	"repro/internal/serve"
 )
 
 func cmdEvents(args []string) error {
@@ -27,27 +24,9 @@ func cmdEvents(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := parseMode(sf.mode)
+	cfg, err := sf.config(*tenants, *arrival)
 	if err != nil {
 		return err
-	}
-	arr, err := parseArrival(*arrival)
-	if err != nil {
-		return err
-	}
-	tcs, err := parseTenants(*tenants, sf, arr)
-	if err != nil {
-		return err
-	}
-	cfg := serve.Config{
-		Tenants: tcs, Engines: sf.engines,
-		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-	}
-	if err := sf.applyShared(&cfg); err != nil {
-		return err
-	}
-	if sf.verbose {
-		cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
 	}
 	o, err := execute(cfg, sf.rounds)
 	if err != nil {

@@ -35,11 +35,10 @@ import (
 
 // metaLine serializes the deployment spec onto the script's meta line.
 // String values are strconv.Quote'd so tenant specs with spaces survive;
-// engines records the RESOLVED starting K (the live flag may have been 0 =
-// "consult the environment", which a replay host must not re-consult).
-// autoscale carries the raw MIN:MAX[:WINDOW] policy flag so replay can run
-// a shadow autoscaler and reproduce the event log's decision events;
-// readers predating the key ignore it (unknown keys are forward-compatible).
+// engines records the server's starting K. autoscale carries the raw
+// MIN:MAX[:WINDOW] policy flag so replay can run a shadow autoscaler and
+// reproduce the event log's decision events; readers predating the key
+// ignore it (unknown keys are forward-compatible).
 func metaLine(sf *sharedFlags, tenants, arrival string, engines int, autoscale string) string {
 	return fmt.Sprintf("tenants=%s arrival=%s n=%d engines=%d queue=%d mode=%s seed=%d wseed=%d interconnect=%s kexp=%g gran=%g dualrail=%t allowkind=%t autoscale=%s",
 		strconv.Quote(tenants), strconv.Quote(arrival), sf.procs, engines, sf.queue,
@@ -81,8 +80,8 @@ func parseMetaLine(meta string) (map[string]string, error) {
 }
 
 // configFromMeta rebuilds the serve.Config a recorded live run was built
-// from. Unknown keys are ignored (forward compatibility); missing ones
-// take the live defaults.
+// from, through the same builder the live run used. Unknown keys are
+// ignored (forward compatibility); missing ones take the live defaults.
 func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 	kv, err := parseMetaLine(meta)
 	if err != nil {
@@ -129,6 +128,7 @@ func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 		gran:         f64("gran"),
 		dualRail:     str("dualrail", "false") == "true",
 		allowKind:    str("allowkind", "false") == "true",
+		verbose:      verbose,
 	}
 	if ferr != nil {
 		return serve.Config{}, ferr
@@ -137,29 +137,7 @@ func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 	if tenants == "" {
 		return serve.Config{}, fmt.Errorf("script meta has no tenants spec — not recorded by `serve http`?")
 	}
-	mode, err := parseMode(sf.mode)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	arr, err := parseArrival(str("arrival", "external"))
-	if err != nil {
-		return serve.Config{}, err
-	}
-	tcs, err := parseTenants(tenants, sf, arr)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	cfg := serve.Config{
-		Tenants: tcs, Engines: sf.engines,
-		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-	}
-	if err := sf.applyShared(&cfg); err != nil {
-		return serve.Config{}, err
-	}
-	if verbose {
-		cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
-	}
-	return cfg, nil
+	return sf.config(tenants, str("arrival", "external"))
 }
 
 // metaValue extracts one key's value from a script meta line ("" if the
@@ -206,15 +184,6 @@ func parseAutoscale(s string) (serve.AutoscaleConfig, error) {
 	return cfg, nil
 }
 
-// summarize renders the post-drain state through the run-verb table.
-func summarize(s *serve.Server, elapsed time.Duration) {
-	o := &outcome{serverStats: s.Stats(), fingerprint: s.Fingerprint(), elapsed: elapsed, server: s}
-	for i := 0; i < s.NumTenants(); i++ {
-		o.stats = append(o.stats, s.TenantStats(i))
-	}
-	printSummary(o)
-}
-
 // Bounds on how long a client may hold a connection, and the goroutine
 // serving it, without making progress: one that never finishes its
 // request headers, and an idle keep-alive connection.
@@ -243,29 +212,11 @@ func cmdHTTP(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := parseMode(sf.mode)
+	cfg, err := sf.config(*tenants, *arrival)
 	if err != nil {
-		return err
-	}
-	arr, err := parseArrival(*arrival)
-	if err != nil {
-		return err
-	}
-	tcs, err := parseTenants(*tenants, sf, arr)
-	if err != nil {
-		return err
-	}
-	cfg := serve.Config{
-		Tenants: tcs, Engines: sf.engines,
-		Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-	}
-	if err := sf.applyShared(&cfg); err != nil {
 		return err
 	}
 	logf := log.New(os.Stderr, "serve: ", 0).Printf
-	if sf.verbose {
-		cfg.Logf = logf
-	}
 	s, err := serve.NewServer(cfg)
 	if err != nil {
 		return err
@@ -325,7 +276,7 @@ func cmdHTTP(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	srv.Shutdown(ctx)
 	cancel()
-	summarize(s, time.Since(start))
+	printSummary(newOutcome(s, time.Since(start)))
 	if *eventsOut != "" {
 		f, ferr := os.Create(*eventsOut)
 		if ferr == nil {
@@ -405,11 +356,11 @@ func cmdReplay(args []string) error {
 		observe = func() { shadow.Observe() }
 	}
 	start := time.Now()
-	s.PlayScriptObserved(sc.Events, sc.Rounds, observe)
+	s.PlayScript(sc.Events, sc.Rounds, observe)
 	if err := s.StopTrace(); err != nil {
 		return err
 	}
-	summarize(s, time.Since(start))
+	printSummary(newOutcome(s, time.Since(start)))
 
 	// The replay IS the check: every divergence from the recorded footer is
 	// an error, exactly like `run -check`.

@@ -21,23 +21,10 @@ import (
 func TestLiveEventsReplayBitForBit(t *testing.T) {
 	const tenantSpec, arrivalSpec, autoscaleSpec = "uniform,hotspot", "external", "1:2:4"
 	sf := &sharedFlags{procs: 8, engines: 1, queue: 4, seed: 3, wseed: 42, mode: "crcw"}
-	arr, err := parseArrival(arrivalSpec)
+	cfg, err := sf.config(tenantSpec, arrivalSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcs, err := parseTenants(tenantSpec, sf, arr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := serve.Config{Tenants: tcs, Engines: sf.engines, Mode: 1, Seed: sf.seed, QueueCap: sf.queue}
-	if err := sf.applyShared(&cfg); err != nil {
-		t.Fatal(err)
-	}
-	mode, err := parseMode(sf.mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Mode = mode
 	s, err := serve.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +120,7 @@ func TestLiveEventsReplayBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	shadow := serve.NewAutoscaler(rep, racfg)
-	rep.PlayScriptObserved(sc.Events, sc.Rounds, func() { shadow.Observe() })
+	rep.PlayScript(sc.Events, sc.Rounds, func() { shadow.Observe() })
 	if err := rep.StopTrace(); err != nil {
 		t.Fatal(err)
 	}

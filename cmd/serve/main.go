@@ -7,10 +7,9 @@
 // Verbs:
 //
 //	serve run     -tenants SPEC [flags]   serve a workload mix, print the
-//	                                      per-tenant summary + fingerprint
-//	serve loadgen [shape flags]           open-/closed-loop load generator:
-//	                                      uniform tenants, arrival shaping,
-//	                                      throughput + backpressure report
+//	                                      per-tenant summary, fingerprint
+//	                                      and (when queues overflowed) the
+//	                                      rejection rate
 //	serve http    -tenants SPEC [flags]   live wall-clock serving: tenant
 //	                                      submission over POST /submit, live
 //	                                      /metrics + /healthz, scrape-driven
@@ -33,7 +32,10 @@
 //	                                      exposition (grammar, histogram
 //	                                      invariants); - reads stdin
 //
-// Tenant spec (run): comma-separated items, each
+// Every verb that serves, and the replay of a recorded script, builds its
+// deployment from the same flags through one function (config).
+//
+// Tenant spec: comma-separated items, each
 //
 //	PATTERN[:steps]      band-local synthetic traffic (uniform, hotspot,
 //	                     broadcast; `global` is cross-band uniform — it
@@ -49,15 +51,22 @@
 // report hashes and the final store fingerprint repeat bit-for-bit — the
 // determinism gate CI's serve smoke runs under the race detector.
 // -metrics FILE writes the final Prometheus text exposition ("-" for
-// stdout).
+// stdout). A load-generator run is a `run` of N identical pattern tenants
+// with unbounded sources, e.g. `-tenants hotspot,hotspot,hotspot,hotspot
+// -arrival open:1:3 -queue 4 -rounds 50`.
+//
+// -engines sets the pool's engine count K (default 1). K sets how many
+// tenant steps one virtual round co-schedules; every round runs on the
+// calling goroutine, so K trades rounds, not results and not host time.
 //
 // -interconnect selects the fabric behind every shard: bipartite (the
-// default complete processor↔module graph) or mot2d, which gives each
-// engine its own a×a 2D mesh-of-trees (Theorem 3) sized by -gran (grid
-// side = ceilPow2((n·bands)^((1+δ)/2))), with -dualrail enabling the
-// row+column bank split and -kexp overriding the memory exponent. Trace
-// tenants recorded on a different machine kind are refused at admission
-// unless -allow-kind-mismatch is set.
+// default complete processor↔module graph; also dmmpc or complete) or
+// mot2d (also mot or mesh), which gives each engine its own a×a 2D
+// mesh-of-trees (Theorem 3) sized by -gran (grid side =
+// ceilPow2((n·bands)^((1+δ)/2))), with -dualrail enabling the row+column
+// bank split and -kexp overriding the memory exponent. Trace tenants
+// recorded on a different machine kind are refused at admission unless
+// -allow-kind-mismatch is set.
 package main
 
 import (
@@ -70,6 +79,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/prom"
 	"repro/internal/replay"
@@ -85,8 +95,6 @@ func main() {
 	switch os.Args[1] {
 	case "run":
 		err = cmdRun(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
 	case "http":
 		err = cmdHTTP(os.Args[2:])
 	case "events":
@@ -116,10 +124,6 @@ func usage() {
                 [-interconnect bipartite|mot2d] [-kexp K] [-gran D]
                 [-dualrail] [-allow-kind-mismatch]
                 [-seed S] [-wseed S] [-check] [-metrics FILE] [-v]
-  serve loadgen [-pattern P] [-tenants T] [-n procs] [-engines K]
-                [-rounds N] [-queue CAP] [-loop closed|open] [-window W]
-                [-period P] [-burst B] [-on N -off N] [-seed S] [-wseed S]
-                [-interconnect bipartite|mot2d] [-kexp K] [-gran D] [-dualrail]
   serve http    -tenants SPEC [-addr HOST:PORT] [-round-every DUR]
                 [-autoscale MIN:MAX[:WINDOW]] [-record-script FILE]
                 [-record-trace FILE] [-record-events FILE] [-pprof]
@@ -130,7 +134,7 @@ func usage() {
 `)
 }
 
-// sharedFlags holds the knobs both verbs expose.
+// sharedFlags holds the deployment knobs every serving verb exposes.
 type sharedFlags struct {
 	procs        int
 	engines      int
@@ -150,13 +154,13 @@ type sharedFlags struct {
 func addShared(fs *flag.FlagSet) *sharedFlags {
 	sf := &sharedFlags{}
 	fs.IntVar(&sf.procs, "n", 64, "processors per synthetic tenant")
-	fs.IntVar(&sf.engines, "engines", 0, "engine count K (0 = PRAMSIM_ENGINES, <0 = GOMAXPROCS)")
+	fs.IntVar(&sf.engines, "engines", 1, "engine count K: tenant steps co-scheduled per round")
 	fs.IntVar(&sf.rounds, "rounds", 100, "admission rounds before draining (0 = run finite mixes to source exhaustion)")
 	fs.IntVar(&sf.queue, "queue", 8, "per-tenant admission queue capacity (step credits)")
 	fs.Int64Var(&sf.seed, "seed", 1, "memory-map seed")
 	fs.Int64Var(&sf.wseed, "wseed", 99, "workload seed base (tenant i uses wseed+i)")
 	fs.StringVar(&sf.mode, "mode", "crcw", "conflict mode: crew, crcw, common, arbitrary")
-	fs.StringVar(&sf.interconnect, "interconnect", "", "shard fabric: bipartite (default) or mot2d (per-shard 2D mesh-of-trees)")
+	fs.StringVar(&sf.interconnect, "interconnect", "", "shard fabric: bipartite (default; also dmmpc, complete) or mot2d (per-shard 2D mesh-of-trees; also mot, mesh)")
 	fs.Float64Var(&sf.kexp, "kexp", 0, "memory exponent: Lemma 2 k under bipartite, Theorem 3 under mot2d (0 = default)")
 	fs.Float64Var(&sf.gran, "gran", 0, "mot2d granularity exponent δ: grid side = ceilPow2(n^((1+δ)/2)) (0 = 1.5)")
 	fs.BoolVar(&sf.dualRail, "dualrail", false, "mot2d: dual-rail row+column banks (Theorem 3 closing remark)")
@@ -165,18 +169,35 @@ func addShared(fs *flag.FlagSet) *sharedFlags {
 	return sf
 }
 
-// applyShared folds the interconnect knobs into a serve.Config.
-func (sf *sharedFlags) applyShared(cfg *serve.Config) error {
-	ic, err := serve.ParseInterconnect(sf.interconnect)
+// config is the one path from flags to a deployment: it turns the shared
+// flags, a tenant spec and an arrival spec into a serve.Config. Each call
+// builds fresh tenant sources.
+func (sf *sharedFlags) config(tenants, arrival string) (serve.Config, error) {
+	mode, err := parseMode(sf.mode)
 	if err != nil {
-		return err
+		return serve.Config{}, err
 	}
-	cfg.Interconnect = ic
-	cfg.KExp = sf.kexp
-	cfg.Gran = sf.gran
-	cfg.DualRail = sf.dualRail
-	cfg.AllowTraceKindMismatch = sf.allowKind
-	return nil
+	kind, err := core.ParseKind(sf.interconnect)
+	if err != nil {
+		return serve.Config{}, err
+	}
+	arr, err := parseArrival(arrival)
+	if err != nil {
+		return serve.Config{}, err
+	}
+	tcs, err := parseTenants(tenants, sf, arr)
+	if err != nil {
+		return serve.Config{}, err
+	}
+	cfg := serve.Config{
+		Tenants: tcs, Engines: sf.engines, Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
+		Interconnect: kind, KExp: sf.kexp, Gran: sf.gran, DualRail: sf.dualRail,
+		AllowTraceKindMismatch: sf.allowKind,
+	}
+	if sf.verbose {
+		cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
+	}
+	return cfg, nil
 }
 
 // parseMode maps the CLI spelling. EREW is not offered: the serving front
@@ -355,39 +376,46 @@ func execute(cfg serve.Config, rounds int) (*outcome, error) {
 		s.Run(rounds)
 		s.Drain()
 	}
-	o := &outcome{
-		serverStats: s.Stats(),
-		fingerprint: s.Fingerprint(),
-		elapsed:     time.Since(start),
-		server:      s,
-	}
-	for i := 0; i < s.NumTenants(); i++ {
-		st := s.TenantStats(i)
+	o := newOutcome(s, time.Since(start))
+	for _, st := range o.stats {
 		if st.SrcErr != nil {
 			return nil, fmt.Errorf("tenant %s: source failed after %d steps: %v", st.Name, st.Steps, st.SrcErr)
 		}
-		o.stats = append(o.stats, st)
 	}
 	return o, nil
+}
+
+// newOutcome collects a drained server's results.
+func newOutcome(s *serve.Server, elapsed time.Duration) *outcome {
+	o := &outcome{serverStats: s.Stats(), fingerprint: s.Fingerprint(), elapsed: elapsed, server: s}
+	for i := 0; i < s.NumTenants(); i++ {
+		o.stats = append(o.stats, s.TenantStats(i))
+	}
+	return o
 }
 
 // printSummary renders the per-tenant table and server totals.
 func printSummary(o *outcome) {
 	fmt.Printf("%-16s %5s %5s %6s %9s %9s %8s %5s %9s %8s %16s\n",
 		"tenant", "band", "shard", "steps", "submitted", "rejected", "unserved", "maxq", "simtime", "phases", "hash")
-	var steps int64
+	var steps, submitted, rejected int64
 	for _, st := range o.stats {
 		fmt.Printf("%-16s %5d %5d %6d %9d %9d %8d %5d %9d %8d %16x\n",
 			st.Name, st.Band, st.Shard, st.Steps, st.Submitted, st.Rejected,
 			st.Unserved, st.MaxQueue, st.SimTime, st.Phases, st.Hash)
 		steps += st.Steps
+		submitted += st.Submitted
+		rejected += st.Rejected
 	}
 	ss := o.serverStats
 	fmt.Printf("rounds=%d exec=%d idle=%d steps=%d merged-rounds=%d forced-merges=%d band-overlaps=%d\n",
 		ss.Rounds, ss.ExecRounds, ss.IdleRounds, steps, ss.MergedRounds, ss.ForcedMerges, ss.BandOverlaps)
-	if o.server.Interconnect() == serve.MOT2D {
-		fmt.Printf("interconnect=%v side=%d (per-shard 2D mesh of trees)\n",
-			o.server.Interconnect(), o.server.Side())
+	if side := o.server.Side(); side > 0 {
+		fmt.Printf("interconnect=%v side=%d (per-shard 2D mesh of trees)\n", core.KindMOT2D, side)
+	}
+	if rejected > 0 {
+		fmt.Printf("rejection rate: %.1f%% (%d of %d submitted credits refused by full queues)\n",
+			100*float64(rejected)/float64(submitted), rejected, submitted)
 	}
 	if o.elapsed > 0 {
 		fmt.Printf("wall=%v (%.0f steps/sec)\n", o.elapsed.Round(time.Millisecond),
@@ -424,32 +452,7 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := parseMode(sf.mode)
-	if err != nil {
-		return err
-	}
-	arr, err := parseArrival(*arrival)
-	if err != nil {
-		return err
-	}
-	mk := func() (serve.Config, error) {
-		tcs, err := parseTenants(*tenants, sf, arr)
-		if err != nil {
-			return serve.Config{}, err
-		}
-		cfg := serve.Config{
-			Tenants: tcs, Engines: sf.engines,
-			Mode: mode, Seed: sf.seed, QueueCap: sf.queue,
-		}
-		if err := sf.applyShared(&cfg); err != nil {
-			return serve.Config{}, err
-		}
-		if sf.verbose {
-			cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
-		}
-		return cfg, nil
-	}
-	cfg, err := mk()
+	cfg, err := sf.config(*tenants, *arrival)
 	if err != nil {
 		return err
 	}
@@ -464,7 +467,7 @@ func cmdRun(args []string) error {
 		}
 	}
 	if *check {
-		cfg2, err := mk() // fresh sources: factories hold per-run state
+		cfg2, err := sf.config(*tenants, *arrival) // fresh sources: factories hold per-run state
 		if err != nil {
 			return err
 		}
@@ -485,84 +488,6 @@ func cmdRun(args []string) error {
 		}
 		fmt.Printf("check: OK — %d tenants bit-for-bit reproducible at K=%d\n",
 			len(o.stats), o.server.Engines())
-	}
-	return nil
-}
-
-func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("serve loadgen", flag.ExitOnError)
-	sf := addShared(fs)
-	pattern := fs.String("pattern", "uniform", "traffic pattern: uniform, hotspot, broadcast, global")
-	tenants := fs.Int("tenants", 4, "tenant count (one band each)")
-	loop := fs.String("loop", "closed", "load loop: closed (window) or open (period/burst)")
-	window := fs.Int("window", 4, "closed-loop: credits kept outstanding per tenant")
-	period := fs.Int("period", 1, "open-loop: rounds between bursts")
-	burst := fs.Int("burst", 2, "open-loop: credits per burst")
-	on := fs.Int("on", 0, "open-loop: rounds of bursting per on/off cycle (0 = always on)")
-	off := fs.Int("off", 0, "open-loop: silent rounds per on/off cycle")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	mode, err := parseMode(sf.mode)
-	if err != nil {
-		return err
-	}
-	var arr serve.Arrival
-	switch *loop {
-	case "closed":
-		arr = serve.Arrival{Window: *window}
-	case "open":
-		arr = serve.Arrival{Period: *period, Burst: *burst, On: *on, Off: *off}
-	default:
-		return fmt.Errorf("unknown -loop %q (want closed or open)", *loop)
-	}
-	if *tenants < 1 {
-		return fmt.Errorf("-tenants %d < 1", *tenants)
-	}
-	if sf.rounds < 1 {
-		return fmt.Errorf("-rounds %d < 1 (loadgen sources are unbounded; run-to-exhaustion is a `serve run` mode)", sf.rounds)
-	}
-	global := *pattern == "global"
-	var pat replay.Pattern
-	if !global {
-		if pat, err = replay.ParsePattern(*pattern); err != nil {
-			return err
-		}
-	}
-	cfg := serve.Config{Engines: sf.engines, Mode: mode, Seed: sf.seed, QueueCap: sf.queue}
-	if err := sf.applyShared(&cfg); err != nil {
-		return err
-	}
-	if sf.verbose {
-		cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
-	}
-	for i := 0; i < *tenants; i++ {
-		tc := serve.TenantConfig{
-			Name:    fmt.Sprintf("gen%d", i),
-			Band:    i,
-			Procs:   sf.procs,
-			Arrival: arr,
-		}
-		if global {
-			tc.Source = serve.NewGlobalPatternSource(replay.Uniform, sf.procs, 0, sf.wseed+int64(i))
-		} else {
-			tc.Source = serve.NewPatternSource(pat, sf.procs, 0, sf.wseed+int64(i))
-		}
-		cfg.Tenants = append(cfg.Tenants, tc)
-	}
-	o, err := execute(cfg, sf.rounds)
-	if err != nil {
-		return err
-	}
-	printSummary(o)
-	var submitted, rejected int64
-	for _, st := range o.stats {
-		submitted += st.Submitted
-		rejected += st.Rejected
-	}
-	if rejected > 0 {
-		fmt.Printf("rejection rate: %.1f%% (open-loop backpressure)\n",
-			100*float64(rejected)/float64(submitted))
 	}
 	return nil
 }

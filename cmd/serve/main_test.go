@@ -1,18 +1,137 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/replay"
 	"repro/internal/serve"
 )
+
+// parseShared parses args as a serving verb's shared flags.
+func parseShared(t *testing.T, args ...string) *sharedFlags {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	sf := addShared(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return sf
+}
+
+// served is what a config serves for a fixed number of rounds: the summary
+// table's numbers, the fingerprint and the event dump.
+func served(t *testing.T, cfg serve.Config, rounds int) string {
+	t.Helper()
+	o, err := execute(cfg, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, st := range o.stats {
+		fmt.Fprintf(&b, "%s steps=%d submitted=%d rejected=%d hash=%x\n", st.Name, st.Steps, st.Submitted, st.Rejected, st.Hash)
+	}
+	fmt.Fprintf(&b, "K=%d side=%d fingerprint=%x\n", o.server.Engines(), o.server.Side(), o.fingerprint)
+	if err := o.server.WriteEvents(&b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestConfigFromMetaMatchesFlags: a live run records its flags on the
+// script's meta line, and replay rebuilds the deployment from it. Both go
+// through the one builder, so the two servers serve identically: same
+// tenants, hashes, rejections, fingerprint and event log.
+func TestConfigFromMetaMatchesFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "16", "-engines", "2", "-queue", "3", "-seed", "5", "-wseed", "42", "-mode", "common"},
+		{"-n", "8", "-interconnect", "mesh", "-kexp", "1.6", "-gran", "1.7", "-dualrail", "-queue", "2"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			const tenants, arrival = "uniform,hotspot:30,global", "open:1:2"
+			sf := parseShared(t, args...)
+			live, err := sf.config(tenants, arrival)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := configFromMeta(metaLine(sf, tenants, arrival, sf.engines, ""), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := served(t, live, 40), served(t, replayed, 40)
+			if !strings.Contains(want, `"name":"reject"`) {
+				t.Fatalf("the mix no longer overflows its queues:\n%s", want)
+			}
+			if got != want {
+				t.Errorf("meta-built server diverged from the flag-built one:\nflags:\n%s\nmeta:\n%s", want, got)
+			}
+		})
+	}
+}
+
+// TestInterconnectSpellings: every -interconnect spelling selects the
+// fabric it selected before the flag was parsed by core.ParseKind — the
+// complete bipartite graph (no mesh side) or per-shard meshes.
+func TestInterconnectSpellings(t *testing.T) {
+	for spelling, want := range map[string]core.Kind{
+		"": core.KindDMMPC, "bipartite": core.KindDMMPC, "dmmpc": core.KindDMMPC, "complete": core.KindDMMPC,
+		"mot2d": core.KindMOT2D, "mot": core.KindMOT2D, "mesh": core.KindMOT2D,
+	} {
+		cfg, err := parseShared(t, "-n", "8", "-interconnect", spelling).config("uniform:2", "closed:1")
+		if err != nil || cfg.Interconnect != want {
+			t.Errorf("-interconnect %q: kind %v, %v; want %v", spelling, cfg.Interconnect, err, want)
+			continue
+		}
+		s, err := serve.NewServer(cfg)
+		if err != nil {
+			t.Fatalf("-interconnect %q: %v", spelling, err)
+		}
+		if mesh := s.Side() > 0; mesh != (want == core.KindMOT2D) {
+			t.Errorf("-interconnect %q built side %d", spelling, s.Side())
+		}
+	}
+	if _, err := parseShared(t, "-interconnect", "torus").config("uniform", "closed:1"); err == nil {
+		t.Error("-interconnect torus accepted")
+	}
+}
+
+// TestOpenLoopHotspotPins pins an open-loop load-generator run: four
+// unbounded hotspot tenants, bursts of 3 credits every round into queues
+// of 4, 50 rounds on 2 engines, so most credits are rejected.
+func TestOpenLoopHotspotPins(t *testing.T) {
+	sf := parseShared(t, "-queue", "4", "-engines", "2")
+	cfg, err := sf.config("hotspot,hotspot,hotspot,hotspot", "open:1:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := execute(cfg, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		rejected int64
+		hash     uint64
+	}{{121, 0xd6311e9a9e3c2e3b}, {121, 0xd248826a9f5a7b22}, {122, 0x0d0fd6a8326522b9}, {122, 0x4c00335387102025}}
+	for i, st := range o.stats {
+		if st.Submitted != 150 || st.Rejected != want[i].rejected || st.Hash != want[i].hash {
+			t.Errorf("tenant %s: submitted %d, rejected %d, hash %016x; want 150, %d, %016x",
+				st.Name, st.Submitted, st.Rejected, st.Hash, want[i].rejected, want[i].hash)
+		}
+	}
+	if o.fingerprint != 0xdb69b66f1739f670 {
+		t.Errorf("fingerprint %016x, want db69b66f1739f670", o.fingerprint)
+	}
+}
 
 var errBoom = errors.New("synthetic source failure")
 
@@ -282,7 +401,7 @@ func TestReplayIgnoresLegacyWorkersMeta(t *testing.T) {
 		if err := checkScriptTenants(sc.Events, s.NumTenants()); err != nil {
 			t.Fatal(err)
 		}
-		s.PlayScript(sc.Events, sc.Rounds)
+		s.PlayScript(sc.Events, sc.Rounds, nil)
 		var events strings.Builder
 		if err := s.WriteEvents(&events, 0); err != nil {
 			t.Fatal(err)

@@ -133,7 +133,10 @@ func TestConstructionPins(t *testing.T) {
 		got[c.name] = pinLine(name, b.Params, b.Side, b.Lane(0).MemSize(), b.Store, fp, buf.Bytes())
 	}
 
-	for _, ic := range []serve.Interconnect{serve.Bipartite, serve.MOT2D} {
+	for _, ic := range []struct {
+		name string
+		kind core.Kind
+	}{{"bipartite", core.KindDMMPC}, {"mot2d", core.KindMOT2D}} {
 		for _, k := range []int{1, 2} {
 			cfg := serve.Config{
 				Tenants: []serve.TenantConfig{
@@ -145,11 +148,11 @@ func TestConstructionPins(t *testing.T) {
 				Bands:        2,
 				Engines:      k,
 				Seed:         5,
-				Interconnect: ic,
+				Interconnect: ic.kind,
 			}
 			s, err := serve.NewServer(cfg)
 			if err != nil {
-				t.Fatalf("%v K=%d: %v", ic, k, err)
+				t.Fatalf("%v K=%d: %v", ic.kind, k, err)
 			}
 			fp := s.Fingerprint()
 			var buf bytes.Buffer
@@ -163,7 +166,7 @@ func TestConstructionPins(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Close()
-			name := fmt.Sprintf("serve-%v-K%d", ic, k)
+			name := fmt.Sprintf("serve-%s-K%d", ic.name, k)
 			got[name] = pinLine("", s.Params(), s.Side(), s.Params().Mem, s.Pool().Store(), fp, buf.Bytes())
 		}
 	}

@@ -96,21 +96,3 @@ func TestDMMPCPoolTwoStage(t *testing.T) {
 		t.Error("two-stage pool step recorded no phases")
 	}
 }
-
-// TestDMMPCPoolEnvDefault: Lanes 0 and engine count 0 resolve from the
-// environment, so the CI race job's PRAMSIM_ENGINES=4 exercises a real
-// multi-engine pool here without the test hard-coding a count.
-func TestDMMPCPoolEnvDefault(t *testing.T) {
-	b, err := core.Spec{Kind: core.KindDMMPC, Procs: 16}.BuildPool(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp := b.Pool
-	if dp.Engines() < 1 || dp.Engines() != b.Spec.Lanes {
-		t.Fatalf("resolved %d engines over %d lanes", dp.Engines(), b.Spec.Lanes)
-	}
-	batches := poolBandSteps(dp, 1)
-	if agg, _ := dp.ExecuteSteps(batches); agg.Err != nil {
-		t.Fatal(agg.Err)
-	}
-}

@@ -38,12 +38,13 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind maps a CLI spelling to its kind.
+// ParseKind maps a CLI spelling to its kind. The empty string selects the
+// DMMPC, so an unset flag means the complete bipartite fabric.
 func ParseKind(s string) (Kind, error) {
 	switch s {
-	case "dmmpc", "bipartite", "e3":
+	case "", "dmmpc", "bipartite", "complete", "e3":
 		return KindDMMPC, nil
-	case "mot2d", "mot", "e5":
+	case "mot2d", "mot", "mesh", "e5":
 		return KindMOT2D, nil
 	case "luccio":
 		return KindLuccio, nil
@@ -61,8 +62,7 @@ type Spec struct {
 	// Lanes is the workload-shard count K: the parameter point is derived
 	// at Lanes·Procs processors and the map banded Lanes ways. Build makes
 	// a single Machine when Lanes == 1 and a Lanes-engine Pool otherwise
-	// (0 consults PRAMSIM_ENGINES, < 0 GOMAXPROCS — see
-	// quorum.ResolveEngines).
+	// (0 → 1; negative is an error).
 	Lanes int
 	// Procs is the per-lane processor count n.
 	Procs int
@@ -91,7 +91,9 @@ type Spec struct {
 // normalize resolves defaulted fields, so a persisted spec pins them
 // explicitly.
 func (s *Spec) normalize() {
-	s.Lanes = quorum.ResolveEngines(s.Lanes)
+	if s.Lanes == 0 {
+		s.Lanes = 1
+	}
 	if s.KExp == 0 {
 		s.KExp = 2
 	}
@@ -155,15 +157,27 @@ func (s Spec) Build() (*Built, error) {
 	return s.build(s.Lanes)
 }
 
-// BuildPool constructs a k-engine Pool over the spec's Lanes-banded map (k
-// resolved as quorum.ResolveEngines does), even when k or Lanes is 1. The
-// engine count is independent of the banding: a deployment whose lanes
-// are tenants can run them on fewer or more engines, and Pool.Resize
-// changes k later with the same interconnect wiring.
+// BuildPool constructs a k-engine Pool over the spec's Lanes-banded map (0
+// → 1; negative is an error), even when k or Lanes is 1. The engine count
+// is independent of the banding: a deployment whose lanes are tenants can
+// run them on fewer or more engines, and Pool.Resize changes k later with
+// the same interconnect wiring.
 func (s Spec) BuildPool(k int) (*Built, error) {
 	s.normalize()
-	return s.build(quorum.ResolveEngines(k))
+	if k < 0 {
+		return nil, fmt.Errorf("core: engine count %d < 0", k)
+	}
+	return s.build(max(k, 1))
 }
+
+// maxTableEntries bounds what one build allocates, so a hostile trace
+// header or flag fails before the map is drawn instead of exhausting the
+// host. It counts table entries: the m·r copies of the map and the store
+// (about 20 bytes each), each engine's Procs·r copy-access scratch, and a
+// pool's per-module census (M entries). 2^26 entries is about 1.3 GiB,
+// 7× the largest point the repository builds: the n = 4096 mesh of E5
+// and E13 needs 9.3M entries, Lemma 2 at n = 1024 7.3M (8.4M as a pool).
+const maxTableEntries = 1 << 26
 
 // build derives the parameter point, the map, the store and the per-lane
 // interconnects of a normalized spec, and wires a single Machine
@@ -171,6 +185,9 @@ func (s Spec) BuildPool(k int) (*Built, error) {
 func (s Spec) build(engines int) (b *Built, err error) {
 	if s.Procs < 1 {
 		return nil, fmt.Errorf("core: Procs=%d < 1", s.Procs)
+	}
+	if s.Lanes < 1 {
+		return nil, fmt.Errorf("core: Lanes=%d < 0", s.Lanes)
 	}
 	if s.Mode > model.CRCWArbitrary {
 		return nil, fmt.Errorf("core: unknown conflict mode %d", s.Mode)
@@ -214,6 +231,15 @@ func (s Spec) build(engines int) (b *Built, err error) {
 		p = memmap.LemmaOne(n, s.KExp)
 		cfg := mot.Config{Policy: s.Policy}
 		newNet = func(int) quorum.Interconnect { return mot.NewNetwork(side, mot.ModulesAtRoots, cfg) }
+	}
+	r := float64(p.R())
+	entries := (float64(p.Mem) + float64(max(engines, 1))*float64(s.Procs)) * r
+	if engines > 0 {
+		entries += float64(p.M)
+	}
+	if !(entries <= maxTableEntries) {
+		return nil, fmt.Errorf("core: %v needs %.3g table entries (m=%d, r=%d, M=%d, %d engines), over the build budget of %d",
+			s, entries, p.Mem, p.R(), p.M, max(engines, 1), maxTableEntries)
 	}
 	var ts *quorum.TwoStageConfig
 	if s.TwoStage {

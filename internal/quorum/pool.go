@@ -22,9 +22,6 @@ package quorum
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
 
 	"repro/internal/model"
 )
@@ -32,8 +29,7 @@ import (
 // PoolConfig tunes construction of a multi-engine Pool.
 type PoolConfig struct {
 	// Engines is the number of workload shards K, each served by its own
-	// Machine: 0 consults the PRAMSIM_ENGINES environment variable
-	// (absent/off → 1), > 0 uses exactly that many, < 0 uses GOMAXPROCS.
+	// Machine (0 → 1; NewPool panics on a negative count).
 	Engines int
 	// Procs is the processor count of EACH shard's simulated P-RAM.
 	Procs int
@@ -87,10 +83,13 @@ type Pool struct {
 // interconnect from newNet (interconnects hold per-engine routing scratch
 // and must not be shared). Shard machines are named name[k].
 func NewPool(name string, store *Store, newNet func(shard int) Interconnect, cfg PoolConfig) *Pool {
-	k := ResolveEngines(cfg.Engines)
+	if cfg.Engines < 0 {
+		panic(fmt.Sprintf("quorum.NewPool: Engines=%d < 0", cfg.Engines))
+	}
 	if cfg.Procs < 1 {
 		panic(fmt.Sprintf("quorum.NewPool: Procs=%d < 1", cfg.Procs))
 	}
+	k := max(cfg.Engines, 1)
 	p := &Pool{
 		store:    store,
 		machines: make([]*Machine, k),
@@ -126,44 +125,6 @@ func (p *Pool) newMachine(i int) *Machine {
 		m.SetStepSink(p.sink, i)
 	}
 	return m
-}
-
-// ResolveEngines maps an engine-count encoding — PoolConfig.Engines,
-// core.Spec.Lanes, the engine count of core.Spec.BuildPool and
-// serve.Config.Engines — to a concrete shard count ≥ 1: 0 consults
-// PRAMSIM_ENGINES, < 0 uses GOMAXPROCS.
-func ResolveEngines(k int) int {
-	if k == 0 {
-		k = envEngines()
-	}
-	if k < 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-// envEngines reads the PRAMSIM_ENGINES environment variable: an integer
-// engine count, or "on"/"true"/"max" for GOMAXPROCS; unset, empty, "off",
-// "false" or "0" select a single engine. Any other value panics: a
-// malformed knob silently collapsing to one engine would let CI
-// pool-equivalence runs test nothing.
-func envEngines() int {
-	switch v := os.Getenv("PRAMSIM_ENGINES"); v {
-	case "", "off", "false", "0":
-		return 1
-	case "on", "true", "max":
-		return runtime.GOMAXPROCS(0)
-	default:
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			panic(fmt.Sprintf(
-				"quorum: PRAMSIM_ENGINES=%q is not a valid engine count (want an integer >= 1, on/true/max, or off/false/0); refusing to fall back to one engine silently", v))
-		}
-		return n
-	}
 }
 
 // Engines returns K, the number of workload shards.

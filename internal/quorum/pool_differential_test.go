@@ -192,23 +192,6 @@ func TestDifferentialPoolMOT(t *testing.T) {
 	}
 }
 
-// TestDifferentialPoolEnvEngines builds the pool with Engines: 0 so the
-// shard count resolves from PRAMSIM_ENGINES — under the CI race job
-// (PRAMSIM_ENGINES=4) this doubles as the pool-equivalence check for the
-// env-configured engine count.
-func TestDifferentialPoolEnvEngines(t *testing.T) {
-	K := quorum.ResolveEngines(0)
-	const nPer = 16
-	p := memmap.LemmaTwo(nPer*K, 2, 1)
-	mp := memmap.GenerateBanded(p, 3, K)
-	h := newPoolHarness(mp, K, nPer, model.CRCWPriority,
-		func(int) quorum.Interconnect { return quorum.NewCompleteBipartite() }, nil)
-	if h.pool.Engines() != K {
-		t.Fatalf("pool resolved %d engines, want %d", h.pool.Engines(), K)
-	}
-	runDifferentialSteps(t, h, 41, 5, 0.25)
-}
-
 // TestPoolExecuteStepsZeroAllocs locks the pool's steady-state
 // zero-allocation invariant: the census, K shard steps and the report
 // merge all run out of reused arenas.

@@ -1,7 +1,6 @@
 package quorum
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/memmap"
@@ -173,47 +172,6 @@ func TestPoolAggregateReport(t *testing.T) {
 	}
 	if agg.CopyAccesses != wantCopies {
 		t.Errorf("aggregate CopyAccesses = %d, want summed %d", agg.CopyAccesses, wantCopies)
-	}
-}
-
-// TestResolveEnginesEnv pins the PRAMSIM_ENGINES encoding, including the
-// loud failure on malformed values — a typo'd knob must never silently
-// collapse a CI equivalence run to one engine.
-func TestResolveEnginesEnv(t *testing.T) {
-	set := func(v string) {
-		t.Setenv("PRAMSIM_ENGINES", v)
-	}
-	set("")
-	if got := ResolveEngines(0); got != 1 {
-		t.Errorf("empty env: engines = %d, want 1", got)
-	}
-	set("off")
-	if got := ResolveEngines(0); got != 1 {
-		t.Errorf("off: engines = %d, want 1", got)
-	}
-	set("6")
-	if got := ResolveEngines(0); got != 6 {
-		t.Errorf("6: engines = %d, want 6", got)
-	}
-	set("max")
-	if got := ResolveEngines(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("max: engines = %d, want GOMAXPROCS", got)
-	}
-	// Explicit counts bypass the env entirely.
-	set("banana")
-	if got := ResolveEngines(3); got != 3 {
-		t.Errorf("explicit 3: engines = %d, want 3", got)
-	}
-	for _, bad := range []string{"four", "-2", "1.5", "2x"} {
-		set(bad)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("PRAMSIM_ENGINES=%q did not fail loudly", bad)
-				}
-			}()
-			ResolveEngines(0)
-		}()
 	}
 }
 

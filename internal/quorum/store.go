@@ -44,12 +44,12 @@
 //
 // The Store is sharded BY MEMORY MODULE: every cell (one replicated copy)
 // and every row stamp belongs to exactly one module shard — a cell to the
-// module the memmap places it in (ModuleSegment/ModuleCells materialize
-// each shard's cell set, what a distributed deployment would put on that
-// module's node), a row stamp to the row's 2c−1-module set. All state a
-// batch mutates is therefore owned by the modules the batch touches: the
-// union of memmap rows of its variables, ALL 2c−1 modules per variable,
-// not only the quorum that ends up granted. That makes module sets the
+// module the memmap places it in (copy j of variable v lives on module
+// Map.ModuleOf(v, j), the node a distributed deployment would put it on),
+// a row stamp to the row's 2c−1-module set. All state a batch mutates is
+// therefore owned by the modules the batch touches: the union of memmap
+// rows of its variables, ALL 2c−1 modules per variable, not only the
+// quorum that ends up granted. That makes module sets the
 // unit of independence: engines whose batches touch disjoint module sets
 // share NO mutable store state, so their steps commute — any order gives
 // the same bytes. (Module-level grouping is deliberately conservative —
@@ -165,24 +165,16 @@ import (
 // cells of a row are contiguous (the protocol always touches copies
 // row-wise, so this is the cache-friendly direction — a module-major cell
 // layout was measured 40%+ slower at m = 2^20 because every quorum access
-// scattered across 2c−1 segments), while the per-module segment index
-// (ModuleSegment/ModuleCells, built lazily) materializes exactly which
-// cells each module's shard owns — what a distributed deployment would
-// place on module m's node, and the partition the Pool's census counts.
-// The logical clock shards the same way (one stamp per variable row,
-// owned by the row's module set). See the package doc's "Shard-ownership
-// invariant" section for the ownership rules.
+// scattered across 2c−1 segments), while the map says which module owns
+// each cell — the partition the Pool's census counts. The logical clock
+// shards the same way (one stamp per variable row, owned by the row's
+// module set). See the package doc's "Shard-ownership invariant" section
+// for the ownership rules.
 type Store struct {
 	mp       *memmap.Map
 	r        int
 	cells    []cell   // m × r (value, timestamp) pairs, row-major
 	rowStamp []uint64 // per variable: stamp of its latest write batch
-
-	// Module shard index, built lazily by shardIndex: seg[mod] ..
-	// seg[mod+1] delimit module mod's cell indices in modIdx. Diagnostics
-	// and deployment export only — not safe concurrently with execution.
-	seg    []int32
-	modIdx []int32
 }
 
 // cell is one replicated copy: value and write timestamp together, so a
@@ -206,33 +198,6 @@ func NewStore(mp *memmap.Map) *Store {
 		r:        r,
 		cells:    make([]cell, cells),
 		rowStamp: make([]uint64, m),
-	}
-}
-
-// shardIndex lazily builds the module shard index: a counting sort of the
-// m·r cell indices by owning module.
-func (s *Store) shardIndex() {
-	if s.modIdx != nil {
-		return
-	}
-	m := s.mp.Vars()
-	mods := s.mp.Modules()
-	s.seg = make([]int32, mods+1)
-	s.modIdx = make([]int32, m*s.r)
-	for v := 0; v < m; v++ {
-		for _, mod := range s.mp.Copies(v) {
-			s.seg[mod+1]++
-		}
-	}
-	for mod := 0; mod < mods; mod++ {
-		s.seg[mod+1] += s.seg[mod]
-	}
-	fill := make([]int32, mods)
-	for v := 0; v < m; v++ {
-		for j, mod := range s.mp.Copies(v) {
-			s.modIdx[s.seg[mod]+fill[mod]] = int32(v*s.r + j)
-			fill[mod]++
-		}
 	}
 }
 
@@ -347,25 +312,6 @@ func (s *Store) FreshCopies(v int) int {
 		}
 	}
 	return k
-}
-
-// ModuleSegment returns the half-open range into the module shard index
-// owned by module mod — the unit of shard ownership (see the package
-// doc). ModuleCells resolves the range to cell indices. Builds the lazy
-// index; diagnostics only, not safe concurrently with execution.
-func (s *Store) ModuleSegment(mod int) (start, end int) {
-	s.shardIndex()
-	return int(s.seg[mod]), int(s.seg[mod+1])
-}
-
-// ModuleCells returns the dense cell indices (v·r+j) of module mod's
-// shard: exactly the cells a distributed deployment would place on module
-// mod's node. The returned slice aliases the lazy shard index and must
-// not be modified; diagnostics only, not safe concurrently with
-// execution.
-func (s *Store) ModuleCells(mod int) []int32 {
-	s.shardIndex()
-	return s.modIdx[s.seg[mod]:s.seg[mod+1]]
 }
 
 // Fingerprint hashes the full copy state — every (value, timestamp) pair in

@@ -52,45 +52,6 @@ func TestClockCrossesUint32Boundary(t *testing.T) {
 	}
 }
 
-// TestStoreModuleSharding checks the module shard index: the segments
-// tile the m·r cells exactly, every cell appears in exactly one module's
-// shard, and it is the shard of the module the memory map places that
-// copy in.
-func TestStoreModuleSharding(t *testing.T) {
-	p := memmap.LemmaTwo(64, 2, 1)
-	mp := memmap.Generate(p, 7)
-	st := NewStore(mp)
-
-	cells := mp.Vars() * mp.R()
-	seen := make([]bool, cells)
-	covered := 0
-	for mod := 0; mod < mp.Modules(); mod++ {
-		start, end := st.ModuleSegment(mod)
-		if start > end || start < 0 || end > cells {
-			t.Fatalf("module %d: malformed segment [%d, %d)", mod, start, end)
-		}
-		shard := st.ModuleCells(mod)
-		if len(shard) != end-start {
-			t.Fatalf("module %d: %d cells for segment [%d, %d)", mod, len(shard), start, end)
-		}
-		covered += len(shard)
-		for _, ci := range shard {
-			v, j := int(ci)/mp.R(), int(ci)%mp.R()
-			if seen[ci] {
-				t.Fatalf("cell %d (v=%d j=%d) owned by two shards", ci, v, j)
-			}
-			seen[ci] = true
-			if mp.ModuleOf(v, j) != mod {
-				t.Fatalf("cell (v=%d j=%d) in module %d's shard, map says %d",
-					v, j, mod, mp.ModuleOf(v, j))
-			}
-		}
-	}
-	if covered != cells {
-		t.Fatalf("shards cover %d cells, want %d", covered, cells)
-	}
-}
-
 // TestStampBatchRowLocality checks the Lamport stamping rule: a batch's
 // stamp is one past the maximum row stamp over the variables it WRITES,
 // exactly those rows' stamps advance to it, read-only batches stamp

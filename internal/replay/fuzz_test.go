@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memmap"
 	"repro/internal/model"
 )
 
@@ -52,6 +55,32 @@ func smallTrace(t testing.TB) []byte {
 func poolTrace(t testing.TB) []byte {
 	data, _, _ := recordRun(t, core.Spec{Kind: core.KindDMMPC, Lanes: 2, Procs: 8, Mode: model.CRCWPriority}, Banded, 3, 8)
 	return data
+}
+
+// giantHeader is a well-formed PRAMTRC1 preamble whose header names a
+// DMMPC with 16000 processors at the default k = 2 and ε = 1: within the
+// reader's dimension bounds, but m = 2.56·10^8 variables at r = 7, about
+// 34 GiB of map and cells if built.
+func giantHeader() []byte {
+	spec := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 16000, Mode: model.CRCWPriority, Seed: 1, KExp: 2, Gran: 1}
+	built := &core.Built{Spec: spec, Params: memmap.LemmaTwo(spec.Procs, spec.KExp, spec.Gran)}
+	return frame(append([]byte(nil), magic[:]...), kindHeader, encodeHeader(nil, built, 0))
+}
+
+// TestOpenRejectsGiantHeader: Open refuses the giant header with the build
+// budget error before it allocates anything large.
+func TestOpenRejectsGiantHeader(t *testing.T) {
+	data := giantHeader()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Open(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "over the build budget") {
+		t.Fatalf("Open of a 16000-processor header: %v, want the build budget error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("the refused Open allocated %d bytes", grew)
+	}
 }
 
 // TestTruncatedTraceRejected: every proper prefix of a valid trace must
@@ -181,6 +210,7 @@ func FuzzReadTraceFile(f *testing.F) {
 		f.Add(m)
 	}
 	f.Add(append(append([]byte(nil), valid...), valid...)) // trailing garbage
+	f.Add(giantHeader())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		err := drainTrace(data)
 		if err != nil {

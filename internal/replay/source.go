@@ -25,7 +25,7 @@ import (
 // SHAPE, not memory initialization, and round structure belongs to the
 // consuming scheduler. Addresses are the trace's own [0, Mem()) variable
 // ids; a consumer serving the stream into a smaller or banded variable
-// space remaps them (serve.Remap).
+// space folds them into its own range.
 //
 // NextBatch returns batches aliasing one reusable buffer and performs zero
 // steady-state heap allocations, like every other replay read path.

@@ -7,9 +7,7 @@ import (
 )
 
 // AutoscaleConfig tunes the serving-lane autoscaler. The zero value is a
-// usable policy: K ∈ [1, Bands], 16-round decision windows, one-window
-// cooldown, grow at half-full queues, block growth when half the window's
-// executed rounds forced serial merges.
+// usable policy: K ∈ [1, Bands] and 16-round decision windows.
 type AutoscaleConfig struct {
 	// Min and Max bound K. Min 0 → 1. Max 0 → the server's band count —
 	// shards beyond the band count can never receive a tenant, so growing
@@ -18,20 +16,23 @@ type AutoscaleConfig struct {
 	// Interval is the decision window in observed rounds (0 → 16): signals
 	// accumulate over the window and at most one resize fires per window.
 	Interval int
-	// Cooldown is how many full windows to sit out after a resize (0 → 1),
-	// letting queues re-equilibrate before the next decision.
-	Cooldown int
-	// QueueHighFrac is the average queue-fill fraction (queued credits over
-	// total queue capacity) that triggers growth (0 → 0.5). Shrinking
-	// requires the fill to stay under a quarter of this.
-	QueueHighFrac float64
-	// MergeBlockFrac blocks growth when at least this fraction of the
-	// window's executed rounds forced serial-component merges (0 → 0.5):
-	// merge pressure means the mix is not component-parallel, and more
-	// engines cannot help a workload that keeps collapsing into one
-	// component.
-	MergeBlockFrac float64
 }
+
+// The autoscaler's fixed thresholds.
+const (
+	// cooldownWindows is how many full windows to sit out after a resize,
+	// letting queues re-equilibrate before the next decision.
+	cooldownWindows = 1
+	// queueHighFrac is the average queue-fill fraction (queued credits
+	// over total queue capacity) that triggers growth. Shrinking requires
+	// the fill to stay under a quarter of this.
+	queueHighFrac = 0.5
+	// mergeBlockFrac blocks growth when at least this fraction of the
+	// window's executed rounds forced serial-component merges: merge
+	// pressure means the mix is not component-parallel, and more engines
+	// cannot help a workload that keeps collapsing into one component.
+	mergeBlockFrac = 0.5
+)
 
 // Autoscaler closes the serving loop: it watches the degradation signals
 // the server already counts — rejections, queue depth, pool occupancy
@@ -82,15 +83,6 @@ func NewAutoscaler(s *Server, cfg AutoscaleConfig) *Autoscaler {
 	}
 	if cfg.Interval < 1 {
 		cfg.Interval = 16
-	}
-	if cfg.Cooldown < 1 {
-		cfg.Cooldown = 1
-	}
-	if cfg.QueueHighFrac <= 0 {
-		cfg.QueueHighFrac = 0.5
-	}
-	if cfg.MergeBlockFrac <= 0 {
-		cfg.MergeBlockFrac = 0.5
 	}
 	a := &Autoscaler{s: s, cfg: cfg, prevExec: s.execRounds}
 	a.snapshot()
@@ -169,8 +161,8 @@ func (a *Autoscaler) Observe() int {
 	}
 	// Grow on admission pressure — rejections or persistently deep queues —
 	// unless the window's merge rate says the mix cannot use more lanes.
-	if (rejDelta > 0 || queueFrac >= a.cfg.QueueHighFrac) && k < a.cfg.Max {
-		if mergeFrac >= a.cfg.MergeBlockFrac {
+	if (rejDelta > 0 || queueFrac >= queueHighFrac) && k < a.cfg.Max {
+		if mergeFrac >= mergeBlockFrac {
 			decision(0) // the withheld grow: pressure was there, parallelism was not
 			if s.logf != nil {
 				s.logf("serve: autoscaler holding K=%d under pressure: %.0f%% of rounds forced serial merges (cross-band mix)", k, 100*mergeFrac)
@@ -184,11 +176,11 @@ func (a *Autoscaler) Observe() int {
 		decision(nk)
 		s.Resize(nk)
 		a.grows++
-		a.cooldown = a.cfg.Cooldown
+		a.cooldown = cooldownWindows
 		return nk
 	}
 	// Shrink on sustained low occupancy with no admission pressure.
-	if k > a.cfg.Min && avgActive*2 <= float64(k) && rejDelta == 0 && queueFrac*4 < a.cfg.QueueHighFrac {
+	if k > a.cfg.Min && avgActive*2 <= float64(k) && rejDelta == 0 && queueFrac*4 < queueHighFrac {
 		nk := k / 2
 		if nk < a.cfg.Min {
 			nk = a.cfg.Min
@@ -196,7 +188,7 @@ func (a *Autoscaler) Observe() int {
 		decision(nk)
 		s.Resize(nk)
 		a.shrinks++
-		a.cooldown = a.cfg.Cooldown
+		a.cooldown = cooldownWindows
 		return nk
 	}
 	return 0
@@ -226,5 +218,5 @@ func (c autoscaleCollector) Collect(emit func(prom.Sample)) {
 // String summarizes the policy for run banners.
 func (c AutoscaleConfig) String() string {
 	return fmt.Sprintf("K∈[%d,%d] window=%d cooldown=%d queue≥%.2f merge-block≥%.2f",
-		c.Min, c.Max, c.Interval, c.Cooldown, c.QueueHighFrac, c.MergeBlockFrac)
+		c.Min, c.Max, c.Interval, cooldownWindows, queueHighFrac, mergeBlockFrac)
 }

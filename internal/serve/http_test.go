@@ -375,7 +375,7 @@ func TestHTTPRecordedRunReplays(t *testing.T) {
 	if err := rep.StartTrace(&repTrace); err != nil {
 		t.Fatal(err)
 	}
-	rep.PlayScript(sc.Events, sc.Rounds)
+	rep.PlayScript(sc.Events, sc.Rounds, nil)
 	if err := rep.StopTrace(); err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,8 @@ func (c *collector) Collect(emit func(prom.Sample)) {
 	// Raw fabric counters, per shard machine (satellite of the span work):
 	// cumulative over the shard MACHINE's lifetime — a shard retired by a
 	// shrink drops its series, and a later grow starts the id over at
-	// zero. Only cycle-timed meshes have them; Bipartite emits none.
+	// zero. Only cycle-timed meshes have them; the bipartite fabric emits
+	// none.
 	for sh := 0; sh < s.k; sh++ {
 		nw := s.nets[sh]
 		if nw == nil {

@@ -63,7 +63,7 @@
 // served and rejected. Replays therefore re-apply the recorded resizes at
 // their recorded rounds instead of re-running the autoscaler policy; when
 // the script's meta line carries the recorded policy, a replay can instead
-// run a SHADOW autoscaler (PlayScriptObserved), which reproduces the same
+// run a SHADOW autoscaler (PlayScript's observer), which reproduces the same
 // resize stream — the script's own resize events become no-ops — plus the
 // autoscaler's decision records in the event log.
 //
@@ -133,45 +133,6 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/replay"
 )
-
-// Interconnect selects the fabric each pool shard routes its protocol
-// phases over.
-type Interconnect uint8
-
-const (
-	// Bipartite is the DMMPC's complete bipartite processor–module graph
-	// (quorum.NewCompleteBipartite): contention-free routing, phase cost 1.
-	// The default, and the only fabric the serving lane had before the
-	// per-shard mesh option.
-	Bipartite Interconnect = iota
-	// MOT2D gives every shard its OWN √M × √M two-dimensional mesh of
-	// trees with modules at the leaves (the paper's Theorem 3 machine,
-	// core.KindMOT2D): phase costs become real routed cycle counts, and
-	// the mesh router carries the serving lane. The Lemma 2 (KExp, ε)
-	// point is replaced by a Theorem 3 (KExp, Gran) point sized at
-	// nMax·Bands total processors.
-	MOT2D
-)
-
-// String implements fmt.Stringer.
-func (ic Interconnect) String() string {
-	if ic == MOT2D {
-		return "mot2d"
-	}
-	return "bipartite"
-}
-
-// ParseInterconnect maps the CLI spellings to an Interconnect kind.
-func ParseInterconnect(s string) (Interconnect, error) {
-	switch s {
-	case "", "bipartite", "dmmpc", "complete":
-		return Bipartite, nil
-	case "mot2d", "mot", "mesh":
-		return MOT2D, nil
-	default:
-		return Bipartite, fmt.Errorf("serve: unknown interconnect %q (want bipartite or mot2d)", s)
-	}
-}
 
 // Band is one tenant's slice of the variable space: the half-open range
 // [Lo, Hi) of the server's Mem variables the tenant should address.
@@ -277,7 +238,7 @@ type TenantConfig struct {
 }
 
 // Config assembles a serving deployment. NewServer maps it onto one
-// core.Spec — Kind from Interconnect, Lanes = Bands, Procs = the largest
+// core.Spec — Kind = Interconnect, Lanes = Bands, Procs = the largest
 // tenant's — with the serving defaults below, and builds its pool with
 // core.Spec.BuildPool(Engines).
 type Config struct {
@@ -288,8 +249,7 @@ type Config struct {
 	// per tenant: its header is the deployment's core.Spec, with Lanes =
 	// Bands.
 	Bands int
-	// Engines is the pool's engine count K (0 consults PRAMSIM_ENGINES,
-	// < 0 GOMAXPROCS).
+	// Engines is the pool's engine count K (0 → 1; negative is an error).
 	Engines int
 	// Mode is the conflict convention. The zero value selects
 	// CRCW-Priority: a multi-tenant front end serves arbitrary concurrent
@@ -299,20 +259,24 @@ type Config struct {
 	Mode model.Mode
 	// Seed draws the memory map (0 → 1).
 	Seed int64
-	// Interconnect selects each shard's fabric: Bipartite (default) or
-	// MOT2D per-shard meshes.
-	Interconnect Interconnect
+	// Interconnect selects each shard's fabric: core.KindDMMPC (the zero
+	// value) gives every shard the complete bipartite processor–module
+	// graph, with contention-free unit-cost phases; core.KindMOT2D gives
+	// every shard its OWN √M × √M two-dimensional mesh of trees with
+	// modules at the leaves (the paper's Theorem 3 machine), whose phase
+	// costs are routed cycle counts.
+	Interconnect core.Kind
 	// KExp is the memory exponent m = n^KExp at n = nMax·Bands: Lemma 2's
-	// k under Bipartite (0 → 2), Theorem 3's under MOT2D (0 → 1.5). The
-	// bipartite pool always uses Lemma 2's default ε = 1.
+	// k on the bipartite fabric (0 → 2), Theorem 3's on meshes (0 → 1.5).
+	// The bipartite pool always uses Lemma 2's default ε = 1.
 	KExp float64
-	// Gran is the Theorem 3 granularity exponent δ for MOT2D meshes
-	// (0 → 1.5; unused under Bipartite): the grid side is
+	// Gran is the Theorem 3 granularity exponent δ for meshes (0 → 1.5;
+	// unused on the bipartite fabric): the grid side is
 	// ceilPow2((nMax·Bands)^((1+δ)/2)), so bigger mixes need a smaller δ
 	// to stay inside mot.MaxSide.
 	Gran float64
-	// DualRail enables the row+column dual-rail banks on MOT2D meshes
-	// (Theorem 3's closing remark; halves the redundancy).
+	// DualRail enables the row+column dual-rail banks on meshes (Theorem
+	// 3's closing remark; halves the redundancy).
 	DualRail bool
 	// AllowTraceKindMismatch admits trace sources whose recorded header
 	// names a different machine kind than the pool's interconnect (the
@@ -412,7 +376,6 @@ type Server struct {
 	// largest tenant's), its store and its parameter point; StartTrace
 	// writes it as the trace header.
 	built *core.Built
-	ic    Interconnect
 	k     int
 
 	tenants []*tenant
@@ -446,10 +409,11 @@ type Server struct {
 	hDedup         *prom.Histogram // post-dedup requests per executed step
 
 	// Per-shard scratch the stage events read. nets/netPrev cache each
-	// shard's mesh handle and fabric counter baseline (nil/zero under
-	// Bipartite) for the route events' cycle/hop deltas; waitScratch holds
-	// the wait (in rounds) of the credit each shard scheduled this round;
-	// critQuorum/critCommit accumulate the critical-path makespan split.
+	// shard's mesh handle and fabric counter baseline (nil/zero on the
+	// bipartite fabric) for the route events' cycle/hop deltas;
+	// waitScratch holds the wait (in rounds) of the credit each shard
+	// scheduled this round; critQuorum/critCommit accumulate the
+	// critical-path makespan split.
 	nets        []*mot.Network
 	netPrev     []mot.Stats
 	waitScratch []int64
@@ -464,7 +428,7 @@ type Server struct {
 // Fixed at construction so bucket layouts — part of the exposition — never
 // depend on K or the traffic observed.
 const (
-	stepTimeBuckets   = 24 // per-step simulated time (cycles under MOT2D)
+	stepTimeBuckets   = 24 // per-step simulated time (cycles on meshes)
 	queueWaitBuckets  = 16 // queue wait in rounds
 	occupancyBuckets  = 8  // active shards per round
 	roundCostBuckets  = 24 // per-round makespan/work
@@ -473,7 +437,7 @@ const (
 )
 
 // NewServer builds the deployment through core.Spec.BuildPool: a Lemma 2
-// (Bipartite) or Theorem 3 (MOT2D) parameter point at maxProcs·Bands total
+// (bipartite) or Theorem 3 (mesh) parameter point at maxProcs·Bands total
 // processors, a map banded by the TENANT band count (K-invariant, see the
 // package doc), one store, and a K-engine pool whose machines are sized to
 // the largest tenant — tenants with smaller Procs simply leave the upper
@@ -503,13 +467,13 @@ func NewServer(cfg Config) (*Server, error) {
 			nMax = t.Procs
 		}
 	}
-	spec := core.Spec{Kind: core.KindDMMPC, Lanes: bands, Procs: nMax, Mode: cfg.Mode, Seed: cfg.Seed,
+	spec := core.Spec{Kind: cfg.Interconnect, Lanes: bands, Procs: nMax, Mode: cfg.Mode, Seed: cfg.Seed,
 		KExp: cfg.KExp, DualRail: cfg.DualRail}
 	if spec.Mode == model.EREW {
 		spec.Mode = model.CRCWPriority
 	}
-	if cfg.Interconnect == MOT2D {
-		spec.Kind, spec.Gran = core.KindMOT2D, cfg.Gran
+	if spec.Kind == core.KindMOT2D {
+		spec.Gran = cfg.Gran
 		if spec.KExp == 0 {
 			// Meshes pay side = (nTotal·m-granularity)^((1+δ)/2) in silicon;
 			// the Theorem 3 experiments run m = n^1.5 at production sizes.
@@ -531,7 +495,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		pool:       pool,
 		built:      built,
-		ic:         cfg.Interconnect,
 		k:          k,
 		byShard:    make([][]int, k),
 		cursor:     make([]int, k),
@@ -583,22 +546,20 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: tenant %q: source procs %d exceed declared %d",
 				tc.Name, t.src.Procs(), tc.Procs)
 		}
-		if rc, ok := TraceHeader(t.src); ok {
+		if ts, ok := t.src.(*traceSource); ok && ts.Spec().Kind != spec.Kind {
 			// Header-validate recorded traces against the pool's fabric: a
 			// PRAMTRC1 stream names the machine kind it was captured on, and
 			// replaying e.g. a bipartite capture into mesh shards silently
 			// changes what the recorded stream meant. Addresses remap fine
 			// either way, so a config flag can override.
-			if rc.Kind != spec.Kind {
-				if !cfg.AllowTraceKindMismatch {
-					return nil, fmt.Errorf(
-						"serve: tenant %q: trace was recorded on a %v machine but the pool serves %v interconnects; set AllowTraceKindMismatch (cmd/serve -allow-kind-mismatch) to replay it anyway",
-						tc.Name, rc.Kind, cfg.Interconnect)
-				}
-				if s.logf != nil {
-					s.logf("serve: tenant %q: replaying a %v-recorded trace onto %v interconnects (kind mismatch allowed by config)",
-						tc.Name, rc.Kind, cfg.Interconnect)
-				}
+			if !cfg.AllowTraceKindMismatch {
+				return nil, fmt.Errorf(
+					"serve: tenant %q: trace was recorded on a %v machine but the pool serves %v interconnects; set AllowTraceKindMismatch (cmd/serve -allow-kind-mismatch) to replay it anyway",
+					tc.Name, ts.Spec().Kind, spec.Kind)
+			}
+			if s.logf != nil {
+				s.logf("serve: tenant %q: replaying a %v-recorded trace onto %v interconnects (kind mismatch allowed by config)",
+					tc.Name, ts.Spec().Kind, spec.Kind)
 			}
 		}
 		t.waitRing = make([]int64, t.cap)
@@ -628,14 +589,12 @@ func (s *Server) Engines() int { return s.k }
 // Bands returns the map's band count.
 func (s *Server) Bands() int { return s.built.Spec.Lanes }
 
-// Interconnect returns the per-shard fabric kind.
-func (s *Server) Interconnect() Interconnect { return s.ic }
-
-// Side returns the per-shard mesh side under MOT2D (0 under Bipartite).
+// Side returns the per-shard mesh side on meshes (0 on the bipartite
+// fabric).
 func (s *Server) Side() int { return s.built.Side }
 
-// Params returns the deployment's parameter point: Lemma 2's under
-// Bipartite, Theorem 3's under MOT2D.
+// Params returns the deployment's parameter point: Lemma 2's on the
+// bipartite fabric, Theorem 3's on meshes.
 func (s *Server) Params() memmap.Params { return s.built.Params }
 
 // Pool exposes the underlying engine pool (diagnostics and tests).
@@ -676,29 +635,34 @@ func (s *Server) Submit(id, n int) (accepted, rejected int) {
 		return 0, 0
 	}
 	t := s.tenants[id]
-	t.submitted += int64(n)
+	room := t.cap - t.credits
 	if s.draining || t.done {
-		t.rejected += int64(n)
-		s.events.push(Event{Kind: KindSubmit, Round: s.round, Start: s.events.Now(),
-			Track: int32(id), B: int64(n)})
-		return 0, n
+		room = 0
 	}
-	accepted = n
-	if room := t.cap - t.credits; accepted > room {
-		rejected = accepted - room
-		accepted = room
-		t.rejected += int64(rejected)
-	}
+	accepted = t.admit(n, room, s.round)
+	s.events.push(Event{Kind: KindSubmit, Round: s.round, Start: s.events.Now(),
+		Track: int32(id), A: int64(accepted), B: int64(n - accepted)})
+	return accepted, n - accepted
+}
+
+// admit is the one admission path: it offers n credits to a queue with
+// room for at most room more, counts the overflow as rejected and stamps
+// every accepted credit with round r for its queue wait. It returns how
+// many it accepted.
+//
+//pram:hotpath
+func (t *tenant) admit(n, room int, r int64) int {
+	t.submitted += int64(n)
+	accepted := min(n, room)
+	t.rejected += int64(n - accepted)
 	t.credits += accepted
 	if t.credits > t.maxQueue {
 		t.maxQueue = t.credits
 	}
 	for i := 0; i < accepted; i++ {
-		t.pushWait(s.round)
+		t.pushWait(r)
 	}
-	s.events.push(Event{Kind: KindSubmit, Round: s.round, Start: s.events.Now(),
-		Track: int32(id), A: int64(accepted), B: int64(rejected)})
-	return accepted, rejected
+	return accepted
 }
 
 // Resize changes the pool's engine count K online, between rounds: the
@@ -737,7 +701,8 @@ func (s *Server) Resize(k int) {
 	}
 }
 
-// refreshNets re-caches the per-shard mesh handles (nil under Bipartite)
+// refreshNets re-caches the per-shard mesh handles (nil on the bipartite
+// fabric)
 // and their fabric counter baselines for the route events' cycle/hop
 // deltas. Shards that survive a Resize keep their machines — and with
 // them their monotone fabric counters — so surviving baselines carry
@@ -840,19 +805,9 @@ func (s *Server) Round() int {
 			if n == 0 {
 				continue
 			}
-			t.submitted += int64(n)
-			if room := t.cap - t.credits; n > room {
-				t.rejected += int64(n - room)
+			if accepted := t.admit(n, t.cap-t.credits, r); accepted < n {
 				s.events.push(Event{Kind: KindReject, Round: r, Start: s.events.Now(),
-					Track: int32(t.id), A: int64(n - room)})
-				n = room
-			}
-			t.credits += n
-			if t.credits > t.maxQueue {
-				t.maxQueue = t.credits
-			}
-			for i := 0; i < n; i++ {
-				t.pushWait(r)
+					Track: int32(t.id), A: int64(n - accepted)})
 			}
 		}
 	}
@@ -1094,20 +1049,16 @@ func (s *Server) ServeAll(maxRounds int) error {
 // includes the live run's drain rounds). Combined with identical tenant
 // specs and seed this reproduces the live run bit-for-bit; re-record the
 // replay through StartTrace and even the trace bytes come out identical.
-func (s *Server) PlayScript(events []replay.ScriptEvent, rounds int64) {
-	s.PlayScriptObserved(events, rounds, nil)
-}
-
-// PlayScriptObserved is PlayScript with a per-round observer hook: observe
-// (when non-nil) runs after every executed round until the script's drain
-// event has been applied — exactly when the live HTTP loop consults its
-// autoscaler (HTTPServer.Tick observes after every Round; the drain rounds
-// inside Shutdown are not observed). Replaying with a shadow autoscaler
-// built from the recorded policy therefore reproduces the live decision
-// stream — including the event log's "why" records — while the
+//
+// observe, when non-nil, runs after every executed round until the
+// script's drain event has been applied — exactly when the live HTTP loop
+// consults its autoscaler (HTTPServer.Tick observes after every Round; the
+// drain rounds inside Shutdown are not observed). Replaying with a shadow
+// autoscaler built from the recorded policy therefore reproduces the live
+// decision stream — including the event log's "why" records — while the
 // script's own resize events become no-ops (Resize at the already-current
 // K returns immediately).
-func (s *Server) PlayScriptObserved(events []replay.ScriptEvent, rounds int64, observe func()) {
+func (s *Server) PlayScript(events []replay.ScriptEvent, rounds int64, observe func()) {
 	i := 0
 	for r := int64(0); r < rounds; r++ {
 		for i < len(events) && events[i].Round <= r {

@@ -26,7 +26,7 @@ func mot2dMixConfig(engines int) Config {
 		Bands:        2,
 		Engines:      engines,
 		Seed:         13,
-		Interconnect: MOT2D,
+		Interconnect: core.KindMOT2D,
 	}
 }
 
@@ -51,9 +51,8 @@ func TestServeDeterministicMOT2D(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Interconnect() != MOT2D || s.Side() != 16384 {
-				t.Fatalf("deployment shape: interconnect=%v side=%d, want mot2d/16384",
-					s.Interconnect(), s.Side())
+			if s.Side() != 16384 {
+				t.Fatalf("deployment shape: side=%d, want a 16384-side mesh", s.Side())
 			}
 			s.Close()
 			stats, fp := runMix(t, mot2dMixConfig(K))
@@ -91,7 +90,7 @@ func TestServeMOT2DRoundZeroAllocs(t *testing.T) {
 		Bands:        2,
 		Engines:      2,
 		Seed:         7,
-		Interconnect: MOT2D,
+		Interconnect: core.KindMOT2D,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,7 @@ func TestServeTraceKindValidation(t *testing.T) {
 	// Procs 64 over one band keeps the Theorem 3 point feasible (side 256,
 	// well above the redundancy) while the 8-proc traces ride in the lower
 	// processors.
-	mk := func(ic Interconnect, trace []byte, allow bool) Config {
+	mk := func(ic core.Kind, trace []byte, allow bool) Config {
 		return Config{
 			Tenants: []TenantConfig{{
 				Name: "trace", Band: 0, Procs: 64, Arrival: Arrival{Window: 1},
@@ -159,16 +158,16 @@ func TestServeTraceKindValidation(t *testing.T) {
 		}
 	}
 	// Mismatches in both directions are refused with the kinds named.
-	if _, err := NewServer(mk(MOT2D, dmmpc, false)); err == nil {
+	if _, err := NewServer(mk(core.KindMOT2D, dmmpc, false)); err == nil {
 		t.Error("dmmpc trace admitted onto mot2d interconnects")
 	} else if !strings.Contains(err.Error(), "dmmpc") || !strings.Contains(err.Error(), "mot2d") {
 		t.Errorf("mismatch error %q does not name both kinds", err)
 	}
-	if _, err := NewServer(mk(Bipartite, mot2d, false)); err == nil {
+	if _, err := NewServer(mk(core.KindDMMPC, mot2d, false)); err == nil {
 		t.Error("mot2d trace admitted onto bipartite interconnects")
 	}
 	// The override admits, and the mix still serves to completion.
-	s, err := NewServer(mk(MOT2D, dmmpc, true))
+	s, err := NewServer(mk(core.KindMOT2D, dmmpc, true))
 	if err != nil {
 		t.Fatalf("override rejected: %v", err)
 	}
@@ -181,30 +180,14 @@ func TestServeTraceKindValidation(t *testing.T) {
 	s.Close()
 	// Matching kinds pass without the override.
 	for _, c := range []struct {
-		ic    Interconnect
+		ic    core.Kind
 		trace []byte
-	}{{Bipartite, dmmpc}, {MOT2D, mot2d}} {
+	}{{core.KindDMMPC, dmmpc}, {core.KindMOT2D, mot2d}} {
 		s, err := NewServer(mk(c.ic, c.trace, false))
 		if err != nil {
 			t.Fatalf("%v trace refused on %v interconnects: %v", c.ic, c.ic, err)
 		}
 		s.Close()
-	}
-}
-
-// TestParseInterconnect covers the CLI spellings.
-func TestParseInterconnect(t *testing.T) {
-	for in, want := range map[string]Interconnect{
-		"": Bipartite, "bipartite": Bipartite, "dmmpc": Bipartite, "complete": Bipartite,
-		"mot2d": MOT2D, "mot": MOT2D, "mesh": MOT2D,
-	} {
-		got, err := ParseInterconnect(in)
-		if err != nil || got != want {
-			t.Errorf("ParseInterconnect(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseInterconnect("torus"); err == nil {
-		t.Error("unknown interconnect accepted")
 	}
 }
 

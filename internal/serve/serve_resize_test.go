@@ -200,7 +200,7 @@ func TestServeScriptReplayBitForBit(t *testing.T) {
 	if err := rep.StartTrace(&repTrace); err != nil {
 		t.Fatal(err)
 	}
-	rep.PlayScript(sc.Events, sc.Rounds)
+	rep.PlayScript(sc.Events, sc.Rounds, nil)
 	if err := rep.StopTrace(); err != nil {
 		t.Fatal(err)
 	}

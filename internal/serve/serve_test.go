@@ -371,6 +371,9 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := NewServer(bad); err == nil {
 		t.Error("missing source accepted")
 	}
+	if _, err := NewServer(mixConfig(-1)); err == nil || !strings.Contains(err.Error(), "engine count -1") {
+		t.Errorf("negative engine count: err = %v, want an engine-count error", err)
+	}
 	// An infeasible parameter point errors, not panics: one processor on
 	// one band leaves Lemma 2 with M = n^(1+ε) = 1 module, not more than n.
 	tiny := Config{

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/replay"
 )
@@ -72,79 +71,36 @@ func (g *genSource) NextBatch() (model.Batch, bool) {
 	return b, true
 }
 
-// TraceConfigured is implemented by sources backed by a recorded PRAMTRC1
-// trace: TraceConfig returns the trace's header spec (machine kind, lane
-// shape, knobs) and true. Wrapper sources forward it, so the
-// header survives adapters like Remap and NewServer can validate the
-// recorded machine kind against the pool's interconnect.
-type TraceConfigured interface {
-	TraceConfig() (core.Spec, bool)
+// traceSource serves one lane of a recorded PRAMTRC1 trace
+// (replay.BatchSource) with its addresses folded into the tenant's band:
+// addr → Lo + addr mod Span. The fold preserves the traffic's shape (hot
+// variables stay hot, broadcasts stay broadcasts) but not its offsets,
+// since the trace was recorded against its own variable space. NewServer
+// reads the embedded header (Spec) to check the recorded machine kind
+// against the pool's interconnect.
+type traceSource struct {
+	*replay.BatchSource
+	lo, span int
 }
 
-// TraceHeader unwraps a source's recorded trace header, if it has one.
-func TraceHeader(src Source) (core.Spec, bool) {
-	if tc, ok := src.(TraceConfigured); ok {
-		return tc.TraceConfig()
-	}
-	return core.Spec{}, false
-}
-
-// remapSource folds a source's addresses into a band with a modular remap
-// — shape-preserving (hot variables stay hot, broadcasts stay broadcasts)
-// but NOT offset-preserving, so it is the adapter for streams recorded
-// against a different variable space, like trace sources.
-type remapSource struct {
-	inner Source
-	lo    int
-	span  int
-}
-
-// Remap confines a source's addresses to the band: addr → Lo + addr mod
-// Span. Sources that already emit band-fitting addresses pass through
-// unchanged batches (the arithmetic is still applied; it is the identity
-// on [0, Span) plus the offset).
-func Remap(src Source, b Band) Source {
-	return &remapSource{inner: src, lo: b.Lo, span: b.Span()}
-}
-
-// Procs implements Source.
-func (r *remapSource) Procs() int { return r.inner.Procs() }
-
-// Err implements Source.
-func (r *remapSource) Err() error { return r.inner.Err() }
-
-// NextBatch implements Source, remapping in place.
-func (r *remapSource) NextBatch() (model.Batch, bool) {
-	b, ok := r.inner.NextBatch()
+// NextBatch implements Source, folding addresses in place.
+func (t *traceSource) NextBatch() (model.Batch, bool) {
+	b, ok := t.BatchSource.NextBatch()
 	if !ok {
 		return nil, false
 	}
 	for i := range b {
 		if b[i].Op != model.OpNone {
-			b[i].Addr = r.lo + b[i].Addr%r.span
+			b[i].Addr = t.lo + b[i].Addr%t.span
 		}
 	}
 	return b, true
 }
 
-// TraceConfig implements TraceConfigured by delegation: remapping does not
-// change what was recorded.
-func (r *remapSource) TraceConfig() (core.Spec, bool) {
-	return TraceHeader(r.inner)
-}
-
-// traceSource adapts one lane of a replay.BatchSource as a Source that
-// also surfaces its PRAMTRC1 header.
-type traceSource struct{ *replay.BatchSource }
-
-// TraceConfig implements TraceConfigured.
-func (t traceSource) TraceConfig() (core.Spec, bool) { return t.Spec(), true }
-
 // NewTraceSource returns a factory serving one lane of a recorded PRAMTRC1
-// trace (replay.BatchSource) as tenant traffic, with the trace's addresses
-// modularly remapped into the tenant's band. When loop is true the trace
-// restarts at eof and streams indefinitely. The trace's header rides along
-// (TraceConfigured), so NewServer validates the recorded machine kind
+// trace as tenant traffic, with the trace's addresses folded into the
+// tenant's band (traceSource). When loop is true the trace restarts at eof
+// and streams indefinitely. NewServer validates the recorded machine kind
 // against the pool's interconnect at admission.
 func NewTraceSource(data []byte, lane int, loop bool) SourceFactory {
 	return func(b Band) Source {
@@ -152,7 +108,7 @@ func NewTraceSource(data []byte, lane int, loop bool) SourceFactory {
 		if err != nil {
 			return &failedSource{err: err}
 		}
-		return Remap(traceSource{src}, b)
+		return &traceSource{BatchSource: src, lo: b.Lo, span: b.Span()}
 	}
 }
 
