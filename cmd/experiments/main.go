@@ -1,5 +1,8 @@
-// Command experiments regenerates the reproduction tables E1–E8 (one per
-// claim of the paper; see DESIGN.md §4 and EXPERIMENTS.md).
+// Command experiments regenerates the reproduction tables: E1–E8 test one
+// claim of the paper each (Theorems 1–3, Lemma 2, Sections 1 and 3), and
+// E9–E17 measure the conclusion's P-ROM, ablations, program slowdown and
+// the serving sweeps. Each table prints the claim it tests; `experiments
+// -list` names them all.
 //
 // Usage:
 //

@@ -42,9 +42,10 @@ func E9PROM() Result {
 	}
 }
 
-// E10Ablations isolates three design choices DESIGN.md calls out: the
-// routing collision policy, the dual-rail bank doubling, and the
-// constructive (algebraic) memory map.
+// E10Ablations isolates three design choices of the paper: the 2DMOT's
+// collision policy (Section 3 drops a colliding packet and retries it),
+// the dual-rail bank doubling of Theorem 3's closing remark, and the
+// constructive (algebraic) memory map the conclusion asks for.
 func E10Ablations() Result {
 	tb := stats.NewTable("ablation", "variant", "r", "cost", "unit")
 	const n = 64

@@ -1,8 +1,10 @@
 // Package experiments implements the reproduction harness: one runner per
-// experiment in DESIGN.md §4 (E1–E8), each regenerating the table that
-// operationalizes one of the paper's claims. The cmd/experiments CLI prints
-// them; the root bench_test.go wraps them in testing.B benchmarks; their
-// recorded outputs live in EXPERIMENTS.md.
+// experiment, each regenerating the table that operationalizes one of the
+// paper's claims (E1–E8: Theorems 1–3, Lemma 2, the Section 1 comparison
+// and the Section 3 area model) or measures a proposal of its conclusion
+// or a design choice (E9–E17). Each runner's Result states
+// the claim it tests. The cmd/experiments CLI prints them, and the root
+// bench_test.go times the machines they run.
 package experiments
 
 import (

@@ -93,11 +93,13 @@ func Dot(a, b Vec) Elem {
 }
 
 // SolveVandermonde solves the b×b system V·a = y where V[i][j] = x_i^j,
-// for pairwise-distinct points x, returning the coefficient vector a.
-// It runs the classical O(b²) Newton divided-difference scheme: first the
-// divided differences of y on x, then expansion of the Newton form into
-// monomial coefficients.
-func SolveVandermonde(xs, ys Vec) Vec {
+// for pairwise-distinct points x, and appends the coefficient vector a to
+// dst. It runs the classical O(b²) Newton divided-difference scheme in
+// the appended elements: first the divided differences of y on x, then
+// expansion of the Newton form into monomial coefficients. It needs no
+// other scratch, so a dst with room for b more elements makes it
+// allocation-free. dst's appended elements must not overlap xs or ys.
+func SolveVandermonde(dst, xs, ys Vec) Vec {
 	b := len(xs)
 	if len(ys) != b {
 		panic("gf.SolveVandermonde: xs and ys must have equal length")
@@ -109,34 +111,24 @@ func SolveVandermonde(xs, ys Vec) Vec {
 			}
 		}
 	}
-	// Divided differences in place: dd[i] = f[x_0..x_i].
-	dd := make(Vec, b)
-	copy(dd, ys)
+	n := len(dst)
+	dst = append(dst, ys...)
+	a := dst[n:]
+	// Divided differences in place: a[i] = f[x_0..x_i].
 	for lvl := 1; lvl < b; lvl++ {
 		for i := b - 1; i >= lvl; i-- {
-			num := Sub(dd[i], dd[i-1])
-			den := Sub(xs[i], xs[i-lvl])
-			dd[i] = Div(num, den)
+			a[i] = Div(Sub(a[i], a[i-1]), Sub(xs[i], xs[i-lvl]))
 		}
 	}
-	// Expand the Newton form Σ dd[i]·Π_{j<i}(x−x_j) into monomial
-	// coefficients, growing the basis polynomial one root at a time.
-	coef := make(Vec, b)
-	basis := Vec{1} // coefficients of Π_{j<i} (x − x_j)
-	for i := 0; i < b; i++ {
-		for j := range basis {
-			coef[j] = Add(coef[j], Mul(dd[i], basis[j]))
-		}
-		if i < b-1 {
-			next := make(Vec, len(basis)+1)
-			for j, bc := range basis { // next = basis·(x − x_i)
-				next[j+1] = Add(next[j+1], bc)
-				next[j] = Sub(next[j], Mul(xs[i], bc))
-			}
-			basis = next
+	// Expand the Newton form a[0] + (x−x_0)·(a[1] + (x−x_1)·(…)) from the
+	// innermost factor out: once step i is done, a[i:] holds the monomial
+	// coefficients of a[i] + (x−x_i)·(…), lowest degree first.
+	for i := b - 2; i >= 0; i-- {
+		for j := i; j < b-1; j++ {
+			a[j] = Sub(a[j], Mul(xs[i], a[j+1]))
 		}
 	}
-	return coef
+	return dst
 }
 
 // EvalPoly evaluates the polynomial with coefficient vector a (a[0] is the

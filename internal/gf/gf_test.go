@@ -144,7 +144,7 @@ func TestSolveVandermondeRoundtrip(t *testing.T) {
 		for i := range ys {
 			ys[i] = EvalPoly(coef, xs[i])
 		}
-		got := SolveVandermonde(xs, ys)
+		got := SolveVandermonde(nil, xs, ys)
 		for i := range coef {
 			if got[i] != coef[i] {
 				t.Fatalf("trial %d: coef[%d] = %d, want %d", trial, i, got[i], coef[i])
@@ -159,7 +159,7 @@ func TestSolveVandermondeDuplicatePointsPanics(t *testing.T) {
 			t.Error("duplicate points did not panic")
 		}
 	}()
-	SolveVandermonde(Vec{1, 1}, Vec{2, 3})
+	SolveVandermonde(nil, Vec{1, 1}, Vec{2, 3})
 }
 
 func TestSolveVandermondeLengthMismatchPanics(t *testing.T) {
@@ -168,5 +168,5 @@ func TestSolveVandermondeLengthMismatchPanics(t *testing.T) {
 			t.Error("length mismatch did not panic")
 		}
 	}()
-	SolveVandermonde(Vec{1, 2}, Vec{2})
+	SolveVandermonde(nil, Vec{1, 2}, Vec{2})
 }

@@ -12,6 +12,7 @@ package ida
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gf"
 )
@@ -43,36 +44,39 @@ func (dp *Dispersal) D() int { return dp.d }
 // Blowup returns the storage expansion factor d/b.
 func (dp *Dispersal) Blowup() float64 { return float64(dp.d) / float64(dp.b) }
 
-// Encode recodes a block of b elements into d shares.
+// Encode appends the d shares of a block of b elements to dst.
 // Cost: O(b·d) field operations.
-func (dp *Dispersal) Encode(block gf.Vec) gf.Vec {
+func (dp *Dispersal) Encode(dst, block gf.Vec) gf.Vec {
 	if len(block) != dp.b {
 		panic(fmt.Sprintf("ida.Encode: block length %d, want %d", len(block), dp.b))
 	}
-	shares := make(gf.Vec, dp.d)
-	for i, x := range dp.points {
-		shares[i] = gf.EvalPoly(block, x)
+	for _, x := range dp.points {
+		dst = append(dst, gf.EvalPoly(block, x))
 	}
-	return shares
+	return dst
 }
 
-// Decode recovers the original block from any b shares, given their
-// indices in [0, d). Cost: O(b²) field operations (Newton interpolation;
-// Rabin's FFT-point variant reaches O(b log b), an efficiency — not
-// correctness — refinement).
-func (dp *Dispersal) Decode(idxs []int, shares gf.Vec) gf.Vec {
+// Decode appends to dst the block recovered from any b shares, given
+// their indices in [0, d). It keeps the shares' evaluation points in
+// dst's spare capacity past the block, so a dst reused from an earlier
+// Decode of the same dispersal makes the call allocation-free. Cost:
+// O(b²) field operations (Newton interpolation; Rabin's FFT-point variant
+// reaches O(b log b), an efficiency — not correctness — refinement).
+func (dp *Dispersal) Decode(dst gf.Vec, idxs []int, shares gf.Vec) gf.Vec {
 	if len(idxs) != dp.b || len(shares) != dp.b {
 		panic(fmt.Sprintf("ida.Decode: need exactly b=%d shares (got %d idxs, %d shares)",
 			dp.b, len(idxs), len(shares)))
 	}
-	xs := make(gf.Vec, dp.b)
+	n := len(dst)
+	dst = slices.Grow(dst, 2*dp.b)
+	xs := dst[n+dp.b : n+2*dp.b]
 	for i, ix := range idxs {
 		if ix < 0 || ix >= dp.d {
 			panic(fmt.Sprintf("ida.Decode: share index %d out of [0,%d)", ix, dp.d))
 		}
 		xs[i] = dp.points[ix]
 	}
-	return gf.SolveVandermonde(xs, shares)
+	return gf.SolveVandermonde(dst, xs, shares)
 }
 
 // FieldOpsEncode returns the field-operation count of one Encode, the unit

@@ -14,7 +14,7 @@ import (
 func TestDispersalRoundtripAllSubsets(t *testing.T) {
 	dp := NewDispersal(3, 6)
 	block := gf.Vec{11, 22, 33}
-	shares := dp.Encode(block)
+	shares := dp.Encode(nil, block)
 	if len(shares) != 6 {
 		t.Fatalf("shares = %d, want 6", len(shares))
 	}
@@ -23,7 +23,7 @@ func TestDispersalRoundtripAllSubsets(t *testing.T) {
 		for j := i + 1; j < 6; j++ {
 			for k := j + 1; k < 6; k++ {
 				idxs := []int{i, j, k}
-				got := dp.Decode(idxs, gf.Vec{shares[i], shares[j], shares[k]})
+				got := dp.Decode(nil, idxs, gf.Vec{shares[i], shares[j], shares[k]})
 				for x := range block {
 					if got[x] != block[x] {
 						t.Fatalf("subset %v: got %v, want %v", idxs, got, block)
@@ -44,14 +44,14 @@ func TestDispersalRoundtripProperty(t *testing.T) {
 		for i := range block {
 			block[i] = gf.Elem(rng.Intn(gf.P))
 		}
-		shares := dp.Encode(block)
+		shares := dp.Encode(nil, block)
 		// Random b-subset.
 		perm := rng.Perm(d)[:b]
 		sub := make(gf.Vec, b)
 		for i, ix := range perm {
 			sub[i] = shares[ix]
 		}
-		got := dp.Decode(perm, sub)
+		got := dp.Decode(nil, perm, sub)
 		for i := range block {
 			if got[i] != block[i] {
 				return false
@@ -227,4 +227,39 @@ func TestMemoryTooManySharesPanics(t *testing.T) {
 		}
 	}()
 	NewMemory(4, Config{MemCells: 16, BlockLen: 4, Shares: 8})
+}
+
+// TestExecuteStepZeroAllocs: once its scratch has grown, a step allocates
+// nothing — on a read step, a write step, and a mixed step whose reads
+// and writes share blocks, under CRCW-Priority and under the EREW check.
+func TestExecuteStepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation invariants are measured without the race detector")
+	}
+	const n = 64
+	for _, mode := range []model.Mode{model.CRCWPriority, model.EREW} {
+		mem := NewMemory(n, Config{MemCells: 4096, Mode: mode})
+		rng := rand.New(rand.NewSource(8))
+		reads, writes, mixed := model.NewBatch(n), model.NewBatch(n), model.NewBatch(n)
+		for i, a := range rng.Perm(mem.MemSize())[:n] {
+			reads[i] = model.Request{Proc: i, Op: model.OpRead, Addr: a}
+			writes[i] = model.Request{Proc: i, Op: model.OpWrite, Addr: a, Value: model.Word(i)}
+			// Consecutive cells: every block holds reads and writes.
+			mixed[i] = model.Request{Proc: i, Op: model.OpRead, Addr: i}
+			if i%3 == 0 {
+				mixed[i] = model.Request{Proc: i, Op: model.OpWrite, Addr: i, Value: model.Word(i)}
+			}
+		}
+		for _, c := range []struct {
+			name string
+			b    model.Batch
+		}{{"reads", reads}, {"writes", writes}, {"mixed", mixed}} {
+			if rep := mem.ExecuteStep(c.b); rep.Err != nil {
+				t.Fatalf("%v %s: %v", mode, c.name, rep.Err)
+			}
+			if avg := testing.AllocsPerRun(20, func() { mem.ExecuteStep(c.b) }); avg != 0 {
+				t.Errorf("%v %s step allocates %.1f/op, want 0", mode, c.name, avg)
+			}
+		}
+	}
 }

@@ -1,8 +1,9 @@
 package ida
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/gf"
 	"repro/internal/model"
@@ -34,6 +35,29 @@ type Memory struct {
 
 	// accumulated work statistics
 	fieldOps int64
+
+	// Step scratch, reused so that a step allocates nothing once grown.
+	checker model.ConflictChecker
+	vals    []model.Word
+	recs    []blockRec
+	applied []bool   // per cell offset of the block being written
+	loads   []int32  // per module: share accesses since the last drainLoads
+	touched []uint32 // modules whose load is nonzero
+	quorum  []int    // quorumShares' subset
+	take    []int    // indices of the shares a read decodes from
+	shares  gf.Vec   // one limb plane of those shares
+	planes  [limbs]gf.Vec
+	encoded [limbs]gf.Vec
+}
+
+// blockRec is one active request of a step. Sorted by (block, processor,
+// batch index), a step's requests form one run per block, each in
+// ascending processor order.
+type blockRec struct {
+	blk, off  int // block and cell offset within it
+	proc, idx int // processor and position in the batch
+	val       model.Word
+	write     bool
 }
 
 // limbs is the number of 16-bit field elements a 64-bit word splits into.
@@ -84,6 +108,8 @@ func NewMemory(n int, cfg Config) *Memory {
 		shareMod: make([]uint32, blocks*cfg.Shares),
 		version:  make([]uint32, blocks*cfg.Shares),
 		data:     make([]gf.Elem, blocks*cfg.Shares*limbs),
+		applied:  make([]bool, cfg.BlockLen),
+		loads:    make([]int32, n),
 	}
 	mem.placeShares(cfg.Seed)
 	mem.initZeroBlocks()
@@ -136,7 +162,12 @@ func (mem *Memory) QuorumSize() int { return mem.q }
 // hidden Θ(log n) per-access cost.
 func (mem *Memory) FieldOps() int64 { return mem.fieldOps }
 
-// ExecuteStep implements model.Backend.
+// ExecuteStep implements model.Backend. It is allocation-free in steady
+// state: the step is grouped by block by sorting reusable records, module
+// loads are counted in a per-module slice, and every share, plane and
+// quorum buffer is scratch reused across steps.
+//
+//pram:hotpath
 func (mem *Memory) ExecuteStep(batch model.Batch) model.StepReport {
 	need := len(batch)
 	for _, r := range batch {
@@ -144,75 +175,75 @@ func (mem *Memory) ExecuteStep(batch model.Batch) model.StepReport {
 			need = r.Proc + 1 // sparse batch from a direct caller
 		}
 	}
-	rep := model.StepReport{Values: make([]model.Word, need)}
-	rep.Err = model.CheckConflicts(batch, mem.mode)
+	if cap(mem.vals) < need {
+		mem.vals = make([]model.Word, need)
+	}
+	mem.vals = mem.vals[:need]
+	clear(mem.vals)
+	rep := model.StepReport{Values: mem.vals, Err: mem.checker.Check(batch, mem.mode)}
 
 	// Group the step's accesses by block.
-	type blockWork struct {
-		readers []model.Request
-		writers []model.Request
-	}
-	work := make(map[int]*blockWork)
-	for _, r := range batch {
+	b := mem.disp.B()
+	recs := mem.recs[:0]
+	for i, r := range batch {
 		if r.Op == model.OpNone {
 			continue
 		}
-		blk := r.Addr / mem.disp.B()
-		bw := work[blk]
-		if bw == nil {
-			bw = &blockWork{}
-			work[blk] = bw
-		}
-		if r.Op == model.OpRead {
-			bw.readers = append(bw.readers, r)
-		} else {
-			bw.writers = append(bw.writers, r)
-		}
+		recs = append(recs, blockRec{blk: r.Addr / b, off: r.Addr % b, proc: r.Proc, idx: i,
+			val: r.Value, write: r.Op == model.OpWrite})
 	}
-	blks := make([]int, 0, len(work))
-	//pram:unordered key collection; blks is sorted on the next line
-	for b := range work {
-		blks = append(blks, b)
-	}
-	sort.Ints(blks)
+	mem.recs = recs
+	slices.SortFunc(recs, func(x, y blockRec) int {
+		if x.blk != y.blk {
+			return cmp.Compare(x.blk, y.blk)
+		}
+		if x.proc != y.proc {
+			return cmp.Compare(x.proc, y.proc)
+		}
+		return cmp.Compare(x.idx, y.idx)
+	})
 
 	mem.clock++
-	var accesses int64
-	loads := make(map[uint32]int)
-	for _, blk := range blks {
-		bw := work[blk]
-		block := mem.readBlock(blk, &accesses, loads)
+	for lo := 0; lo < len(recs); {
+		blk, hi := recs[lo].blk, lo+1
+		for hi < len(recs) && recs[hi].blk == blk {
+			hi++
+		}
+		run := recs[lo:hi]
+		lo = hi
+		block := mem.readBlock(blk)
 		// Reads observe pre-step state.
-		for _, r := range bw.readers {
-			rep.Values[r.Proc] = decodeWord(block, r.Addr%mem.disp.B())
-		}
-		// Apply this block's writes per conflict mode, then re-disperse.
-		if len(bw.writers) > 0 {
-			sort.Slice(bw.writers, func(i, j int) bool {
-				return bw.writers[i].Proc < bw.writers[j].Proc
-			})
-			applied := map[int]bool{}
-			for _, w := range bw.writers {
-				off := w.Addr % mem.disp.B()
-				if mem.mode == model.CRCWArbitrary {
-					encodeWord(block, off, w.Value) // last (highest proc) wins
-				} else if !applied[off] {
-					encodeWord(block, off, w.Value) // first (lowest proc) wins
-					applied[off] = true
-				}
+		writes := false
+		for i := range run {
+			if run[i].write {
+				writes = true
+			} else {
+				rep.Values[run[i].proc] = decodeWord(block, run[i].off)
 			}
-			mem.writeBlock(blk, block, &accesses, loads)
 		}
+		// Apply this block's writes per conflict mode, in ascending
+		// processor order, then re-disperse.
+		if !writes {
+			continue
+		}
+		clear(mem.applied)
+		for i := range run {
+			w := &run[i]
+			if !w.write {
+				continue
+			}
+			if mem.mode == model.CRCWArbitrary {
+				encodeWord(block, w.off, w.val) // last (highest proc) wins
+			} else if !mem.applied[w.off] {
+				encodeWord(block, w.off, w.val) // first (lowest proc) wins
+				mem.applied[w.off] = true
+			}
+		}
+		mem.writeBlock(blk, block)
 	}
 	// Cost: the step's share accesses are served by modules of bandwidth
 	// one per phase, so the step takes max-module-load phases.
-	maxLoad := 0
-	//pram:unordered max over module loads commutes
-	for _, l := range loads {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
+	maxLoad, accesses := mem.drainLoads()
 	rep.Time = int64(maxLoad)
 	rep.Phases = maxLoad
 	rep.CopyAccesses = accesses
@@ -220,34 +251,57 @@ func (mem *Memory) ExecuteStep(batch model.Batch) model.StepReport {
 	return rep
 }
 
+// count records one share access served by module mod.
+func (mem *Memory) count(mod uint32) {
+	if mem.loads[mod] == 0 {
+		mem.touched = append(mem.touched, mod)
+	}
+	mem.loads[mod]++
+}
+
+// drainLoads returns the largest module load and the total share accesses
+// counted since the last drain, and zeroes the counts.
+func (mem *Memory) drainLoads() (maxLoad int, accesses int64) {
+	for _, mod := range mem.touched {
+		l := int(mem.loads[mod])
+		maxLoad = max(maxLoad, l)
+		accesses += int64(l)
+		mem.loads[mod] = 0
+	}
+	mem.touched = mem.touched[:0]
+	return maxLoad, accesses
+}
+
 // quorumShares returns the deterministic, version-rotated q-subset of
-// share indices used for this access.
+// share indices used for this access. The slice is scratch, valid until
+// the next call.
 func (mem *Memory) quorumShares(blk int, salt uint32) []int {
 	d := mem.disp.D()
 	start := int(mix(uint64(blk)<<32|uint64(salt)) % uint64(d))
-	out := make([]int, mem.q)
-	for i := range out {
-		out[i] = (start + i) % d
+	out := mem.quorum[:0]
+	for i := 0; i < mem.q; i++ {
+		out = append(out, (start+i)%d)
 	}
+	mem.quorum = out
 	return out
 }
 
 // readBlock gathers a read quorum, finds the newest version, and decodes
-// the block's limb planes.
-func (mem *Memory) readBlock(blk int, accesses *int64, loads map[uint32]int) []gf.Vec {
+// the block's limb planes into scratch, which stays valid until the next
+// readBlock.
+func (mem *Memory) readBlock(blk int) []gf.Vec {
 	d := mem.disp.D()
 	idxs := mem.quorumShares(blk, mem.clock)
 	newest := uint32(0)
 	for _, s := range idxs {
-		*accesses++
-		loads[mem.shareMod[blk*d+s]]++
+		mem.count(mem.shareMod[blk*d+s])
 		if v := mem.version[blk*d+s]; v > newest {
 			newest = v
 		}
 	}
 	// Collect b shares carrying the newest version (quorum intersection
 	// guarantees at least b exist among the q read).
-	var take []int
+	take := mem.take[:0]
 	for _, s := range idxs {
 		if mem.version[blk*d+s] == newest {
 			take = append(take, s)
@@ -256,47 +310,45 @@ func (mem *Memory) readBlock(blk int, accesses *int64, loads map[uint32]int) []g
 			break
 		}
 	}
+	mem.take = take
 	if len(take) < mem.disp.B() {
 		panic(fmt.Sprintf("ida: quorum intersection violated at block %d: %d fresh shares < b=%d",
 			blk, len(take), mem.disp.B()))
 	}
-	planes := make([]gf.Vec, limbs)
-	for pl := 0; pl < limbs; pl++ {
-		shares := make(gf.Vec, mem.disp.B())
-		for i, s := range take {
-			shares[i] = mem.data[(blk*d+s)*limbs+pl]
+	for pl := range mem.planes {
+		shares := mem.shares[:0]
+		for _, s := range take {
+			shares = append(shares, mem.data[(blk*d+s)*limbs+pl])
 		}
-		planes[pl] = mem.disp.Decode(take, shares)
+		mem.shares = shares
+		mem.planes[pl] = mem.disp.Decode(mem.planes[pl][:0], take, shares)
 		mem.fieldOps += mem.disp.FieldOpsDecode()
 	}
-	return planes
+	return mem.planes[:]
 }
 
 // writeBlock re-encodes the block and installs a write quorum of shares
 // with a fresh version.
-func (mem *Memory) writeBlock(blk int, planes []gf.Vec, accesses *int64, loads map[uint32]int) {
+func (mem *Memory) writeBlock(blk int, planes []gf.Vec) {
 	d := mem.disp.D()
 	newVersion := mem.clock
-	encoded := make([]gf.Vec, limbs)
-	for pl := 0; pl < limbs; pl++ {
-		encoded[pl] = mem.disp.Encode(planes[pl])
+	for pl := range mem.encoded {
+		mem.encoded[pl] = mem.disp.Encode(mem.encoded[pl][:0], planes[pl])
 		mem.fieldOps += mem.disp.FieldOpsEncode()
 	}
 	for _, s := range mem.quorumShares(blk, mem.clock^0x5bd1) {
-		*accesses++
-		loads[mem.shareMod[blk*d+s]]++
+		mem.count(mem.shareMod[blk*d+s])
 		mem.version[blk*d+s] = newVersion
 		for pl := 0; pl < limbs; pl++ {
-			mem.data[(blk*d+s)*limbs+pl] = encoded[pl][s]
+			mem.data[(blk*d+s)*limbs+pl] = mem.encoded[pl][s]
 		}
 	}
 }
 
 // ReadCell implements model.Backend (zero-cost verification view).
 func (mem *Memory) ReadCell(a model.Addr) model.Word {
-	var acc int64
-	var loads = map[uint32]int{}
-	block := mem.readBlock(a/mem.disp.B(), &acc, loads)
+	block := mem.readBlock(a / mem.disp.B())
+	mem.drainLoads()
 	return decodeWord(block, a%mem.disp.B())
 }
 
@@ -310,12 +362,10 @@ func (mem *Memory) LoadCells(base model.Addr, vals []model.Word) {
 	for i := range vals {
 		touched[(base+i)/b] = true
 	}
-	var acc int64
-	loads := map[uint32]int{}
 	mem.clock++
-	//pram:unordered distinct blocks touch disjoint planes; acc/loads accumulate commutatively
+	//pram:unordered distinct blocks touch disjoint planes; the load counts accumulate commutatively
 	for blk := range touched {
-		planes := mem.readBlock(blk, &acc, loads)
+		planes := mem.readBlock(blk)
 		for i, v := range vals {
 			if (base+i)/b == blk {
 				encodeWord(planes, (base+i)%b, v)
@@ -323,14 +373,16 @@ func (mem *Memory) LoadCells(base model.Addr, vals []model.Word) {
 		}
 		// Install ALL d shares (setup is free and total).
 		newVersion := mem.clock
-		for pl := 0; pl < limbs; pl++ {
-			enc := mem.disp.Encode(planes[pl])
+		for pl := range mem.encoded {
+			enc := mem.disp.Encode(mem.encoded[pl][:0], planes[pl])
+			mem.encoded[pl] = enc
 			for s := 0; s < d; s++ {
 				mem.data[(blk*d+s)*limbs+pl] = enc[s]
 				mem.version[blk*d+s] = newVersion
 			}
 		}
 	}
+	mem.drainLoads()
 }
 
 // encodeWord splits a 64-bit word into the block's four 16-bit limb planes

@@ -88,6 +88,15 @@ type Result struct {
 // (routedPhase). Both paths apply grants through one helper and produce
 // bit-for-bit the same Results and store.
 //
+// Before the first phase of every batch, run makes one warm pass over the
+// batch's map and store rows (Store.warmRows). At n = 1024 the two tables
+// are a 148 MiB working set, and a phase walks a dependent chain — the
+// map entry picks the module admit arbitrates, and only then does grant
+// touch the cell — that would take a cold row's misses one at a time; the
+// pass takes them together. It changes no result, trace byte or store
+// state, and every path that runs a batch gets it: both phase loops, the
+// two-stage schedule, pool shards and ExecuteDedupStep.
+//
 // All per-batch working state lives in a scratch arena owned by the engine
 // and reused across batches, so in steady state ExecuteBatch performs zero
 // heap allocations (an invariant locked in by TestExecuteBatchZeroAllocs).
@@ -107,6 +116,10 @@ type Engine struct {
 	// MaxPhases caps the phase loop so corrupted maps surface as a stalled
 	// Result instead of an infinite loop. Zero selects a generous default.
 	MaxPhases int
+
+	// warmed keeps the fold of the last batch's warm pass (Store.warmRows)
+	// so that the compiler keeps its loads; nothing reads it.
+	warmed uint64
 
 	sc engineScratch
 }
@@ -230,6 +243,7 @@ func (e *Engine) run(reqs []Request, values []model.Word, satisfied []bool, phas
 		return res
 	}
 	now := e.store.StampBatch(reqs)
+	e.warmed = e.store.warmRows(reqs)
 	sc := &e.sc
 	sc.states = grow(sc.states, len(reqs))
 	states := sc.states

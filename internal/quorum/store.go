@@ -14,20 +14,23 @@
 // # Zero-allocation invariant
 //
 // The hot path — Machine.ExecuteStep (the dedup front end, then the step
-// body) → Engine.ExecuteBatch → one phase at a time, either
-// Engine.bipartitePhase (on the complete bipartite graph: each copy access
-// is arbitrated by CompleteBipartite and applied to the store in the same
-// pass) or Engine.routedPhase → Interconnect.RoutePhase (on the 2DMOT and
-// on wrapping interconnects) — performs zero heap allocations in steady
-// state, whichever addresses a step touches, so benchmarks measure the
-// protocol rather than the garbage collector. Every per-step and
-// per-batch structure lives in a scratch arena owned by its component and
-// reused across invocations: the engine keeps request states, flattened
-// cluster queues, the attempt/owner buffers of routed phases and the
-// live-trace accumulator; the backend keeps the sorted dedup records, the
-// post-dedup step and the dense per-processor values buffer; the
-// bipartite interconnect keeps a phase-local module → load table sized by
-// the processor count, not by the module count M. The price is aliasing —
+// body) → Engine.ExecuteBatch → Store.StampBatch, the warm pass
+// Store.warmRows over the batch's map and store rows, then one phase at a
+// time, either Engine.bipartitePhase (on the complete bipartite graph:
+// each copy access is arbitrated by CompleteBipartite and applied to the
+// store in the same pass) or Engine.routedPhase → Interconnect.RoutePhase
+// (on the 2DMOT and on wrapping interconnects) — performs zero heap
+// allocations in steady state, whichever addresses a step touches, so
+// benchmarks measure the protocol rather than the garbage collector.
+// Every per-step and per-batch structure lives in a scratch arena owned
+// by its component and reused across invocations: the engine keeps
+// request states, flattened cluster queues, the attempt/owner buffers of
+// routed phases and the live-trace accumulator; the backend keeps the
+// sorted dedup records, the post-dedup step and the dense per-processor
+// values buffer; the bipartite interconnect keeps a phase-local module →
+// load table sized by the processor count, not by the module count M.
+// The warm pass allocates nothing and keeps only a fold of the words it
+// loaded, so that the compiler keeps the loads. The price is aliasing —
 // Result and StepReport slices are valid only until the next call on the
 // same component — and single-threadedness per machine instance. The Pool
 // extends the invariant across engines: its post-dedup step slots, census
@@ -139,13 +142,13 @@
 // package — nothing here may read the wall clock (nowallclock), range
 // over a map without a commutativity annotation (nomaprange), or touch
 // global math/rand state (noglobalrand) — and the steady-state hot
-// path is annotated //pram:hotpath (Engine.run and its two phase loops
-// Engine.bipartitePhase and Engine.routedPhase, Machine.ExecuteStep, its
-// front end Machine.dedup and step body Machine.execute,
-// Machine.ExecuteDedupStep/openDedup, Pool.ExecuteSteps/ExecuteDedupSteps),
-// so
-// hotalloc flags any fmt call, interface boxing, capturing closure or
-// unowned append added to it before the AllocsPerRun tests ever run.
+// path is annotated //pram:hotpath (Engine.run, its warm pass
+// Store.warmRows and its two phase loops Engine.bipartitePhase and
+// Engine.routedPhase, Machine.ExecuteStep, its front end Machine.dedup and
+// step body Machine.execute, Machine.ExecuteDedupStep/openDedup,
+// Pool.ExecuteSteps/ExecuteDedupSteps), so hotalloc flags any fmt call,
+// interface boxing, capturing closure or unowned append added to it
+// before the AllocsPerRun tests ever run.
 // Deliberately cold lines inside those functions (contract-violation
 // panic guards) carry //pram:coldalloc with a justification; the
 // analyzers report stale annotations, so the escape hatches cannot
@@ -170,6 +173,15 @@ import (
 // shards the same way (one stamp per variable row, owned by the row's
 // module set). See the package doc's "Shard-ownership invariant" section
 // for the ownership rules.
+//
+// At Theorem 2's n = 1024 point the cells are 120 MiB and the map 28 MiB,
+// far beyond the caches, so a cold variable costs the host two or three
+// cache misses for O(1) protocol work per copy. Inside a phase those
+// misses are serial: admit needs the map entry, grant the cell. The
+// engine therefore runs warmRows once per batch before the first phase,
+// a tight loop of independent loads that keeps many misses in flight at
+// once (memory-level parallelism), so a batch's cold rows arrive
+// together.
 type Store struct {
 	mp       *memmap.Map
 	r        int
@@ -214,6 +226,33 @@ func (s *Store) WriteSlot(slot int32, value model.Word, now uint64) {
 
 // Map returns the memory map the store distributes copies with.
 func (s *Store) Map() *memmap.Map { return s.mp }
+
+// warmRows loads one word from every 64-byte line of each request's map
+// row (r × 4 B, 16 entries a line) and store row (r × 16 B, 4 cells a
+// line) and returns a fold of the loaded words. The caller keeps the fold,
+// because the compiler deletes loads whose values are never used. The
+// loads are independent of each other, so a batch's cold rows miss the
+// caches together instead of one at a time inside the phase loop's
+// dependent admit → grant chain. The line arithmetic is on indices, which
+// assumes each array starts on a line; that holds for the large arrays
+// where the pass pays, which the Go allocator page-aligns, and elsewhere
+// a row may lose a line of warming, never a result.
+//
+//pram:hotpath
+func (s *Store) warmRows(reqs []Request) uint64 {
+	var fold uint64
+	for i := range reqs {
+		v := reqs[i].Var
+		row, base := s.mp.Copies(v), v*s.r
+		for j := base; j < base+s.r; j = (j | 15) + 1 {
+			fold += uint64(row[j-base])
+		}
+		for j := base; j < base+s.r; j = (j | 3) + 1 {
+			fold += uint64(s.cells[j].val)
+		}
+	}
+	return fold
+}
 
 // StampBatch computes the Lamport timestamp for one access batch and
 // advances the written rows' clocks to it: 1 + the maximum row stamp over
