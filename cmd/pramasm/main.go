@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/model"
 
 	pramsim "repro"
 )
@@ -26,7 +27,7 @@ func main() {
 	n := flag.Int("n", 16, "processor count")
 	mem := flag.Int("m", 0, "shared cells (default n²)")
 	cells := flag.String("cells", "", "comma-separated initial values for cells 0..")
-	mode := flag.String("mode", "crcw", "erew, crew, crcw")
+	mode := flag.String("mode", "crcw", "conflict mode: erew, crew, crcw, common or arbitrary")
 	dump := flag.Bool("dump", false, "assemble and print the listing, do not run")
 	flag.Parse()
 
@@ -53,14 +54,10 @@ func main() {
 		return
 	}
 
-	var md pramsim.Mode
-	switch strings.ToLower(*mode) {
-	case "erew":
-		md = pramsim.EREW
-	case "crew":
-		md = pramsim.CREW
-	default:
-		md = pramsim.CRCWPriority
+	md, err := model.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	m := *mem
 	if m == 0 {

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 
 	pramsim "repro"
@@ -93,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 64, "processor count (power of two recommended)")
 	seed := fs.Int64("seed", 1, "input/map seed")
 	list := fs.Bool("list", false, "list backends and workloads")
-	showTrace := fs.Bool("trace", false, "print per-step cost distribution after each run")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -124,12 +122,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		ws = append(ws, w)
 	}
-	return runTable(ws, bNames, *seed, *showTrace, stdout, stderr)
+	return runTable(ws, bNames, *seed, stdout, stderr)
 }
 
 // runTable runs every workload on every named backend, prints the table to
 // stdout and returns the exit status: 1 if any run failed.
-func runTable(ws []pramsim.Workload, bNames []string, seed int64, showTrace bool, stdout, stderr io.Writer) int {
+func runTable(ws []pramsim.Workload, bNames []string, seed int64, stdout, stderr io.Writer) int {
 	tb := stats.NewTable("workload", "backend", "PRAM steps", "sim time",
 		"phases", "net cycles", "max module load", "wall", "ok")
 	failed := 0
@@ -144,14 +142,8 @@ func runTable(ws []pramsim.Workload, bNames []string, seed int64, showTrace bool
 				tb.AddRow(w.Name, b.Name(), "-", "-", "-", "-", "-", "-", "memory too small")
 				continue
 			}
-			var rec *trace.Recorder
-			target := b
-			if showTrace {
-				rec = trace.Wrap(b)
-				target = rec
-			}
 			start := time.Now()
-			rep, err := pramsim.RunWorkload(w, target)
+			rep, err := pramsim.RunWorkload(w, b)
 			wall := time.Since(start).Round(time.Microsecond)
 			status := "verified"
 			if err != nil {
@@ -160,9 +152,6 @@ func runTable(ws []pramsim.Workload, bNames []string, seed int64, showTrace bool
 			}
 			tb.AddRow(w.Name, b.Name(), rep.Steps, rep.SimTime, rep.Phases,
 				rep.NetworkCycles, rep.MaxContention, wall.String(), status)
-			if rec != nil {
-				fmt.Fprint(stdout, rec.Report())
-			}
 		}
 	}
 	fmt.Fprint(stdout, tb.String())

@@ -26,7 +26,7 @@ func TestExitStatus(t *testing.T) {
 		return func(p *pramsim.Proc) { p.Read(bad.Cells) }
 	}
 	var stdout, stderr strings.Builder
-	got := runTable([]pramsim.Workload{bad}, []string{"ideal"}, 1, false, &stdout, &stderr)
+	got := runTable([]pramsim.Workload{bad}, []string{"ideal"}, 1, &stdout, &stderr)
 	if want := "outside shared memory [0, 16)"; got != 1 || !strings.Contains(stdout.String(), want) {
 		t.Errorf("failing run: exit %d, want 1 with a %q row\nstdout:\n%s\nstderr:\n%s",
 			got, want, stdout.String(), stderr.String())

@@ -75,23 +75,6 @@ func usage() {
   replay info   FILE`)
 }
 
-// parseMode maps CLI spellings to conflict modes.
-func parseMode(s string) (model.Mode, error) {
-	switch s {
-	case "crcw", "crcw-priority", "priority":
-		return model.CRCWPriority, nil
-	case "crcw-common", "common":
-		return model.CRCWCommon, nil
-	case "crcw-arbitrary", "arbitrary":
-		return model.CRCWArbitrary, nil
-	case "crew":
-		return model.CREW, nil
-	case "erew":
-		return model.EREW, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	out := fs.String("o", "", "output trace file (required)")
@@ -121,7 +104,7 @@ func cmdRecord(args []string) error {
 	if err != nil {
 		return err
 	}
-	md, err := parseMode(*mode)
+	md, err := model.ParseMode(*mode)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,11 @@
-// The events verb: serve a mix entirely in virtual time and dump the
-// server's event log as Chrome/Perfetto trace-event JSON — the offline
-// twin of GET /debug/events. Load the output into https://ui.perfetto.dev
-// (or chrome://tracing) to see each round decomposed into scheduling,
-// partition, per-tenant wait, quorum and commit legs, per-shard routing
-// and the closing merge on the virtual makespan clock, with admission
-// events as instants on the same timeline.
+// The events verb: serve a mix entirely in virtual time and write the
+// server's event dump (the event log as Chrome/Perfetto JSON) — the
+// offline twin of GET /debug/events. Load the output into
+// https://ui.perfetto.dev (or chrome://tracing) to see each round
+// decomposed into scheduling, partition, per-tenant wait, quorum and
+// commit legs, per-shard routing and the closing merge on the virtual
+// makespan clock, with admission events as instants on the same timeline.
+
 package main
 
 import (
@@ -19,7 +20,7 @@ func cmdEvents(args []string) error {
 	sf := addShared(fs)
 	tenants := fs.String("tenants", "uniform,uniform", "tenant mix spec (see package doc)")
 	arrival := fs.String("arrival", "closed:2", "arrival process: closed:W or open:PERIOD:BURST[:ON:OFF]")
-	out := fs.String("o", "-", "write the trace-event JSON to FILE (- = stdout)")
+	out := fs.String("o", "-", "write the event dump to FILE (- = stdout)")
 	limit := fs.Int("limit", 0, "emit only the N most recent events (0 = all retained; truncation is counted in the dump)")
 	if err := fs.Parse(args); err != nil {
 		return err

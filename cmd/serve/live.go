@@ -12,6 +12,7 @@
 // final store fingerprint against the script footer; with -trace it
 // re-records the replay and byte-compares the two captures — `run -check`
 // for runs that happened against a wall clock.
+
 package main
 
 import (
@@ -207,7 +208,7 @@ func cmdHTTP(args []string) error {
 	autoscale := fs.String("autoscale", "", "autoscaler bounds MIN:MAX[:WINDOW] (empty = fixed K)")
 	scriptOut := fs.String("record-script", "", "record the arrival script (PRAMARS1) to FILE")
 	traceOut := fs.String("record-trace", "", "record the executed steps (PRAMTRC1) to FILE")
-	eventsOut := fs.String("record-events", "", "dump the event log (Perfetto trace JSON) to FILE at shutdown")
+	eventsOut := fs.String("record-events", "", "write the event dump (Chrome/Perfetto JSON) to FILE at shutdown")
 	pprofOn := fs.Bool("pprof", false, "mount the stdlib /debug/pprof/* handlers (wall-clock host profiles)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -305,7 +306,7 @@ func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("serve replay", flag.ExitOnError)
 	script := fs.String("script", "", "PRAMARS1 arrival script to replay (required)")
 	trace := fs.String("trace", "", "recorded PRAMTRC1 trace to byte-compare against the replay's re-recording")
-	events := fs.String("events", "", "recorded event dump (Perfetto trace JSON) to byte-compare against the replay's event log")
+	events := fs.String("events", "", "recorded event dump (Chrome/Perfetto JSON) to byte-compare against the replay's")
 	verbose := fs.Bool("v", false, "log degradation warnings to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -16,10 +16,10 @@
 //	                                      K-autoscaling, graceful SIGTERM
 //	                                      drain; -record-script/-record-trace
 //	                                      capture the run for replay and
-//	                                      -record-events dumps the event log
-//	serve events  -tenants SPEC [flags]   serve a workload mix and dump the
-//	                                      event log as Chrome/Perfetto
-//	                                      trace-event JSON: admission events
+//	                                      -record-events writes the event dump
+//	serve events  -tenants SPEC [flags]   serve a workload mix and write the
+//	                                      event dump (Chrome/Perfetto
+//	                                      JSON): admission events
 //	                                      and per-stage makespan attribution
 //	                                      on the virtual clock ("where did
 //	                                      the round go")
@@ -27,7 +27,7 @@
 //	              [-events E]             virtual time and verify it against
 //	                                      the script footer (and, with
 //	                                      -trace/-events, byte-compare the
-//	                                      trace and the event-log dump)
+//	                                      trace and the event dump)
 //	serve promlint FILE                   validate a Prometheus text
 //	                                      exposition (grammar, histogram
 //	                                      invariants); - reads stdin
@@ -80,8 +80,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exposition"
 	"repro/internal/model"
-	"repro/internal/prom"
 	"repro/internal/replay"
 	"repro/internal/serve"
 )
@@ -173,9 +173,15 @@ func addShared(fs *flag.FlagSet) *sharedFlags {
 // flags, a tenant spec and an arrival spec into a serve.Config. Each call
 // builds fresh tenant sources.
 func (sf *sharedFlags) config(tenants, arrival string) (serve.Config, error) {
-	mode, err := parseMode(sf.mode)
+	mode, err := model.ParseMode(sf.mode)
 	if err != nil {
 		return serve.Config{}, err
+	}
+	// serve.Config's zero Mode selects CRCW-Priority, so EREW cannot be
+	// asked for: the serving front end resolves conflicts, it does not
+	// forbid them (see serve.Config.Mode).
+	if mode == model.EREW {
+		return serve.Config{}, fmt.Errorf("mode %q: the serving front end resolves conflicts, it does not forbid them (want crew, crcw, common or arbitrary)", sf.mode)
 	}
 	kind, err := core.ParseKind(sf.interconnect)
 	if err != nil {
@@ -198,22 +204,6 @@ func (sf *sharedFlags) config(tenants, arrival string) (serve.Config, error) {
 		cfg.Logf = log.New(os.Stderr, "serve: ", 0).Printf
 	}
 	return cfg, nil
-}
-
-// parseMode maps the CLI spelling. EREW is not offered: the serving front
-// end resolves conflicts, it does not forbid them (see serve.Config.Mode).
-func parseMode(s string) (model.Mode, error) {
-	switch s {
-	case "crew":
-		return model.CREW, nil
-	case "crcw", "priority":
-		return model.CRCWPriority, nil
-	case "common":
-		return model.CRCWCommon, nil
-	case "arbitrary":
-		return model.CRCWArbitrary, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want crew, crcw, common or arbitrary)", s)
 }
 
 // parseArrival decodes closed:W / open:PERIOD:BURST[:ON:OFF] / external.
@@ -425,7 +415,7 @@ func printSummary(o *outcome) {
 }
 
 func writeMetrics(o *outcome, path string) error {
-	var reg prom.Registry
+	var reg exposition.Registry
 	o.server.Metrics(&reg)
 	if path == "-" {
 		_, err := reg.WriteTo(os.Stdout)

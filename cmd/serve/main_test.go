@@ -105,6 +105,30 @@ func TestInterconnectSpellings(t *testing.T) {
 	}
 }
 
+// TestModeSpellings: every -mode spelling builds a deployment in its
+// mode, case-insensitively, except EREW, which the front end refuses
+// because it resolves conflicts instead of forbidding them.
+func TestModeSpellings(t *testing.T) {
+	for spelling, want := range map[string]model.Mode{
+		"crew": model.CREW, "crcw": model.CRCWPriority, "priority": model.CRCWPriority,
+		"CRCW-priority": model.CRCWPriority, "common": model.CRCWCommon, "crcw-common": model.CRCWCommon,
+		"arbitrary": model.CRCWArbitrary, "CRCW-arbitrary": model.CRCWArbitrary,
+	} {
+		cfg, err := parseShared(t, "-mode", spelling).config("uniform:2", "closed:1")
+		if err != nil || cfg.Mode != want {
+			t.Errorf("-mode %q: mode %v, %v; want %v", spelling, cfg.Mode, err, want)
+		}
+	}
+	for _, bad := range []string{"erew", "EREW"} {
+		if _, err := parseShared(t, "-mode", bad).config("uniform:2", "closed:1"); err == nil || !strings.Contains(err.Error(), "does not forbid them") {
+			t.Errorf("-mode %s: err = %v, want the EREW refusal", bad, err)
+		}
+	}
+	if _, err := parseShared(t, "-mode", "comon").config("uniform:2", "closed:1"); err == nil {
+		t.Error("-mode comon accepted")
+	}
+}
+
 // TestOpenLoopHotspotPins pins an open-loop load-generator run: four
 // unbounded hotspot tenants, bursts of 3 credits every round into queues
 // of 4, 50 rounds on 2 engines, so most credits are rejected.

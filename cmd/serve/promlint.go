@@ -1,7 +1,8 @@
 // `serve promlint FILE` — validates a Prometheus text exposition
-// (format 0.0.4) with the dependency-free linter in internal/prom (see
-// prom.LintExposition for the checked invariants), so CI can gate the
-// /metrics surface without the real promlint tool.
+// (format 0.0.4) with exposition.Lint, whose doc lists the checked
+// invariants, so CI can gate the /metrics surface without the real
+// promlint tool.
+
 package main
 
 import (
@@ -10,7 +11,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/prom"
+	"repro/internal/exposition"
 )
 
 func cmdPromlint(args []string) error {
@@ -31,7 +32,7 @@ func cmdPromlint(args []string) error {
 	if err != nil {
 		return err
 	}
-	problems, families, samples := lintExposition(data)
+	problems, families, samples := exposition.Lint(data)
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, "promlint:", p)
 	}
@@ -40,10 +41,4 @@ func cmdPromlint(args []string) error {
 	}
 	fmt.Printf("promlint: OK — %s (%d families, %d samples)\n", fs.Arg(0), families, samples)
 	return nil
-}
-
-// lintExposition keeps the historical package-local name (and the
-// existing tests) pointed at the now-shared linter.
-func lintExposition(data []byte) (problems []string, families, samples int) {
-	return prom.LintExposition(data)
 }

@@ -4,71 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/prom"
+	"repro/internal/exposition"
 	"repro/internal/replay"
 	"repro/internal/serve"
 )
-
-// TestLintExpositionGood: a well-formed exposition with a labeled histogram
-// passes clean.
-func TestLintExpositionGood(t *testing.T) {
-	good := `# HELP demo_total a counter
-# TYPE demo_total counter
-demo_total{tenant="a \"x\"\n\\y"} 3
-# HELP lat latency
-# TYPE lat histogram
-lat_bucket{tenant="a",le="1"} 1
-lat_bucket{tenant="a",le="2"} 4
-lat_bucket{tenant="a",le="+Inf"} 5
-lat_sum{tenant="a"} 9.5
-lat_count{tenant="a"} 5
-# HELP g a gauge
-# TYPE g gauge
-g 0.25 1700000000000
-`
-	problems, families, samples := lintExposition([]byte(good))
-	if len(problems) != 0 {
-		t.Errorf("clean exposition flagged: %v", problems)
-	}
-	if families != 3 || samples != 7 {
-		t.Errorf("families=%d samples=%d, want 3/7", families, samples)
-	}
-}
-
-// TestLintExpositionBad: each malformation is caught with a problem that
-// names the defect.
-func TestLintExpositionBad(t *testing.T) {
-	for _, tc := range []struct {
-		name, in, want string
-	}{
-		{"no type", "x_total 1\n", "no preceding # TYPE"},
-		{"bad kind", "# TYPE x_total counterz\nx_total 1\n", "unknown kind"},
-		{"counter name", "# HELP x c\n# TYPE x counter\nx 1\n", "should end in _total"},
-		{"dup series", "# HELP x_total c\n# TYPE x_total counter\nx_total{a=\"1\"} 1\nx_total{a=\"1\"} 2\n", "duplicate series"},
-		{"bad escape", "# HELP x_total c\n# TYPE x_total counter\nx_total{a=\"\\t\"} 1\n", "illegal escape"},
-		{"unquoted", "# HELP x_total c\n# TYPE x_total counter\nx_total{a=1} 1\n", "not quoted"},
-		{"bad value", "# HELP x_total c\n# TYPE x_total counter\nx_total one\n", "bad sample value"},
-		{"no help", "# TYPE x_total counter\nx_total 1\n", "no HELP"},
-		{"help after", "x_total 1\n# HELP x_total c\n# TYPE x_total counter\n", "after its samples"},
-		{"hist bare sample", "# HELP h l\n# TYPE h histogram\nh 1\n", "must be h_bucket"},
-		{"hist no inf", "# HELP h l\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n", "want +Inf"},
-		{"hist not cumulative", "# HELP h l\n# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n", "not cumulative"},
-		{"hist le order", "# HELP h l\n# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n", "not above"},
-		{"hist count mismatch", "# HELP h l\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n", "_count 3 != +Inf bucket 2"},
-		{"hist no sum", "# HELP h l\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n", "missing _sum"},
-	} {
-		problems, _, _ := lintExposition([]byte(tc.in))
-		found := false
-		for _, p := range problems {
-			if strings.Contains(p, tc.want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: problems %v do not mention %q", tc.name, problems, tc.want)
-		}
-	}
-}
 
 // TestLintRealExposition is the self-check CI relies on: the exposition the
 // serving registry actually renders — counters, gauges, per-tenant and
@@ -90,13 +29,13 @@ func TestLintRealExposition(t *testing.T) {
 	if err := s.ServeAll(100); err != nil {
 		t.Fatal(err)
 	}
-	var reg prom.Registry
+	var reg exposition.Registry
 	s.Metrics(&reg)
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
-	problems, families, samples := lintExposition([]byte(sb.String()))
+	problems, families, samples := exposition.Lint([]byte(sb.String()))
 	if len(problems) != 0 {
 		t.Errorf("real exposition flagged:\n%s\nproblems: %v", sb.String(), problems)
 	}

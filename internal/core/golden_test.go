@@ -14,7 +14,7 @@ import (
 	"repro/internal/mot"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenStep is the full observable outcome of one backend step.
 type goldenStep struct {
@@ -126,7 +126,7 @@ func TestGoldenMachines(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(g, w) {
-			t.Errorf("scenario %s diverged from golden trace", name)
+			t.Errorf("scenario %s diverged from golden", name)
 		}
 	}
 	if len(got) != len(want) {

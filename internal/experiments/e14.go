@@ -6,6 +6,7 @@
 // a pure function of (seed, config, pattern).
 //
 //pram:wallclock
+
 package experiments
 
 import (

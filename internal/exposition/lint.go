@@ -1,19 +1,4 @@
-// A minimal, dependency-free promlint for the Prometheus text
-// exposition format (0.0.4): the grammar plus the invariants a scraper
-// relies on, so both `serve promlint` and unit tests can gate /metrics
-// surfaces (including checked-in goldens) without pulling in the real
-// promlint tool:
-//
-//   - HELP/TYPE comment grammar; known TYPE kinds; HELP/TYPE precede the
-//     family's samples and appear at most once
-//   - metric- and label-name character sets; label values correctly
-//     quoted with only the \\, \", \n escapes; parseable sample values
-//   - no duplicate series (same name + label set twice)
-//   - counters named *_total
-//   - histogram families expose only *_bucket/_sum/_count, with ascending
-//     le bounds, cumulative bucket counts, a +Inf bucket, and
-//     _count == the +Inf bucket per label group
-package prom
+package exposition
 
 import (
 	"fmt"
@@ -49,10 +34,23 @@ type histGroup struct {
 	sum, count *float64
 }
 
-// LintExposition checks one exposition and returns the problems plus the
-// family and sample counts. Output order is deterministic: line-anchored
-// problems in file order, then post-pass problems in first-seen order.
-func LintExposition(data []byte) (problems []string, families, samples int) {
+// Lint checks one exposition against the grammar and the invariants a
+// scraper relies on, and returns the problems plus the family and sample
+// counts:
+//
+//   - HELP/TYPE comment grammar; known TYPE kinds; HELP/TYPE precede the
+//     family's samples and appear at most once
+//   - metric- and label-name character sets; label values correctly
+//     quoted with only the \\, \", \n escapes; parseable sample values
+//   - no duplicate series (same name + label set twice)
+//   - counters named *_total
+//   - histogram families expose only *_bucket/_sum/_count, with ascending
+//     le bounds, cumulative bucket counts, a +Inf bucket, and
+//     _count == the +Inf bucket per label group
+//
+// Output order is deterministic: line-anchored problems in file order,
+// then post-pass problems in first-seen order.
+func Lint(data []byte) (problems []string, families, samples int) {
 	addf := func(ln int, format string, args ...any) {
 		problems = append(problems, fmt.Sprintf("line %d: %s", ln, fmt.Sprintf(format, args...)))
 	}
@@ -341,11 +339,15 @@ func parsePromSample(line string, ln int, addf func(int, string, ...any)) (name 
 				return
 			}
 			labels = append(labels, [2]string{lname, sb.String()})
-			if j < len(line) && line[j] == ',' {
+			switch {
+			case j < len(line) && line[j] == ',':
 				i = j + 1
-				continue
+			case j < len(line) && line[j] == '}':
+				i = j
+			default:
+				addf(ln, "%s: label %s: want , or } after its value", name, lname)
+				return
 			}
-			i = j
 		}
 	}
 	if i >= len(line) || line[i] != ' ' {

@@ -1,10 +1,11 @@
-// Metrics export. Besides modeling the paper's P-ROM (prom.go), this
-// package is the repository's metrics seam: a minimal, dependency-free
-// registry that renders counters and gauges in the Prometheus text
-// exposition format (version 0.0.4), so serving deployments
+// Package exposition renders and checks the Prometheus text exposition
+// format (version 0.0.4) without a client library, so serving deployments
 // (repro/internal/serve, cmd/serve) can export per-tenant and per-shard
-// state to any standard scraper — or just dump it to a file — without
-// pulling a client library into the build.
+// state to any standard scraper, or dump it to a file. It holds three
+// pieces: a Registry of Collectors, an allocation-free power-of-two
+// Histogram for the serving lane's virtual-time measurements, and Lint, a
+// dependency-free exposition linter that `serve promlint` and the tests
+// run over /metrics scrapes and goldens.
 //
 // The design is snapshot-based: collectors are closures that EMIT samples
 // when the registry renders, reading whatever live counters they close
@@ -12,7 +13,7 @@
 // a served-steps counter is an int64 add in the owner's own struct — so
 // registering metrics cannot disturb the zero-allocation serving
 // invariant. Rendering allocates freely; it runs off the hot path.
-package prom
+package exposition
 
 import (
 	"fmt"

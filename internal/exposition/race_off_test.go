@@ -1,6 +1,6 @@
 //go:build !race
 
-package prom
+package exposition
 
 // raceEnabled reports that the race detector is active.
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package prom
+package exposition
 
 // raceEnabled reports that the race detector is active: the allocation
 // invariants are measured without it (its instrumentation skews Mallocs).

@@ -220,6 +220,41 @@ func TestMemoryFieldOpsAccumulate(t *testing.T) {
 	}
 }
 
+// TestFieldOpsCountOnlySteps: verification (ReadCell) and setup
+// (LoadCells) are free, so FieldOps does not move across them, and a
+// step's work and report are the same with or without an earlier ReadCell.
+func TestFieldOpsCountOnlySteps(t *testing.T) {
+	const n = 64
+	mem := NewMemory(n, Config{MemCells: 4096})
+	mem.ReadCell(0)
+	mem.LoadCells(10, []model.Word{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	mem.ReadCell(12)
+	if ops := mem.FieldOps(); ops != 0 {
+		t.Errorf("ReadCell and LoadCells counted %d field ops, want 0", ops)
+	}
+	step := func(verify bool) (int64, model.StepReport) {
+		mem := NewMemory(n, Config{MemCells: 4096})
+		if verify {
+			mem.ReadCell(0)
+		}
+		before := mem.FieldOps()
+		b := model.NewBatch(n)
+		b[0] = model.Request{Proc: 0, Op: model.OpRead, Addr: 0}
+		b[1] = model.Request{Proc: 1, Op: model.OpWrite, Addr: 100, Value: 7}
+		rep := mem.ExecuteStep(b)
+		return mem.FieldOps() - before, rep
+	}
+	plain, plainRep := step(false)
+	verified, verifiedRep := step(true)
+	if plain == 0 || verified != plain {
+		t.Errorf("step field ops: %d after a ReadCell, %d without; want equal and nonzero", verified, plain)
+	}
+	if verifiedRep.Time != plainRep.Time || verifiedRep.CopyAccesses != plainRep.CopyAccesses ||
+		verifiedRep.ModuleContention != plainRep.ModuleContention {
+		t.Errorf("step report after a ReadCell %+v, without %+v", verifiedRep, plainRep)
+	}
+}
+
 func TestMemoryTooManySharesPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -158,8 +158,9 @@ func (mem *Memory) Blowup() float64 { return mem.disp.Blowup() }
 // QuorumSize returns (d+b)/2, the shares touched per access.
 func (mem *Memory) QuorumSize() int { return mem.q }
 
-// FieldOps returns the accumulated field-operation work — the scheme's
-// hidden Θ(log n) per-access cost.
+// FieldOps returns the field-operation work accumulated by ExecuteStep —
+// the scheme's hidden Θ(log n) per-access cost. ReadCell and LoadCells,
+// the free verification and setup views, add nothing.
 func (mem *Memory) FieldOps() int64 { return mem.fieldOps }
 
 // ExecuteStep implements model.Backend. It is allocation-free in steady
@@ -212,6 +213,7 @@ func (mem *Memory) ExecuteStep(batch model.Batch) model.StepReport {
 		run := recs[lo:hi]
 		lo = hi
 		block := mem.readBlock(blk)
+		mem.fieldOps += limbs * mem.disp.FieldOpsDecode()
 		// Reads observe pre-step state.
 		writes := false
 		for i := range run {
@@ -288,7 +290,8 @@ func (mem *Memory) quorumShares(blk int, salt uint32) []int {
 
 // readBlock gathers a read quorum, finds the newest version, and decodes
 // the block's limb planes into scratch, which stays valid until the next
-// readBlock.
+// readBlock. It counts module loads but no field operations: ExecuteStep
+// charges those, so ReadCell and LoadCells stay free.
 func (mem *Memory) readBlock(blk int) []gf.Vec {
 	d := mem.disp.D()
 	idxs := mem.quorumShares(blk, mem.clock)
@@ -322,7 +325,6 @@ func (mem *Memory) readBlock(blk int) []gf.Vec {
 		}
 		mem.shares = shares
 		mem.planes[pl] = mem.disp.Decode(mem.planes[pl][:0], take, shares)
-		mem.fieldOps += mem.disp.FieldOpsDecode()
 	}
 	return mem.planes[:]
 }
@@ -345,7 +347,8 @@ func (mem *Memory) writeBlock(blk int, planes []gf.Vec) {
 	}
 }
 
-// ReadCell implements model.Backend (zero-cost verification view).
+// ReadCell implements model.Backend (zero-cost verification view: it
+// changes neither FieldOps nor the next step's costs).
 func (mem *Memory) ReadCell(a model.Addr) model.Word {
 	block := mem.readBlock(a / mem.disp.B())
 	mem.drainLoads()

@@ -7,9 +7,9 @@
 //
 // The simulator's contract is that a run is a pure function of
 // (seed, specs, script): the same inputs produce bit-for-bit identical
-// step reports, traces and store fingerprints across engine counts K,
-// router worker counts, and host machines. That property is what the
-// golden-trace tests, the record/replay verifier and the serving
+// step reports, PRAMTRC1 traces and store fingerprints across engine
+// counts K and host machines. That property is what the
+// golden tests, the record/replay verifier and the serving
 // -check gate all certify — but they certify it AFTER a violation is
 // written, on the inputs they happen to run. The analyzers here reject
 // the violating LINE at review time, for every input:

@@ -25,7 +25,7 @@ var wallClockFuncs = map[string]bool{
 // virtual-time packages (model, quorum, mot, replay, serve,
 // experiments) nothing may consult the wall clock, because every run
 // must be a pure function of (seed, specs, script) — the property the
-// H13 determinism harness and every golden trace depend on. A file
+// H13 determinism harness and every golden depend on. A file
 // whose job is genuinely wall-clock bound (the HTTP round loop,
 // experiment latency measurement) opts out with a file-scoped
 // //pram:wallclock annotation above its package clause; the analyzer

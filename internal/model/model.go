@@ -9,7 +9,10 @@
 // backend's configured Mode (Priority: the lowest processor id wins).
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Word is the unit of P-RAM shared memory. The paper's machines are
 // word-oriented RAMs; 64-bit words are a faithful modern rendering.
@@ -84,6 +87,34 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
+}
+
+// modeSpellings maps every accepted CLI spelling, lower-cased, to its
+// mode. It holds each Mode.String() form, so a printed mode parses back.
+var modeSpellings = []struct {
+	name string
+	mode Mode
+}{
+	{"erew", EREW},
+	{"crew", CREW},
+	{"crcw", CRCWPriority}, {"crcw-priority", CRCWPriority}, {"priority", CRCWPriority},
+	{"crcw-common", CRCWCommon}, {"common", CRCWCommon},
+	{"crcw-arbitrary", CRCWArbitrary}, {"arbitrary", CRCWArbitrary},
+}
+
+// ParseMode maps a conflict-mode spelling, case-insensitively, to its
+// Mode; any other input is an error listing the valid spellings.
+func ParseMode(s string) (Mode, error) {
+	for _, sp := range modeSpellings {
+		if strings.EqualFold(s, sp.name) {
+			return sp.mode, nil
+		}
+	}
+	names := make([]string, len(modeSpellings))
+	for i, sp := range modeSpellings {
+		names[i] = sp.name
+	}
+	return 0, fmt.Errorf("unknown mode %q (want %s)", s, strings.Join(names, ", "))
 }
 
 // Request is one processor's memory action for a step.

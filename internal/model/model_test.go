@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -24,6 +25,37 @@ func TestModeString(t *testing.T) {
 	for m, want := range cases {
 		if got := m.String(); got != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", m, got, want)
+		}
+	}
+}
+
+// TestParseMode: every spelling the CLIs accept parses case-insensitively,
+// every Mode.String() form parses back to its mode, and anything else is
+// an error that lists the valid spellings.
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Mode
+	}{
+		{"erew", EREW}, {"EREW", EREW},
+		{"crew", CREW}, {"Crew", CREW},
+		{"crcw", CRCWPriority}, {"crcw-priority", CRCWPriority}, {"priority", CRCWPriority},
+		{"crcw-common", CRCWCommon}, {"common", CRCWCommon}, {"COMMON", CRCWCommon},
+		{"crcw-arbitrary", CRCWArbitrary}, {"arbitrary", CRCWArbitrary},
+	} {
+		if got, err := ParseMode(tc.in); err != nil || got != tc.want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, m := range []Mode{EREW, CREW, CRCWPriority, CRCWCommon, CRCWArbitrary} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "crcw-", "comon", "crcw common", " crew", "mode(99)"} {
+		_, err := ParseMode(bad)
+		if err == nil || !strings.Contains(err.Error(), "erew, crew, crcw, crcw-priority, priority, crcw-common, common, crcw-arbitrary, arbitrary") {
+			t.Errorf("ParseMode(%q): err = %v, want one listing the valid spellings", bad, err)
 		}
 	}
 }

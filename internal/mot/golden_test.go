@@ -13,7 +13,7 @@ import (
 	"repro/internal/quorum"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenPhase is the recorded outcome of one RoutePhase call.
 type goldenPhase struct {
@@ -22,8 +22,8 @@ type goldenPhase struct {
 	MaxLoad int    `json:"maxLoad"`
 }
 
-// goldenNetTrace is the recorded outcome of a whole scenario.
-type goldenNetTrace struct {
+// goldenNetRun is the recorded outcome of a whole scenario.
+type goldenNetRun struct {
 	Phases []goldenPhase `json:"phases"`
 	Stats  Stats         `json:"stats"`
 }
@@ -31,10 +31,10 @@ type goldenNetTrace struct {
 // netScenario drives a network through a deterministic sequence of phases
 // drawn from seed and records every observable output. It is the
 // implementation-independent contract the router refactors must preserve.
-func netScenario(side int, pl Placement, pol Policy, dualRail bool, seed int64) goldenNetTrace {
+func netScenario(side int, pl Placement, pol Policy, dualRail bool, seed int64) goldenNetRun {
 	nw := NewNetwork(side, pl, Config{Policy: pol, DualRail: dualRail})
 	rng := rand.New(rand.NewSource(seed))
-	var tr goldenNetTrace
+	var tr goldenNetRun
 	banks := side
 	if dualRail {
 		banks = 2 * side
@@ -85,7 +85,7 @@ func TestGoldenRoutePhase(t *testing.T) {
 		{"roots-drop", 16, ModulesAtRoots, DropOnCollision, false},
 		{"roots-queue", 16, ModulesAtRoots, QueueOnCollision, false},
 	}
-	got := map[string]goldenNetTrace{}
+	got := map[string]goldenNetRun{}
 	for _, c := range cfgs {
 		for _, seed := range []int64{1, 7, 42} {
 			got[fmt.Sprintf("%s/seed=%d", c.name, seed)] =
@@ -97,7 +97,7 @@ func TestGoldenRoutePhase(t *testing.T) {
 		writeGolden(t, path, got)
 		return
 	}
-	var want map[string]goldenNetTrace
+	var want map[string]goldenNetRun
 	readGolden(t, path, &want)
 	for name, w := range want {
 		g, ok := got[name]
@@ -106,7 +106,7 @@ func TestGoldenRoutePhase(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(g, w) {
-			t.Errorf("scenario %s diverged from golden trace:\n got %+v\nwant %+v", name, g, w)
+			t.Errorf("scenario %s diverged from golden:\n got %+v\nwant %+v", name, g, w)
 		}
 	}
 	if len(got) != len(want) {

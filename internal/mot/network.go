@@ -79,7 +79,7 @@ func (s Stats) Sub(prev Stats) Stats {
 // RoutePhase settles a phase in two passes over its attempts, a census and
 // a settle pass (see the package doc's "Census and walk"). Every table is
 // reused and only grows, so a phase allocates nothing in steady state
-// (TestRoutePhaseZeroAllocs); the golden traces and the reference router
+// (TestRoutePhaseZeroAllocs); the goldens and the reference router
 // in reference_test.go pin the results. A Network routes one phase at a
 // time.
 type Network struct {

@@ -52,7 +52,7 @@
 //
 // Network.RoutePhase performs zero heap allocations in steady state: the
 // census tables, the settle order and the claim table are reused and only
-// grow. testing.AllocsPerRun tests lock the invariant; the golden traces
+// grow. testing.AllocsPerRun tests lock the invariant; the goldens
 // and the reference router in reference_test.go — the cycle loop in its
 // plainest form — pin grants, cycle counts, loads and Stats bit for bit.
 package mot

@@ -57,7 +57,7 @@ type Machine struct {
 	twoStage *TwoStageConfig
 
 	// sink, when non-nil, observes every ExecuteStep's post-dedup step
-	// and every LoadCells under lane id `lane` (SetStepSink; the trace
+	// and every LoadCells under lane id `lane` (SetStepSink; the PRAMTRC1
 	// record/replay hook).
 	sink StepSink
 	lane int
@@ -66,7 +66,7 @@ type Machine struct {
 	// the write batch clobbers the engine's shared result buffers: the
 	// post-dedup request count, the retrieval leg's time and phase count,
 	// and the step's live-request area (Σ live counts over both legs'
-	// phase traces). Free accessors (LastDedupRequests, LastStepBreakdown);
+	// phases). Free accessors (LastDedupRequests, LastStepBreakdown);
 	// the serving lane reads them instead of attaching a StepSink.
 	lastDedup      int
 	lastReadTime   int64
@@ -272,12 +272,12 @@ func (m *Machine) execute(s *DedupStep, rep model.StepReport) model.StepReport {
 	}
 	readLastLive := lastLive(rres)
 	area := int64(0)
-	for _, l := range rres.LiveTrace {
+	for _, l := range rres.LivePerPhase {
 		area += int64(l)
 	}
 
 	wres := m.runBatch(s.Writes)
-	for _, l := range wres.LiveTrace {
+	for _, l := range wres.LivePerPhase {
 		area += int64(l)
 	}
 	m.lastDedup = len(reads) + len(s.Writes)
@@ -309,7 +309,7 @@ func (m *Machine) LastDedupRequests() int { return m.lastDedup }
 // LastStepBreakdown reports the most recent step's per-leg split, executed
 // through ExecuteStep or ExecuteDedupStep: the retrieval (read-quorum)
 // leg's simulated time and phase count, and the step's live-request area —
-// the integral of the engine's LiveTrace decay curve over both legs'
+// the integral of the engine's LivePerPhase decay curve over both legs'
 // phases. The step body captures the values before the write batch reuses
 // the engine's result buffers, so exposing them is free; the commit leg's
 // time is the step report's Time minus readTime.
@@ -336,8 +336,8 @@ func (m *Machine) LoadCells(base model.Addr, vals []model.Word) {
 }
 
 func lastLive(r Result) int {
-	if len(r.LiveTrace) == 0 {
+	if len(r.LivePerPhase) == 0 {
 		return 0
 	}
-	return r.LiveTrace[len(r.LiveTrace)-1]
+	return r.LivePerPhase[len(r.LivePerPhase)-1]
 }

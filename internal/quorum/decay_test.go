@@ -6,11 +6,11 @@ import (
 	"repro/internal/memmap"
 )
 
-// TestLiveTraceGeometricDecay verifies the mechanism behind O(log n)
+// TestLivePerPhaseGeometricDecay verifies the mechanism behind O(log n)
 // phases: the expansion property makes the live-request count fall by a
 // constant factor per pass over the cluster queues — the invariant the
 // Lemma 2 → Theorem 2 argument rests on.
-func TestLiveTraceGeometricDecay(t *testing.T) {
+func TestLivePerPhaseGeometricDecay(t *testing.T) {
 	const n = 1024
 	p := memmap.LemmaTwo(n, 2, 1)
 	eng := NewEngine(NewStore(memmap.Generate(p, 21)), NewCompleteBipartite(), n)
@@ -22,24 +22,24 @@ func TestLiveTraceGeometricDecay(t *testing.T) {
 	if res.Stalled {
 		t.Fatal("stalled")
 	}
-	trace := res.LiveTrace
-	// Sample the trace once per cluster pass (every r phases): each pass
+	live := res.LivePerPhase
+	// Sample the live counts once per cluster pass (every r phases): each pass
 	// must clear at least half the remaining live requests on a healthy
 	// fine-grain map.
 	r := p.R()
 	prev := n
-	for i := r - 1; i < len(trace); i += r {
-		cur := trace[i]
+	for i := r - 1; i < len(live); i += r {
+		cur := live[i]
 		if cur > (prev+1)/2 {
-			t.Fatalf("pass ending at phase %d: live %d -> %d, decay slower than 1/2 (trace %v)",
-				i+1, prev, cur, trace)
+			t.Fatalf("pass ending at phase %d: live %d -> %d, decay slower than 1/2 (live %v)",
+				i+1, prev, cur, live)
 		}
 		prev = cur
 	}
-	if trace[len(trace)-1] != 0 {
+	if live[len(live)-1] != 0 {
 		t.Error("batch did not drain")
 	}
-	t.Logf("n=%d drained in %d phases, trace=%v", n, res.Phases, trace)
+	t.Logf("n=%d drained in %d phases, live=%v", n, res.Phases, live)
 }
 
 // TestDecayDegradesOnCoarseGrain shows the contrast the paper draws: the

@@ -57,7 +57,7 @@ type Request struct {
 
 // Result reports the cost and outcome of executing one access batch.
 //
-// The Values, Satisfied and LiveTrace slices alias the engine's reusable
+// The Values, Satisfied and LivePerPhase slices alias the engine's reusable
 // scratch arena: they are valid until the next ExecuteBatch or
 // ExecuteBatchTwoStage call on the same engine, and must be copied if they
 // need to outlive it.
@@ -66,7 +66,7 @@ type Result struct {
 	Time          int64
 	CopyAccesses  int64
 	MaxModuleLoad int
-	LiveTrace     []int // live (unsatisfied) requests after each phase
+	LivePerPhase  []int // live (unsatisfied) requests after each phase
 	Values        []model.Word
 	Satisfied     []bool
 	Stalled       bool // progress cap hit (bad map or broken interconnect)
@@ -127,15 +127,15 @@ type Engine struct {
 // engineScratch is the engine's reusable per-batch arena. Buffers grow to
 // the largest batch seen and are then recycled forever.
 type engineScratch struct {
-	states   []reqState
-	qstart   []int // per-cluster queue offsets into qbuf (len clusters+1)
-	qfill    []int // per-cluster fill cursors during bucketing
-	qbuf     []int // request indices, bucketed by cluster
-	rr       []int // per-cluster round-robin cursors
-	active   []int // clusters that may still hold live requests, ascending
-	attempts []Attempt
-	owners   []int // parallel to attempts: request index (routedPhase only)
-	trace    []int // live-trace accumulator (spans both two-stage stages)
+	states       []reqState
+	qstart       []int // per-cluster queue offsets into qbuf (len clusters+1)
+	qfill        []int // per-cluster fill cursors during bucketing
+	qbuf         []int // request indices, bucketed by cluster
+	rr           []int // per-cluster round-robin cursors
+	active       []int // clusters that may still hold live requests, ascending
+	attempts     []Attempt
+	owners       []int // parallel to attempts: request index (routedPhase only)
+	livePerPhase []int // LivePerPhase accumulator (spans both two-stage stages)
 
 	// Primary result buffers back the Result of the exported entry points;
 	// the secondary set backs the inner stage-2 run of the two-stage
@@ -224,17 +224,17 @@ func (e *Engine) secondaryBuffers(n int) ([]model.Word, []bool) {
 // the request's still-unaccessed copies in distinct modules. Granted
 // accesses accumulate; a request dies (is satisfied) once c copies are
 // touched. The memory map's expansion property makes the live-set shrink
-// geometrically, which the LiveTrace in the Result lets tests verify.
+// geometrically, which the LivePerPhase in the Result lets tests verify.
 func (e *Engine) ExecuteBatch(reqs []Request) Result {
-	e.sc.trace = e.sc.trace[:0]
+	e.sc.livePerPhase = e.sc.livePerPhase[:0]
 	values, satisfied := e.primaryBuffers(len(reqs))
 	return e.run(reqs, values, satisfied, e.maxPhases(len(reqs)))
 }
 
-// run executes one batch into the given result buffers, appending the live
-// trace to the shared arena accumulator (so the two-stage schedule's stages
-// land in one contiguous trace). It stops with Result.Stalled after
-// phaseCap phases.
+// run executes one batch into the given result buffers, appending its
+// per-phase live counts to the shared arena accumulator (so the two-stage
+// schedule's stages land in one contiguous run). It stops with
+// Result.Stalled after phaseCap phases.
 //
 //pram:hotpath
 func (e *Engine) run(reqs []Request, values []model.Word, satisfied []bool, phaseCap int) Result {
@@ -283,7 +283,7 @@ func (e *Engine) run(reqs []Request, values []model.Word, satisfied []bool, phas
 	}
 
 	live := len(reqs)
-	traceStart := len(sc.trace)
+	liveStart := len(sc.livePerPhase)
 	for phase := 0; live > 0; phase++ {
 		if phase >= phaseCap {
 			res.Stalled = true
@@ -301,9 +301,9 @@ func (e *Engine) run(reqs []Request, values []model.Word, satisfied []bool, phas
 		res.Time += t
 		res.CopyAccesses += int64(accesses)
 		res.MaxModuleLoad = max(res.MaxModuleLoad, load)
-		sc.trace = append(sc.trace, live)
+		sc.livePerPhase = append(sc.livePerPhase, live)
 	}
-	res.LiveTrace = sc.trace[traceStart:len(sc.trace):len(sc.trace)]
+	res.LivePerPhase = sc.livePerPhase[liveStart:len(sc.livePerPhase):len(sc.livePerPhase)]
 	for i := range reqs {
 		satisfied[i] = states[i].done
 		if !reqs[i].Write && states[i].anyAccess {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/model"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenResult is the engine-observable outcome of one batch.
 type goldenResult struct {
@@ -22,7 +22,7 @@ type goldenResult struct {
 	Time          int64        `json:"time"`
 	CopyAccesses  int64        `json:"copyAccesses"`
 	MaxModuleLoad int          `json:"maxModuleLoad"`
-	LiveTrace     []int        `json:"liveTrace"`
+	LivePerPhase  []int        `json:"liveTrace"`
 	Values        []model.Word `json:"values"`
 	Satisfied     []bool       `json:"satisfied"`
 	Stalled       bool         `json:"stalled"`
@@ -40,7 +40,7 @@ func snapResult(r Result) goldenResult {
 		Stage1Phases:  r.Stage1Phases,
 		Stage2Phases:  r.Stage2Phases,
 	}
-	g.LiveTrace = append([]int{}, r.LiveTrace...)
+	g.LivePerPhase = append([]int{}, r.LivePerPhase...)
 	g.Values = append([]model.Word{}, r.Values...)
 	g.Satisfied = append([]bool{}, r.Satisfied...)
 	return g
@@ -88,7 +88,7 @@ func engineScenario(n int, twoStage bool, seed int64) []goldenResult {
 }
 
 // TestGoldenEngineBatches locks ExecuteBatch and ExecuteBatchTwoStage to the
-// recorded phase counts, times, live traces, values and satisfied bits of
+// recorded phase counts, times, per-phase live counts, values and satisfied bits of
 // the reference implementation.
 func TestGoldenEngineBatches(t *testing.T) {
 	got := map[string][]goldenResult{}
@@ -112,7 +112,7 @@ func TestGoldenEngineBatches(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(g, w) {
-			t.Errorf("scenario %s diverged from golden trace", name)
+			t.Errorf("scenario %s diverged from golden", name)
 		}
 	}
 	if len(got) != len(want) {

@@ -1,23 +1,3 @@
-// Multi-engine execution: K quorum Machines — one per workload shard,
-// each serving its own simulated P-RAM program — advance in lockstep rounds
-// against ONE sharded memory image.
-//
-// Each round the Pool first takes a module census (see the package doc's
-// "Shard-ownership invariant"): a union-find over the modules the shard
-// steps touch (every module holding a copy of a variable a step accesses)
-// groups the steps into MODULE-CONNECTIVITY COMPONENTS, the finest
-// grouping in which two steps that touch a common module land together.
-// The census feeds the occupancy and forced-merge counters of the serving
-// layer (LastActive, LastComponents); it does not change how the round
-// runs. The shard steps then run on the caller in ascending shard order —
-// the serial reference order of the pool differential tests. Components
-// share no store segment and no row stamp, so the result is the same
-// bytes as any other order that keeps each component's steps in shard
-// order. The engine count K sets how many programs one round
-// co-schedules; the simulated cost of a round is its slowest shard's.
-//
-// Steady-state ExecuteSteps performs zero heap allocations
-// (TestPoolExecuteStepsZeroAllocs).
 package quorum
 
 import (
@@ -41,9 +21,14 @@ type PoolConfig struct {
 }
 
 // Pool owns a sharded Store and K Machines serving independent P-RAM
-// programs against it. Like its machines, a Pool is single-threaded: every
-// round runs on the calling goroutine. Per-shard programs are typically
-// driven by internal/machine on top.
+// programs against it, advancing them in lockstep rounds. Each round takes
+// the module census of the package doc's "Shard-ownership invariant",
+// which feeds LastActive and LastComponents and does not change how the
+// round runs, then runs the shard steps on the calling goroutine in
+// ascending shard order. Like its machines, a Pool is single-threaded. A
+// round's simulated cost is its slowest shard's, and a steady-state
+// ExecuteSteps allocates nothing (TestPoolExecuteStepsZeroAllocs).
+// Per-shard programs are typically driven by internal/machine on top.
 type Pool struct {
 	store    *Store
 	machines []*Machine

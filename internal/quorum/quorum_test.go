@@ -91,7 +91,7 @@ func TestFullPermutationBatch(t *testing.T) {
 	t.Logf("n=%d: write phases=%d read phases=%d", n, wres.Phases, rres.Phases)
 }
 
-func TestLiveTraceDecays(t *testing.T) {
+func TestLivePerPhaseDecays(t *testing.T) {
 	const n = 512
 	_, eng := testSetup(t, n)
 	reqs := make([]Request, n)
@@ -104,14 +104,14 @@ func TestLiveTraceDecays(t *testing.T) {
 	}
 	// The live count must be non-increasing and reach zero.
 	prev := n
-	for _, l := range res.LiveTrace {
+	for _, l := range res.LivePerPhase {
 		if l > prev {
-			t.Fatalf("live count increased: %v", res.LiveTrace)
+			t.Fatalf("live count increased: %v", res.LivePerPhase)
 		}
 		prev = l
 	}
-	if res.LiveTrace[len(res.LiveTrace)-1] != 0 {
-		t.Errorf("batch ended with live requests: %v", res.LiveTrace)
+	if res.LivePerPhase[len(res.LivePerPhase)-1] != 0 {
+		t.Errorf("batch ended with live requests: %v", res.LivePerPhase)
 	}
 }
 

@@ -57,7 +57,7 @@ type refResult struct {
 	Phases, Stage1Phases, Stage2Phases int
 	Time, CopyAccesses                 int64
 	MaxModuleLoad                      int
-	LiveTrace                          []int
+	LivePerPhase                       []int
 	Values                             []model.Word
 	Satisfied                          []bool
 	Stalled                            bool
@@ -189,7 +189,7 @@ func (rm *refMachine) run(reqs []Request, bandwidth, phaseCap int) refResult {
 		if len(attempts) > 0 {
 			res.Time += rm.phaseCost
 		}
-		res.LiveTrace = append(res.LiveTrace, live)
+		res.LivePerPhase = append(res.LivePerPhase, live)
 	}
 	return res
 }
@@ -235,7 +235,7 @@ func (rm *refMachine) executeTwoStage(reqs []Request, cfg TwoStageConfig) refRes
 	res.Time += s2.Time
 	res.CopyAccesses += s2.CopyAccesses
 	res.MaxModuleLoad = max(res.MaxModuleLoad, s2.MaxModuleLoad)
-	res.LiveTrace = append(res.LiveTrace, s2.LiveTrace...)
+	res.LivePerPhase = append(res.LivePerPhase, s2.LivePerPhase...)
 	for j, i := range liveIdx {
 		res.Satisfied[i] = s2.Satisfied[j]
 		res.Values[i] = s2.Values[j]
@@ -284,14 +284,14 @@ func sameResult(got Result, want refResult) string {
 		return "Stalled"
 	case got.Stage1Phases != want.Stage1Phases || got.Stage2Phases != want.Stage2Phases:
 		return "stage split"
-	case len(got.LiveTrace) != len(want.LiveTrace):
-		return "LiveTrace length"
+	case len(got.LivePerPhase) != len(want.LivePerPhase):
+		return "LivePerPhase length"
 	case len(got.Values) != len(want.Values) || len(got.Satisfied) != len(want.Satisfied):
 		return "result length"
 	}
-	for i := range want.LiveTrace {
-		if got.LiveTrace[i] != want.LiveTrace[i] {
-			return "LiveTrace"
+	for i := range want.LivePerPhase {
+		if got.LivePerPhase[i] != want.LivePerPhase[i] {
+			return "LivePerPhase"
 		}
 	}
 	for i := range want.Values {

@@ -20,139 +20,77 @@
 // each copy access is arbitrated by CompleteBipartite and applied to the
 // store in the same pass) or Engine.routedPhase → Interconnect.RoutePhase
 // (on the 2DMOT and on wrapping interconnects) — performs zero heap
-// allocations in steady state, whichever addresses a step touches, so
-// benchmarks measure the protocol rather than the garbage collector.
-// Every per-step and per-batch structure lives in a scratch arena owned
-// by its component and reused across invocations: the engine keeps
-// request states, flattened cluster queues, the attempt/owner buffers of
-// routed phases and the live-trace accumulator; the backend keeps the
-// sorted dedup records, the post-dedup step and the dense per-processor
-// values buffer; the bipartite interconnect keeps a phase-local module →
-// load table sized by the processor count, not by the module count M.
-// The warm pass allocates nothing and keeps only a fold of the words it
-// loaded, so that the compiler keeps the loads. The price is aliasing —
-// Result and StepReport slices are valid only until the next call on the
-// same component — and single-threadedness per machine instance. The Pool
-// extends the invariant across engines: its post-dedup step slots, census
-// tables and merged-report buffers are all reused, so a steady-state
-// ExecuteSteps is allocation-free too (pool tests lock it).
-// testing.AllocsPerRun tests (alloc_test.go) lock the invariant, and
-// TestRandomStepsDoNotAllocate checks it over random addresses; golden
-// trace tests (golden_test.go, testdata/) pin the behavior bit-for-bit to
-// the pre-arena reference implementation, and FuzzEngine
+// allocations in steady state, whichever addresses a step touches. Every
+// per-step and per-batch structure lives in a scratch arena owned by its
+// component and reused across calls, the Pool's step slots, census tables
+// and merged-report buffers included. The price is aliasing: Result and
+// StepReport slices are valid only until the next call on the same
+// component (for a Pool's aggregate report, its next ExecuteSteps), and a
+// machine is single-threaded. AllocsPerRun tests (alloc_test.go,
+// TestRandomStepsDoNotAllocate) lock the invariant; the goldens
+// (golden_test.go, testdata/) pin behaviour bit for bit, and FuzzEngine
 // (reference_test.go) holds both phase loops to a clean-room statement of
 // the protocol written with plain maps.
 //
 // # Shard-ownership invariant
 //
-// The Store is sharded BY MEMORY MODULE: every cell (one replicated copy)
-// and every row stamp belongs to exactly one module shard — a cell to the
-// module the memmap places it in (copy j of variable v lives on module
-// Map.ModuleOf(v, j), the node a distributed deployment would put it on),
-// a row stamp to the row's 2c−1-module set. All state a batch mutates is
-// therefore owned by the modules the batch touches: the union of memmap
-// rows of its variables, ALL 2c−1 modules per variable, not only the
-// quorum that ends up granted. That makes module sets the
-// unit of independence: engines whose batches touch disjoint module sets
-// share NO mutable store state, so their steps commute — any order gives
-// the same bytes. (Module-level grouping is deliberately conservative —
-// distinct variables never share cells even inside one module — but the
-// module is the machine's physical resource and the granularity every
-// deployment story shards by. The cell ARRAY stays row-major because the
-// protocol touches copies row-wise; ownership, not byte adjacency, is
-// what the contract needs, and the modules a row spans are disjoint
-// between components either way.)
+// The Store is sharded by memory module: copy j of variable v belongs to
+// module Map.ModuleOf(v, j), and v's row stamp to the row's 2c−1-module
+// set. All state a batch mutates is therefore owned by the modules of its
+// variables' rows — all 2c−1 per variable, not only the quorum granted —
+// so batches that touch disjoint module sets share no mutable state and
+// commute. The Pool takes that census every round (a union-find over the
+// touched modules; K minus the component count is the round's
+// forced-merge count), then runs the shard steps on the caller in
+// ascending shard order, the order the pool differential tests use as
+// their reference.
 //
-// The Pool takes the ownership census every round: a union-find over the
-// touched modules groups the shard batches into module-connectivity
-// components, and K minus their count is the round's forced-merge count,
-// which the serving layer reports. It then runs every shard step on the
-// calling goroutine in ascending shard order — the serial reference order
-// of the pool differential tests — so batches that contend on a module
-// are resolved by that order, not by a lock.
+// Timestamps are per-row logical clocks: rowStamp[v] holds the stamp of
+// v's latest write batch, and a batch stamps 1 + the maximum row stamp
+// over the variables it writes (read-only batches stamp nothing). Stamps
+// are only compared within one variable's row, so this orders every
+// majority read, and disjoint components never see each other's clocks.
+// Stamps are uint64; at one tick per batch per row they cannot overflow
+// (TestClockCrossesUint32Boundary).
 //
-// Timestamps come from per-row logical clocks, not one global counter:
-// copy timestamps are only ever COMPARED within one variable's row (a
-// majority read picks the freshest of that variable's copies), so the
-// clock can shard all the way down to the row — rowStamp[v] holds the
-// stamp of v's latest write batch. A batch's stamp is 1 + the maximum
-// row stamp over the variables it writes, written back to those rows'
-// stamps; read-only batches stamp nothing. Stamps along each variable's
-// write chain strictly increase — exactly the ordering majority reads
-// need — and a row's stamp is owned by the same module set as its copies,
-// so disjoint components never observe each other's clocks (this is the
-// per-module clock of the sharding design taken to its finest grain: a
-// module's clock, were it materialized, would be the max over the rows in
-// its segment). Clocks and stamps are uint64: at one tick per batch per
-// row, overflow is unreachable (the old uint32 clock panicked after 2^32
-// batches — a real limit for a long-running multi-engine server; see
-// TestClockCrossesUint32Boundary).
+// # Record and replay
 //
-// Merged StepReports follow the same aliasing rule as everything else in
-// the arena design: the per-shard reports returned by Pool.ExecuteSteps
-// alias each shard Machine's scratch (valid until that shard's next step),
-// and the aggregate report's Values slice aliases a pool-owned buffer
-// (valid until the pool's next ExecuteSteps).
-//
-// # Trace replay
-//
-// Every step executes as a dedup front end (sort, conflict check, one
-// walk over the sorted records) that produces the step's POST-DEDUP form, a DedupStep,
-// followed by one step body (read leg, reader fan-out, write leg). That
-// seam is the capture point of the trace record/replay subsystem
-// (repro/internal/replay): a StepSink attached via Machine.SetStepSink or
-// Pool.SetStepSink observes every live step's DedupStep — the exact
-// []Request streams the engine ran, plus the reader fan-out lists — and
-// its cost report, and Machine.ExecuteDedupStep / Pool.ExecuteDedupSteps
-// run such steps through the same body without the front end, so a replay
-// measures exactly the live step minus the front end. Replay is bit-for-bit
-// because everything the engine's behavior depends on is a deterministic
-// function of (construction parameters, the dedup'd batch sequence): the
-// store starts zeroed, LoadCells initializations are part of the recorded
-// stream, per-row Lamport stamps advance only on recorded write batches,
-// and interconnect state (the 2DMOT's never-reset cycle clock, the
-// bipartite graph's phase stamps) evolves only per routed batch. The one
-// contract is completeness: the sink must see every step and load since
-// construction, which is why recorders attach before the first step. A
-// Pool records each round after its shard steps run: shard k under lane k
-// in ascending lane order — the order the steps ran in — then
+// Every step is a dedup front end (sort, conflict check, one walk over the
+// sorted records) that produces its post-dedup form, a DedupStep, then
+// one step body (read leg, reader fan-out, write leg). A StepSink attached
+// via Machine.SetStepSink or Pool.SetStepSink sees every step's DedupStep
+// and cost report, which is how repro/internal/replay records PRAMTRC1
+// traces; Machine.ExecuteDedupStep and Pool.ExecuteDedupSteps run such
+// steps through the same body without the front end. Replay is bit for bit
+// because the engine's behaviour is a function of the construction
+// parameters and the DedupStep and LoadCells sequence alone, so a sink
+// must attach before the first step. A Pool records each round after its
+// shard steps run: shard k under lane k, in ascending order, then
 // StepBarrier.
 //
 // # Serving lane
 //
-// The Pool is also the substrate of the multi-tenant serving front end
-// (repro/internal/serve, cmd/serve): tenants submit step batches through
-// bounded admission queues and a deterministic scheduler assigns each
-// tenant to a shard by its variable band (memmap.GenerateBanded), so
-// co-scheduled tenants touch disjoint module sets and the census above
-// finds no forced merge. Two pool affordances exist for that layer: shard
-// machines accept batches NARROWER than their processor count (tenants of
-// uneven sizes multiplex onto one pool — idle lanes pass empty batches
-// and stay singleton components; the uneven-shard differential tests pin
-// this against the serial reference), and LastActive/LastComponents
-// expose the per-round occupancy and component census (K −
-// LastComponents() is the round's forced serial-merge count, the serving
-// layer's degradation signal).
+// The Pool is the substrate of repro/internal/serve: each tenant owns a
+// variable band (memmap.GenerateBanded) and is scheduled onto shard
+// band%K, so co-scheduled tenants touch disjoint module sets. Shard
+// machines accept batches narrower than their processor count, and
+// LastActive/LastComponents expose each round's occupancy and component
+// census.
 //
 // # Invariants are machine-enforced
 //
-// The two package-wide contracts above are not convention: the pramvet
-// analyzer suite (repro/internal/lint, run over the tree by CI) rejects
-// the source constructs that break them. quorum is a virtual-time
-// package — nothing here may read the wall clock (nowallclock), range
-// over a map without a commutativity annotation (nomaprange), or touch
-// global math/rand state (noglobalrand) — and the steady-state hot
-// path is annotated //pram:hotpath (Engine.run, its warm pass
-// Store.warmRows and its two phase loops Engine.bipartitePhase and
-// Engine.routedPhase, Machine.ExecuteStep, its front end Machine.dedup and
-// step body Machine.execute, Machine.ExecuteDedupStep/openDedup,
+// The pramvet analyzers (repro/internal/lint, run over the tree by CI)
+// reject the constructs that break these contracts. quorum is a
+// virtual-time package: nothing here may read the wall clock
+// (nowallclock), range over a map without a commutativity annotation
+// (nomaprange), or touch global math/rand state (noglobalrand). The hot
+// path is annotated //pram:hotpath (Engine.run, Store.warmRows,
+// Engine.bipartitePhase, Engine.routedPhase, Machine.ExecuteStep,
+// Machine.dedup, Machine.execute, Machine.ExecuteDedupStep/openDedup,
 // Pool.ExecuteSteps/ExecuteDedupSteps), so hotalloc flags any fmt call,
-// interface boxing, capturing closure or unowned append added to it
-// before the AllocsPerRun tests ever run.
-// Deliberately cold lines inside those functions (contract-violation
-// panic guards) carry //pram:coldalloc with a justification; the
-// analyzers report stale annotations, so the escape hatches cannot
-// outlive the code they excuse.
+// interface boxing, capturing closure or unowned append added to it.
+// Deliberately cold lines there (contract-violation panic guards) carry
+// //pram:coldalloc with a reason, and stale annotations are reported.
 package quorum
 
 import (

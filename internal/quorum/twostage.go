@@ -52,13 +52,13 @@ func (ts *TwoStageConfig) stage2Bandwidth(n int) int {
 }
 
 // ExecuteBatchTwoStage runs one access batch under the two-stage schedule.
-// The Result's Phases/Time/LiveTrace span both stages; Stage1Phases and
+// The Result's Phases/Time/LivePerPhase span both stages; Stage1Phases and
 // Stage2Phases break the count down. Like ExecuteBatch, the Result's slices
 // alias the engine's scratch arena: both stages append to one contiguous
-// live-trace buffer, and stage 2 runs in the arena's secondary result
+// LivePerPhase buffer, and stage 2 runs in the arena's secondary result
 // buffers so merging cannot clobber the stage-1 frame.
 func (e *Engine) ExecuteBatchTwoStage(reqs []Request, cfg TwoStageConfig) Result {
-	e.sc.trace = e.sc.trace[:0]
+	e.sc.livePerPhase = e.sc.livePerPhase[:0]
 	values, satisfied := e.primaryBuffers(len(reqs))
 	// Stage 1: the ordinary round-robin loop, capped at the budget. A
 	// "stall" here is not an error — it is the designed handoff point.
@@ -93,9 +93,9 @@ func (e *Engine) ExecuteBatchTwoStage(reqs []Request, cfg TwoStageConfig) Result
 	if stage2.MaxModuleLoad > merged.MaxModuleLoad {
 		merged.MaxModuleLoad = stage2.MaxModuleLoad
 	}
-	// Both stages appended to the shared accumulator, so the merged trace
-	// is simply its full extent.
-	merged.LiveTrace = e.sc.trace[:len(e.sc.trace):len(e.sc.trace)]
+	// Both stages appended to the shared accumulator, so the merged
+	// per-phase counts are simply its full extent.
+	merged.LivePerPhase = e.sc.livePerPhase[:len(e.sc.livePerPhase):len(e.sc.livePerPhase)]
 	merged.Stage2Phases = stage2.Phases
 	for j, i := range liveIdx {
 		merged.Satisfied[i] = stage2.Satisfied[j]

@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 
-	"repro/internal/prom"
+	"repro/internal/exposition"
 )
 
 // AutoscaleConfig tunes the serving-lane autoscaler. The zero value is a
@@ -195,24 +195,24 @@ func (a *Autoscaler) Observe() int {
 }
 
 // Metrics registers the autoscaler's decision counters with a registry.
-func (a *Autoscaler) Metrics(reg *prom.Registry) {
+func (a *Autoscaler) Metrics(reg *exposition.Registry) {
 	reg.Register(autoscaleCollector{a})
 }
 
 type autoscaleCollector struct{ a *Autoscaler }
 
-func (c autoscaleCollector) Describe(desc func(prom.Desc)) {
-	desc(prom.Desc{Name: "pramsim_serve_autoscale_grows_total", Help: "autoscaler grow decisions", Type: "counter"})
-	desc(prom.Desc{Name: "pramsim_serve_autoscale_shrinks_total", Help: "autoscaler shrink decisions", Type: "counter"})
-	desc(prom.Desc{Name: "pramsim_serve_autoscale_k_min", Help: "autoscaler K lower bound", Type: "gauge"})
-	desc(prom.Desc{Name: "pramsim_serve_autoscale_k_max", Help: "autoscaler K upper bound", Type: "gauge"})
+func (c autoscaleCollector) Describe(desc func(exposition.Desc)) {
+	desc(exposition.Desc{Name: "pramsim_serve_autoscale_grows_total", Help: "autoscaler grow decisions", Type: "counter"})
+	desc(exposition.Desc{Name: "pramsim_serve_autoscale_shrinks_total", Help: "autoscaler shrink decisions", Type: "counter"})
+	desc(exposition.Desc{Name: "pramsim_serve_autoscale_k_min", Help: "autoscaler K lower bound", Type: "gauge"})
+	desc(exposition.Desc{Name: "pramsim_serve_autoscale_k_max", Help: "autoscaler K upper bound", Type: "gauge"})
 }
 
-func (c autoscaleCollector) Collect(emit func(prom.Sample)) {
-	emit(prom.Sample{Name: "pramsim_serve_autoscale_grows_total", Value: float64(c.a.grows)})
-	emit(prom.Sample{Name: "pramsim_serve_autoscale_shrinks_total", Value: float64(c.a.shrinks)})
-	emit(prom.Sample{Name: "pramsim_serve_autoscale_k_min", Value: float64(c.a.cfg.Min)})
-	emit(prom.Sample{Name: "pramsim_serve_autoscale_k_max", Value: float64(c.a.cfg.Max)})
+func (c autoscaleCollector) Collect(emit func(exposition.Sample)) {
+	emit(exposition.Sample{Name: "pramsim_serve_autoscale_grows_total", Value: float64(c.a.grows)})
+	emit(exposition.Sample{Name: "pramsim_serve_autoscale_shrinks_total", Value: float64(c.a.shrinks)})
+	emit(exposition.Sample{Name: "pramsim_serve_autoscale_k_min", Value: float64(c.a.cfg.Min)})
+	emit(exposition.Sample{Name: "pramsim_serve_autoscale_k_max", Value: float64(c.a.cfg.Max)})
 }
 
 // String summarizes the policy for run banners.

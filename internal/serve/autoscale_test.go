@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/prom"
+	"repro/internal/exposition"
 	"repro/internal/replay"
 )
 
@@ -164,7 +164,7 @@ func TestAutoscalerBoundsAndMetrics(t *testing.T) {
 	if s.Engines() > 4 {
 		t.Errorf("K=%d grew past the band count", s.Engines())
 	}
-	var reg prom.Registry
+	var reg exposition.Registry
 	a.Metrics(&reg)
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {

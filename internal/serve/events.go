@@ -7,7 +7,7 @@ import (
 )
 
 // Kind tags one event-log record. The five admission kinds come first and
-// render as trace instants; the seven pipeline-stage kinds of an executed
+// render as instants in the event dump; the seven pipeline-stage kinds of an executed
 // round follow and render as "X" spans.
 type Kind uint8
 
@@ -57,7 +57,7 @@ var kindNames = [...]string{
 	KindCommit: "commit", KindRoute: "route", KindMerge: "merge",
 }
 
-// String returns the kind's trace-event name.
+// String returns the kind's name in the event dump.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) && kindNames[k] != "" {
 		return kindNames[k]
@@ -164,20 +164,21 @@ func (l *EventLog) Events(dst []Event) []Event {
 // Events exposes the server's event log (diagnostics and tests).
 func (s *Server) Events() *EventLog { return s.events }
 
-// Track pids of the trace's three process groups.
+// Track pids of the event dump's three process groups.
 const (
 	pidServer  = 0 // the pipeline thread: schedule, partition, merge, resize, decision, drain
 	pidTenants = 1 // one thread per tenant: submit, reject, wait, quorum, commit
 	pidShards  = 2 // one thread per shard: route
 )
 
-// WriteEvents dumps the event log as a deterministic Chrome/Perfetto
-// trace-event JSON document: fixed key order, metadata first (process and
-// thread names for the server, tenant and shard tracks), then the retained
-// events oldest first, pipeline stages as "X" spans and admission events
-// as "i" instants, with ts/dur on the virtual clock. limit > 0 emits only
-// the most recent limit events, and the document's dropped count absorbs
-// the truncation, so a cut dump never pretends to be complete. Call
+// WriteEvents writes the event dump: the event log as a deterministic
+// Chrome/Perfetto JSON document, with fixed key order, metadata first
+// (process and thread names for the server, tenant and shard tracks),
+// then the retained events oldest first, pipeline stages as "X" spans
+// and admission events as "i" instants, with ts/dur on the virtual clock.
+// limit > 0 emits only the most recent limit events, and the document's
+// dropped count absorbs the truncation, so a cut dump never pretends to
+// be complete. Call
 // between rounds (or after drain); dumping allocates and is not part of
 // the hot path.
 func (s *Server) WriteEvents(w io.Writer, limit int) error {

@@ -5,6 +5,7 @@
 // rounds so `serve replay` reproduces the run entirely in virtual time.
 //
 //pram:wallclock
+
 package serve
 
 import (
@@ -15,7 +16,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/prom"
+	"repro/internal/exposition"
 	"repro/internal/replay"
 )
 
@@ -23,7 +24,7 @@ import (
 type HTTPOptions struct {
 	// Registry receives the server's, autoscaler's and HTTP layer's
 	// collectors and backs GET /metrics (nil → a fresh internal registry).
-	Registry *prom.Registry
+	Registry *exposition.Registry
 	// Script, when non-nil, records every admitted submission, every
 	// autoscaler resize and the final drain as a PRAMARS1 arrival script —
 	// the half of the determinism story the wall clock would otherwise
@@ -59,7 +60,7 @@ type HTTPServer struct {
 	s      *Server
 	as     *Autoscaler
 	script *replay.ScriptRecorder
-	reg    *prom.Registry
+	reg    *exposition.Registry
 	logf   func(string, ...any)
 
 	pprof bool
@@ -79,7 +80,7 @@ type HTTPServer struct {
 func NewHTTPServer(s *Server, o HTTPOptions) *HTTPServer {
 	reg := o.Registry
 	if reg == nil {
-		reg = &prom.Registry{}
+		reg = &exposition.Registry{}
 	}
 	h := &HTTPServer{
 		s: s, as: o.Autoscaler, script: o.Script,
@@ -98,14 +99,14 @@ func NewHTTPServer(s *Server, o HTTPOptions) *HTTPServer {
 func (h *HTTPServer) Server() *Server { return h.s }
 
 // Registry returns the metrics registry backing GET /metrics.
-func (h *HTTPServer) Registry() *prom.Registry { return h.reg }
+func (h *HTTPServer) Registry() *exposition.Registry { return h.reg }
 
 // Handler returns the HTTP surface:
 //
 //	POST /submit?tenant=NAME&steps=N   offer N step credits (default 1)
 //	GET  /metrics                      Prometheus text exposition
 //	GET  /healthz                      200 ok, 503 once draining
-//	GET  /debug/events[?limit=N]       event-log dump (Perfetto trace JSON, virtual time)
+//	GET  /debug/events[?limit=N]       event dump (Chrome/Perfetto JSON, virtual time)
 //	GET  /debug/pprof/*                stdlib profiles (only with Pprof: true)
 func (h *HTTPServer) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -186,9 +187,9 @@ func (h *HTTPServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	h.reg.WriteTo(w)
 }
 
-// handleEvents dumps the event log between rounds: the most recent
+// handleEvents writes the event dump between rounds: the most recent
 // admission events and round-pipeline stages as deterministic
-// Chrome/Perfetto trace-event JSON on the virtual clock, reproduced
+// Chrome/Perfetto JSON on the virtual clock, reproduced
 // byte-for-byte by `serve replay -events` from the recorded script. GET
 // only (anything else is 405 with an Allow header, matching handleSubmit's
 // shape); ?limit=N bounds the dump to the N most recent events, the
@@ -304,14 +305,14 @@ func (h *HTTPServer) Shutdown() error {
 // httpCollector exposes the HTTP admission counters.
 type httpCollector struct{ h *HTTPServer }
 
-func (c httpCollector) Describe(desc func(prom.Desc)) {
-	desc(prom.Desc{Name: "pramsim_serve_http_submits_total", Help: "submissions admitted to the server", Type: "counter"})
-	desc(prom.Desc{Name: "pramsim_serve_http_throttled_total", Help: "submissions answered 429 (queue rejected credits)", Type: "counter"})
-	desc(prom.Desc{Name: "pramsim_serve_http_denied_total", Help: "submissions answered 503 while draining", Type: "counter"})
+func (c httpCollector) Describe(desc func(exposition.Desc)) {
+	desc(exposition.Desc{Name: "pramsim_serve_http_submits_total", Help: "submissions admitted to the server", Type: "counter"})
+	desc(exposition.Desc{Name: "pramsim_serve_http_throttled_total", Help: "submissions answered 429 (queue rejected credits)", Type: "counter"})
+	desc(exposition.Desc{Name: "pramsim_serve_http_denied_total", Help: "submissions answered 503 while draining", Type: "counter"})
 }
 
-func (c httpCollector) Collect(emit func(prom.Sample)) {
-	emit(prom.Sample{Name: "pramsim_serve_http_submits_total", Value: float64(c.h.submits)})
-	emit(prom.Sample{Name: "pramsim_serve_http_throttled_total", Value: float64(c.h.throttled)})
-	emit(prom.Sample{Name: "pramsim_serve_http_denied_total", Value: float64(c.h.denied)})
+func (c httpCollector) Collect(emit func(exposition.Sample)) {
+	emit(exposition.Sample{Name: "pramsim_serve_http_submits_total", Value: float64(c.h.submits)})
+	emit(exposition.Sample{Name: "pramsim_serve_http_throttled_total", Value: float64(c.h.throttled)})
+	emit(exposition.Sample{Name: "pramsim_serve_http_denied_total", Value: float64(c.h.denied)})
 }

@@ -143,8 +143,8 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 	checkIdentity(t, s, "after shutdown")
 }
 
-// TestHTTPEventsEndpoint: /debug/events serves the event log's Perfetto
-// trace — byte-identical to WriteEvents, admissions as instants next to the
+// TestHTTPEventsEndpoint: /debug/events serves the event dump —
+// byte-identical to WriteEvents, admissions as instants next to the
 // round's stage spans — rejects non-GET methods and honors a bounded
 // ?limit=N.
 func TestHTTPEventsEndpoint(t *testing.T) {

@@ -3,7 +3,7 @@ package serve
 import (
 	"strconv"
 
-	"repro/internal/prom"
+	"repro/internal/exposition"
 )
 
 // collector renders the server's counters as Prometheus families. Label
@@ -27,10 +27,10 @@ type collector struct {
 	stageCommitLabels []string
 }
 
-// Metrics registers the server's serving metrics with a prom.Registry.
+// Metrics registers the server's serving metrics with a exposition.Registry.
 // Render only between rounds (or after Drain): the underlying counters are
 // mutated by the serving goroutine without synchronization.
-func (s *Server) Metrics(reg *prom.Registry) {
+func (s *Server) Metrics(reg *exposition.Registry) {
 	c := &collector{s: s}
 	c.refreshLabels()
 	reg.Register(c)
@@ -43,36 +43,36 @@ func (c *collector) refreshLabels() {
 	c.labelsK = s.k
 	c.tenantLabels = c.tenantLabels[:0]
 	for _, t := range s.tenants {
-		c.tenantLabels = append(c.tenantLabels, prom.Labels(
-			prom.Label("tenant", t.cfg.Name),
-			prom.Label("band", strconv.Itoa(t.cfg.Band)),
-			prom.Label("shard", strconv.Itoa(t.shard))))
+		c.tenantLabels = append(c.tenantLabels, exposition.Labels(
+			exposition.Label("tenant", t.cfg.Name),
+			exposition.Label("band", strconv.Itoa(t.cfg.Band)),
+			exposition.Label("shard", strconv.Itoa(t.shard))))
 	}
 	c.shardLabels = c.shardLabels[:0]
 	for sh := 0; sh < s.k; sh++ {
-		c.shardLabels = append(c.shardLabels, prom.Label("shard", strconv.Itoa(sh)))
+		c.shardLabels = append(c.shardLabels, exposition.Label("shard", strconv.Itoa(sh)))
 	}
 	c.histLabels = c.histLabels[:0]
 	c.stageQuorumLabels = c.stageQuorumLabels[:0]
 	c.stageCommitLabels = c.stageCommitLabels[:0]
 	for _, t := range s.tenants {
-		c.histLabels = append(c.histLabels, prom.Labels(
-			prom.Label("tenant", t.cfg.Name),
-			prom.Label("band", strconv.Itoa(t.cfg.Band))))
-		c.stageQuorumLabels = append(c.stageQuorumLabels, prom.Labels(
-			prom.Label("tenant", t.cfg.Name),
-			prom.Label("band", strconv.Itoa(t.cfg.Band)),
-			prom.Label("stage", "quorum")))
-		c.stageCommitLabels = append(c.stageCommitLabels, prom.Labels(
-			prom.Label("tenant", t.cfg.Name),
-			prom.Label("band", strconv.Itoa(t.cfg.Band)),
-			prom.Label("stage", "commit")))
+		c.histLabels = append(c.histLabels, exposition.Labels(
+			exposition.Label("tenant", t.cfg.Name),
+			exposition.Label("band", strconv.Itoa(t.cfg.Band))))
+		c.stageQuorumLabels = append(c.stageQuorumLabels, exposition.Labels(
+			exposition.Label("tenant", t.cfg.Name),
+			exposition.Label("band", strconv.Itoa(t.cfg.Band)),
+			exposition.Label("stage", "quorum")))
+		c.stageCommitLabels = append(c.stageCommitLabels, exposition.Labels(
+			exposition.Label("tenant", t.cfg.Name),
+			exposition.Label("band", strconv.Itoa(t.cfg.Band)),
+			exposition.Label("stage", "commit")))
 	}
 }
 
-// Describe implements prom.Collector.
-func (c *collector) Describe(desc func(prom.Desc)) {
-	for _, d := range []prom.Desc{
+// Describe implements exposition.Collector.
+func (c *collector) Describe(desc func(exposition.Desc)) {
+	for _, d := range []exposition.Desc{
 		{Name: "pramsim_serve_rounds_total", Help: "virtual serving rounds elapsed", Type: "counter"},
 		{Name: "pramsim_serve_exec_rounds_total", Help: "rounds that executed at least one tenant step", Type: "counter"},
 		{Name: "pramsim_serve_idle_rounds_total", Help: "rounds with nothing to schedule", Type: "counter"},
@@ -107,48 +107,48 @@ func (c *collector) Describe(desc func(prom.Desc)) {
 	}
 }
 
-// Collect implements prom.Collector.
-func (c *collector) Collect(emit func(prom.Sample)) {
+// Collect implements exposition.Collector.
+func (c *collector) Collect(emit func(exposition.Sample)) {
 	s := c.s
 	if c.labelsK != s.k {
 		c.refreshLabels()
 	}
 	st := s.Stats()
-	emit(prom.Sample{Name: "pramsim_serve_rounds_total", Value: float64(st.Rounds)})
-	emit(prom.Sample{Name: "pramsim_serve_exec_rounds_total", Value: float64(st.ExecRounds)})
-	emit(prom.Sample{Name: "pramsim_serve_idle_rounds_total", Value: float64(st.IdleRounds)})
-	emit(prom.Sample{Name: "pramsim_serve_merged_rounds_total", Value: float64(st.MergedRounds)})
-	emit(prom.Sample{Name: "pramsim_serve_forced_merges_total", Value: float64(st.ForcedMerges)})
-	emit(prom.Sample{Name: "pramsim_serve_band_overlap_tenants", Value: float64(st.BandOverlaps)})
-	emit(prom.Sample{Name: "pramsim_serve_engines", Value: float64(s.k)})
-	emit(prom.Sample{Name: "pramsim_serve_resizes_total", Value: float64(st.Resizes)})
-	emit(prom.Sample{Name: "pramsim_serve_pool_last_active", Value: float64(s.pool.LastActive())})
-	emit(prom.Sample{Name: "pramsim_serve_pool_last_components", Value: float64(s.pool.LastComponents())})
+	emit(exposition.Sample{Name: "pramsim_serve_rounds_total", Value: float64(st.Rounds)})
+	emit(exposition.Sample{Name: "pramsim_serve_exec_rounds_total", Value: float64(st.ExecRounds)})
+	emit(exposition.Sample{Name: "pramsim_serve_idle_rounds_total", Value: float64(st.IdleRounds)})
+	emit(exposition.Sample{Name: "pramsim_serve_merged_rounds_total", Value: float64(st.MergedRounds)})
+	emit(exposition.Sample{Name: "pramsim_serve_forced_merges_total", Value: float64(st.ForcedMerges)})
+	emit(exposition.Sample{Name: "pramsim_serve_band_overlap_tenants", Value: float64(st.BandOverlaps)})
+	emit(exposition.Sample{Name: "pramsim_serve_engines", Value: float64(s.k)})
+	emit(exposition.Sample{Name: "pramsim_serve_resizes_total", Value: float64(st.Resizes)})
+	emit(exposition.Sample{Name: "pramsim_serve_pool_last_active", Value: float64(s.pool.LastActive())})
+	emit(exposition.Sample{Name: "pramsim_serve_pool_last_components", Value: float64(s.pool.LastComponents())})
 	draining := 0.0
 	if s.draining {
 		draining = 1
 	}
-	emit(prom.Sample{Name: "pramsim_serve_draining", Value: draining})
+	emit(exposition.Sample{Name: "pramsim_serve_draining", Value: draining})
 	for i, t := range s.tenants {
 		l := c.tenantLabels[i]
-		emit(prom.Sample{Name: "pramsim_serve_tenant_steps_total", Labels: l, Value: float64(t.steps)})
-		emit(prom.Sample{Name: "pramsim_serve_tenant_submitted_total", Labels: l, Value: float64(t.submitted)})
-		emit(prom.Sample{Name: "pramsim_serve_tenant_rejected_total", Labels: l, Value: float64(t.rejected)})
-		emit(prom.Sample{Name: "pramsim_serve_tenant_unserved_total", Labels: l, Value: float64(t.unserved)})
-		emit(prom.Sample{Name: "pramsim_serve_tenant_queue_depth", Labels: l, Value: float64(t.credits)})
-		emit(prom.Sample{Name: "pramsim_serve_tenant_sim_time_total", Labels: l, Value: float64(t.simTime)})
-		emit(prom.Sample{Name: "pramsim_serve_tenant_phases_total", Labels: l, Value: float64(t.phases)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_steps_total", Labels: l, Value: float64(t.steps)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_submitted_total", Labels: l, Value: float64(t.submitted)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_rejected_total", Labels: l, Value: float64(t.rejected)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_unserved_total", Labels: l, Value: float64(t.unserved)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_queue_depth", Labels: l, Value: float64(t.credits)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_sim_time_total", Labels: l, Value: float64(t.simTime)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_phases_total", Labels: l, Value: float64(t.phases)})
 	}
 	for i, t := range s.tenants {
-		emit(prom.Sample{Name: "pramsim_serve_tenant_stage_time_total", Labels: c.stageQuorumLabels[i], Value: float64(t.stageQuorum)})
-		emit(prom.Sample{Name: "pramsim_serve_tenant_stage_time_total", Labels: c.stageCommitLabels[i], Value: float64(t.stageCommit)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_stage_time_total", Labels: c.stageQuorumLabels[i], Value: float64(t.stageQuorum)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_stage_time_total", Labels: c.stageCommitLabels[i], Value: float64(t.stageCommit)})
 	}
-	emit(prom.Sample{Name: "pramsim_serve_round_critical_stage_time_total",
-		Labels: prom.Label("stage", "quorum"), Value: float64(st.CritQuorumTime)})
-	emit(prom.Sample{Name: "pramsim_serve_round_critical_stage_time_total",
-		Labels: prom.Label("stage", "commit"), Value: float64(st.CritCommitTime)})
+	emit(exposition.Sample{Name: "pramsim_serve_round_critical_stage_time_total",
+		Labels: exposition.Label("stage", "quorum"), Value: float64(st.CritQuorumTime)})
+	emit(exposition.Sample{Name: "pramsim_serve_round_critical_stage_time_total",
+		Labels: exposition.Label("stage", "commit"), Value: float64(st.CritCommitTime)})
 	for sh := 0; sh < s.k; sh++ {
-		emit(prom.Sample{Name: "pramsim_serve_shard_tenants", Labels: c.shardLabels[sh], Value: float64(len(s.byShard[sh]))})
+		emit(exposition.Sample{Name: "pramsim_serve_shard_tenants", Labels: c.shardLabels[sh], Value: float64(len(s.byShard[sh]))})
 	}
 	// Raw fabric counters, per shard machine (satellite of the span work):
 	// cumulative over the shard MACHINE's lifetime — a shard retired by a
@@ -161,15 +161,15 @@ func (c *collector) Collect(emit func(prom.Sample)) {
 			continue
 		}
 		fst := nw.Stats()
-		emit(prom.Sample{Name: "pramsim_serve_shard_net_cycles_total", Labels: c.shardLabels[sh], Value: float64(fst.Cycles)})
-		emit(prom.Sample{Name: "pramsim_serve_shard_net_hops_total", Labels: c.shardLabels[sh], Value: float64(fst.Hops)})
+		emit(exposition.Sample{Name: "pramsim_serve_shard_net_cycles_total", Labels: c.shardLabels[sh], Value: float64(fst.Cycles)})
+		emit(exposition.Sample{Name: "pramsim_serve_shard_net_hops_total", Labels: c.shardLabels[sh], Value: float64(fst.Hops)})
 	}
 	for i, t := range s.tenants {
-		prom.EmitHistogram(emit, "pramsim_serve_tenant_step_time", c.histLabels[i], t.hStep)
-		prom.EmitHistogram(emit, "pramsim_serve_tenant_queue_wait_rounds", c.histLabels[i], t.hWait)
+		exposition.EmitHistogram(emit, "pramsim_serve_tenant_step_time", c.histLabels[i], t.hStep)
+		exposition.EmitHistogram(emit, "pramsim_serve_tenant_queue_wait_rounds", c.histLabels[i], t.hWait)
 	}
-	prom.EmitHistogram(emit, "pramsim_serve_round_active_shards", "", s.hRoundActive)
-	prom.EmitHistogram(emit, "pramsim_serve_round_makespan", "", s.hRoundMakespan)
-	prom.EmitHistogram(emit, "pramsim_serve_round_work", "", s.hRoundWork)
-	prom.EmitHistogram(emit, "pramsim_serve_step_dedup_requests", "", s.hDedup)
+	exposition.EmitHistogram(emit, "pramsim_serve_round_active_shards", "", s.hRoundActive)
+	exposition.EmitHistogram(emit, "pramsim_serve_round_makespan", "", s.hRoundMakespan)
+	exposition.EmitHistogram(emit, "pramsim_serve_round_work", "", s.hRoundWork)
+	exposition.EmitHistogram(emit, "pramsim_serve_step_dedup_requests", "", s.hDedup)
 }

@@ -10,14 +10,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/prom"
+	"repro/internal/exposition"
 	"repro/internal/replay"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // histString renders a histogram's full state for bit-for-bit comparison.
-func histString(h *prom.Histogram) string {
+func histString(h *exposition.Histogram) string {
 	var sb strings.Builder
 	for i := 0; i <= h.Buckets(); i++ {
 		fmt.Fprintf(&sb, "%d,", h.BucketCount(i))
@@ -170,7 +170,7 @@ func TestGoldenExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var reg prom.Registry
+	var reg exposition.Registry
 	s.Metrics(&reg)
 	if err := s.ServeAll(100); err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestGoldenExpositionLint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		problems, families, samples := prom.LintExposition(data)
+		problems, families, samples := exposition.Lint(data)
 		for _, p := range problems {
 			t.Errorf("%s: %s", name, p)
 		}

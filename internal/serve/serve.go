@@ -1,124 +1,79 @@
-// Package serve is the multi-tenant serving front end over quorum.Pool —
-// the "serving lane" the ROADMAP's scaling work built toward. It admits
-// workload submissions from per-tenant traffic sources (live synthetic
-// generators reusing the replay package's patterns, or recorded PRAMTRC1
-// traces via replay.BatchSource), queues them behind bounded per-tenant
-// admission queues with explicit backpressure, and schedules them onto a
-// pool of K quorum engines with BAND-AWARE placement: each tenant owns one
-// variable band of a memmap.GenerateBanded image and is pinned to shard
-// band%K, so tenants that are co-scheduled in a round touch disjoint
-// module bands by construction and the pool's census finds no forced
-// merge. K sets how many tenant steps one virtual round co-schedules (a
-// round's simulated cost is its slowest step's); it buys no host
-// parallelism, since every round runs on the calling goroutine.
+// Package serve is the multi-tenant serving front end over quorum.Pool.
+// It admits step credits from per-tenant sources (synthetic generators
+// over the replay package's patterns, or recorded PRAMTRC1 traces),
+// queues them behind bounded per-tenant admission queues, and schedules
+// them onto a pool of K quorum engines. Each tenant owns one variable
+// band of a memmap.GenerateBanded image and is pinned to shard band%K, so
+// co-scheduled tenants touch disjoint module bands and the pool's census
+// finds no forced merge. K sets how many tenant steps one virtual round
+// co-schedules (a round costs its slowest step); every round runs on the
+// calling goroutine.
 //
 // # Determinism
 //
 // A serving run is a pure function of (map seed, tenant specs, arrival
-// script): there is no wall clock anywhere. Rounds advance a virtual
-// round counter; arrivals are arithmetic in that counter; the scheduler is
-// a deterministic round-robin per shard; and the pool runs each round's
-// shard steps on the caller in shard order. The memory map is banded by
-// the TENANT count (not by K), and band-local tenants write only their own
-// rows, so per-tenant StepReports and the final store fingerprint are ALSO
-// invariant across the engine count K — a mix served at K=8 is, per
-// tenant, the same computation as at K=1 in fewer rounds
-// (TestServeDeterministic locks this across K ∈ {1,2,4,8}). The one
-// caveat is backpressure: rejection counts depend on how fast queues
-// drain, so open-loop mixes that overflow their queues are deterministic
-// per (K, script) but not across K.
+// script): rounds advance a virtual counter, arrivals are arithmetic in
+// it, and the scheduler is a deterministic round-robin per shard. The map
+// is banded by the tenant count, not by K, and band-local tenants write
+// only their own rows, so per-tenant StepReports and the final store
+// fingerprint are also invariant across K (TestServeDeterministic). The
+// exception is backpressure: rejection counts depend on how fast queues
+// drain, so a mix that overflows its queues is deterministic per (K
+// schedule, arrival script) but not across K.
 //
 // # Backpressure and degradation
 //
-// Admission queues are credit counters with a hard cap: an arrival beyond
-// the cap is REJECTED and counted (Rejected per tenant), never silently
-// dropped or blocked on. Placement degradation is equally loud: admitting
-// a tenant whose band another tenant already owns bumps BandOverlaps (the
-// two serialize behind one shard's queue instead of sharing a round),
-// and any round whose batches collide on a module — cross-band traffic —
-// counts its forced serial-component merges (ForcedMerges, from the
-// pool's component census). Both fire the optional Logf hook once, so a
-// deployment sees its placement eroding instead of guessing at it.
+// An arrival beyond a queue's cap is rejected and counted (Rejected),
+// never dropped or blocked on. Admitting a tenant onto a band another
+// tenant owns bumps BandOverlaps, and a round whose batches collide on a
+// module counts its forced merges (ForcedMerges, from the pool's census).
+// Both fire the optional Logf hook once.
 //
-// # Autoscaling and resize determinism
+// # Resizing
 //
-// The engine count K shapes the round schedule but not per-tenant
-// results, and the Autoscaler exploits that: watching the degradation
-// signals the server already counts (forced merges, pool occupancy, queue
-// depth, rejection rate), it grows or shrinks K online via Server.Resize —
-// the pool adds or retires shard machines and every tenant re-bands to
-// shard band%K, with no data movement (the store is module-sharded) and no
-// accounting reset, so the admission identity submitted == steps + queue +
-// rejected + unserved holds through every transition. Because per-tenant
-// results are K-invariant, a resize changes occupancy and the round
-// schedule only: per-tenant hashes and the store fingerprint are unchanged
-// by WHEN (or whether) the autoscaler acts.
-//
-// The caveat is, as ever, rejection determinism: Rejected counts depend
-// on queue drain rates, and drain rates depend on K. An open-loop or
-// externally-submitted mix that overflows its queues is deterministic per
-// (K schedule, arrival script) — which is why live HTTP mode records both
-// the resize rounds and the submissions into the arrival script — but a
-// DIFFERENT K schedule may split the same submissions differently between
-// served and rejected. Replays therefore re-apply the recorded resizes at
-// their recorded rounds instead of re-running the autoscaler policy; when
-// the script's meta line carries the recorded policy, a replay can instead
-// run a SHADOW autoscaler (PlayScript's observer), which reproduces the same
-// resize stream — the script's own resize events become no-ops — plus the
-// autoscaler's decision records in the event log.
+// Server.Resize changes K online: the pool adds or retires shard machines
+// and every tenant re-bands to shard band%K, with no data movement and no
+// accounting reset, so submitted == steps + queue + rejected + unserved
+// holds through every transition. The Autoscaler drives Resize from the
+// degradation signals (forced merges, occupancy, queue depth, rejection
+// rate). Because per-tenant results are K-invariant, a resize changes
+// only occupancy and the round schedule, and for an overflowing mix the
+// split between served and rejected credits. Live HTTP mode therefore
+// records resizes in the arrival script; a replay re-applies them at
+// their recorded rounds, or runs a shadow autoscaler from the script's
+// recorded policy, which also reproduces its decision events.
 //
 // # Observability
 //
-// The serving lane observes itself in VIRTUAL time, with the same
-// determinism contract as everything else: every measurement is a pure
-// function of (seed, specs, script), so two runs of one deployment produce
-// bit-for-bit identical telemetry, and `serve replay` reproduces a live
-// run's telemetry exactly.
+// Every measurement is in virtual time and a pure function of (seed,
+// specs, script), so two runs of a deployment produce identical telemetry
+// and `serve replay` reproduces a live run's.
 //
-//   - Histograms (prom.Histogram, power-of-two buckets, int64 hot path):
-//     per-tenant simulated step time and queue-wait rounds, per-round
-//     makespan / summed work / active-shard occupancy, and post-dedup
-//     quorum batch sizes (via Pool.LastDedupRequests — free, no StepSink).
-//     All render as Prometheus histogram families on /metrics. For finite
-//     mixes served to completion the step-time and dedup families are
-//     K-invariant (the step multiset is); wait/occupancy families depend
-//     on the round schedule, so they are K-variant but replay-invariant.
-//   - The event log (EventLog) is one fixed-size ring of flat records per
-//     server. It holds the admission events — submissions and their
-//     accept/reject splits, arrival-overflow rejections, resizes, the
-//     drain, and every autoscaler decision WITH its window inputs
-//     (rejection / executed / merged deltas, queue fill, mean occupancy,
-//     merge fraction) — next to the pipeline stages of every executed
-//     round, which answer WHERE the round went: queue wait, band→shard
-//     scheduling, the union-find component partition (with forced merges),
-//     each tenant step's quorum (retrieval) and commit (update) legs,
-//     per-shard interconnect routing (fabric cycle/hop counter deltas and
-//     peak module load), and the closing report merge. Events are stamped
-//     on a monotone virtual clock that advances by each round's makespan.
-//     GET /debug/events, Server.WriteEvents and `serve events` render the
-//     ring as deterministic Chrome/Perfetto trace-event JSON with server,
-//     tenant and shard tracks (stages as spans, admission events as
-//     instants); `serve replay -events` re-derives a live capture
-//     byte-for-byte. Appending is a struct store into a preallocated slot,
-//     and truncation is never silent (the dump counts what the ring
-//     dropped).
-//   - Stage counters: the quorum/commit split tiles each step's Time
-//     exactly, so the per-tenant pramsim_serve_tenant_stage_time_total
-//     counter families are K-invariant for finite mixes served to
-//     completion (labels are tenant+band+stage only, surviving resizes),
-//     while the critical-path split
-//     (pramsim_serve_round_critical_stage_time_total) follows the round
-//     schedule and is replay-invariant only. Both are lifetime
-//     totals folded in Round, which a wrapping ring could not reproduce.
-//   - The wall-clock side stays quarantined: HTTPOptions.Pprof optionally
-//     mounts the stdlib /debug/pprof/* handlers (host-process profiles,
-//     opt-in, wallclock-scoped http.go only).
+//   - Histograms (exposition.Histogram) of per-tenant step time and queue
+//     wait, per-round makespan, summed work and active shards, and
+//     post-dedup batch sizes (Pool.LastDedupRequests), rendered on
+//     /metrics. For finite mixes served to completion the step-time and
+//     batch-size families are K-invariant; the others follow the round
+//     schedule and are replay-invariant only.
+//   - The event log (EventLog), one fixed-size ring per server: admission
+//     events (submissions, rejections, resizes, the drain, autoscaler
+//     decisions with their window inputs) and the pipeline stages of every
+//     executed round (queue wait, scheduling, the component partition,
+//     each step's quorum and commit legs, per-shard routing, the report
+//     merge), stamped on a clock that advances by each round's makespan.
+//     Server.WriteEvents, GET /debug/events and `serve events` write it as
+//     the event dump (Chrome/Perfetto JSON), which counts what the ring
+//     dropped.
+//   - Stage counters: lifetime quorum and commit time per tenant, which
+//     tile each step's Time and are K-invariant for finite mixes, and the
+//     per-round critical-path split, which is replay-invariant only.
+//   - The wall clock stays in http.go, where HTTPOptions.Pprof can mount
+//     the stdlib /debug/pprof/* handlers.
 //
-// The per-round serving path — admission, scheduling, pool execution,
-// accounting, histogram observation and event recording — performs zero
-// steady-state heap allocations (TestServeRoundZeroAllocs,
-// TestSubmitZeroAllocs, TestEventPushZeroAllocs), extending the
-// repository's invariant one layer further up the stack.
+// The per-round path — admission, scheduling, pool execution, accounting,
+// histogram observation and event recording — allocates nothing in
+// steady state (TestServeRoundZeroAllocs, TestSubmitZeroAllocs,
+// TestEventPushZeroAllocs).
 package serve
 
 import (
@@ -126,10 +81,10 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/exposition"
 	"repro/internal/memmap"
 	"repro/internal/model"
 	"repro/internal/mot"
-	"repro/internal/prom"
 	"repro/internal/quorum"
 	"repro/internal/replay"
 )
@@ -338,8 +293,8 @@ type tenant struct {
 
 	// Per-tenant distributions (virtual time; K-invariant for
 	// finite mixes run to completion, see the package doc).
-	hStep *prom.Histogram // per-step simulated time
-	hWait *prom.Histogram // queue wait in rounds per executed credit
+	hStep *exposition.Histogram // per-step simulated time
+	hWait *exposition.Histogram // queue wait in rounds per executed credit
 
 	// Stage attribution (exported via TenantStats and the
 	// tenant_stage_time counter families): the tenant's summed simulated
@@ -403,10 +358,10 @@ type Server struct {
 	// server-wide round distributions (all virtual-time; observation is
 	// allocation-free).
 	events         *EventLog
-	hRoundActive   *prom.Histogram // active shards per executed round
-	hRoundMakespan *prom.Histogram // max shard step time per executed round
-	hRoundWork     *prom.Histogram // summed shard step time per executed round
-	hDedup         *prom.Histogram // post-dedup requests per executed step
+	hRoundActive   *exposition.Histogram // active shards per executed round
+	hRoundMakespan *exposition.Histogram // max shard step time per executed round
+	hRoundWork     *exposition.Histogram // summed shard step time per executed round
+	hDedup         *exposition.Histogram // post-dedup requests per executed step
 
 	// Per-shard scratch the stage events read. nets/netPrev cache each
 	// shard's mesh handle and fabric counter baseline (nil/zero on the
@@ -424,7 +379,7 @@ type Server struct {
 	loggedMerge bool
 }
 
-// Histogram bucket counts (finite power-of-two buckets; see prom.Histogram).
+// Histogram bucket counts (finite power-of-two buckets; see exposition.Histogram).
 // Fixed at construction so bucket layouts — part of the exposition — never
 // depend on K or the traffic observed.
 const (
@@ -509,10 +464,10 @@ func NewServer(cfg Config) (*Server, error) {
 	s.events = newEventLog(depth)
 	s.waitScratch = make([]int64, k)
 	s.refreshNets()
-	s.hRoundActive = prom.NewHistogram(occupancyBuckets)
-	s.hRoundMakespan = prom.NewHistogram(roundCostBuckets)
-	s.hRoundWork = prom.NewHistogram(roundCostBuckets)
-	s.hDedup = prom.NewHistogram(dedupBuckets)
+	s.hRoundActive = exposition.NewHistogram(occupancyBuckets)
+	s.hRoundMakespan = exposition.NewHistogram(roundCostBuckets)
+	s.hRoundWork = exposition.NewHistogram(roundCostBuckets)
+	s.hDedup = exposition.NewHistogram(dedupBuckets)
 	qcap := cfg.QueueCap
 	if qcap == 0 {
 		qcap = 8
@@ -563,8 +518,8 @@ func NewServer(cfg Config) (*Server, error) {
 			}
 		}
 		t.waitRing = make([]int64, t.cap)
-		t.hStep = prom.NewHistogram(stepTimeBuckets)
-		t.hWait = prom.NewHistogram(queueWaitBuckets)
+		t.hStep = exposition.NewHistogram(stepTimeBuckets)
+		t.hWait = exposition.NewHistogram(queueWaitBuckets)
 		if owner, taken := bandOwner[tc.Band]; taken {
 			// The silent-degradation gap: two tenants on one band always
 			// serialize behind one shard queue. Count and warn — never

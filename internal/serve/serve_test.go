@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exposition"
 	"repro/internal/model"
-	"repro/internal/prom"
 	"repro/internal/replay"
 )
 
@@ -331,7 +331,7 @@ func TestServeMetricsExposition(t *testing.T) {
 	if err := s.ServeAll(2000); err != nil {
 		t.Fatal(err)
 	}
-	var reg prom.Registry
+	var reg exposition.Registry
 	s.Metrics(&reg)
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {

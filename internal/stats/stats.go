@@ -1,13 +1,12 @@
-// Package stats provides the small reporting toolkit the experiment
-// harness uses: aligned text tables, numeric series summaries, and
-// growth-shape fits against the paper's target functions (log n, log²n,
-// log²n/log log n, …).
+// Package stats provides the small reporting toolkit of the experiment
+// harness and the CLIs: tables rendered as aligned text, Markdown or CSV,
+// and growth-shape fits of a measured series against the paper's target
+// functions (log n, log²n, log²n/log log n, …).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -128,47 +127,6 @@ func (t *Table) CSV() string {
 	return sb.String()
 }
 
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N                int
-	Min, Max         float64
-	Mean, Median     float64
-	P90              float64
-	StdDev           float64
-	Sum              float64
-	MinIndex, MaxIdx int
-}
-
-// Summarize computes a Summary of vals (empty input yields zeros).
-func Summarize(vals []float64) Summary {
-	s := Summary{N: len(vals)}
-	if len(vals) == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
-	for i, v := range vals {
-		s.Sum += v
-		if v == s.Min && s.MinIndex == 0 {
-			s.MinIndex = i
-		}
-		if v == s.Max {
-			s.MaxIdx = i
-		}
-	}
-	s.Mean = s.Sum / float64(len(vals))
-	s.Median = sorted[len(sorted)/2]
-	s.P90 = sorted[(len(sorted)*9)/10]
-	var ss float64
-	for _, v := range vals {
-		d := v - s.Mean
-		ss += d * d
-	}
-	s.StdDev = math.Sqrt(ss / float64(len(vals)))
-	return s
-}
-
 // Growth names a target growth function for shape fitting.
 type Growth struct {
 	Name string
@@ -238,52 +196,4 @@ func BestFit(ns, ys []float64, candidates ...Growth) FitResult {
 		}
 	}
 	return best
-}
-
-// Histogram counts values into k equal-width buckets over [min, max].
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-}
-
-// NewHistogram builds a histogram of vals with k buckets.
-func NewHistogram(vals []float64, k int) Histogram {
-	s := Summarize(vals)
-	h := Histogram{Lo: s.Min, Hi: s.Max, Buckets: make([]int, k)}
-	if len(vals) == 0 || k == 0 {
-		return h
-	}
-	span := s.Max - s.Min
-	for _, v := range vals {
-		var b int
-		if span > 0 {
-			b = int((v - s.Min) / span * float64(k))
-		}
-		if b >= k {
-			b = k - 1
-		}
-		h.Buckets[b]++
-	}
-	return h
-}
-
-// Bar renders the histogram as ASCII bars of width up to w.
-func (h Histogram) Bar(w int) string {
-	maxC := 0
-	for _, c := range h.Buckets {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var sb strings.Builder
-	for i, c := range h.Buckets {
-		span := h.Hi - h.Lo
-		lo := h.Lo + span*float64(i)/float64(len(h.Buckets))
-		bar := 0
-		if maxC > 0 {
-			bar = c * w / maxC
-		}
-		fmt.Fprintf(&sb, "%10.3g | %s %d\n", lo, strings.Repeat("#", bar), c)
-	}
-	return sb.String()
 }

@@ -26,23 +26,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2, 5})
-	if s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.Median != 3 || s.N != 5 {
-		t.Errorf("summary wrong: %+v", s)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("stddev = %v", s.StdDev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Min != 0 || s.Mean != 0 {
-		t.Errorf("empty summary wrong: %+v", s)
-	}
-}
-
 func TestFitExactShape(t *testing.T) {
 	ns := []float64{64, 256, 1024, 4096}
 	ys := make([]float64, len(ns))
@@ -83,25 +66,6 @@ func TestGrowthLog2OverLogLog(t *testing.T) {
 	// Clamp below.
 	if got := GrowthLog2OverLogLog.F(2); got != 1 {
 		t.Errorf("clamped value = %v, want 1", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	total := 0
-	for _, c := range h.Buckets {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram lost values: %v", h.Buckets)
-	}
-	for i, c := range h.Buckets {
-		if c != 2 {
-			t.Errorf("bucket %d = %d, want 2", i, c)
-		}
-	}
-	if !strings.Contains(h.Bar(10), "#") {
-		t.Error("Bar output empty")
 	}
 }
 
