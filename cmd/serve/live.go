@@ -2,16 +2,14 @@
 // (`serve replay`).
 //
 // The determinism contract: a live run is driven by the outside world —
-// HTTP submissions, scrape-driven autoscaler resizes, a SIGTERM drain —
-// so its schedule is not reproducible from the config alone. Recording
-// closes the gap: -record-script captures every external event (PRAMARS1,
-// with the full deployment spec on the meta line) and -record-trace the
-// executed steps (PRAMTRC1, tenant lanes). `serve replay` rebuilds the
-// deployment FROM the script's meta line, re-applies the events in virtual
-// time, and verifies per-tenant step counts and report hashes plus the
-// final store fingerprint against the script footer; with -trace it
-// re-records the replay and byte-compares the two captures — `run -check`
-// for runs that happened against a wall clock.
+// HTTP submissions and a SIGTERM drain — so its schedule is not
+// reproducible from the config alone. Recording closes the gap: the
+// server writes -record-script (PRAMARS1: every submission, resize and
+// the drain, with the deployment spec on the meta line) and -record-trace
+// (PRAMTRC1). `serve replay` rebuilds the deployment from the meta line,
+// replays the script while recording a new one, and fails unless the copy
+// equals the input; -trace and -events byte-compare the re-recorded trace
+// and event dump too — `run -check` for runs against a wall clock.
 
 package main
 
@@ -21,10 +19,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -37,9 +38,9 @@ import (
 // metaLine serializes the deployment spec onto the script's meta line.
 // String values are strconv.Quote'd so tenant specs with spaces survive;
 // engines records the server's starting K. autoscale carries the raw
-// MIN:MAX[:WINDOW] policy flag so replay can run a shadow autoscaler and
-// reproduce the event log's decision events; readers predating the key
-// ignore it (unknown keys are forward-compatible).
+// MIN:MAX[:WINDOW] policy flag, so the replayed server runs the same
+// autoscaler; readers predating the key ignore it (unknown keys are
+// forward-compatible).
 func metaLine(sf *sharedFlags, tenants, arrival string, engines int, autoscale string) string {
 	return fmt.Sprintf("tenants=%s arrival=%s n=%d engines=%d queue=%d mode=%s seed=%d wseed=%d interconnect=%s kexp=%g gran=%g dualrail=%t allowkind=%t autoscale=%s",
 		strconv.Quote(tenants), strconv.Quote(arrival), sf.procs, engines, sf.queue,
@@ -81,74 +82,47 @@ func parseMetaLine(meta string) (map[string]string, error) {
 }
 
 // configFromMeta rebuilds the serve.Config a recorded live run was built
-// from, through the same builder the live run used. Unknown keys are
-// ignored (forward compatibility); missing ones take the live defaults.
+// from. Each meta key that names a shared flag (allowkind names
+// -allow-kind-mismatch) is set, in sorted key order, on a fresh addShared
+// flag set, so a missing key keeps its default and a bad value fails as
+// the flag would. tenants, arrival and autoscale are read as cmdHTTP's own
+// flags; other keys (such as the legacy workers=) are ignored.
 func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 	kv, err := parseMetaLine(meta)
 	if err != nil {
 		return serve.Config{}, err
 	}
-	str := func(key, def string) string {
-		if v, ok := kv[key]; ok {
-			return v
+	fs := flag.NewFlagSet("script meta", flag.ContinueOnError)
+	sf := addShared(fs)
+	for _, key := range slices.Sorted(maps.Keys(kv)) {
+		name := key
+		if key == "allowkind" {
+			name = "allow-kind-mismatch"
 		}
-		return def
-	}
-	var ferr error
-	num := func(key string, def int) int {
-		v, ok := kv[key]
-		if !ok {
-			return def
+		if fs.Lookup(name) == nil {
+			continue
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil && ferr == nil {
-			ferr = fmt.Errorf("script meta: bad %s=%q", key, v)
+		if err := fs.Set(name, kv[key]); err != nil {
+			return serve.Config{}, fmt.Errorf("script meta: bad %s=%q: %v", key, kv[key], err)
 		}
-		return n
 	}
-	f64 := func(key string) float64 {
-		v, ok := kv[key]
-		if !ok {
-			return 0
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil && ferr == nil {
-			ferr = fmt.Errorf("script meta: bad %s=%q", key, v)
-		}
-		return f
-	}
-	sf := &sharedFlags{
-		procs:        num("n", 64),
-		engines:      num("engines", 1),
-		queue:        num("queue", 8),
-		seed:         int64(num("seed", 1)),
-		wseed:        int64(num("wseed", 99)),
-		mode:         str("mode", "crcw"),
-		interconnect: str("interconnect", ""),
-		kexp:         f64("kexp"),
-		gran:         f64("gran"),
-		dualRail:     str("dualrail", "false") == "true",
-		allowKind:    str("allowkind", "false") == "true",
-		verbose:      verbose,
-	}
-	if ferr != nil {
-		return serve.Config{}, ferr
-	}
-	tenants := str("tenants", "")
+	sf.verbose = verbose
+	tenants := kv["tenants"]
 	if tenants == "" {
 		return serve.Config{}, fmt.Errorf("script meta has no tenants spec — not recorded by `serve http`?")
 	}
-	return sf.config(tenants, str("arrival", "external"))
-}
-
-// metaValue extracts one key's value from a script meta line ("" if the
-// key is absent — scripts recorded before the key existed).
-func metaValue(meta, key string) (string, error) {
-	kv, err := parseMetaLine(meta)
-	if err != nil {
-		return "", err
+	arrival, ok := kv["arrival"]
+	if !ok {
+		arrival = "external"
 	}
-	return kv[key], nil
+	cfg, err := sf.config(tenants, arrival)
+	if err != nil {
+		return serve.Config{}, err
+	}
+	if cfg.Autoscale, err = parseAutoscale(kv["autoscale"]); err != nil {
+		return serve.Config{}, fmt.Errorf("script meta: %v", err)
+	}
+	return cfg, nil
 }
 
 // checkScriptTenants rejects a script whose submissions name a tenant the
@@ -163,23 +137,27 @@ func checkScriptTenants(events []replay.ScriptEvent, tenants int) error {
 	return nil
 }
 
-// parseAutoscale decodes MIN:MAX[:WINDOW].
-func parseAutoscale(s string) (serve.AutoscaleConfig, error) {
+// parseAutoscale decodes MIN:MAX[:WINDOW]; the empty spec is no
+// autoscaler (fixed K).
+func parseAutoscale(s string) (*serve.AutoscaleConfig, error) {
+	if s == "" {
+		return nil, nil
+	}
 	parts := strings.Split(s, ":")
 	if len(parts) < 2 || len(parts) > 3 {
-		return serve.AutoscaleConfig{}, fmt.Errorf("autoscale %q: want MIN:MAX[:WINDOW]", s)
+		return nil, fmt.Errorf("autoscale %q: want MIN:MAX[:WINDOW]", s)
 	}
-	var cfg serve.AutoscaleConfig
+	cfg := &serve.AutoscaleConfig{}
 	var err error
 	if cfg.Min, err = strconv.Atoi(parts[0]); err != nil || cfg.Min < 1 {
-		return cfg, fmt.Errorf("autoscale %q: bad MIN %q", s, parts[0])
+		return nil, fmt.Errorf("autoscale %q: bad MIN %q", s, parts[0])
 	}
 	if cfg.Max, err = strconv.Atoi(parts[1]); err != nil || cfg.Max < cfg.Min {
-		return cfg, fmt.Errorf("autoscale %q: bad MAX %q (want >= MIN)", s, parts[1])
+		return nil, fmt.Errorf("autoscale %q: bad MAX %q (want >= MIN)", s, parts[1])
 	}
 	if len(parts) == 3 {
 		if cfg.Interval, err = strconv.Atoi(parts[2]); err != nil || cfg.Interval < 1 {
-			return cfg, fmt.Errorf("autoscale %q: bad WINDOW %q", s, parts[2])
+			return nil, fmt.Errorf("autoscale %q: bad WINDOW %q", s, parts[2])
 		}
 	}
 	return cfg, nil
@@ -217,14 +195,15 @@ func cmdHTTP(args []string) error {
 	if err != nil {
 		return err
 	}
+	if cfg.Autoscale, err = parseAutoscale(*autoscale); err != nil {
+		return err
+	}
 	logf := log.New(os.Stderr, "serve: ", 0).Printf
 	s, err := serve.NewServer(cfg)
 	if err != nil {
 		return err
 	}
 
-	var opts serve.HTTPOptions
-	opts.Logf = logf
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -241,22 +220,14 @@ func cmdHTTP(args []string) error {
 			return err
 		}
 		defer f.Close()
-		rec, err := replay.NewScriptRecorder(f, metaLine(sf, *tenants, *arrival, s.Engines(), *autoscale))
-		if err != nil {
+		if err := s.StartScript(f, metaLine(sf, *tenants, *arrival, s.Engines(), *autoscale)); err != nil {
 			return err
 		}
-		opts.Script = rec
 	}
-	if *autoscale != "" {
-		acfg, err := parseAutoscale(*autoscale)
-		if err != nil {
-			return err
-		}
-		opts.Autoscaler = serve.NewAutoscaler(s, acfg)
-		logf("autoscaler: %v", opts.Autoscaler.Config())
+	if a := s.Autoscaler(); a != nil {
+		logf("autoscaler: %v", a.Config())
 	}
-	opts.Pprof = *pprofOn
-	h := serve.NewHTTPServer(s, opts)
+	h := serve.NewHTTPServer(s, serve.HTTPOptions{Pprof: *pprofOn, Logf: logf})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -279,16 +250,7 @@ func cmdHTTP(args []string) error {
 	cancel()
 	printSummary(newOutcome(s, time.Since(start)))
 	if *eventsOut != "" {
-		f, ferr := os.Create(*eventsOut)
-		if ferr == nil {
-			if werr := s.WriteEvents(f, 0); werr != nil {
-				ferr = werr
-			}
-			if cerr := f.Close(); cerr != nil && ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil && err == nil {
+		if ferr := writeEvents(s, *eventsOut); ferr != nil && err == nil {
 			err = ferr
 		}
 		fmt.Printf("event dump: %s\n", *eventsOut)
@@ -300,6 +262,18 @@ func cmdHTTP(args []string) error {
 		fmt.Printf("step trace: %s\n", *traceOut)
 	}
 	return err
+}
+
+// firstDiff names the first line at which two scripts' texts differ.
+func firstDiff(want, got []byte) string {
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	n := min(len(w), len(g))
+	for i := range n {
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d: want %q, got %q", i+1, w[i], g[i])
+		}
+	}
+	return fmt.Sprintf("line %d: one script ends there", n+1)
 }
 
 func cmdReplay(args []string) error {
@@ -314,12 +288,11 @@ func cmdReplay(args []string) error {
 	if *script == "" {
 		return fmt.Errorf("replay needs -script FILE")
 	}
-	f, err := os.Open(*script)
+	input, err := os.ReadFile(*script)
 	if err != nil {
 		return err
 	}
-	sc, err := replay.ReadScript(f)
-	f.Close()
+	sc, err := replay.ReadScript(bytes.NewReader(input))
 	if err != nil {
 		return err
 	}
@@ -335,51 +308,35 @@ func cmdReplay(args []string) error {
 		return err
 	}
 
-	var rerec bytes.Buffer
+	var rerec, rescript bytes.Buffer
 	if *trace != "" {
 		if err := s.StartTrace(&rerec); err != nil {
 			return err
 		}
 	}
-	// A recorded autoscale policy replays as a SHADOW autoscaler: it re-runs
-	// the live decision function on the replayed round stream (reproducing
-	// the event log's decision events), and the script's own resize
-	// events become no-ops because the shadow already moved K.
-	var observe func()
-	if spec, err := metaValue(sc.Meta, "autoscale"); err != nil {
+	if err := s.StartScript(&rescript, sc.Meta); err != nil {
 		return err
-	} else if spec != "" {
-		acfg, err := parseAutoscale(spec)
-		if err != nil {
-			return fmt.Errorf("script meta: %v", err)
-		}
-		shadow := serve.NewAutoscaler(s, acfg)
-		observe = func() { shadow.Observe() }
 	}
 	start := time.Now()
-	s.PlayScript(sc.Events, sc.Rounds, observe)
+	s.PlayScript(sc.Events, sc.Rounds)
 	if err := s.StopTrace(); err != nil {
+		return err
+	}
+	if err := s.StopScript(); err != nil {
 		return err
 	}
 	printSummary(newOutcome(s, time.Since(start)))
 
-	// The replay IS the check: every divergence from the recorded footer is
-	// an error, exactly like `run -check`.
-	if got := s.Stats().Rounds; got != sc.Rounds {
-		return fmt.Errorf("replay ran %d rounds, script footer says %d", got, sc.Rounds)
+	// The replay IS the check, as in `run -check`: the server re-recorded
+	// the script it played, and any divergence from the live run (a
+	// resize, a tenant's step count or report hash, the round count, the
+	// store fingerprint) makes that copy differ from the input.
+	again, err := replay.ReadScript(bytes.NewReader(rescript.Bytes()))
+	if err != nil {
+		return fmt.Errorf("re-recorded script: %v", err)
 	}
-	if len(sc.Tenants) != s.NumTenants() {
-		return fmt.Errorf("replay has %d tenants, script footer %d", s.NumTenants(), len(sc.Tenants))
-	}
-	for i, want := range sc.Tenants {
-		st := s.TenantStats(i)
-		if st.Name != want.Name || st.Steps != want.Steps || st.Hash != want.Hash {
-			return fmt.Errorf("tenant %d diverged from the live run: replay {%s steps=%d hash=%x}, script {%s steps=%d hash=%x}",
-				i, st.Name, st.Steps, st.Hash, want.Name, want.Steps, want.Hash)
-		}
-	}
-	if fp := s.Fingerprint(); fp != sc.Fingerprint {
-		return fmt.Errorf("replay fingerprint %016x != recorded %016x", fp, sc.Fingerprint)
+	if !reflect.DeepEqual(again, sc) {
+		return fmt.Errorf("re-recorded script differs from %s at %s", *script, firstDiff(input, rescript.Bytes()))
 	}
 	if *events != "" {
 		recorded, err := os.ReadFile(*events)
@@ -403,11 +360,9 @@ func cmdReplay(args []string) error {
 		if !bytes.Equal(recorded, rerec.Bytes()) {
 			return fmt.Errorf("re-recorded trace differs from %s (%d vs %d bytes)", *trace, len(recorded), rerec.Len())
 		}
-		fmt.Printf("replay: OK — %d tenants, %d rounds, fingerprint %016x, trace byte-identical (%d bytes)\n",
-			s.NumTenants(), sc.Rounds, sc.Fingerprint, rerec.Len())
-		return nil
+		fmt.Printf("trace: byte-identical to %s (%d bytes)\n", *trace, rerec.Len())
 	}
-	fmt.Printf("replay: OK — %d tenants, %d rounds, fingerprint %016x match the live run\n",
-		s.NumTenants(), sc.Rounds, sc.Fingerprint)
+	fmt.Printf("replay: OK — %d tenants, %d rounds, fingerprint %016x: the re-recorded script equals %s\n",
+		s.NumTenants(), sc.Rounds, sc.Fingerprint, *script)
 	return nil
 }

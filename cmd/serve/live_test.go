@@ -1,28 +1,32 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/replay"
 	"repro/internal/serve"
 )
 
-// TestLiveEventsReplayBitForBit is the end-to-end event-log acceptance: a
-// live HTTP-driven run with an autoscaler records a script, a trace and an
-// event dump; rebuilding the deployment from the script meta and replaying
-// with a SHADOW autoscaler (what `serve replay -events` does) reproduces
-// the event dump — submits, decisions, resizes, the drain and every
-// pipeline stage — byte for byte, along with the trace.
+// TestLiveEventsReplayBitForBit is the end-to-end live acceptance: an
+// HTTP-driven run whose server runs its own autoscaler records a script, a
+// trace and an event dump, and `serve replay` of the three files passes.
+// The replayed server, rebuilt from the meta line with the same
+// autoscaler, re-records the script byte for byte, and its trace and event
+// dump (submits, decisions, resizes, the drain and every pipeline stage)
+// match the live captures.
 func TestLiveEventsReplayBitForBit(t *testing.T) {
 	const tenantSpec, arrivalSpec, autoscaleSpec = "uniform,hotspot", "external", "1:2:4"
 	sf := &sharedFlags{procs: 8, engines: 1, queue: 4, seed: 3, wseed: 42, mode: "crcw"}
 	cfg, err := sf.config(tenantSpec, arrivalSpec)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Autoscale, err = parseAutoscale(autoscaleSpec); err != nil {
 		t.Fatal(err)
 	}
 	s, err := serve.NewServer(cfg)
@@ -31,22 +35,22 @@ func TestLiveEventsReplayBitForBit(t *testing.T) {
 	}
 	defer s.Close()
 
-	var trace, script bytes.Buffer
-	if err := s.StartTrace(&trace); err != nil {
+	dir := t.TempDir()
+	create := func(name string) *os.File {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	if err := s.StartTrace(create("run.trc")); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := replay.NewScriptRecorder(&script, metaLine(sf, tenantSpec, arrivalSpec, s.Engines(), autoscaleSpec))
-	if err != nil {
+	if err := s.StartScript(create("run.ars"), metaLine(sf, tenantSpec, arrivalSpec, s.Engines(), autoscaleSpec)); err != nil {
 		t.Fatal(err)
 	}
-	acfg, err := parseAutoscale(autoscaleSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := serve.NewHTTPServer(s, serve.HTTPOptions{
-		Script:     rec,
-		Autoscaler: serve.NewAutoscaler(s, acfg),
-	})
+	h := serve.NewHTTPServer(s, serve.HTTPOptions{})
 	ts := httptest.NewServer(h.Handler())
 	defer ts.Close()
 
@@ -70,12 +74,16 @@ func TestLiveEventsReplayBitForBit(t *testing.T) {
 	if err := h.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	var liveEvents bytes.Buffer
-	if err := s.WriteEvents(&liveEvents, 0); err != nil {
+	events := filepath.Join(dir, "run.events.json")
+	if err := writeEvents(s, events); err != nil {
 		t.Fatal(err)
 	}
 	if s.Events().Dropped() != 0 {
 		t.Fatal("event ring wrapped — the dump no longer holds the whole run")
+	}
+	live, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, frag := range []string{
 		`"name":"submit","ph":"i"`, `"name":"decision","ph":"i"`,
@@ -84,59 +92,13 @@ func TestLiveEventsReplayBitForBit(t *testing.T) {
 		`"name":"quorum","ph":"X"`, `"name":"commit","ph":"X"`, `"name":"route","ph":"X"`,
 		`"name":"merge","ph":"X"`,
 	} {
-		if !strings.Contains(liveEvents.String(), frag) {
+		if !strings.Contains(string(live), frag) {
 			t.Errorf("live event dump missing %q — the scenario no longer exercises it", frag)
 		}
 	}
-
-	// Replay exactly as cmdReplay does: deployment from meta, shadow
-	// autoscaler from the recorded policy.
-	sc, err := replay.ReadScript(bytes.NewReader(script.Bytes()))
-	if err != nil {
+	if err := cmdReplay([]string{"-script", filepath.Join(dir, "run.ars"),
+		"-trace", filepath.Join(dir, "run.trc"), "-events", events}); err != nil {
 		t.Fatal(err)
-	}
-	rcfg, err := configFromMeta(sc.Meta, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := serve.NewServer(rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
-	var repTrace bytes.Buffer
-	if err := rep.StartTrace(&repTrace); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := metaValue(sc.Meta, "autoscale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec != autoscaleSpec {
-		t.Fatalf("autoscale meta %q, want %q", spec, autoscaleSpec)
-	}
-	racfg, err := parseAutoscale(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shadow := serve.NewAutoscaler(rep, racfg)
-	rep.PlayScript(sc.Events, sc.Rounds, func() { shadow.Observe() })
-	if err := rep.StopTrace(); err != nil {
-		t.Fatal(err)
-	}
-
-	var repEvents bytes.Buffer
-	if err := rep.WriteEvents(&repEvents, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveEvents.Bytes(), repEvents.Bytes()) {
-		t.Errorf("event dump diverged:\nlive:\n%s\nreplay:\n%s", liveEvents.String(), repEvents.String())
-	}
-	if !bytes.Equal(trace.Bytes(), repTrace.Bytes()) {
-		t.Errorf("re-recorded trace differs from live capture (%d vs %d bytes)", trace.Len(), repTrace.Len())
-	}
-	if fp := rep.Fingerprint(); fp != sc.Fingerprint {
-		t.Errorf("replay fingerprint %016x != recorded %016x", fp, sc.Fingerprint)
 	}
 }
 

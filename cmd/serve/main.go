@@ -12,22 +12,16 @@
 //	                                      rejection rate
 //	serve http    -tenants SPEC [flags]   live wall-clock serving: tenant
 //	                                      submission over POST /submit, live
-//	                                      /metrics + /healthz, scrape-driven
-//	                                      K-autoscaling, graceful SIGTERM
+//	                                      /metrics + /healthz, the server's
+//	                                      own K-autoscaler, graceful SIGTERM
 //	                                      drain; -record-script/-record-trace
-//	                                      capture the run for replay and
-//	                                      -record-events writes the event dump
-//	serve events  -tenants SPEC [flags]   serve a workload mix and write the
-//	                                      event dump (Chrome/Perfetto
-//	                                      JSON): admission events
-//	                                      and per-stage makespan attribution
-//	                                      on the virtual clock ("where did
-//	                                      the round go")
+//	                                      capture the run for replay
 //	serve replay  -script FILE [-trace T] replay a recorded live run in
-//	              [-events E]             virtual time and verify it against
-//	                                      the script footer (and, with
-//	                                      -trace/-events, byte-compare the
-//	                                      trace and the event dump)
+//	              [-events E]             virtual time, re-recording its
+//	                                      script; fail unless the copy equals
+//	                                      the input (and, with -trace/-events,
+//	                                      byte-compare the trace and the
+//	                                      event dump)
 //	serve promlint FILE                   validate a Prometheus text
 //	                                      exposition (grammar, histogram
 //	                                      invariants); - reads stdin
@@ -51,7 +45,10 @@
 // report hashes and the final store fingerprint repeat bit-for-bit — the
 // determinism gate CI's serve smoke runs under the race detector.
 // -metrics FILE writes the final Prometheus text exposition ("-" for
-// stdout). A load-generator run is a `run` of N identical pattern tenants
+// stdout). -record-events FILE (run and http) writes the event dump
+// (Chrome/Perfetto JSON): admission events and per-stage makespan
+// attribution on the virtual clock ("where did the round go"), the
+// offline twin of GET /debug/events. A load-generator run is a `run` of N identical pattern tenants
 // with unbounded sources, e.g. `-tenants hotspot,hotspot,hotspot,hotspot
 // -arrival open:1:3 -queue 4 -rounds 50`.
 //
@@ -73,6 +70,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -97,8 +95,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "http":
 		err = cmdHTTP(os.Args[2:])
-	case "events":
-		err = cmdEvents(os.Args[2:])
 	case "replay":
 		err = cmdReplay(os.Args[2:])
 	case "promlint":
@@ -123,12 +119,12 @@ func usage() {
                 [-queue CAP] [-arrival A] [-mode M]
                 [-interconnect bipartite|mot2d] [-kexp K] [-gran D]
                 [-dualrail] [-allow-kind-mismatch]
-                [-seed S] [-wseed S] [-check] [-metrics FILE] [-v]
+                [-seed S] [-wseed S] [-check] [-metrics FILE]
+                [-record-events FILE] [-v]
   serve http    -tenants SPEC [-addr HOST:PORT] [-round-every DUR]
                 [-autoscale MIN:MAX[:WINDOW]] [-record-script FILE]
                 [-record-trace FILE] [-record-events FILE] [-pprof]
                 [shared flags as for run]
-  serve events  -tenants SPEC [-o FILE] [-limit N] [shared flags as for run]
   serve replay  -script FILE [-trace FILE] [-events FILE] [-v]
   serve promlint FILE
 `)
@@ -277,10 +273,9 @@ func parseTenants(spec string, sf *sharedFlags, arrival serve.Arrival) ([]serve.
 		}
 		head, rest, hasRest := strings.Cut(item, ":")
 		tc := serve.TenantConfig{
-			Name:     fmt.Sprintf("t%d-%s", i, head),
-			Band:     i,
-			Arrival:  arrival,
-			QueueCap: sf.queue,
+			Name:    fmt.Sprintf("t%d-%s", i, head),
+			Band:    i,
+			Arrival: arrival,
 		}
 		switch head {
 		case "trace":
@@ -414,22 +409,37 @@ func printSummary(o *outcome) {
 	fmt.Printf("final store fingerprint: %016x\n", o.fingerprint)
 }
 
-func writeMetrics(o *outcome, path string) error {
-	var reg exposition.Registry
-	o.server.Metrics(&reg)
-	if path == "-" {
-		_, err := reg.WriteTo(os.Stdout)
-		return err
-	}
+// writeFile creates path and fills it through write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if _, err := reg.WriteTo(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// writeMetrics writes the server's final exposition to path (- = stdout).
+func writeMetrics(o *outcome, path string) error {
+	var reg exposition.Registry
+	o.server.Metrics(&reg)
+	write := func(w io.Writer) error {
+		_, err := reg.WriteTo(w)
+		return err
+	}
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	return writeFile(path, write)
+}
+
+// writeEvents writes the server's event dump to path: -record-events of
+// run and http.
+func writeEvents(s *serve.Server, path string) error {
+	return writeFile(path, func(w io.Writer) error { return s.WriteEvents(w, 0) })
 }
 
 func cmdRun(args []string) error {
@@ -439,6 +449,7 @@ func cmdRun(args []string) error {
 	arrival := fs.String("arrival", "closed:2", "arrival process: closed:W or open:PERIOD:BURST[:ON:OFF]")
 	check := fs.Bool("check", false, "run the mix twice; fail unless hashes and fingerprint repeat")
 	metrics := fs.String("metrics", "", "write final Prometheus text exposition to FILE (- = stdout)")
+	eventsOut := fs.String("record-events", "", "write the event dump (Chrome/Perfetto JSON) to FILE")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -453,6 +464,11 @@ func cmdRun(args []string) error {
 	printSummary(o)
 	if *metrics != "" {
 		if err := writeMetrics(o, *metrics); err != nil {
+			return err
+		}
+	}
+	if *eventsOut != "" {
+		if err := writeEvents(o.server, *eventsOut); err != nil {
 			return err
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -361,8 +363,8 @@ func TestMetaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec, err := metaValue(meta, "autoscale"); err != nil || spec != "1:4:8" {
-		t.Errorf("autoscale meta round-trip: %q, %v", spec, err)
+	if a := cfg.Autoscale; a == nil || *a != (serve.AutoscaleConfig{Min: 1, Max: 4, Interval: 8}) {
+		t.Errorf("autoscale meta round-trip: %+v", a)
 	}
 	if len(cfg.Tenants) != 2 || cfg.Engines != 2 || cfg.Seed != 5 || cfg.QueueCap != 6 {
 		t.Errorf("cfg = {tenants=%d engines=%d seed=%d queue=%d}", len(cfg.Tenants), cfg.Engines, cfg.Seed, cfg.QueueCap)
@@ -425,7 +427,7 @@ func TestReplayIgnoresLegacyWorkersMeta(t *testing.T) {
 		if err := checkScriptTenants(sc.Events, s.NumTenants()); err != nil {
 			t.Fatal(err)
 		}
-		s.PlayScript(sc.Events, sc.Rounds, nil)
+		s.PlayScript(sc.Events, sc.Rounds)
 		var events strings.Builder
 		if err := s.WriteEvents(&events, 0); err != nil {
 			t.Fatal(err)
@@ -441,13 +443,120 @@ func TestReplayIgnoresLegacyWorkersMeta(t *testing.T) {
 	}
 }
 
-// TestEventsVerbDump drives `serve events -o FILE -limit N` end to end:
-// the file is valid JSON holding exactly the N most recent events, with
-// the truncation counted in its header.
+// TestConfigFromMetaDefaults: a meta line sets only the shared flags it
+// names, so a key it lacks keeps addShared's default, and a boolean key
+// parses as the flag does: a value flag.Bool refuses is an error, not
+// false.
+func TestConfigFromMetaDefaults(t *testing.T) {
+	cfg, err := configFromMeta(`tenants="uniform,hotspot" arrival="external" dualrail=1`, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaults := parseShared(t)
+	if cfg.Tenants[0].Procs != defaults.procs || cfg.QueueCap != defaults.queue || !cfg.DualRail {
+		t.Errorf("procs %d, queue %d, dualrail %v; want the flag defaults %d and %d, and true",
+			cfg.Tenants[0].Procs, cfg.QueueCap, cfg.DualRail, defaults.procs, defaults.queue)
+	}
+	for _, bad := range []string{"dualrail=yes", "allowkind=on", "n=many"} {
+		if _, err := configFromMeta(`tenants="uniform" `+bad, false); err == nil || !strings.Contains(err.Error(), bad[:strings.IndexByte(bad, '=')]) {
+			t.Errorf("meta %s: err = %v, want an error naming the key", bad, err)
+		}
+	}
+}
+
+// recordScript serves "uniform,hotspot" by Submit alone, two credits to
+// one tenant every fourth round so that none is rejected, drains, and
+// writes the server's arrival script to a file. It returns the file and
+// its lines.
+func recordScript(t *testing.T) (string, []string) {
+	t.Helper()
+	sf := &sharedFlags{procs: 8, engines: 1, queue: 4, seed: 3, wseed: 42, mode: "crcw"}
+	cfg, err := sf.config("uniform,hotspot", "external")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := serve.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var script bytes.Buffer
+	if err := s.StartScript(&script, metaLine(sf, "uniform,hotspot", "external", 1, "")); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 16; r++ {
+		if r%4 == 0 {
+			s.Submit(r/4%2, 2)
+		}
+		s.Round()
+	}
+	s.Drain()
+	if err := s.StopScript(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ars")
+	if err := os.WriteFile(path, script.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, strings.Split(strings.TrimSuffix(script.String(), "\n"), "\n")
+}
+
+// TestReplayNamesFirstDifferingLine: `serve replay` passes a recorded
+// script and fails an edited one with an error naming the first line at
+// which its re-recording differs. A changed footer hash is that line
+// itself; a changed submission replays as written, so the first line
+// that differs is the footer of the tenant it starved.
+func TestReplayNamesFirstDifferingLine(t *testing.T) {
+	path, lines := recordScript(t)
+	if err := cmdReplay([]string{"-script", path}); err != nil {
+		t.Fatalf("unedited script: %v", err)
+	}
+	first := func(prefix string) int {
+		for i, l := range lines {
+			if strings.HasPrefix(l, prefix) {
+				return i
+			}
+		}
+		t.Fatalf("script has no %q line:\n%s", prefix, strings.Join(lines, "\n"))
+		return -1
+	}
+	sub, foot := first("a "), first("t ")
+	if !strings.HasSuffix(lines[sub], " 0 2") {
+		t.Fatalf("first submission %q is not tenant 0's 2 credits", lines[sub])
+	}
+	f := strings.Fields(lines[foot]) // t <steps> <hash> <name>
+	hash, err := strconv.ParseUint(f[2], 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f[2] = fmt.Sprintf("%016x", ^hash)
+	for _, c := range []struct {
+		line int
+		edit string
+		want int // the line the error must name
+	}{
+		{foot, strings.Join(f, " "), foot},
+		{sub, strings.TrimSuffix(lines[sub], "2") + "1", foot},
+	} {
+		edited := slices.Clone(lines)
+		edited[c.line] = c.edit
+		bad := filepath.Join(t.TempDir(), "edited.ars")
+		if err := os.WriteFile(bad, []byte(strings.Join(edited, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("at line %d: want %q", c.want+1, edited[c.want])
+		if err := cmdReplay([]string{"-script", bad}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("line %d edited to %q: err = %v, want one containing %s", c.line+1, c.edit, err, want)
+		}
+	}
+}
+
+// TestEventsVerbDump drives `serve run -record-events FILE` end to end:
+// the file is the valid JSON event dump of the run whose summary went to
+// standard output, holding every event the run recorded.
 func TestEventsVerbDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.json")
-	if err := cmdEvents([]string{"-tenants", "uniform:4,hotspot:4", "-n", "8", "-engines", "1",
-		"-rounds", "0", "-limit", "5", "-o", path}); err != nil {
+	args := []string{"-tenants", "uniform:4,hotspot:4", "-n", "8", "-engines", "1", "-rounds", "0"}
+	if err := cmdRun(append(args, "-record-events", path)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -461,14 +570,22 @@ func TestEventsVerbDump(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("dump is not JSON: %v\n%s", err, data)
 	}
-	events := 0
+	events := int64(0)
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph == "X" || ev.Ph == "i" {
 			events++
 		}
 	}
-	if events != 5 || doc.OtherData.Dropped != doc.OtherData.Total-5 {
-		t.Errorf("dump holds %d events with total %d, dropped %d; want 5 and dropped = total-5",
+	if events == 0 || events != doc.OtherData.Total || doc.OtherData.Dropped != 0 {
+		t.Errorf("dump holds %d events with total %d, dropped %d; want every recorded event",
 			events, doc.OtherData.Total, doc.OtherData.Dropped)
+	}
+	sf := parseShared(t, args[2:]...)
+	cfg, err := sf.config("uniform:4,hotspot:4", "closed:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := served(t, cfg, 0); !strings.HasSuffix(want, string(data)) {
+		t.Errorf("dump differs from the event dump of the same run:\nfile:\n%s\nrun:\n%s", data, want)
 	}
 }

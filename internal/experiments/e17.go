@@ -99,7 +99,7 @@ func E17StageAttribution() Result {
 			"quorum/commit sum WORK over all tenant steps; crit quorum/commit sum each round's critical-shard MAKESPAN split",
 			"band-local rows (uniform/hotspot/broadcast) repeat identical quorum/commit totals at every K — the serve package's K-invariance, per stage",
 			"the global shape deliberately crosses bands: forced serial-component merges appear once K > 1 and grow with it",
-			"all columns are virtual-time and bit-for-bit reproducible; `serve events` renders the same decomposition per round in its event dump",
+			"all columns are virtual-time and bit-for-bit reproducible; `serve run -record-events` renders the same decomposition per round in its event dump",
 		},
 	}
 }

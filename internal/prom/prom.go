@@ -18,6 +18,7 @@ package prom
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/memmap"
 	"repro/internal/model"
@@ -62,24 +63,36 @@ func (d Directory) homeModule(v int) int { return v % d.Modules }
 // variable combine; distinct variables colliding on a module serialize at
 // one lookup per module per phase. This is the max directory-module load.
 func (d Directory) LookupCost(batch model.Batch) int {
-	perModule := make(map[int]map[model.Addr]bool)
+	var buf []int
+	return d.lookupCost(batch, &buf)
+}
+
+// lookupCost is LookupCost computed in the reusable buffer *buf: the
+// batch's distinct variables, sorted, are replaced by their home modules
+// and sorted again, so the max load is the longest run of one module.
+func (d Directory) lookupCost(batch model.Batch, buf *[]int) int {
+	b := (*buf)[:0]
 	for _, r := range batch {
-		if r.Op == model.OpNone {
-			continue
+		if r.Op != model.OpNone {
+			b = append(b, r.Addr)
 		}
-		h := d.homeModule(r.Addr)
-		if perModule[h] == nil {
-			perModule[h] = make(map[model.Addr]bool)
-		}
-		perModule[h][r.Addr] = true
 	}
+	slices.Sort(b)
+	b = slices.Compact(b)
+	for i, v := range b {
+		b[i] = d.homeModule(v)
+	}
+	slices.Sort(b)
 	maxLoad := 0
-	//pram:unordered max over per-module set sizes commutes
-	for _, vars := range perModule {
-		if len(vars) > maxLoad {
-			maxLoad = len(vars)
+	for i := 0; i < len(b); {
+		j := i + 1
+		for j < len(b) && b[j] == b[i] {
+			j++
 		}
+		maxLoad = max(maxLoad, j-i)
+		i = j
 	}
+	*buf = b
 	return maxLoad
 }
 
@@ -88,6 +101,7 @@ type Machine struct {
 	inner model.Backend
 	dir   Directory
 
+	lookupBuf    []int // lookupCost's buffer, reused across steps
 	lookupPhases int64
 }
 
@@ -115,7 +129,7 @@ func (m *Machine) LookupPhases() int64 { return m.lookupPhases }
 // ExecuteStep implements model.Backend: directory lookup phases are added
 // to the inner machine's cost.
 func (m *Machine) ExecuteStep(batch model.Batch) model.StepReport {
-	lk := m.dir.LookupCost(batch)
+	lk := m.dir.lookupCost(batch, &m.lookupBuf)
 	m.lookupPhases += int64(lk)
 	rep := m.inner.ExecuteStep(batch)
 	rep.Time += int64(lk)

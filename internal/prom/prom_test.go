@@ -74,6 +74,26 @@ func TestWrappedMachineChargesLookups(t *testing.T) {
 	}
 }
 
+// TestWrappedLookupZeroAllocs: after a warm-up step a wrapped machine's
+// P-ROM charge reuses its buffer, allocates nothing, and costs what
+// LookupCost says.
+func TestWrappedLookupZeroAllocs(t *testing.T) {
+	dm := core.NewDMMPC(64, core.Config{})
+	wrapped := Wrap(dm, dm.P)
+	batch := model.NewBatch(64)
+	for i := range batch {
+		batch[i] = model.Request{Proc: i, Op: model.OpRead, Addr: i % 40 * 97 % dm.MemSize()}
+	}
+	wrapped.ExecuteStep(batch)
+	var got int
+	if avg := testing.AllocsPerRun(100, func() { got = wrapped.dir.lookupCost(batch, &wrapped.lookupBuf) }); avg != 0 {
+		t.Errorf("a wrapped step's lookup allocates %.1f/op after warm-up, want 0", avg)
+	}
+	if want := wrapped.dir.LookupCost(batch); got != want {
+		t.Errorf("lookup cost %d, LookupCost %d", got, want)
+	}
+}
+
 func TestWrappedMachineSemanticsUnchanged(t *testing.T) {
 	// The P-ROM only adds cost; values and memory must be untouched.
 	w := workloads.PrefixSum(16, 3)

@@ -35,43 +35,35 @@ const (
 )
 
 // Autoscaler closes the serving loop: it watches the degradation signals
-// the server already counts — rejections, queue depth, pool occupancy
-// (LastActive), forced serial merges — and grows or shrinks the engine
-// count K online via Server.Resize. Decisions are a deterministic pure
-// function of the observed round stream, so a recorded (arrival script,
-// resize rounds) pair replays bit-for-bit; live HTTP mode records the
-// RESIZES it performed rather than re-running this policy at replay time
-// (see the package doc's rejection-determinism caveat).
-//
-// Drive it from the serving goroutine: call Observe after every Round.
-// Observe is allocation-free except on the rounds it actually resizes.
+// the server already counts — rejections, queue depth, pool occupancy,
+// forced serial merges — and grows or shrinks the engine count K online
+// via Server.Resize. A server built with Config.Autoscale owns one and
+// passes it every round it runs while admission is open. Its decisions are
+// a pure function of the round stream, so a replay of the arrival script
+// makes them again. Observing a round allocates nothing except on the
+// rounds it resizes.
 type Autoscaler struct {
 	s   *Server
 	cfg AutoscaleConfig
 
 	// Window accumulators.
-	rounds    int
-	activeSum int64
-	queueSum  int64
-	capSum    int64
+	rounds   int
+	queueSum int64
+	capSum   int64
 
 	// Snapshots of the server's monotone counters at the window start.
 	lastRejected   int64
 	lastExecRounds int64
+	lastActive     int64 // hRoundActive's sum: idle rounds add nothing
 	lastMergedR    int64
-
-	// prevExec distinguishes executed rounds from idle ones per Observe
-	// call: the pool's LastActive census is stale on idle rounds, which
-	// must count as zero occupancy or an idle server never scales down.
-	prevExec int64
 
 	cooldown int
 	grows    int64
 	shrinks  int64
 }
 
-// NewAutoscaler binds an autoscaler to a server, normalizing the config.
-func NewAutoscaler(s *Server, cfg AutoscaleConfig) *Autoscaler {
+// newAutoscaler binds an autoscaler to a server, normalizing the config.
+func newAutoscaler(s *Server, cfg AutoscaleConfig) *Autoscaler {
 	if cfg.Min < 1 {
 		cfg.Min = 1
 	}
@@ -84,7 +76,7 @@ func NewAutoscaler(s *Server, cfg AutoscaleConfig) *Autoscaler {
 	if cfg.Interval < 1 {
 		cfg.Interval = 16
 	}
-	a := &Autoscaler{s: s, cfg: cfg, prevExec: s.execRounds}
+	a := &Autoscaler{s: s, cfg: cfg}
 	a.snapshot()
 	return a
 }
@@ -92,7 +84,8 @@ func NewAutoscaler(s *Server, cfg AutoscaleConfig) *Autoscaler {
 // snapshot pins the monotone-counter baselines for a new window.
 func (a *Autoscaler) snapshot() {
 	a.lastRejected = a.rejectedTotal()
-	a.lastExecRounds = a.s.execRounds
+	a.lastExecRounds = a.s.hRoundMakespan.Count()
+	a.lastActive = a.s.hRoundActive.Sum()
 	a.lastMergedR = a.s.mergedRounds
 }
 
@@ -112,41 +105,38 @@ func (a *Autoscaler) Shrinks() int64 { return a.shrinks }
 // Config returns the normalized policy (for banners and diagnostics).
 func (a *Autoscaler) Config() AutoscaleConfig { return a.cfg }
 
-// Observe folds one completed round into the window and, at window end,
-// decides. It returns the new K when it resized and 0 otherwise.
-func (a *Autoscaler) Observe() int {
+// observe folds one completed round into the window and, at window end,
+// decides, resizing the server when the policy says so.
+func (a *Autoscaler) observe() {
 	s := a.s
 	a.rounds++
-	if s.execRounds != a.prevExec {
-		a.activeSum += int64(s.pool.LastActive())
-		a.prevExec = s.execRounds
-	}
 	for _, t := range s.tenants {
 		a.queueSum += int64(t.credits)
 		a.capSum += int64(t.cap)
 	}
 	if a.rounds < a.cfg.Interval {
-		return 0
+		return
 	}
 
 	rejDelta := a.rejectedTotal() - a.lastRejected
-	execDelta := s.execRounds - a.lastExecRounds
+	execDelta := s.hRoundMakespan.Count() - a.lastExecRounds
+	activeSum := s.hRoundActive.Sum() - a.lastActive
 	mergedDelta := s.mergedRounds - a.lastMergedR
 	queueFrac := 0.0
 	if a.capSum > 0 {
 		queueFrac = float64(a.queueSum) / float64(a.capSum)
 	}
-	avgActive := float64(a.activeSum) / float64(a.rounds)
+	avgActive := float64(activeSum) / float64(a.rounds)
 	mergeFrac := 0.0
 	if execDelta > 0 {
 		mergeFrac = float64(mergedDelta) / float64(execDelta)
 	}
 
-	a.rounds, a.activeSum, a.queueSum, a.capSum = 0, 0, 0, 0
+	a.rounds, a.queueSum, a.capSum = 0, 0, 0
 	a.snapshot()
 	if a.cooldown > 0 {
 		a.cooldown--
-		return 0
+		return
 	}
 
 	k := s.k
@@ -167,7 +157,7 @@ func (a *Autoscaler) Observe() int {
 			if s.logf != nil {
 				s.logf("serve: autoscaler holding K=%d under pressure: %.0f%% of rounds forced serial merges (cross-band mix)", k, 100*mergeFrac)
 			}
-			return 0
+			return
 		}
 		nk := k * 2
 		if nk > a.cfg.Max {
@@ -177,7 +167,7 @@ func (a *Autoscaler) Observe() int {
 		s.Resize(nk)
 		a.grows++
 		a.cooldown = cooldownWindows
-		return nk
+		return
 	}
 	// Shrink on sustained low occupancy with no admission pressure.
 	if k > a.cfg.Min && avgActive*2 <= float64(k) && rejDelta == 0 && queueFrac*4 < queueHighFrac {
@@ -189,16 +179,11 @@ func (a *Autoscaler) Observe() int {
 		s.Resize(nk)
 		a.shrinks++
 		a.cooldown = cooldownWindows
-		return nk
 	}
-	return 0
 }
 
-// Metrics registers the autoscaler's decision counters with a registry.
-func (a *Autoscaler) Metrics(reg *exposition.Registry) {
-	reg.Register(autoscaleCollector{a})
-}
-
+// autoscaleCollector exposes the autoscaler's decision counters and
+// bounds; Server.Metrics registers it next to the server's collector.
 type autoscaleCollector struct{ a *Autoscaler }
 
 func (c autoscaleCollector) Describe(desc func(exposition.Desc)) {

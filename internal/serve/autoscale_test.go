@@ -23,10 +23,11 @@ func checkIdentity(t *testing.T, s *Server, when string) {
 
 // overloadConfig is a 4-tenant open-loop overload: every tenant receives 3
 // credits per round against tight queues, far more than one engine drains.
-func overloadConfig(engines int) Config {
+// Its server autoscales with policy as.
+func overloadConfig(engines int, as AutoscaleConfig) Config {
 	mk := func(name string, band int, seed int64) TenantConfig {
 		return TenantConfig{
-			Name: name, Band: band, Procs: 8, QueueCap: 4,
+			Name: name, Band: band, Procs: 8,
 			Arrival: Arrival{Period: 1, Burst: 3},
 			Source:  NewPatternSource(replay.Uniform, 8, 0, seed),
 		}
@@ -35,9 +36,11 @@ func overloadConfig(engines int) Config {
 		Tenants: []TenantConfig{
 			mk("t0", 0, 11), mk("t1", 1, 12), mk("t2", 2, 13), mk("t3", 3, 14),
 		},
-		Bands:   4,
-		Engines: engines,
-		Seed:    7,
+		Bands:     4,
+		Engines:   engines,
+		Seed:      7,
+		QueueCap:  4,
+		Autoscale: &as,
 	}
 }
 
@@ -45,30 +48,31 @@ func overloadConfig(engines int) Config {
 // toward Max, the occupancy must actually rise, and the admission identity
 // must hold through every transition.
 func TestAutoscalerGrowsUnderPressure(t *testing.T) {
-	s, err := NewServer(overloadConfig(1))
+	s, err := NewServer(overloadConfig(1, AutoscaleConfig{Interval: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	a := NewAutoscaler(s, AutoscaleConfig{Interval: 4})
+	a := s.Autoscaler()
 	if s.Engines() != 1 {
 		t.Fatalf("start K = %d", s.Engines())
 	}
 	activeBefore := -1
 	for i := 0; i < 60; i++ {
+		k := s.Engines()
 		s.Round()
 		if activeBefore < 0 {
 			activeBefore = s.Pool().LastActive()
 		}
-		if nk := a.Observe(); nk != 0 {
+		if s.Engines() != k {
 			checkIdentity(t, s, "mid-resize")
 		}
 	}
 	if s.Engines() != 4 {
 		t.Errorf("overloaded server grew to K=%d, want the band count 4", s.Engines())
 	}
-	if a.Grows() == 0 || s.Resizes() == 0 {
-		t.Errorf("grows=%d resizes=%d, want > 0", a.Grows(), s.Resizes())
+	if a.Grows() == 0 || s.Stats().Resizes == 0 {
+		t.Errorf("grows=%d resizes=%d, want > 0", a.Grows(), s.Stats().Resizes)
 	}
 	if activeAfter := s.Pool().LastActive(); activeAfter <= activeBefore {
 		t.Errorf("occupancy did not rise under growth: %d -> %d", activeBefore, activeAfter)
@@ -84,27 +88,25 @@ func TestAutoscalerGrowsUnderPressure(t *testing.T) {
 func TestAutoscalerShrinksWhenUnderused(t *testing.T) {
 	s, err := NewServer(Config{
 		Tenants: []TenantConfig{{
-			Name: "lone", Band: 0, Procs: 8, QueueCap: 16,
+			Name: "lone", Band: 0, Procs: 8,
 			Arrival: Arrival{Window: 1},
 			Source:  NewPatternSource(replay.Uniform, 8, 0, 5),
 		}},
-		Bands:   4,
-		Engines: 4,
-		Seed:    7,
+		Bands:     4,
+		Engines:   4,
+		Seed:      7,
+		QueueCap:  16,
+		Autoscale: &AutoscaleConfig{Interval: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	a := NewAutoscaler(s, AutoscaleConfig{Interval: 4})
-	for i := 0; i < 60; i++ {
-		s.Round()
-		a.Observe()
-	}
+	s.Run(60)
 	if s.Engines() != 1 {
 		t.Errorf("underused server shrank to K=%d, want 1", s.Engines())
 	}
-	if a.Shrinks() == 0 {
+	if s.Autoscaler().Shrinks() == 0 {
 		t.Error("no shrink decisions recorded")
 	}
 	checkIdentity(t, s, "after shrink")
@@ -116,56 +118,50 @@ func TestAutoscalerShrinksWhenUnderused(t *testing.T) {
 func TestAutoscalerMergeBlocksGrowth(t *testing.T) {
 	mk := func(name string, band int, seed int64) TenantConfig {
 		return TenantConfig{
-			Name: name, Band: band, Procs: 8, QueueCap: 2,
+			Name: name, Band: band, Procs: 8,
 			Arrival: Arrival{Period: 1, Burst: 3},
 			// Global traffic: every step spans all bands, merging the shards.
 			Source: NewGlobalPatternSource(replay.Uniform, 8, 0, seed),
 		}
 	}
 	s, err := NewServer(Config{
-		Tenants: []TenantConfig{mk("g0", 0, 21), mk("g1", 1, 22), mk("g2", 2, 23), mk("g3", 3, 24)},
-		Bands:   4,
-		Engines: 2,
-		Seed:    7,
+		Tenants:   []TenantConfig{mk("g0", 0, 21), mk("g1", 1, 22), mk("g2", 2, 23), mk("g3", 3, 24)},
+		Bands:     4,
+		Engines:   2,
+		Seed:      7,
+		QueueCap:  2,
+		Autoscale: &AutoscaleConfig{Interval: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	a := NewAutoscaler(s, AutoscaleConfig{Interval: 4})
-	for i := 0; i < 40; i++ {
-		s.Round()
-		a.Observe()
-	}
+	s.Run(40)
 	if st := s.Stats(); st.ForcedMerges == 0 {
 		t.Fatal("global mix forced no merges; the block condition was never exercised")
 	}
-	if s.Engines() != 2 || a.Grows() != 0 {
-		t.Errorf("merge-bound mix grew: K=%d grows=%d, want K=2 grows=0", s.Engines(), a.Grows())
+	if grows := s.Autoscaler().Grows(); s.Engines() != 2 || grows != 0 {
+		t.Errorf("merge-bound mix grew: K=%d grows=%d, want K=2 grows=0", s.Engines(), grows)
 	}
 }
 
 // TestAutoscalerBoundsAndMetrics pins config normalization (Max clamps to
 // the band count) and the decision counters' exposition.
 func TestAutoscalerBoundsAndMetrics(t *testing.T) {
-	s, err := NewServer(overloadConfig(1))
+	s, err := NewServer(overloadConfig(1, AutoscaleConfig{Max: 64, Interval: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	a := NewAutoscaler(s, AutoscaleConfig{Max: 64, Interval: 2})
-	if a.cfg.Max != 4 {
-		t.Errorf("Max = %d, want clamped to 4 bands", a.cfg.Max)
+	if got := s.Autoscaler().Config().Max; got != 4 {
+		t.Errorf("Max = %d, want clamped to 4 bands", got)
 	}
-	for i := 0; i < 30; i++ {
-		s.Round()
-		a.Observe()
-	}
+	s.Run(30)
 	if s.Engines() > 4 {
 		t.Errorf("K=%d grew past the band count", s.Engines())
 	}
 	var reg exposition.Registry
-	a.Metrics(&reg)
+	s.Metrics(&reg)
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {
 		t.Fatal(err)
@@ -184,16 +180,16 @@ func TestAutoscalerBoundsAndMetrics(t *testing.T) {
 // same resize schedule, twice.
 func TestAutoscalerDeterministic(t *testing.T) {
 	run := func() (ks []int, fp uint64) {
-		s, err := NewServer(overloadConfig(1))
+		s, err := NewServer(overloadConfig(1, AutoscaleConfig{Interval: 4}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		a := NewAutoscaler(s, AutoscaleConfig{Interval: 4})
 		for i := 0; i < 50; i++ {
+			k := s.Engines()
 			s.Round()
-			if nk := a.Observe(); nk != 0 {
-				ks = append(ks, nk)
+			if s.Engines() != k {
+				ks = append(ks, s.Engines())
 			}
 		}
 		s.Drain()

@@ -1,8 +1,9 @@
 // This file is the ONE place the serving lane touches the wall clock:
 // the live HTTP round loop ticks in real time to pace virtual rounds.
 // Wall time never reaches simulation state — every tick is translated
-// into a virtual-round advance, and the PRAMARS1 script records those
-// rounds so `serve replay` reproduces the run entirely in virtual time.
+// into a virtual-round advance, and the server's PRAMARS1 script records
+// those rounds so `serve replay` reproduces the run entirely in virtual
+// time.
 //
 //pram:wallclock
 
@@ -17,23 +18,14 @@ import (
 	"time"
 
 	"repro/internal/exposition"
-	"repro/internal/replay"
 )
 
 // HTTPOptions configures the live HTTP front end around a Server.
 type HTTPOptions struct {
-	// Registry receives the server's, autoscaler's and HTTP layer's
-	// collectors and backs GET /metrics (nil → a fresh internal registry).
+	// Registry receives the server's collectors (Server.Metrics, the
+	// autoscaler's included) and the HTTP layer's, and backs GET /metrics
+	// (nil → a fresh internal registry).
 	Registry *exposition.Registry
-	// Script, when non-nil, records every admitted submission, every
-	// autoscaler resize and the final drain as a PRAMARS1 arrival script —
-	// the half of the determinism story the wall clock would otherwise
-	// destroy. The HTTPServer writes the footer at Shutdown; the caller
-	// still owns the underlying writer.
-	Script *replay.ScriptRecorder
-	// Autoscaler, when non-nil, is consulted after every round; resizes it
-	// performs are recorded into Script.
-	Autoscaler *Autoscaler
 	// Pprof mounts the stdlib /debug/pprof/* handlers on the mux. Off by
 	// default: the profiles are wall-clock observations of the host process
 	// (CPU samples, goroutine stacks, heap), strictly outside the virtual
@@ -48,20 +40,19 @@ type HTTPOptions struct {
 // explicit 429, never a silent drop), advances virtual rounds on a
 // wall-clock ticker, exposes the metrics registry and a health probe, and
 // drains gracefully on Shutdown. Determinism in wall-clock mode comes from
-// recording: with a Script (and Server.StartTrace) attached, the live run
-// writes an arrival script + trace that replay bit-for-bit in virtual time
-// — the wall clock only decides WHICH virtual schedule gets recorded.
+// the Server's own recording: with Server.StartScript (and StartTrace)
+// attached, the live run writes an arrival script + trace that replay
+// bit-for-bit in virtual time — the wall clock only decides WHICH virtual
+// schedule gets recorded.
 //
 // All Server access is serialized behind one mutex: handlers and the round
 // loop interleave at round granularity, so every HTTP-visible state is a
 // between-rounds state.
 type HTTPServer struct {
-	mu     sync.Mutex
-	s      *Server
-	as     *Autoscaler
-	script *replay.ScriptRecorder
-	reg    *exposition.Registry
-	logf   func(string, ...any)
+	mu   sync.Mutex
+	s    *Server
+	reg  *exposition.Registry
+	logf func(string, ...any)
 
 	pprof bool
 
@@ -75,21 +66,15 @@ type HTTPServer struct {
 	denied    int64 // submissions answered 503 (draining or shut down)
 }
 
-// NewHTTPServer wires the front end: server + autoscaler metrics land on
-// the registry alongside the HTTP layer's own counters.
+// NewHTTPServer wires the front end: the server's metrics land on the
+// registry alongside the HTTP layer's own counters.
 func NewHTTPServer(s *Server, o HTTPOptions) *HTTPServer {
 	reg := o.Registry
 	if reg == nil {
 		reg = &exposition.Registry{}
 	}
-	h := &HTTPServer{
-		s: s, as: o.Autoscaler, script: o.Script,
-		reg: reg, logf: o.Logf, pprof: o.Pprof, quit: make(chan struct{}),
-	}
+	h := &HTTPServer{s: s, reg: reg, logf: o.Logf, pprof: o.Pprof, quit: make(chan struct{})}
 	s.Metrics(reg)
-	if h.as != nil {
-		h.as.Metrics(reg)
-	}
 	reg.Register(httpCollector{h})
 	return h
 }
@@ -131,9 +116,8 @@ func (h *HTTPServer) Handler() http.Handler {
 // deterministic admission decision; this handler only translates it to
 // status codes — 200 all accepted, 429 when the queue rejected any part
 // (backpressure made loud), 404 unknown tenant, 503 during drain. Denied
-// (503) submissions never reach the Server and are never recorded: a
-// replayed script must contain exactly the submissions that touched the
-// admission accounting.
+// (503) submissions never reach the Server, so its arrival script holds
+// exactly the submissions that touched the admission accounting.
 func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -162,9 +146,6 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		h.mu.Unlock()
 		http.Error(w, "draining: admission stopped", http.StatusServiceUnavailable)
 		return
-	}
-	if h.script != nil {
-		h.script.Submit(h.s.Stats().Rounds, id, n)
 	}
 	acc, rej := h.s.Submit(id, n)
 	h.submits++
@@ -228,8 +209,8 @@ func (h *HTTPServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// Tick advances one serving round and lets the autoscaler act; resizes are
-// recorded into the script at the round they take effect.
+// Tick advances one serving round (Server.Round, which also runs the
+// server's autoscaler), unless Shutdown has begun.
 func (h *HTTPServer) Tick() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -237,11 +218,6 @@ func (h *HTTPServer) Tick() {
 		return
 	}
 	h.s.Round()
-	if h.as != nil {
-		if nk := h.as.Observe(); nk != 0 && h.script != nil {
-			h.script.Resize(h.s.Stats().Rounds, nk)
-		}
-	}
 }
 
 // Loop runs the wall-clock round loop — one Tick per interval (0 → 5ms) —
@@ -263,11 +239,12 @@ func (h *HTTPServer) Loop(every time.Duration) {
 	}
 }
 
-// Shutdown is the graceful-drain half of SIGTERM handling: it records the
-// drain into the script, stops admission, runs the queues dry, closes the
-// trace (if one is recording) and writes the script footer — then releases
-// the round loop. Idempotent; returns the first recording error. The
-// caller still owns the Server (and its pool) and the underlying files.
+// Shutdown is the graceful-drain half of SIGTERM handling: it drains the
+// server (Server.Drain, whose admission stop is the script's drain line),
+// stops the trace and the arrival script if they are recording (the
+// script's footer), then releases the round loop. Idempotent; returns the
+// first recording error. The caller still owns the Server (and its pool)
+// and the underlying files.
 func (h *HTTPServer) Shutdown() error {
 	h.mu.Lock()
 	if h.shut {
@@ -276,21 +253,10 @@ func (h *HTTPServer) Shutdown() error {
 		return err
 	}
 	h.shut = true
-	if h.script != nil {
-		h.script.Drain(h.s.Stats().Rounds)
-	}
-	h.s.StopAdmission()
 	h.s.Drain()
 	err := h.s.StopTrace()
-	if h.script != nil {
-		tenants := make([]replay.ScriptTenant, h.s.NumTenants())
-		for i := range tenants {
-			st := h.s.TenantStats(i)
-			tenants[i] = replay.ScriptTenant{Name: st.Name, Steps: st.Steps, Hash: st.Hash}
-		}
-		if serr := h.script.Close(tenants, h.s.Stats().Rounds, h.s.Fingerprint()); serr != nil && err == nil {
-			err = serr
-		}
+	if serr := h.s.StopScript(); serr != nil && err == nil {
+		err = serr
 	}
 	h.shutErr = err
 	if h.logf != nil {

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -84,13 +86,14 @@ func TestHTTPSubmitBackpressure(t *testing.T) {
 
 // TestHTTPMetricsAndHealth covers the scrape endpoint and the drain flip.
 func TestHTTPMetricsAndHealth(t *testing.T) {
-	s, err := NewServer(externalPair())
+	cfg := externalPair()
+	cfg.Autoscale = &AutoscaleConfig{Interval: 8}
+	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	a := NewAutoscaler(s, AutoscaleConfig{Interval: 8})
-	h := NewHTTPServer(s, HTTPOptions{Autoscaler: a})
+	h := NewHTTPServer(s, HTTPOptions{})
 	ts := httptest.NewServer(h.Handler())
 	defer ts.Close()
 
@@ -336,11 +339,10 @@ func TestHTTPRecordedRunReplays(t *testing.T) {
 	if err := s.StartTrace(&trace); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := replay.NewScriptRecorder(&script, "http test mix")
-	if err != nil {
+	if err := s.StartScript(&script, "http test mix"); err != nil {
 		t.Fatal(err)
 	}
-	h := NewHTTPServer(s, HTTPOptions{Script: rec})
+	h := NewHTTPServer(s, HTTPOptions{})
 	ts := httptest.NewServer(h.Handler())
 	defer ts.Close()
 
@@ -375,7 +377,7 @@ func TestHTTPRecordedRunReplays(t *testing.T) {
 	if err := rep.StartTrace(&repTrace); err != nil {
 		t.Fatal(err)
 	}
-	rep.PlayScript(sc.Events, sc.Rounds, nil)
+	rep.PlayScript(sc.Events, sc.Rounds)
 	if err := rep.StopTrace(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,4 +397,103 @@ func TestHTTPRecordedRunReplays(t *testing.T) {
 		t.Errorf("re-recorded trace differs from live capture (%d vs %d bytes)", trace.Len(), repTrace.Len())
 	}
 	checkIdentity(t, rep, "http replay")
+}
+
+// accounts returns every tenant's account.
+func accounts(s *Server) []TenantStats {
+	out := make([]TenantStats, s.NumTenants())
+	for i := range out {
+		out[i] = s.TenantStats(i)
+	}
+	return out
+}
+
+// FuzzSubmit: POST /submit never panics on a fuzzed method, tenant and
+// steps, and every answer is one of two kinds. A 200 or 429 admits the
+// credits asked for: its JSON splits steps into accepted and rejected, the
+// tenant's Submitted rises by steps, and the server's arrival script gains
+// exactly that submission. A 400, 404, 405 or 503 refuses: no account
+// changes and the script gains no submission. draining stops admission
+// before the request, so the 503 path is reachable.
+func FuzzSubmit(f *testing.F) {
+	for _, seed := range []struct {
+		method, tenant, steps string
+		draining              bool
+	}{
+		{"POST", "ext0", "2", false},
+		{"POST", "ext0", "10", false}, // overflows cap 4: 429
+		{"POST", "ext1", "", false},   // steps defaults to 1
+		{"POST", "nobody", "1", false},
+		{"GET", "ext0", "1", false},
+		{"POST", "ext0", "zero", false},
+		{"POST", "ext0", "-3", false},
+		{"POST", "ext0", "1", true},
+		{"POST", "bad\xffutf8", "6", false},
+	} {
+		f.Add(seed.method, seed.tenant, seed.steps, seed.draining)
+	}
+	f.Fuzz(func(t *testing.T, method, tenant, steps string, draining bool) {
+		s, err := NewServer(externalPair())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var script bytes.Buffer
+		if err := s.StartScript(&script, "fuzz"); err != nil {
+			t.Fatal(err)
+		}
+		if draining {
+			s.StopAdmission()
+		}
+		before := accounts(s)
+		query := url.Values{"tenant": {tenant}, "steps": {steps}}.Encode()
+		req := &http.Request{Method: method, URL: &url.URL{Path: "/submit", RawQuery: query}, Header: http.Header{}}
+		resp := httptest.NewRecorder()
+		NewHTTPServer(s, HTTPOptions{}).Handler().ServeHTTP(resp, req)
+		if err := s.StopScript(); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := replay.ReadScript(&script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var subs []replay.ScriptEvent
+		for _, ev := range sc.Events {
+			if !ev.IsResize() && !ev.IsDrain() {
+				subs = append(subs, ev)
+			}
+		}
+		switch resp.Code {
+		case http.StatusOK, http.StatusTooManyRequests:
+			n := 1
+			if steps != "" {
+				if n, err = strconv.Atoi(steps); err != nil {
+					t.Fatalf("steps %q answered %d", steps, resp.Code)
+				}
+			}
+			var body struct{ Accepted, Rejected int }
+			if err := json.Unmarshal(resp.Body.Bytes(), &body); err != nil {
+				t.Fatalf("%d body is not JSON (%v): %s", resp.Code, err, resp.Body)
+			}
+			id, _ := s.TenantID(tenant)
+			if body.Accepted+body.Rejected != n {
+				t.Errorf("%d body %s splits %d credits", resp.Code, resp.Body, n)
+			}
+			if got := s.TenantStats(id).Submitted - before[id].Submitted; got != int64(n) {
+				t.Errorf("Submitted rose by %d, want %d", got, n)
+			}
+			if want := (replay.ScriptEvent{Tenant: id, Credits: n}); len(subs) != 1 || subs[0] != want {
+				t.Errorf("script submissions %+v, want exactly %+v", subs, want)
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusServiceUnavailable:
+			if after := accounts(s); !slices.Equal(after, before) {
+				t.Errorf("refused with %d but accounts moved: %+v -> %+v", resp.Code, before, after)
+			}
+			if len(subs) != 0 {
+				t.Errorf("refused with %d but the script gained %+v", resp.Code, subs)
+			}
+		default:
+			t.Fatalf("%s /submit?%s answered %d", method, query, resp.Code)
+		}
+		checkIdentity(t, s, "after the submission")
+	})
 }

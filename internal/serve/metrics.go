@@ -27,13 +27,17 @@ type collector struct {
 	stageCommitLabels []string
 }
 
-// Metrics registers the server's serving metrics with a exposition.Registry.
-// Render only between rounds (or after Drain): the underlying counters are
-// mutated by the serving goroutine without synchronization.
+// Metrics registers the server's serving metrics, and its autoscaler's
+// when it has one, with a exposition.Registry. Render only between rounds
+// (or after Drain): the underlying counters are mutated by the serving
+// goroutine without synchronization.
 func (s *Server) Metrics(reg *exposition.Registry) {
 	c := &collector{s: s}
 	c.refreshLabels()
 	reg.Register(c)
+	if s.as != nil {
+		reg.Register(autoscaleCollector{s.as})
+	}
 }
 
 // refreshLabels (re)computes the per-tenant and per-shard label strings
@@ -131,17 +135,17 @@ func (c *collector) Collect(emit func(exposition.Sample)) {
 	emit(exposition.Sample{Name: "pramsim_serve_draining", Value: draining})
 	for i, t := range s.tenants {
 		l := c.tenantLabels[i]
-		emit(exposition.Sample{Name: "pramsim_serve_tenant_steps_total", Labels: l, Value: float64(t.steps)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_steps_total", Labels: l, Value: float64(t.hStep.Count())})
 		emit(exposition.Sample{Name: "pramsim_serve_tenant_submitted_total", Labels: l, Value: float64(t.submitted)})
 		emit(exposition.Sample{Name: "pramsim_serve_tenant_rejected_total", Labels: l, Value: float64(t.rejected)})
 		emit(exposition.Sample{Name: "pramsim_serve_tenant_unserved_total", Labels: l, Value: float64(t.unserved)})
 		emit(exposition.Sample{Name: "pramsim_serve_tenant_queue_depth", Labels: l, Value: float64(t.credits)})
-		emit(exposition.Sample{Name: "pramsim_serve_tenant_sim_time_total", Labels: l, Value: float64(t.simTime)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_sim_time_total", Labels: l, Value: float64(t.hStep.Sum())})
 		emit(exposition.Sample{Name: "pramsim_serve_tenant_phases_total", Labels: l, Value: float64(t.phases)})
 	}
 	for i, t := range s.tenants {
 		emit(exposition.Sample{Name: "pramsim_serve_tenant_stage_time_total", Labels: c.stageQuorumLabels[i], Value: float64(t.stageQuorum)})
-		emit(exposition.Sample{Name: "pramsim_serve_tenant_stage_time_total", Labels: c.stageCommitLabels[i], Value: float64(t.stageCommit)})
+		emit(exposition.Sample{Name: "pramsim_serve_tenant_stage_time_total", Labels: c.stageCommitLabels[i], Value: float64(t.hStep.Sum() - t.stageQuorum)})
 	}
 	emit(exposition.Sample{Name: "pramsim_serve_round_critical_stage_time_total",
 		Labels: exposition.Label("stage", "quorum"), Value: float64(st.CritQuorumTime)})

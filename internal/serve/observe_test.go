@@ -111,7 +111,7 @@ func TestFlightReplayParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		s.PlayScript(script, rounds, nil)
+		s.PlayScript(script, rounds)
 		var buf bytes.Buffer
 		if err := s.WriteEvents(&buf, 0); err != nil {
 			t.Fatal(err)

@@ -34,14 +34,21 @@
 // Server.Resize changes K online: the pool adds or retires shard machines
 // and every tenant re-bands to shard band%K, with no data movement and no
 // accounting reset, so submitted == steps + queue + rejected + unserved
-// holds through every transition. The Autoscaler drives Resize from the
-// degradation signals (forced merges, occupancy, queue depth, rejection
-// rate). Because per-tenant results are K-invariant, a resize changes
-// only occupancy and the round schedule, and for an overflowing mix the
-// split between served and rejected credits. Live HTTP mode therefore
-// records resizes in the arrival script; a replay re-applies them at
-// their recorded rounds, or runs a shadow autoscaler from the script's
-// recorded policy, which also reproduces its decision events.
+// holds through every transition. With Config.Autoscale set, Round hands
+// every round it runs while admission is open to the Autoscaler, which
+// drives Resize from the degradation signals (forced merges, occupancy,
+// queue depth, rejection rate). Because per-tenant results are
+// K-invariant, a resize changes only occupancy and the round schedule,
+// and for an overflowing mix the split between served and rejected
+// credits.
+//
+// # Recording
+//
+// StartTrace records the executed steps (PRAMTRC1). StartScript records
+// the arrival script (PRAMARS1): one line per Submit, Resize and
+// StopAdmission, and StopScript's footer. PlayScript replays a script on
+// a fresh server from the same Config, whose autoscaler repeats the live
+// decisions, so a replay that records again writes the same bytes.
 //
 // # Observability
 //
@@ -61,12 +68,13 @@
 //     executed round (queue wait, scheduling, the component partition,
 //     each step's quorum and commit legs, per-shard routing, the report
 //     merge), stamped on a clock that advances by each round's makespan.
-//     Server.WriteEvents, GET /debug/events and `serve events` write it as
-//     the event dump (Chrome/Perfetto JSON), which counts what the ring
-//     dropped.
-//   - Stage counters: lifetime quorum and commit time per tenant, which
-//     tile each step's Time and are K-invariant for finite mixes, and the
-//     per-round critical-path split, which is replay-invariant only.
+//     Server.WriteEvents, GET /debug/events and `serve run -record-events`
+//     write it as the event dump (Chrome/Perfetto JSON), which counts what
+//     the ring dropped.
+//   - Stage counters: lifetime quorum time per tenant and on each round's
+//     critical shard; commit time is the step-time or makespan histogram's
+//     sum minus it. The per-tenant split is K-invariant for finite mixes,
+//     the critical-path split replay-invariant only.
 //   - The wall clock stays in http.go, where HTTPOptions.Pprof can mount
 //     the stdlib /debug/pprof/* handlers.
 //
@@ -188,8 +196,6 @@ type TenantConfig struct {
 	Source SourceFactory
 	// Arrival is the tenant's submission process.
 	Arrival Arrival
-	// QueueCap overrides Config.QueueCap for this tenant when > 0.
-	QueueCap int
 }
 
 // Config assembles a serving deployment. NewServer maps it onto one
@@ -238,9 +244,13 @@ type Config struct {
 	// addresses still remap fine; the recorded cycle counts just came from
 	// a different fabric). Off by default: a mismatch is an error.
 	AllowTraceKindMismatch bool
-	// QueueCap is the default per-tenant admission-queue capacity in step
-	// credits (0 → 8).
+	// QueueCap is every tenant's admission-queue capacity in step credits
+	// (0 → 8).
 	QueueCap int
+	// Autoscale, when non-nil, is the policy of the server's autoscaler:
+	// Round passes it every round it runs while admission is open, and it
+	// resizes the pool (see Autoscaler). Nil keeps K fixed.
+	Autoscale *AutoscaleConfig
 	// EventDepth sizes the event log's ring (0 → 4096 events). The ring
 	// keeps the most recent events and counts what it overwrote. One
 	// executed round records 3 + 4·(active shards) stage events plus its
@@ -268,13 +278,11 @@ type tenant struct {
 	credits int
 	done    bool
 
-	// Accounting (exported via TenantStats).
+	// Accounting (exported via TenantStats; steps and step time are hStep's).
 	submitted int64
 	rejected  int64
 	unserved  int64
-	steps     int64
 	maxQueue  int
-	simTime   int64
 	phases    int64
 	copies    int64
 	cycles    int64
@@ -296,13 +304,9 @@ type tenant struct {
 	hStep *exposition.Histogram // per-step simulated time
 	hWait *exposition.Histogram // queue wait in rounds per executed credit
 
-	// Stage attribution (exported via TenantStats and the
-	// tenant_stage_time counter families): the tenant's summed simulated
-	// step time split into the retrieval (quorum) and update (commit)
-	// legs. The two tile simTime exactly and, like simTime, are
-	// K-invariant for finite mixes served to completion.
+	// stageQuorum is the retrieval (quorum) leg of the tenant's summed
+	// step time; the update (commit) leg is hStep's sum minus it.
 	stageQuorum int64
-	stageCommit int64
 }
 
 // pushWait records one admitted credit's admission round.
@@ -344,15 +348,15 @@ type Server struct {
 	round    int64 // virtual admission clock (advances every Round)
 	draining bool
 
-	// Serving counters (exported via Stats).
-	execRounds   int64
-	idleRounds   int64
+	// Serving counters (exported via Stats, which counts executed rounds in hRoundMakespan).
 	mergedRounds int64
 	forcedMerges int64
 	bandOverlaps int64
 	resizes      int64
 
-	rec *replay.Recorder // live trace capture (tenant-lane), nil when off
+	as     *Autoscaler            // nil unless Config.Autoscale
+	rec    *replay.Recorder       // live trace capture (tenant-lane), nil when off
+	script *replay.ScriptRecorder // live arrival-script capture, nil when off
 
 	// Observability (see the package doc): the event log and the
 	// server-wide round distributions (all virtual-time; observation is
@@ -367,13 +371,12 @@ type Server struct {
 	// shard's mesh handle and fabric counter baseline (nil/zero on the
 	// bipartite fabric) for the route events' cycle/hop deltas;
 	// waitScratch holds the wait (in rounds) of the credit each shard
-	// scheduled this round; critQuorum/critCommit accumulate the
-	// critical-path makespan split.
+	// scheduled this round; critQuorum accumulates the quorum leg of every
+	// round's makespan (the commit leg is hRoundMakespan's sum minus it).
 	nets        []*mot.Network
 	netPrev     []mot.Stats
 	waitScratch []int64
 	critQuorum  int64
-	critCommit  int64
 
 	logf        func(string, ...any)
 	loggedMerge bool
@@ -486,9 +489,6 @@ func NewServer(cfg Config) (*Server, error) {
 			band:  Band{Lo: lo, Hi: hi, Mem: built.Params.Mem},
 			cap:   qcap,
 		}
-		if tc.QueueCap > 0 {
-			t.cap = tc.QueueCap
-		}
 		// A closed-loop window is itself a queue bound: the tenant never
 		// holds more than Window credits. Clipping the window at a smaller
 		// cap would reject replenishments every round — against the
@@ -535,6 +535,9 @@ func NewServer(cfg Config) (*Server, error) {
 		s.tenants = append(s.tenants, t)
 		s.byShard[t.shard] = append(s.byShard[t.shard], i)
 	}
+	if cfg.Autoscale != nil {
+		s.as = newAutoscaler(s, *cfg.Autoscale)
+	}
 	return s, nil
 }
 
@@ -572,16 +575,17 @@ func (s *Server) TenantID(name string) (int, bool) {
 // Draining reports whether admission has been stopped by Drain.
 func (s *Server) Draining() bool { return s.draining }
 
-// Resizes reports how many online K transitions the server has performed.
-func (s *Server) Resizes() int64 { return s.resizes }
+// Autoscaler returns the server's autoscaler, nil unless Config.Autoscale
+// was set.
+func (s *Server) Autoscaler() *Autoscaler { return s.as }
 
 // Submit offers n step credits to tenant id's bounded admission queue —
 // the external-admission path the HTTP front end maps POST /submit onto.
 // It returns how many credits were accepted and how many rejected;
 // rejection is counted, never silent, and a draining server or exhausted
 // tenant rejects everything. The split is a deterministic function of the
-// server's state, so replaying a recorded (round, tenant, n) submission
-// script reproduces the live run's accounting exactly.
+// server's state, so replaying Submit's arrival-script line reproduces the
+// live run's accounting exactly.
 func (s *Server) Submit(id, n int) (accepted, rejected int) {
 	if id < 0 || id >= len(s.tenants) {
 		panic(fmt.Sprintf("serve: Submit tenant %d outside [0,%d)", id, len(s.tenants)))
@@ -597,6 +601,9 @@ func (s *Server) Submit(id, n int) (accepted, rejected int) {
 	accepted = t.admit(n, room, s.round)
 	s.events.push(Event{Kind: KindSubmit, Round: s.round, Start: s.events.Now(),
 		Track: int32(id), A: int64(accepted), B: int64(n - accepted)})
+	if s.script != nil {
+		s.script.Submit(s.round, id, n)
+	}
 	return accepted, n - accepted
 }
 
@@ -627,7 +634,9 @@ func (t *tenant) admit(n, room int, r int64) int {
 // order with cursors at the top. Queued credits and all per-tenant
 // accounting survive untouched, so the admission identity
 // submitted == steps + queue + rejected + unserved holds through the
-// transition. Must be called between rounds, from the serving goroutine.
+// transition. A transition is a resize event and an arrival-script line;
+// a Resize to the current K is neither. Must be called between rounds,
+// from the serving goroutine.
 func (s *Server) Resize(k int) {
 	if k < 1 {
 		panic(fmt.Sprintf("serve: Resize k=%d < 1", k))
@@ -651,6 +660,9 @@ func (s *Server) Resize(k int) {
 	s.resizes++
 	s.events.push(Event{Kind: KindResize, Round: s.round, Start: s.events.Now(),
 		K: int32(prev), To: int32(k)})
+	if s.script != nil {
+		s.script.Resize(s.round, k)
+	}
 	if s.logf != nil {
 		s.logf("serve: resized K %d -> %d (round %d, %d tenants re-banded)", prev, k, s.round, len(s.tenants))
 	}
@@ -717,6 +729,38 @@ func (s *Server) StopTrace() error {
 	return err
 }
 
+// StartScript begins recording the run's arrival script (PRAMARS1) onto w,
+// with meta as its single-line deployment description. From here on
+// Submit, Resize and StopAdmission each write their line. Stop with
+// StopScript (before reading w); only one script may be active.
+func (s *Server) StartScript(w io.Writer, meta string) error {
+	if s.script != nil {
+		return fmt.Errorf("serve: an arrival script is already being recorded")
+	}
+	rec, err := replay.NewScriptRecorder(w, meta)
+	if err != nil {
+		return err
+	}
+	s.script = rec
+	return nil
+}
+
+// StopScript writes the script footer (every tenant's steps and report
+// hash, the round count and the store fingerprint), detaches the recorder
+// and reports the first recording error.
+func (s *Server) StopScript() error {
+	if s.script == nil {
+		return nil
+	}
+	tenants := make([]replay.ScriptTenant, len(s.tenants))
+	for i, t := range s.tenants {
+		tenants[i] = replay.ScriptTenant{Name: t.cfg.Name, Steps: t.hStep.Count(), Hash: t.hash}
+	}
+	err := s.script.Close(tenants, s.round, s.Fingerprint())
+	s.script = nil
+	return err
+}
+
 // tenantLaneSink renames pool shard lanes to tenant lanes on the way into
 // the trace recorder, reading execTenant as Round wrote it for the round
 // the pool is recording.
@@ -745,7 +789,8 @@ func (ts *tenantLaneSink) StepBarrier() {
 // Round executes one serving round — admission, band-aware scheduling (at
 // most one queued step per shard, round-robin over the shard's tenants),
 // one pool round, accounting — and returns how many tenant steps it
-// executed (0 for an idle round, which skips the pool entirely).
+// executed (0 for an idle round, which skips the pool entirely). While
+// admission is open it then passes the round to the autoscaler, if any.
 //
 //pram:hotpath
 func (s *Server) Round() int {
@@ -793,7 +838,7 @@ func (s *Server) Round() int {
 					t.srcErr = err
 					if s.logf != nil {
 						//pram:coldalloc tenant source failure path, cold by definition
-						s.logf("serve: tenant %q source failed after %d steps: %v", t.cfg.Name, t.steps, err)
+						s.logf("serve: tenant %q source failed after %d steps: %v", t.cfg.Name, t.hStep.Count(), err)
 					}
 				}
 				continue
@@ -809,12 +854,22 @@ func (s *Server) Round() int {
 			break
 		}
 	}
-	if scheduled == 0 {
-		s.idleRounds++
-		return 0
+	if scheduled > 0 {
+		s.execute(r, scheduled)
 	}
+	if s.as != nil && !s.draining {
+		s.as.observe()
+	}
+	return scheduled
+}
+
+// execute runs round r's scheduled batches as one pool round and accounts
+// for them: the tenants' reports, the stage events and the round
+// histograms.
+//
+//pram:hotpath
+func (s *Server) execute(r int64, scheduled int) {
 	_, reports := s.pool.ExecuteSteps(s.batches)
-	s.execRounds++
 	merges := s.k - s.pool.LastComponents()
 	if merges > 0 {
 		s.forcedMerges += int64(merges)
@@ -844,13 +899,11 @@ func (s *Server) Round() int {
 		rep := &reports[sh]
 		t := s.tenants[id]
 		t.note(rep)
-		t.hStep.Observe(rep.Time)
 		s.hDedup.Observe(int64(s.pool.LastDedupRequests(sh)))
 		// The read leg is the quorum (retrieval) stage, the remainder of
 		// the step the commit (update) stage: the two tile rep.Time.
 		readTime, readPhases, liveArea := s.pool.LastStepBreakdown(sh)
 		t.stageQuorum += readTime
-		t.stageCommit += rep.Time - readTime
 		s.events.push(Event{Kind: KindWait, Round: r, Start: base,
 			Track: id, A: s.waitScratch[sh]})
 		s.events.push(Event{Kind: KindQuorum, Round: r, Start: base, Dur: readTime,
@@ -877,21 +930,18 @@ func (s *Server) Round() int {
 		}
 	}
 	s.critQuorum += critRead
-	s.critCommit += makespan - critRead
 	s.hRoundActive.Observe(int64(s.pool.LastActive()))
 	s.hRoundMakespan.Observe(makespan)
 	s.hRoundWork.Observe(work)
 	s.events.push(Event{Kind: KindMerge, Round: r, Start: base + makespan,
 		A: int64(s.pool.LastActive()), B: makespan, C: work})
 	s.events.advance(makespan)
-	return scheduled
 }
 
 // note folds one executed step into the tenant's accounting, including the
 // order-sensitive report hash the determinism tests compare.
 func (t *tenant) note(rep *model.StepReport) {
-	t.steps++
-	t.simTime += rep.Time
+	t.hStep.Observe(rep.Time)
 	t.phases += int64(rep.Phases)
 	t.copies += rep.CopyAccesses
 	t.cycles += rep.NetworkCycles
@@ -942,15 +992,19 @@ func (s *Server) Run(rounds int) {
 }
 
 // StopAdmission stops admission — open-loop arrivals are no longer
-// accepted, closed-loop windows stop replenishing, Submit rejects — without
-// executing any rounds. The replay path uses it to reproduce a recorded
-// drain transition at its recorded round; interactive callers usually want
-// Drain, which also runs the queues dry. The false→true transition is a
-// drain event, recorded once.
+// accepted, closed-loop windows stop replenishing, Submit rejects, the
+// autoscaler stops deciding — without executing any rounds. The replay
+// path uses it to reproduce a recorded drain transition at its recorded
+// round; interactive callers usually want Drain, which also runs the
+// queues dry. The false→true transition is a drain event and an
+// arrival-script line, recorded once.
 func (s *Server) StopAdmission() {
 	if !s.draining {
 		s.draining = true
 		s.events.push(Event{Kind: KindDrain, Round: s.round, Start: s.events.Now()})
+		if s.script != nil {
+			s.script.Drain(s.round)
+		}
 	}
 }
 
@@ -1001,19 +1055,14 @@ func (s *Server) ServeAll(maxRounds int) error {
 // virtual round it applies the events recorded before that round — in
 // recorded order: submissions, resizes, the admission stop — then executes
 // the round, for exactly `rounds` rounds (the script footer's count, which
-// includes the live run's drain rounds). Combined with identical tenant
-// specs and seed this reproduces the live run bit-for-bit; re-record the
-// replay through StartTrace and even the trace bytes come out identical.
-//
-// observe, when non-nil, runs after every executed round until the
-// script's drain event has been applied — exactly when the live HTTP loop
-// consults its autoscaler (HTTPServer.Tick observes after every Round; the
-// drain rounds inside Shutdown are not observed). Replaying with a shadow
-// autoscaler built from the recorded policy therefore reproduces the live
-// decision stream — including the event log's "why" records — while the
-// script's own resize events become no-ops (Resize at the already-current
-// K returns immediately).
-func (s *Server) PlayScript(events []replay.ScriptEvent, rounds int64, observe func()) {
+// includes the live run's drain rounds). On a fresh server built from the
+// live run's Config this reproduces the live run bit-for-bit: its
+// autoscaler, if any, sees the same rounds and makes the same decisions
+// (event-log "why" records included), so the script's own resize events
+// find K already moved and are no-ops. Record the replay through
+// StartTrace and StartScript and both come out byte-identical to the live
+// captures.
+func (s *Server) PlayScript(events []replay.ScriptEvent, rounds int64) {
 	i := 0
 	for r := int64(0); r < rounds; r++ {
 		for i < len(events) && events[i].Round <= r {
@@ -1021,9 +1070,6 @@ func (s *Server) PlayScript(events []replay.ScriptEvent, rounds int64, observe f
 			i++
 		}
 		s.Round()
-		if observe != nil && !s.draining {
-			observe()
-		}
 	}
 	for i < len(events) {
 		s.applyEvent(events[i])
@@ -1078,12 +1124,13 @@ func (s *Server) NumTenants() int { return len(s.tenants) }
 // TenantStats returns tenant i's account.
 func (s *Server) TenantStats(i int) TenantStats {
 	t := s.tenants[i]
+	simTime := t.hStep.Sum()
 	return TenantStats{
 		Name: t.cfg.Name, Band: t.cfg.Band, Shard: t.shard, Procs: t.cfg.Procs,
 		Done: t.done, Submitted: t.submitted, Rejected: t.rejected,
-		Unserved: t.unserved, Steps: t.steps,
-		Queue: t.credits, MaxQueue: t.maxQueue, SimTime: t.simTime,
-		QuorumTime: t.stageQuorum, CommitTime: t.stageCommit, Phases: t.phases,
+		Unserved: t.unserved, Steps: t.hStep.Count(),
+		Queue: t.credits, MaxQueue: t.maxQueue, SimTime: simTime,
+		QuorumTime: t.stageQuorum, CommitTime: simTime - t.stageQuorum, Phases: t.phases,
 		Copies: t.copies, Cycles: t.cycles, MaxCont: t.maxCont, ErrSteps: t.errSteps,
 		Hash: t.hash, SrcErr: t.srcErr,
 	}
@@ -1112,10 +1159,11 @@ type Stats struct {
 
 // Stats returns the server-wide account.
 func (s *Server) Stats() Stats {
+	exec := s.hRoundMakespan.Count()
 	return Stats{
-		Rounds: s.round, ExecRounds: s.execRounds, IdleRounds: s.idleRounds,
+		Rounds: s.round, ExecRounds: exec, IdleRounds: s.round - exec,
 		MergedRounds: s.mergedRounds, ForcedMerges: s.forcedMerges,
 		BandOverlaps: s.bandOverlaps, Resizes: s.resizes,
-		CritQuorumTime: s.critQuorum, CritCommitTime: s.critCommit,
+		CritQuorumTime: s.critQuorum, CritCommitTime: s.hRoundMakespan.Sum() - s.critQuorum,
 	}
 }

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"repro/internal/exposition"
 	"repro/internal/replay"
 )
 
@@ -30,8 +32,8 @@ func TestServeResizeKInvariance(t *testing.T) {
 	if err := s.ServeAll(2000); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Resizes(); got != 2 {
-		t.Errorf("Resizes() = %d, want 2", got)
+	if got := s.Stats().Resizes; got != 2 {
+		t.Errorf("Resizes = %d, want 2", got)
 	}
 	if fp := s.Fingerprint(); fp != refFP {
 		t.Errorf("fingerprint %x after resizes, want %x", fp, refFP)
@@ -76,14 +78,15 @@ func TestServeResizeOccupancy(t *testing.T) {
 func externalPair() Config {
 	return Config{
 		Tenants: []TenantConfig{
-			{Name: "ext0", Band: 0, Procs: 8, QueueCap: 4, Arrival: Arrival{External: true},
+			{Name: "ext0", Band: 0, Procs: 8, Arrival: Arrival{External: true},
 				Source: NewPatternSource(replay.Uniform, 8, 0, 31)},
-			{Name: "ext1", Band: 1, Procs: 8, QueueCap: 4, Arrival: Arrival{External: true},
+			{Name: "ext1", Band: 1, Procs: 8, Arrival: Arrival{External: true},
 				Source: NewPatternSource(replay.Hotspot, 8, 0, 32)},
 		},
-		Bands:   2,
-		Engines: 1,
-		Seed:    7,
+		Bands:    2,
+		Engines:  1,
+		Seed:     7,
+		QueueCap: 4,
 	}
 }
 
@@ -136,8 +139,8 @@ func TestServeSubmitExternal(t *testing.T) {
 // TestServeScriptReplayBitForBit is the live-mode determinism acceptance:
 // a run driven by external submissions and an online resize, recorded as a
 // PRAMTRC1 trace + arrival script, replays in virtual time to the same
-// per-tenant hashes, the same fingerprint — and byte-identical trace
-// output when re-recorded.
+// per-tenant hashes, the same fingerprint — and byte-identical trace and
+// script output when re-recorded.
 func TestServeScriptReplayBitForBit(t *testing.T) {
 	// --- the "live" run (virtual stand-in for wall-clock HTTP mode) ---
 	live, err := NewServer(externalPair())
@@ -150,38 +153,26 @@ func TestServeScriptReplayBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scriptBuf bytes.Buffer
-	rec, err := replay.NewScriptRecorder(&scriptBuf, "externalPair test mix")
-	if err != nil {
+	if err := live.StartScript(&scriptBuf, "externalPair test mix"); err != nil {
 		t.Fatal(err)
-	}
-	submit := func(id, n int) {
-		rec.Submit(live.Stats().Rounds, id, n)
-		live.Submit(id, n)
 	}
 	for r := 0; r < 20; r++ {
 		if r%3 == 0 {
-			submit(0, 2)
+			live.Submit(0, 2)
 		}
 		if r%4 == 0 {
-			submit(1, 3)
+			live.Submit(1, 3)
 		}
 		if r == 10 {
-			rec.Resize(live.Stats().Rounds, 2)
 			live.Resize(2)
 		}
 		live.Round()
 	}
-	rec.Drain(live.Stats().Rounds)
 	live.Drain()
 	if err := live.StopTrace(); err != nil {
 		t.Fatal(err)
 	}
-	tenants := make([]replay.ScriptTenant, live.NumTenants())
-	for i := range tenants {
-		st := live.TenantStats(i)
-		tenants[i] = replay.ScriptTenant{Name: st.Name, Steps: st.Steps, Hash: st.Hash}
-	}
-	if err := rec.Close(tenants, live.Stats().Rounds, live.Fingerprint()); err != nil {
+	if err := live.StopScript(); err != nil {
 		t.Fatal(err)
 	}
 	checkIdentity(t, live, "live run")
@@ -196,13 +187,22 @@ func TestServeScriptReplayBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	var repTrace bytes.Buffer
+	var repTrace, repScript bytes.Buffer
 	if err := rep.StartTrace(&repTrace); err != nil {
 		t.Fatal(err)
 	}
-	rep.PlayScript(sc.Events, sc.Rounds, nil)
+	if err := rep.StartScript(&repScript, sc.Meta); err != nil {
+		t.Fatal(err)
+	}
+	rep.PlayScript(sc.Events, sc.Rounds)
 	if err := rep.StopTrace(); err != nil {
 		t.Fatal(err)
+	}
+	if err := rep.StopScript(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(scriptBuf.Bytes(), repScript.Bytes()) {
+		t.Errorf("re-recorded script differs from the live one:\nlive:\n%s\nreplay:\n%s", scriptBuf.String(), repScript.String())
 	}
 	if got := rep.Stats().Rounds; got != sc.Rounds {
 		t.Errorf("replay ran %d rounds, script says %d", got, sc.Rounds)
@@ -224,8 +224,8 @@ func TestServeScriptReplayBitForBit(t *testing.T) {
 	if rep.Fingerprint() != sc.Fingerprint {
 		t.Errorf("replay fingerprint %x, script %x", rep.Fingerprint(), sc.Fingerprint)
 	}
-	if rep.Resizes() != 1 {
-		t.Errorf("replay performed %d resizes, want the recorded 1", rep.Resizes())
+	if got := rep.Stats().Resizes; got != 1 {
+		t.Errorf("replay performed %d resizes, want the recorded 1", got)
 	}
 	if !bytes.Equal(liveTrace.Bytes(), repTrace.Bytes()) {
 		t.Errorf("re-recorded trace differs from the live capture (%d vs %d bytes)",
@@ -235,8 +235,9 @@ func TestServeScriptReplayBitForBit(t *testing.T) {
 }
 
 // TestServeRoundObserveZeroAllocs extends the zero-alloc invariant to the
-// closed loop: Round + Autoscaler.Observe stay allocation-free in steady
-// state (Min == Max pins K so no transition fires mid-measurement).
+// closed loop: a Round that also runs the server's autoscaler stays
+// allocation-free in steady state (Min == Max pins K so no transition
+// fires mid-measurement).
 func TestServeRoundObserveZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
@@ -250,23 +251,79 @@ func TestServeRoundObserveZeroAllocs(t *testing.T) {
 			{Name: "c", Band: 2, Procs: 16, Arrival: Arrival{Window: 2},
 				Source: NewPatternSource(replay.Broadcast, 16, 0, 3)},
 		},
-		Bands:   3,
-		Engines: 3,
-		Seed:    7,
+		Bands:     3,
+		Engines:   3,
+		Seed:      7,
+		Autoscale: &AutoscaleConfig{Min: 3, Max: 3, Interval: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	a := NewAutoscaler(s, AutoscaleConfig{Min: 3, Max: 3, Interval: 4})
-	for i := 0; i < 10; i++ {
-		s.Round()
-		a.Observe()
+	s.Run(10)
+	if avg := testing.AllocsPerRun(50, func() { s.Round() }); avg != 0 {
+		t.Errorf("Round with an autoscaler allocates %.2f/op in steady state, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(50, func() {
-		s.Round()
-		a.Observe()
-	}); avg != 0 {
-		t.Errorf("Round+Observe allocates %.2f/op in steady state, want 0", avg)
+}
+
+// TestServerRecordsAndScalesItself: a server built with Config.Autoscale,
+// driven only by Submit through its own resizes and then drained, records
+// an arrival script that PlayScript on a fresh server from the same Config
+// records again byte for byte, and the two servers render the same
+// /metrics exposition, the autoscaler's families included.
+func TestServerRecordsAndScalesItself(t *testing.T) {
+	config := func() Config {
+		cfg := externalPair()
+		cfg.Autoscale = &AutoscaleConfig{Interval: 4}
+		return cfg
+	}
+	record := func(drive func(s *Server)) (script, metrics string, resizes int64) {
+		t.Helper()
+		s, err := NewServer(config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var reg exposition.Registry
+		s.Metrics(&reg)
+		var buf, scrape bytes.Buffer
+		if err := s.StartScript(&buf, "self-scaling test mix"); err != nil {
+			t.Fatal(err)
+		}
+		drive(s)
+		if err := s.StopScript(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.WriteTo(&scrape); err != nil {
+			t.Fatal(err)
+		}
+		checkIdentity(t, s, "after the run")
+		return buf.String(), scrape.String(), s.Stats().Resizes
+	}
+	live, liveMetrics, resizes := record(func(s *Server) {
+		for r := 0; r < 48; r++ {
+			if r < 20 {
+				s.Submit(r%2, 3) // saturates both queues: rejections grow K
+			}
+			s.Round() // then silence shrinks it back
+		}
+		s.Drain()
+	})
+	if resizes < 2 {
+		t.Fatalf("%d resizes, want a grow and a shrink:\n%s", resizes, live)
+	}
+	sc, err := replay.ReadScript(strings.NewReader(live))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, replayedMetrics, _ := record(func(s *Server) { s.PlayScript(sc.Events, sc.Rounds) })
+	if replayed != live {
+		t.Errorf("replayed script differs:\nlive:\n%s\nreplay:\n%s", live, replayed)
+	}
+	if !strings.Contains(liveMetrics, "pramsim_serve_autoscale_grows_total 1") {
+		t.Errorf("exposition lacks the autoscaler's grow:\n%s", liveMetrics)
+	}
+	if replayedMetrics != liveMetrics {
+		t.Errorf("replayed exposition differs:\nlive:\n%s\nreplay:\n%s", liveMetrics, replayedMetrics)
 	}
 }

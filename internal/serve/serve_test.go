@@ -115,13 +115,14 @@ func TestServeBandedMixStaysMergeFree(t *testing.T) {
 func TestServeBackpressure(t *testing.T) {
 	s, err := NewServer(Config{
 		Tenants: []TenantConfig{{
-			Name: "burst", Band: 0, Procs: 8, QueueCap: 2,
+			Name: "burst", Band: 0, Procs: 8,
 			Arrival: Arrival{Period: 1, Burst: 3},
 			Source:  NewPatternSource(replay.Uniform, 8, 0, 42),
 		}},
-		Bands:   1,
-		Engines: 1,
-		Seed:    3,
+		Bands:    1,
+		Engines:  1,
+		Seed:     3,
+		QueueCap: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,13 +169,14 @@ func TestServeBackpressure(t *testing.T) {
 func TestServeClosedLoopWindowAboveCap(t *testing.T) {
 	s, err := NewServer(Config{
 		Tenants: []TenantConfig{{
-			Name: "wide", Band: 0, Procs: 8, QueueCap: 2,
+			Name: "wide", Band: 0, Procs: 8,
 			Arrival: Arrival{Window: 16},
 			Source:  NewPatternSource(replay.Uniform, 8, 0, 42),
 		}},
-		Bands:   1,
-		Engines: 1,
-		Seed:    3,
+		Bands:    1,
+		Engines:  1,
+		Seed:     3,
+		QueueCap: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,13 +198,14 @@ func TestServeClosedLoopWindowAboveCap(t *testing.T) {
 func TestServeUnservedCredits(t *testing.T) {
 	s, err := NewServer(Config{
 		Tenants: []TenantConfig{{
-			Name: "short", Band: 0, Procs: 8, QueueCap: 16,
+			Name: "short", Band: 0, Procs: 8,
 			Arrival: Arrival{Period: 1, Burst: 4},
 			Source:  NewPatternSource(replay.Uniform, 8, 3, 42), // 3 steps only
 		}},
-		Bands:   1,
-		Engines: 1,
-		Seed:    3,
+		Bands:    1,
+		Engines:  1,
+		Seed:     3,
+		QueueCap: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
