@@ -314,13 +314,14 @@ func BenchmarkE5LuccioStep(b *testing.B) {
 
 // --- E12: multi-engine pool serving K programs in lockstep rounds ---------
 
-// benchBandPool times one round of the E12 pool — the module census, K
-// shard steps in shard order and the deterministic report merge, all on
-// one goroutine. The pool serves a Lemma 2 image for 1024 processors as K
-// band-local programs of 1024/K processors on K engines. Each shard reads
-// a permutation of its own variable band, which the banded map turns into
-// K disjoint module components; one generator draws every shard's
-// permutation, in shard order.
+// benchBandPool times one round of the E12 pool — the module census and K
+// shard steps in shard order, all on one goroutine. The pool serves a
+// Lemma 2 image for 1024 processors as K band-local programs of 1024/K
+// processors on K engines. Each shard reads a permutation of its own
+// variable band, which the banded map turns into K disjoint module
+// components; one generator draws every shard's permutation, in shard
+// order. The round's simulated cost is its makespan (the slowest shard's
+// time and phases) and its work the shards' summed copy accesses.
 func benchBandPool(b *testing.B, K int) {
 	const nTotal = 1024
 	built, err := core.Spec{Kind: core.KindDMMPC, Lanes: K, Procs: nTotal / K}.BuildPool(K)
@@ -341,8 +342,16 @@ func benchBandPool(b *testing.B, K int) {
 		batches[sh] = batch
 	}
 	benchOp(b, func() model.StepReport {
-		agg, _ := dp.ExecuteSteps(batches)
-		return agg
+		var round model.StepReport
+		for _, rep := range dp.ExecuteSteps(batches) {
+			if rep.Err != nil {
+				return rep
+			}
+			round.Time = max(round.Time, rep.Time)
+			round.Phases = max(round.Phases, rep.Phases)
+			round.CopyAccesses += rep.CopyAccesses
+		}
+		return round
 	})
 }
 
@@ -417,16 +426,14 @@ func BenchmarkE13ReplayStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var last model.StepReport
-			rp.OnRound = func(agg model.StepReport, _ []model.StepReport) { last = agg }
 			step := func() model.StepReport {
 				for {
-					executed, err := rp.Step()
-					if err != nil {
-						b.Fatal(err)
+					_, rep, err := rp.Step()
+					if err == nil {
+						return rep
 					}
-					if executed {
-						return last
+					if err != io.EOF {
+						b.Fatal(err)
 					}
 					rd.Seek(0, io.SeekStart)
 					if err := rp.Reset(rd); err != nil {

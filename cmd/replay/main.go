@@ -12,8 +12,12 @@
 //	                                      fingerprint; exit 1 on mismatch
 //	replay info   FILE                    print the header and frame counts
 //
-// `run` prints the wall time per replayed step; the benchmark of a
-// replayed step is the root package's E13ReplayStep.
+// `run` and `verify` read any PRAMTRC1 trace: this command's recordings
+// and the serving captures of `serve http -record-trace`, whose rounds
+// list only the scheduled tenants. Each step runs on its lane's machine
+// in the order it was recorded. `run` prints the wall time per replayed
+// step; the benchmark of a replayed step is the root package's
+// E13ReplayStep.
 //
 // Record shape flags: -machine dmmpc|mot2d|luccio, -n procs-per-lane,
 // -engines K (pool lanes), -steps, -pattern uniform|banded|hotspot|
@@ -142,8 +146,10 @@ func cmdRecord(args []string) error {
 	for s := 0; s < *steps; s++ {
 		batches := gen.Step(s)
 		if built.Pool != nil {
-			if agg, _ := built.Pool.ExecuteSteps(batches); agg.Err != nil {
-				return fmt.Errorf("step %d: %w", s, agg.Err)
+			for _, rep := range built.Pool.ExecuteSteps(batches) {
+				if rep.Err != nil {
+					return fmt.Errorf("step %d: %w", s, rep.Err)
+				}
 			}
 		} else {
 			if rep := built.Machine.ExecuteStep(batches[0]); rep.Err != nil {

@@ -56,15 +56,15 @@ func TestDMMPCPoolServesDisjointPrograms(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		batches := poolBandSteps(dp, round)
-		agg, shards := dp.ExecuteSteps(batches)
-		if agg.Err != nil {
-			t.Fatalf("round %d: %v", round, agg.Err)
-		}
+		shards := dp.ExecuteSteps(batches)
 		if dp.LastComponents() != dp.Engines() {
 			t.Fatalf("round %d: %d components, want %d (banded map, band-local programs)",
 				round, dp.LastComponents(), dp.Engines())
 		}
 		for sh := range shards {
+			if shards[sh].Err != nil {
+				t.Fatalf("round %d shard %d: %v", round, sh, shards[sh].Err)
+			}
 			if shards[sh].Phases == 0 {
 				t.Errorf("round %d shard %d: no phases recorded", round, sh)
 			}
@@ -88,11 +88,12 @@ func TestDMMPCPoolTwoStage(t *testing.T) {
 	const n = 32
 	dp := buildPool(t, core.Spec{Kind: core.KindDMMPC, Lanes: 2, Procs: n, TwoStage: true})
 	batches := poolBandSteps(dp, 0)
-	agg, _ := dp.ExecuteSteps(batches)
-	if agg.Err != nil {
-		t.Fatal(agg.Err)
-	}
-	if agg.Phases == 0 {
-		t.Error("two-stage pool step recorded no phases")
+	for sh, rep := range dp.ExecuteSteps(batches) {
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		if rep.Phases == 0 {
+			t.Errorf("two-stage pool step recorded no phases on shard %d", sh)
+		}
 	}
 }

@@ -22,17 +22,18 @@ import (
 
 // E14ReplaySweep is the ROADMAP's "replay-driven sweep": one workload
 // shape — the same total simulated processor count, split into K
-// band-local lanes — is RECORDED through the real machines at each K ∈
-// {1,2,4,8}, then REPLAYED straight into a fresh pool, measuring
-// wall-clock step latency alongside the pool's serial-component census.
-// The banded pattern keeps lanes on disjoint module bands (components
-// stay at K: the merge-free shape the serving front end schedules for),
-// the uniform pattern lets lanes collide on modules, so the sweep shows
-// how the merge rate grows with K — the signal the multi-tenant
-// scheduler's autoscaler reads. Each
-// replay is verified (recorded costs, Values hashes, final fingerprint)
-// before its timing is reported; render with `cmd/experiments -csv e14`
-// for the CSV form.
+// band-local lanes — is RECORDED through the real pool at each K ∈
+// {1,2,4,8}, whose per-round census counts the serial components, then
+// REPLAYED step frame by step frame onto a fresh build's lane machines,
+// measuring wall-clock latency per round. The census is the recording
+// run's: it depends only on the post-dedup steps, which the replay runs
+// unchanged. The banded pattern keeps lanes on disjoint module bands
+// (components stay at K: the merge-free shape the serving front end
+// schedules for), the uniform pattern lets lanes collide on modules, so
+// the sweep shows how the merge rate grows with K — the signal the
+// multi-tenant scheduler's autoscaler reads. Each replay is verified
+// (recorded costs, Values hashes, final fingerprint) before its timing is
+// reported; render with `cmd/experiments -csv e14` for the CSV form.
 func E14ReplaySweep() Result {
 	const (
 		nTotal = 128
@@ -55,13 +56,15 @@ func E14ReplaySweep() Result {
 	return Result{
 		ID:    "E14",
 		Title: "Replay-driven serving sweep: step latency vs serial-component merges over K engines",
-		Claim: "K band-local lanes replayed onto one sharded image keep K disjoint components per round " +
+		Claim: "K band-local lanes on one sharded image keep K disjoint components per round " +
 			"(constant redundancy makes concurrent tenants safe against one memory image); " +
-			"cross-band traffic pays for itself in forced serial merges, not in corruption",
+			"cross-band traffic pays for itself in forced serial merges, not in corruption: " +
+			"its steps, replayed one by one in the order they ran, verify bit for bit",
 		Table: tb,
 		Notes: []string{
 			fmt.Sprintf("uniform (cross-band) traffic peaks at %.2f merges per possible merge; banded stays at 0", worstMerge),
-			"every replay point verified bit-for-bit against its recording before timing",
+			"components per round come from the recording run's census; every replay point, " +
+				"run one step frame at a time on its lane's machine, verified bit-for-bit against its recording before timing",
 		},
 	}
 }
@@ -80,16 +83,21 @@ func replaySweepPoint(cfg core.Spec, pattern replay.Pattern, rounds int) ([]any,
 		return []any{pattern.String(), cfg.Lanes, cfg.Procs, 0, "record error", err.Error(), "-", "-", "-"}, 0
 	}
 	gen := replay.NewGenerator(pattern, cfg.Lanes, cfg.Procs, built.Params.Mem, 17)
+	var components int64
 	for s := 0; s < rounds; s++ {
 		batches := gen.Step(s)
 		if built.Pool != nil {
-			if agg, _ := built.Pool.ExecuteSteps(batches); agg.Err != nil {
-				return []any{pattern.String(), cfg.Lanes, cfg.Procs, s, "step error", agg.Err.Error(), "-", "-", "-"}, 0
+			for _, rep := range built.Pool.ExecuteSteps(batches) {
+				if rep.Err != nil {
+					return []any{pattern.String(), cfg.Lanes, cfg.Procs, s, "step error", rep.Err.Error(), "-", "-", "-"}, 0
+				}
 			}
+			components += int64(built.Pool.LastComponents())
 		} else {
 			if rep := built.Machine.ExecuteStep(batches[0]); rep.Err != nil {
 				return []any{pattern.String(), cfg.Lanes, cfg.Procs, s, "step error", rep.Err.Error(), "-", "-", "-"}, 0
 			}
+			components++
 		}
 	}
 	if err := rec.Close(); err != nil {
@@ -101,15 +109,6 @@ func replaySweepPoint(cfg core.Spec, pattern replay.Pattern, rounds int) ([]any,
 		return []any{pattern.String(), cfg.Lanes, cfg.Procs, rounds, "open error", err.Error(), "-", "-", "-"}, 0
 	}
 	rp.Verify = true
-	var components int64
-	if rp.Built().Pool != nil {
-		pool := rp.Built().Pool
-		rp.OnRound = func(model.StepReport, []model.StepReport) {
-			components += int64(pool.LastComponents())
-		}
-	} else {
-		rp.OnRound = func(model.StepReport, []model.StepReport) { components++ }
-	}
 	start := time.Now()
 	sum, err := rp.Run()
 	elapsed := time.Since(start)

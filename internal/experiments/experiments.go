@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/stats"
@@ -55,71 +54,43 @@ func (r Result) Markdown() string {
 // Runner produces a Result.
 type Runner func() Result
 
-// registry maps experiment ids to runners.
-var registry = map[string]Runner{
-	"e1":  E1LowerBound,
-	"e2":  E2Expansion,
-	"e3":  E3DMMPC,
-	"e4":  E4MPCvsDMMPC,
-	"e5":  E5MOT,
-	"e6":  E6Comparison,
-	"e7":  E7IDA,
-	"e8":  E8VLSI,
-	"e9":  E9PROM,
-	"e10": E10Ablations,
-	"e11": E11Slowdown,
-	"e14": E14ReplaySweep,
-	"e17": E17StageAttribution,
+// registry lists every experiment id with its runner, in presentation
+// order (numeric, not lexicographic).
+var registry = []struct {
+	id  string
+	run Runner
+}{
+	{"e1", E1LowerBound},
+	{"e2", E2Expansion},
+	{"e3", E3DMMPC},
+	{"e4", E4MPCvsDMMPC},
+	{"e5", E5MOT},
+	{"e6", E6Comparison},
+	{"e7", E7IDA},
+	{"e8", E8VLSI},
+	{"e9", E9PROM},
+	{"e10", E10Ablations},
+	{"e11", E11Slowdown},
+	{"e14", E14ReplaySweep},
+	{"e17", E17StageAttribution},
 }
 
-// order fixes the presentation sequence (numeric, not lexicographic).
-var order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e14", "e17"}
-
-// IDs returns the registered experiment ids in numeric order.
+// IDs returns the registered experiment ids in presentation order.
 func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for _, id := range order {
-		if _, ok := registry[id]; ok {
-			out = append(out, id)
-		}
-	}
-	if len(out) != len(registry) {
-		// A runner was registered without being added to `order`.
-		missing := make([]string, 0)
-		//pram:unordered membership scan; missing is sorted before use below
-		for id := range registry {
-			found := false
-			for _, o := range out {
-				if o == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				missing = append(missing, id)
-			}
-		}
-		sort.Strings(missing)
-		out = append(out, missing...)
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.id
 	}
 	return out
 }
 
 // Run executes one experiment by id.
 func Run(id string) (Result, bool) {
-	r, ok := registry[strings.ToLower(id)]
-	if !ok {
-		return Result{}, false
+	id = strings.ToLower(id)
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(), true
+		}
 	}
-	return r(), true
-}
-
-// All runs every experiment in order.
-func All() []Result {
-	var out []Result
-	for _, id := range IDs() {
-		r, _ := Run(id)
-		out = append(out, r)
-	}
-	return out
+	return Result{}, false
 }

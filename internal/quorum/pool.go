@@ -28,7 +28,10 @@ type PoolConfig struct {
 // ascending shard order. Like its machines, a Pool is single-threaded. A
 // round's simulated cost is its slowest shard's, and a steady-state
 // ExecuteSteps allocates nothing (TestPoolExecuteStepsZeroAllocs).
-// Per-shard programs are typically driven by internal/machine on top.
+// Per-shard programs are typically driven by internal/machine on top. A
+// round's shard steps run one after another on one store, so replaying
+// them in that order, each with Machine.ExecuteDedupStep on its lane's
+// machine, is the round: the census only observes.
 type Pool struct {
 	store    *Store
 	machines []*Machine
@@ -52,13 +55,11 @@ type Pool struct {
 	lastComp   int
 	lastActive int
 
-	// The round's shard steps in post-dedup form, filled on the caller
-	// before the census: live rounds alias the shard machines' dedup
-	// scratch, replay rounds copy the caller's step headers. reports[k]
+	// The round's shard steps in post-dedup form, aliasing the shard
+	// machines' dedup scratch and filled before the census. reports[k]
 	// arrives opened (Machine.openReport) and leaves complete.
 	steps   []DedupStep
 	reports []model.StepReport
-	agg     model.StepReport
 
 	// sink, when non-nil, records every ExecuteSteps round (SetStepSink).
 	sink StepSink
@@ -129,9 +130,9 @@ func (p *Pool) Store() *Store { return p.store }
 // modules, 1 when contention linked every shard into one component.
 func (p *Pool) LastComponents() int { return p.lastComp }
 
-// LastActive reports how many shards of the most recent ExecuteSteps /
-// ExecuteDedupSteps round carried any work (at least one non-idle request).
-// Idle shards are always singleton components, so a round with no forced
+// LastActive reports how many shards of the most recent ExecuteSteps
+// round carried any work (at least one non-idle request). Idle shards
+// are always singleton components, so a round with no forced
 // merges has LastComponents() == Engines(); the serving front end uses
 // K − LastComponents() as the round's forced-merge count and LastActive()
 // as its occupancy.
@@ -139,17 +140,16 @@ func (p *Pool) LastActive() int { return p.lastActive }
 
 // LastDedupRequests reports the post-dedup batch size — deduplicated read
 // plus write requests — of the step shard sh most recently executed
-// through ExecuteSteps or ExecuteDedupSteps (Machine.LastDedupRequests),
-// so observing it costs nothing on the execution path. Valid between
-// rounds; an idle shard reports 0.
+// (Machine.LastDedupRequests), so observing it costs nothing on the
+// execution path. Valid between rounds; an idle shard reports 0.
 func (p *Pool) LastDedupRequests(sh int) int {
 	return p.machines[sh].LastDedupRequests()
 }
 
 // LastStepBreakdown reports the per-leg split — read-quorum time, read
 // phases, live-request area — of the step shard sh most recently executed
-// through ExecuteSteps or ExecuteDedupSteps (Machine.LastStepBreakdown).
-// Like LastDedupRequests it is free to observe and valid between rounds.
+// (Machine.LastStepBreakdown). Like LastDedupRequests it is free to
+// observe and valid between rounds.
 func (p *Pool) LastStepBreakdown(sh int) (readTime int64, readPhases int, liveArea int64) {
 	return p.machines[sh].LastStepBreakdown()
 }
@@ -204,8 +204,8 @@ func (p *Pool) Resize(k int) {
 }
 
 // SetStepSink attaches a step sink to the pool, which records every
-// ExecuteSteps round on the caller — shard k's step under lane k, the
-// trace format's shard-lane layout, in ascending lane order, then
+// ExecuteSteps round on the caller after its shard steps ran — shard k's
+// step under lane k, in ascending lane order (the order they ran), then
 // StepBarrier — and to every shard machine, whose LoadCells record under
 // its lane (nil detaches everywhere). Attach before the first step; see
 // Machine.SetStepSink.
@@ -217,19 +217,16 @@ func (p *Pool) SetStepSink(sink StepSink) {
 }
 
 // ExecuteSteps runs one P-RAM step per workload shard — batches[k] on
-// shard k's machine — and returns the deterministic aggregate report plus
-// the per-shard reports. len(batches) must equal Engines(); idle shards
-// pass an empty (or all-OpNone) batch. Each shard's dedup front end runs
-// on the caller; the post-dedup round then runs exactly as
-// ExecuteDedupSteps runs it.
+// shard k's machine — and returns the per-shard reports. len(batches)
+// must equal Engines(); idle shards pass an empty (or all-OpNone) batch.
+// Each shard's dedup front end runs on the caller, then the census, then
+// the shard steps in ascending shard order.
 //
-// Aliasing: the per-shard reports alias each shard machine's scratch
-// (valid until that shard's next step); the aggregate's Values alias a
-// pool-owned buffer (valid until the next ExecuteSteps). Copy them to keep
-// them.
+// The reports alias each shard machine's scratch (valid until that
+// shard's next step); copy them to keep them.
 //
 //pram:hotpath
-func (p *Pool) ExecuteSteps(batches []model.Batch) (model.StepReport, []model.StepReport) {
+func (p *Pool) ExecuteSteps(batches []model.Batch) []model.StepReport {
 	if len(batches) != p.k {
 		//pram:coldalloc caller-contract panic guard, never taken in steady state
 		panic(fmt.Sprintf("quorum.Pool: %d batches for %d engines", len(batches), p.k))
@@ -237,7 +234,10 @@ func (p *Pool) ExecuteSteps(batches []model.Batch) (model.StepReport, []model.St
 	for k, b := range batches {
 		p.steps[k], p.reports[k] = p.machines[k].dedup(b)
 	}
-	p.run()
+	p.census()
+	for k := range p.steps {
+		p.reports[k] = p.machines[k].execute(&p.steps[k], p.reports[k])
+	}
 	if p.sink != nil {
 		for k := range p.steps {
 			s := &p.steps[k]
@@ -245,38 +245,7 @@ func (p *Pool) ExecuteSteps(batches []model.Batch) (model.StepReport, []model.St
 		}
 		p.sink.StepBarrier()
 	}
-	return p.agg, p.reports
-}
-
-// ExecuteDedupSteps is ExecuteSteps for pre-deduplicated steps — the
-// replay entry point, ExecuteSteps minus the front end. The request
-// batches name exactly the variables the original batches touched (dedup
-// only collapses duplicates), so the census matches the recorded run's.
-// Aliasing and determinism contracts are ExecuteSteps'; the step sink is
-// NOT invoked.
-//
-//pram:hotpath
-func (p *Pool) ExecuteDedupSteps(steps []DedupStep) (model.StepReport, []model.StepReport) {
-	if len(steps) != p.k {
-		//pram:coldalloc caller-contract panic guard, never taken in steady state
-		panic(fmt.Sprintf("quorum.Pool: %d dedup steps for %d engines", len(steps), p.k))
-	}
-	copy(p.steps, steps)
-	for k := range p.steps {
-		p.reports[k] = p.machines[k].openDedup(&p.steps[k])
-	}
-	p.run()
-	return p.agg, p.reports
-}
-
-// run executes the round in p.steps: the census, every shard step on the
-// caller in ascending shard order, and the merge into the aggregate report.
-func (p *Pool) run() {
-	p.census()
-	for k := range p.steps {
-		p.reports[k] = p.machines[k].execute(&p.steps[k], p.reports[k])
-	}
-	model.MergeStepReports(&p.agg, p.reports, p.n)
+	return p.reports
 }
 
 // census counts the round's active shards and its module-connectivity

@@ -1,7 +1,6 @@
 // Differential test harness for the multi-engine pool: a pool round is
 // only correct if it is BIT-FOR-BIT the serial single-engine reference —
-// same per-shard StepReports, same aggregate, same replicated memory
-// image (values AND timestamps) — across interconnects, policies, rails,
+// same per-shard StepReports, same replicated memory image (values AND timestamps) — across interconnects, policies, rails,
 // schedules, seeds and engine counts. The reference is the plain loop
 // the pool wraps: the same K machines' steps executed one after another
 // in ascending shard order on a second store drawn from the same map. (External package so the MOT-backed cases can import
@@ -91,12 +90,11 @@ func runDifferentialSteps(t *testing.T, h *poolHarness, seed int64, steps int, c
 	k := h.pool.Engines()
 	rng := rand.New(rand.NewSource(seed))
 	batches := make([]model.Batch, k)
-	var refAgg model.StepReport
 	for s := 0; s < steps; s++ {
 		for sh := range batches {
 			batches[sh] = shardBatch(rng, h, sh, crossProb)
 		}
-		agg, shardReps := h.pool.ExecuteSteps(batches)
+		shardReps := h.pool.ExecuteSteps(batches)
 		for sh := 0; sh < k; sh++ {
 			h.refR[sh] = h.ref[sh].ExecuteStep(batches[sh])
 		}
@@ -105,10 +103,6 @@ func runDifferentialSteps(t *testing.T, h *poolHarness, seed int64, steps int, c
 			if fp != fr {
 				t.Fatalf("step %d shard %d diverged:\n pool %s\n ref  %s", s, sh, fp, fr)
 			}
-		}
-		model.MergeStepReports(&refAgg, h.refR, h.pool.ShardProcs())
-		if fa, fr := stepFingerprint(agg), stepFingerprint(refAgg); fa != fr {
-			t.Fatalf("step %d aggregate diverged:\n pool %s\n ref  %s", s, fa, fr)
 		}
 	}
 	if hp, hr := h.pool.Store().Fingerprint(), h.ref[0].Store().Fingerprint(); hp != hr {
@@ -193,8 +187,8 @@ func TestDifferentialPoolMOT(t *testing.T) {
 }
 
 // TestPoolExecuteStepsZeroAllocs locks the pool's steady-state
-// zero-allocation invariant: the census, K shard steps and the report
-// merge all run out of reused arenas.
+// zero-allocation invariant: the census and the K shard steps run out of
+// reused arenas.
 func TestPoolExecuteStepsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
@@ -220,16 +214,17 @@ func TestPoolExecuteStepsZeroAllocs(t *testing.T) {
 		}
 		batches[k] = b
 	}
-	for i := 0; i < 5; i++ { // grow arenas
-		if agg, _ := pl.ExecuteSteps(batches); agg.Err != nil {
-			t.Fatal(agg.Err)
+	run := func() {
+		for _, rep := range pl.ExecuteSteps(batches) {
+			if rep.Err != nil {
+				t.Fatal(rep.Err)
+			}
 		}
 	}
-	if avg := testing.AllocsPerRun(20, func() {
-		if agg, _ := pl.ExecuteSteps(batches); agg.Err != nil {
-			t.Fatal(agg.Err)
-		}
-	}); avg != 0 {
+	for i := 0; i < 5; i++ { // grow arenas
+		run()
+	}
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
 		t.Errorf("ExecuteSteps allocates %.1f/op in steady state, want 0", avg)
 	}
 }

@@ -63,8 +63,8 @@ func runResizeRound(t *testing.T, live, ref *quorum.Pool, bands, round int) {
 		liveB[sh] = layoutBatch(mem, nPer, sh, bands, round)
 		refB[sh] = liveB[sh]
 	}
-	_, liveR := live.ExecuteSteps(liveB)
-	_, refR := ref.ExecuteSteps(refB)
+	liveR := live.ExecuteSteps(liveB)
+	refR := ref.ExecuteSteps(refB)
 	for sh := 0; sh < lk; sh++ {
 		fl, fr := stepFingerprint(liveR[sh]), stepFingerprint(refR[sh])
 		if fl != fr {

@@ -48,15 +48,17 @@ func TestPoolDisjointBandsFullParallelism(t *testing.T) {
 		for k := range batches {
 			batches[k] = bandBatch(pl, k, round)
 		}
-		agg, shards := pl.ExecuteSteps(batches)
+		shards := pl.ExecuteSteps(batches)
 		if pl.LastComponents() != K {
 			t.Fatalf("round %d: %d components, want %d (disjoint bands)", round, pl.LastComponents(), K)
 		}
-		if agg.Err != nil {
-			t.Fatalf("round %d: aggregate error %v", round, agg.Err)
-		}
 		if len(shards) != K {
 			t.Fatalf("got %d shard reports, want %d", len(shards), K)
+		}
+		for k := range shards {
+			if shards[k].Err != nil {
+				t.Fatalf("round %d shard %d: %v", round, k, shards[k].Err)
+			}
 		}
 		// Writes of this round are visible in committed memory.
 		for k := range batches {
@@ -120,8 +122,10 @@ func TestPoolComponentsCountOnlyMerges(t *testing.T) {
 				}
 				batches[k] = b
 			}
-			if agg, _ := pl.ExecuteSteps(batches); agg.Err != nil {
-				t.Fatal(agg.Err)
+			for _, rep := range pl.ExecuteSteps(batches) {
+				if rep.Err != nil {
+					t.Fatal(rep.Err)
+				}
 			}
 			if got := pl.LastComponents(); got != c.want {
 				t.Errorf("%d components, want %d", got, c.want)
@@ -133,17 +137,18 @@ func TestPoolComponentsCountOnlyMerges(t *testing.T) {
 	}
 }
 
-// TestPoolAggregateReport: aggregate semantics over shards — makespan
-// fields take maxima, work sums, Values land at shard offsets.
-func TestPoolAggregateReport(t *testing.T) {
+// TestPoolShardReports: ExecuteSteps returns one report per shard, in
+// shard order, each holding that shard's own read values (one per
+// processor) and its own costs.
+func TestPoolShardReports(t *testing.T) {
 	const nPer, K = 16, 2
 	pl := bandedPoolSetup(t, nPer, K)
-	// Shard writes, then shard reads; check values at global offsets.
+	// Shard writes, then shard reads of one written cell per shard.
 	writes := make([]model.Batch, K)
 	for k := range writes {
 		writes[k] = bandBatch(pl, k, 0)
 	}
-	_, shardReps := pl.ExecuteSteps(writes)
+	pl.ExecuteSteps(writes)
 	reads := make([]model.Batch, K)
 	for k := range reads {
 		b := model.NewBatch(nPer)
@@ -152,26 +157,26 @@ func TestPoolAggregateReport(t *testing.T) {
 		}
 		reads[k] = b
 	}
-	agg, shardReps2 := pl.ExecuteSteps(reads)
-	shardReps = shardReps2
-	if len(agg.Values) != K*nPer {
-		t.Fatalf("aggregate Values len %d, want %d", len(agg.Values), K*nPer)
+	shards := pl.ExecuteSteps(reads)
+	if len(shards) != K {
+		t.Fatalf("got %d shard reports, want %d", len(shards), K)
 	}
-	var wantCopies int64
-	for k := 0; k < K; k++ {
-		if shardReps[k].Phases > agg.Phases || shardReps[k].Time > agg.Time {
-			t.Errorf("aggregate makespan below shard %d: agg %+v shard %+v", k, agg, shardReps[k])
+	for k := range shards {
+		if shards[k].Err != nil {
+			t.Fatalf("shard %d: %v", k, shards[k].Err)
 		}
-		wantCopies += shardReps[k].CopyAccesses
+		if len(shards[k].Values) != nPer {
+			t.Fatalf("shard %d Values len %d, want %d", k, len(shards[k].Values), nPer)
+		}
 		want := writes[k][0].Value
-		for i := 0; i < nPer; i++ {
-			if agg.Values[k*nPer+i] != want {
-				t.Fatalf("agg.Values[%d] = %d, want %d", k*nPer+i, agg.Values[k*nPer+i], want)
+		for i, v := range shards[k].Values {
+			if v != want {
+				t.Fatalf("shard %d Values[%d] = %d, want %d", k, i, v, want)
 			}
 		}
-	}
-	if agg.CopyAccesses != wantCopies {
-		t.Errorf("aggregate CopyAccesses = %d, want summed %d", agg.CopyAccesses, wantCopies)
+		if shards[k].CopyAccesses == 0 || shards[k].Time == 0 {
+			t.Errorf("shard %d report carries no costs: %+v", k, shards[k])
+		}
 	}
 }
 

@@ -56,12 +56,11 @@ func TestDifferentialPoolUnevenShards(t *testing.T) {
 				h := newPoolHarness(mp, K, nPer, model.CRCWPriority, newCB, nil)
 				rng := rand.New(rand.NewSource(seed * 577))
 				batches := make([]model.Batch, K)
-				var refAgg model.StepReport
 				for s := 0; s < 6; s++ {
 					for sh := range batches {
 						batches[sh] = unevenBatch(rng, h, sh, widths[sh], cross)
 					}
-					agg, shardReps := h.pool.ExecuteSteps(batches)
+					shardReps := h.pool.ExecuteSteps(batches)
 					for sh := 0; sh < K; sh++ {
 						h.refR[sh] = h.ref[sh].ExecuteStep(batches[sh])
 					}
@@ -69,10 +68,6 @@ func TestDifferentialPoolUnevenShards(t *testing.T) {
 						if fp, fr := stepFingerprint(shardReps[sh]), stepFingerprint(h.refR[sh]); fp != fr {
 							t.Fatalf("step %d shard %d diverged:\n pool %s\n ref  %s", s, sh, fp, fr)
 						}
-					}
-					model.MergeStepReports(&refAgg, h.refR, h.pool.ShardProcs())
-					if fa, fr := stepFingerprint(agg), stepFingerprint(refAgg); fa != fr {
-						t.Fatalf("step %d aggregate diverged:\n pool %s\n ref  %s", s, fa, fr)
 					}
 					if got := h.pool.LastActive(); got > 3 {
 						t.Fatalf("step %d: LastActive=%d with a permanently idle lane", s, got)

@@ -17,11 +17,13 @@ import (
 // duration of the call: a sink must encode or copy what it keeps. Sinks
 // must not mutate any argument and must not call back into the machine.
 //
-// Every call comes from the goroutine driving the machine or pool. A
-// single Machine calls RecordStep at the end of ExecuteStep. A Pool calls
-// it once per shard (lane k is shard k, see Pool.SetStepSink) in ascending
-// lane order after a round's shard steps run, idle shards included, and
-// then calls StepBarrier.
+// Every call comes from the goroutine driving the machine or pool, one at
+// a time, in the order the steps ran. A single Machine calls RecordStep at
+// the end of ExecuteStep. A Pool calls it once per shard (lane k is shard
+// k, see Pool.SetStepSink) in ascending lane order, which is the order
+// its shard steps ran, idle shards included, and then calls StepBarrier.
+// A sink that renames lanes (the serving front end's shard-to-tenant
+// sink) must keep that call order: replay runs the steps in it.
 type StepSink interface {
 	// RecordStep reports one executed step: its post-dedup form (the
 	// fields of a DedupStep) and the assembled report.
@@ -48,7 +50,7 @@ func (m *Machine) SetStepSink(sink StepSink, lane int) {
 // DedupStep is one P-RAM step in its POST-DEDUP form: the deduplicated
 // read batch, the reader fan-out lists, and the deduplicated write batch.
 // It is what the dedup front end produces, what a StepSink observes, and
-// the unit ExecuteDedupStep and Pool.ExecuteDedupSteps replay.
+// the unit ExecuteDedupStep replays.
 type DedupStep struct {
 	// Reads holds one request per read address, owned by its
 	// lowest-processor reader, in ascending variable order.

@@ -227,8 +227,9 @@ func TestDedupStepDoesNotRecord(t *testing.T) {
 }
 
 // TestPoolSetStepSinkLanes: the pool records every round, lanes 0..K−1 in
-// ascending order then the barrier; replaying the rounds reproduces the
-// breakdown accessors and the store image.
+// ascending order then the barrier; replaying the recorded steps in that
+// order, each on its lane's machine of a fresh pool, reproduces the
+// reports, the breakdown accessors and the store image.
 func TestPoolSetStepSinkLanes(t *testing.T) {
 	const k, nPer = 4, 8
 	p := memmap.LemmaTwo(k*nPer, 2, 1)
@@ -271,15 +272,15 @@ func TestPoolSetStepSinkLanes(t *testing.T) {
 	if want := []int{k, 2 * k, 3 * k}; !slices.Equal(sink.barrierAt, want) {
 		t.Errorf("barriers after %v recorded steps, want %v", sink.barrierAt, want)
 	}
-	// Replaying the captured rounds through ExecuteDedupSteps on a fresh
-	// pool reproduces the breakdown accessors and the store image.
 	pl2 := newPool("sink2")
-	for r := 0; r < rounds; r++ {
-		pl2.ExecuteDedupSteps(sink.steps[r*k : (r+1)*k])
-		for sh := 0; sh < k; sh++ {
-			if got := poolBreakdown(pl2, sh); got != liveBreakdowns[r][sh] {
-				t.Errorf("round %d shard %d breakdown: replay %+v, live %+v", r, sh, got, liveBreakdowns[r][sh])
-			}
+	for i, st := range sink.steps {
+		r, sh := i/k, sink.lanes[i]
+		rep := pl2.Machine(sh).ExecuteDedupStep(st.Reads, st.ReaderOff, st.ReaderProcs, st.Writes)
+		if got := reportString(&rep); got != sink.reports[i] {
+			t.Errorf("round %d shard %d report: replay %s, live %s", r, sh, got, sink.reports[i])
+		}
+		if got := poolBreakdown(pl2, sh); got != liveBreakdowns[r][sh] {
+			t.Errorf("round %d shard %d breakdown: replay %+v, live %+v", r, sh, got, liveBreakdowns[r][sh])
 		}
 	}
 	if a, b := pl.Store().Fingerprint(), pl2.Store().Fingerprint(); a != b {

@@ -22,11 +22,11 @@
 // (on the 2DMOT and on wrapping interconnects) — performs zero heap
 // allocations in steady state, whichever addresses a step touches. Every
 // per-step and per-batch structure lives in a scratch arena owned by its
-// component and reused across calls, the Pool's step slots, census tables
-// and merged-report buffers included. The price is aliasing: Result and
-// StepReport slices are valid only until the next call on the same
-// component (for a Pool's aggregate report, its next ExecuteSteps), and a
-// machine is single-threaded. AllocsPerRun tests (alloc_test.go,
+// component and reused across calls, the Pool's step slots and census
+// tables included. The price is aliasing: Result and StepReport slices
+// are valid only until the next call on the same component (for a Pool's
+// shard reports, their shard's next step), and a machine is
+// single-threaded. AllocsPerRun tests (alloc_test.go,
 // TestRandomStepsDoNotAllocate) lock the invariant; the goldens
 // (golden_test.go, testdata/) pin behaviour bit for bit, and FuzzEngine
 // (reference_test.go) holds both phase loops to a clean-room statement of
@@ -60,13 +60,15 @@
 // one step body (read leg, reader fan-out, write leg). A StepSink attached
 // via Machine.SetStepSink or Pool.SetStepSink sees every step's DedupStep
 // and cost report, which is how repro/internal/replay records PRAMTRC1
-// traces; Machine.ExecuteDedupStep and Pool.ExecuteDedupSteps run such
-// steps through the same body without the front end. Replay is bit for bit
-// because the engine's behaviour is a function of the construction
-// parameters and the DedupStep and LoadCells sequence alone, so a sink
-// must attach before the first step. A Pool records each round after its
-// shard steps run: shard k under lane k, in ascending order, then
-// StepBarrier.
+// traces; Machine.ExecuteDedupStep runs such a step through the same body
+// without the front end. Replay is bit for bit because the engine's
+// behaviour is a function of the construction parameters and the
+// DedupStep and LoadCells sequence alone, so a sink must attach before
+// the first step. A Pool records each round after its shard steps run, in
+// the order they ran: shard k under lane k, in ascending order, then
+// StepBarrier. A pool round therefore replays as its shard steps, one
+// ExecuteDedupStep per lane in that order; the round's census only
+// observes.
 //
 // # Serving lane
 //
@@ -87,7 +89,7 @@
 // path is annotated //pram:hotpath (Engine.run, Store.warmRows,
 // Engine.bipartitePhase, Engine.routedPhase, Machine.ExecuteStep,
 // Machine.dedup, Machine.execute, Machine.ExecuteDedupStep/openDedup,
-// Pool.ExecuteSteps/ExecuteDedupSteps), so hotalloc flags any fmt call,
+// Pool.ExecuteSteps), so hotalloc flags any fmt call,
 // interface boxing, capturing closure or unowned append added to it.
 // Deliberately cold lines there (contract-violation panic guards) carry
 // //pram:coldalloc with a reason, and stale annotations are reported.

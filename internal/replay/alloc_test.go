@@ -26,12 +26,12 @@ func allocTrace(t *testing.T, cfg core.Spec) ([]byte, *Replayer, *bytes.Reader) 
 // shape of the E13 benchmark loop.
 func stepOrRewind(t testing.TB, rp *Replayer, rd *bytes.Reader) {
 	for {
-		executed, err := rp.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if executed {
+		_, _, err := rp.Step()
+		if err == nil {
 			return
+		}
+		if err != io.EOF {
+			t.Fatal(err)
 		}
 		if _, err := rd.Seek(0, io.SeekStart); err != nil {
 			t.Fatal(err)
@@ -84,7 +84,7 @@ func TestReplayResetZeroAllocs(t *testing.T) {
 }
 
 // TestPoolReplayStepZeroAllocs extends the invariant to multi-lane pool
-// traces (round assembly arenas plus ExecuteDedupSteps).
+// traces (each step frame on its lane's machine, barriers between rounds).
 func TestPoolReplayStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
@@ -96,7 +96,7 @@ func TestPoolReplayStepZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, func() {
 		stepOrRewind(t, rp, rd)
 	}); avg != 0 {
-		t.Errorf("replayed pool round allocates %.1f/op in steady state, want 0", avg)
+		t.Errorf("replayed pool step allocates %.1f/op in steady state, want 0", avg)
 	}
 }
 

@@ -51,6 +51,14 @@ func smallTrace(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// frame appends a fully framed rendering of (kind, payload) to dst.
+func frame(dst []byte, kind byte, payload []byte) []byte {
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, frameCRC(kind, payload))
+}
+
 // poolTrace is a small multi-lane seed (barrier frames, lane layout).
 func poolTrace(t testing.TB) []byte {
 	data, _, _ := recordRun(t, core.Spec{Kind: core.KindDMMPC, Lanes: 2, Procs: 8, Mode: model.CRCWPriority}, Banded, 3, 8)
@@ -117,7 +125,7 @@ func TestBitFlippedTraceRejected(t *testing.T) {
 }
 
 // TestCorruptPoolTraceRejected samples corruptions of a multi-lane trace
-// (lane ids, barrier structure, round assembly).
+// (lane ids, barrier structure).
 func TestCorruptPoolTraceRejected(t *testing.T) {
 	data := poolTrace(t)
 	mut := make([]byte, len(data))
@@ -127,6 +135,55 @@ func TestCorruptPoolTraceRejected(t *testing.T) {
 		if err := drainTrace(mut); err == nil {
 			t.Fatalf("corrupting byte %d of the pool trace went undetected", pos)
 		}
+	}
+}
+
+// splitFrames cuts a well-formed trace into its magic and its raw frames
+// (kind byte through checksum).
+func splitFrames(data []byte) (head []byte, frames [][]byte) {
+	head, rest := data[:len(magic)], data[len(magic):]
+	for len(rest) > 0 {
+		length, n := binary.Uvarint(rest[1:])
+		end := 1 + n + int(length) + 4
+		frames = append(frames, rest[:end])
+		rest = rest[end:]
+	}
+	return head, frames
+}
+
+// TestRoundStructureRejected: CRC-correct traces whose frames break the
+// round structure are refused as corrupt. A round names each lane at most
+// once and is closed by a barrier before eof; a single-lane trace has no
+// barriers; a barrier closes at least one step; eof counts every step.
+func TestRoundStructureRejected(t *testing.T) {
+	pool, _, poolFP := recordRun(t, core.Spec{Kind: core.KindDMMPC, Lanes: 2, Procs: 8, Mode: model.CRCWPriority}, Banded, 3, 0)
+	head, frames := splitFrames(pool)
+	// frames: header, then per round step(0) step(1) barrier, then eof.
+	barrier := frame(nil, kindBarrier, nil)
+	join := func(parts ...[]byte) []byte {
+		return bytes.Join(append([][]byte{head}, parts...), nil)
+	}
+	rest := func(from int) []byte { return bytes.Join(frames[from:], nil) }
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"lane twice", join(frames[0], frames[1], frames[1], rest(2)), "lane 0 twice"},
+		{"no closing barrier", join(bytes.Join(frames[:len(frames)-2], nil), frames[len(frames)-1]), "unfinished round"},
+		{"empty round", join(frames[0], barrier, rest(1)), "no step frames"},
+		{"eof count", join(bytes.Join(frames[:len(frames)-1], nil), frame(nil, kindEOF, encodeEOF(nil, 7, poolFP))), "counts 7 steps, replayed 6"},
+	} {
+		if err := drainTrace(c.data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want a corrupt-trace error naming %q", c.name, err, c.want)
+		}
+	}
+
+	head, frames = splitFrames(smallTrace(t))
+	last := len(frames) - 1
+	data := join(bytes.Join(frames[:last], nil), barrier, frames[last])
+	if err := drainTrace(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "single-lane") {
+		t.Errorf("barrier in a single-lane trace: %v, want a corrupt-trace error", err)
 	}
 }
 

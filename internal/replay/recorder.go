@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -19,24 +18,19 @@ import (
 // calls Close, which appends the eof frame (recorded step count + final
 // store fingerprint) and detaches.
 //
-// Sink calls arrive serially (see quorum.StepSink). A multi-lane round's
-// step frames wait in per-lane buffers until StepBarrier flushes them in
-// ascending lane order, the pool's canonical serial order: the pool already
-// calls in that order, but a translating sink (the serving front end's
-// shard-to-tenant renaming) may not. Loads are setup-time events and are
-// written immediately.
+// Sink calls arrive serially (see quorum.StepSink), and every call writes
+// its frame at once, so step frames land in the order the steps ran and
+// StepBarrier closes the round they belong to.
 //
 // Writer errors are sticky: recording continues cheaply as a no-op and the
-// first error is reported by Close (and by Err).
+// first error is reported by Close.
 type Recorder struct {
-	mu      sync.Mutex // guards w/err on the flush paths
-	w       *bufio.Writer
-	built   *core.Built
-	lanes   int
-	steps   int64
-	pending [][]byte // per-lane framed bytes awaiting the round barrier
-	enc     []byte   // payload encoding buffer
-	err     error
+	w     *bufio.Writer
+	built *core.Built
+	lanes int
+	steps int64
+	enc   []byte // payload encoding buffer
+	err   error
 }
 
 // NewRecorder writes the trace header for built's configuration onto w and
@@ -66,10 +60,9 @@ func NewRecorder(w io.Writer, built *core.Built) (*Recorder, error) {
 // Lanes the caller's lane count), Store, Params and Side are read.
 func NewSinkRecorder(w io.Writer, built *core.Built) (*Recorder, error) {
 	r := &Recorder{
-		w:       bufio.NewWriter(w),
-		built:   built,
-		lanes:   built.Spec.Lanes,
-		pending: make([][]byte, built.Spec.Lanes),
+		w:     bufio.NewWriter(w),
+		built: built,
+		lanes: built.Spec.Lanes,
 	}
 	if _, err := r.w.Write(magic[:]); err != nil {
 		return nil, fmt.Errorf("replay: writing magic: %w", err)
@@ -81,22 +74,7 @@ func NewSinkRecorder(w io.Writer, built *core.Built) (*Recorder, error) {
 	return r, nil
 }
 
-// Err reports the first writer error, if any.
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-// Steps reports how many step frames have been recorded so far.
-func (r *Recorder) Steps() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.steps
-}
-
-// writeFrame emits one frame onto the buffered writer. Callers must hold
-// mu (or be on the single-threaded setup path).
+// writeFrame emits one frame onto the buffered writer.
 func (r *Recorder) writeFrame(kind byte, payload []byte) error {
 	if r.err != nil {
 		return r.err
@@ -120,14 +98,6 @@ func (r *Recorder) writeFrame(kind byte, payload []byte) error {
 	return r.err
 }
 
-// frame appends a fully framed rendering of (kind, payload) to dst.
-func frame(dst []byte, kind byte, payload []byte) []byte {
-	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, frameCRC(kind, payload))
-}
-
 // RecordStep implements quorum.StepSink.
 func (r *Recorder) RecordStep(lane int, reads []quorum.Request, readerOff, readerProcs []int32,
 	writes []quorum.Request, rep model.StepReport) {
@@ -136,72 +106,39 @@ func (r *Recorder) RecordStep(lane int, reads []quorum.Request, readerOff, reade
 		return
 	}
 	r.enc = encodeStep(r.enc[:0], lane, reads, readerOff, readerProcs, writes, costsOf(&rep))
-	r.pending[lane] = frame(r.pending[lane], kindStep, r.enc)
-	if r.lanes == 1 {
-		r.flushRound()
-	}
+	r.writeFrame(kindStep, r.enc)
+	r.steps++
 }
 
-// RecordLoad implements quorum.StepSink. Loads are setup-time,
-// single-threaded events (see quorum.StepSink) and are flushed
-// immediately, preserving global call order.
+// RecordLoad implements quorum.StepSink.
 func (r *Recorder) RecordLoad(lane int, base model.Addr, vals []model.Word) {
 	if lane < 0 || lane >= r.lanes {
 		r.failf("RecordLoad lane %d outside [0,%d)", lane, r.lanes)
 		return
 	}
 	r.enc = encodeLoad(r.enc[:0], lane, base, vals)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.writeFrame(kindLoad, r.enc)
 }
 
-// StepBarrier implements quorum.StepSink: the pool calls it after every
-// ExecuteSteps round's RecordStep calls. Flushes the round's lanes in
-// ascending lane order followed by a barrier frame.
+// StepBarrier implements quorum.StepSink: it closes the round whose step
+// frames were just written. A single-lane trace has no barriers.
 func (r *Recorder) StepBarrier() {
-	r.flushRound()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.lanes > 1 {
 		r.writeFrame(kindBarrier, nil)
 	}
 }
 
-// flushRound writes every lane's pending frames in ascending lane order.
-func (r *Recorder) flushRound() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k := range r.pending {
-		if len(r.pending[k]) == 0 {
-			continue
-		}
-		if r.err == nil {
-			if _, err := r.w.Write(r.pending[k]); err != nil {
-				r.err = fmt.Errorf("replay: writing frames: %w", err)
-			}
-		}
-		r.pending[k] = r.pending[k][:0]
-		r.steps++
-	}
-}
-
 // failf latches a recording error.
 func (r *Recorder) failf(format string, args ...any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.err == nil {
 		r.err = fmt.Errorf("replay: %s", fmt.Sprintf(format, args...))
 	}
 }
 
-// Close flushes any pending lanes, writes the eof frame with the final
-// store fingerprint, flushes the writer and detaches the sink. The
-// recorder must not be used afterwards.
+// Close writes the eof frame with the final store fingerprint, flushes
+// the writer and detaches the sink. The recorder must not be used
+// afterwards.
 func (r *Recorder) Close() error {
-	r.flushRound()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.built != nil {
 		if r.built.Pool != nil {
 			r.built.Pool.SetStepSink(nil)

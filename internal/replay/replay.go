@@ -52,13 +52,15 @@
 //	                 write payloads as zigzag varints, and each read's
 //	                 extra reader ids as plain varint deltas along the
 //	                 run's ascending processor order.
-//	barrier (0x04) — end of one Pool.ExecuteSteps round. Multi-lane traces
-//	                 only: the frames between barriers are one step per
-//	                 lane in ascending lane order (the shard-lane layout —
-//	                 lane k is workload shard k, serialized in the pool's
-//	                 canonical serial-reference order at the round's
-//	                 barrier). Single-lane traces have no barriers; every
-//	                 step frame is its own round.
+//	barrier (0x04) — end of one round. Multi-lane traces only: the step
+//	                 frames before it are the round's steps in the order
+//	                 they ran, each lane at most once. A pool round lists
+//	                 every lane in ascending order (lane k is workload
+//	                 shard k, idle shards included); a serving round lists
+//	                 only its scheduled tenants (lane t is tenant t), in
+//	                 the order of the shards that ran them. Single-lane
+//	                 traces have no barriers; every step frame is its own
+//	                 round.
 //	eof     (0x05) — exactly one, last: total recorded steps and the final
 //	                 store fingerprint. A stream that ends without an eof
 //	                 frame was truncated and every reader reports it.
@@ -69,10 +71,13 @@
 // heap allocations: frames decode into reusable buffers owned by the
 // Reader, so replaying a step costs exactly the engine's own work.
 //
-// Recording hooks quorum.StepSink (see the quorum package doc's "Trace
-// replay" section); replaying feeds quorum.Machine.ExecuteDedupStep /
-// quorum.Pool.ExecuteDedupSteps, which run the live step's body without
-// its dedup front end. The verify mode re-executes every step
+// Recording hooks quorum.StepSink (see the quorum package doc's "Record
+// and replay" section) and writes each frame as the sink call arrives.
+// Replaying runs each step frame as it is read on its lane's machine
+// through quorum.Machine.ExecuteDedupStep, the live step's body without
+// its dedup front end; frames in the order the steps ran mutate the
+// shared store in that order, so one loop replays pool and serving
+// captures alike. The verify mode re-executes every step
 // and compares recorded costs, per-step Values hashes and the final
 // fingerprint — the consistency-checking methodology of trace-based P-RAM
 // validation (cf. arXiv:1302.5161) applied to our own engine.

@@ -3,12 +3,14 @@ package replay
 import (
 	"bytes"
 	"fmt"
-	"strings"
+	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/mot"
+	"repro/internal/quorum"
 )
 
 // repFingerprint collapses a StepReport to its comparable fields (Values
@@ -19,19 +21,16 @@ func repFingerprint(rep *model.StepReport) string {
 		rep.ModuleContention, rep.Err != nil, rep.Values)
 }
 
-// roundString renders one executed round for bit-for-bit comparison.
-func roundString(agg *model.StepReport, lanes []model.StepReport) string {
-	var sb strings.Builder
-	sb.WriteString("agg " + repFingerprint(agg))
-	for k := range lanes {
-		fmt.Fprintf(&sb, " | lane%d %s", k, repFingerprint(&lanes[k]))
-	}
-	return sb.String()
+// stepString renders one executed step and its lane for bit-for-bit
+// comparison.
+func stepString(lane int, rep *model.StepReport) string {
+	return fmt.Sprintf("lane%d %s", lane, repFingerprint(rep))
 }
 
 // recordRun builds cfg's machines, records `steps` generated steps (after
-// a LoadImage preamble) and returns the trace bytes, the live run's round
-// strings, and the final store fingerprint.
+// a LoadImage preamble) and returns the trace bytes, the live run's step
+// strings (a pool round's shard reports in shard order), and the final
+// store fingerprint.
 func recordRun(t testing.TB, cfg core.Spec, pattern Pattern, steps, loads int) ([]byte, []string, uint64) {
 	t.Helper()
 	built, err := cfg.Build()
@@ -47,24 +46,25 @@ func recordRun(t testing.TB, cfg core.Spec, pattern Pattern, steps, loads int) (
 		LoadImage(built, loads, 99)
 	}
 	gen := NewGenerator(pattern, built.Spec.Lanes, built.Spec.Procs, built.Params.Mem, 7)
-	var rounds []string
+	var live []string
 	for s := 0; s < steps; s++ {
 		batches := gen.Step(s)
 		if built.Pool != nil {
-			agg, lanes := built.Pool.ExecuteSteps(batches)
-			rounds = append(rounds, roundString(&agg, lanes))
+			for k, rep := range built.Pool.ExecuteSteps(batches) {
+				live = append(live, stepString(k, &rep))
+			}
 		} else {
 			rep := built.Machine.ExecuteStep(batches[0])
-			rounds = append(rounds, roundString(&rep, []model.StepReport{rep}))
+			live = append(live, stepString(0, &rep))
 		}
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	return buf.Bytes(), rounds, built.Store.Fingerprint()
+	return buf.Bytes(), live, built.Store.Fingerprint()
 }
 
-// replayRun replays a trace in verify mode and returns the replayed round
+// replayRun replays a trace in verify mode and returns the replayed step
 // strings, the summary and the final store fingerprint.
 func replayRun(t *testing.T, data []byte) ([]string, Summary, uint64) {
 	t.Helper()
@@ -73,15 +73,18 @@ func replayRun(t *testing.T, data []byte) ([]string, Summary, uint64) {
 		t.Fatalf("open: %v", err)
 	}
 	rp.Verify = true
-	var rounds []string
-	rp.OnRound = func(agg model.StepReport, lanes []model.StepReport) {
-		rounds = append(rounds, roundString(&agg, lanes))
+	var got []string
+	for {
+		lane, rep, err := rp.Step()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("step: %v", err)
+		}
+		got = append(got, stepString(lane, &rep))
 	}
-	sum, err := rp.Run()
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return rounds, sum, rp.Built().Store.Fingerprint()
+	return got, rp.Summary(), rp.Built().Store.Fingerprint()
 }
 
 // roundTripConfigs is the coverage matrix of the acceptance criteria:
@@ -109,21 +112,22 @@ var roundTripConfigs = []struct {
 }
 
 // TestRoundTrip is the acceptance property: for every covered config,
-// record → replay produces bit-for-bit identical StepReports and store
-// fingerprints, and the embedded verification passes.
+// record → replay runs every step on the lane it ran on live, with a
+// bit-for-bit identical StepReport, ends on the same store fingerprint,
+// and the embedded verification passes.
 func TestRoundTrip(t *testing.T) {
 	for _, tc := range roundTripConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			const steps, loads = 12, 32
-			data, liveRounds, liveFP := recordRun(t, tc.cfg, tc.pattern, steps, loads)
-			gotRounds, sum, gotFP := replayRun(t, data)
+			data, liveSteps, liveFP := recordRun(t, tc.cfg, tc.pattern, steps, loads)
+			gotSteps, sum, gotFP := replayRun(t, data)
 
-			if len(gotRounds) != len(liveRounds) {
-				t.Fatalf("replayed %d rounds, live run had %d", len(gotRounds), len(liveRounds))
+			if len(gotSteps) != len(liveSteps) {
+				t.Fatalf("replayed %d steps, live run had %d", len(gotSteps), len(liveSteps))
 			}
-			for i := range liveRounds {
-				if gotRounds[i] != liveRounds[i] {
-					t.Errorf("round %d diverged:\n live   %s\n replay %s", i, liveRounds[i], gotRounds[i])
+			for i := range liveSteps {
+				if gotSteps[i] != liveSteps[i] {
+					t.Errorf("step %d diverged:\n live   %s\n replay %s", i, liveSteps[i], gotSteps[i])
 				}
 			}
 			if gotFP != liveFP {
@@ -136,10 +140,165 @@ func TestRoundTrip(t *testing.T) {
 			if sum.Steps != steps*int64(quorumLanes(tc.cfg)) {
 				t.Errorf("summary counts %d steps, want %d", sum.Steps, steps*int64(quorumLanes(tc.cfg)))
 			}
+			if sum.Rounds != steps {
+				t.Errorf("summary counts %d rounds, want %d", sum.Rounds, steps)
+			}
 			if sum.Loads == 0 {
 				t.Error("no load frames replayed")
 			}
 		})
+	}
+}
+
+// laneSink forwards a pool's sink calls to a recorder under renamed
+// lanes, the way the serving front end names its tenants: perm[k] is the
+// trace lane of pool shard k, and a shard with an empty step is left out
+// of its round.
+type laneSink struct {
+	rec  *Recorder
+	perm []int
+}
+
+func (s *laneSink) RecordStep(lane int, reads []quorum.Request, readerOff, readerProcs []int32,
+	writes []quorum.Request, rep model.StepReport) {
+	if len(reads) == 0 && len(writes) == 0 {
+		return
+	}
+	s.rec.RecordStep(s.perm[lane], reads, readerOff, readerProcs, writes, rep)
+}
+
+func (s *laneSink) RecordLoad(lane int, base model.Addr, vals []model.Word) {
+	s.rec.RecordLoad(s.perm[lane], base, vals)
+}
+
+func (s *laneSink) StepBarrier() { s.rec.StepBarrier() }
+
+// recordRenamed runs `steps` generated rounds of a K = 2 pool through a
+// laneSink and returns the trace, the live run's step strings in the
+// order the steps ran (under their trace lanes) and the final store
+// fingerprint. idle(s, k) leaves shard k out of round s.
+func recordRenamed(t *testing.T, pattern Pattern, perm []int, steps int, idle func(s, k int) bool) ([]byte, []string, uint64) {
+	t.Helper()
+	built, err := core.Spec{Kind: core.KindDMMPC, Lanes: 2, Procs: 8, Mode: model.CRCWPriority}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec, err := NewSinkRecorder(&buf, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.Pool.SetStepSink(&laneSink{rec: rec, perm: perm})
+	gen := NewGenerator(pattern, 2, built.Spec.Procs, built.Params.Mem, 7)
+	var live []string
+	for s := 0; s < steps; s++ {
+		round := append([]model.Batch(nil), gen.Step(s)...)
+		for k := range round {
+			if idle(s, k) {
+				round[k] = nil
+			}
+		}
+		for k, rep := range built.Pool.ExecuteSteps(round) {
+			if !idle(s, k) {
+				live = append(live, stepString(perm[k], &rep))
+			}
+		}
+	}
+	built.Pool.SetStepSink(nil)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), live, built.Store.Fingerprint()
+}
+
+// roundLanes reads a trace's step-frame lanes, one slice per round.
+func roundLanes(t *testing.T, data []byte) [][]int {
+	t.Helper()
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds [][]int
+	var cur []int
+	for {
+		f, err := rd.Next()
+		if err == io.EOF {
+			return rounds
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch f.Kind {
+		case KindStep:
+			cur = append(cur, f.Lane)
+		case KindBarrier:
+			rounds = append(rounds, cur)
+			cur = nil
+		}
+	}
+}
+
+// checkReplay replays data in verify mode and compares every step, in
+// order, with the live run's.
+func checkReplay(t *testing.T, data []byte, live []string, liveFP uint64) Summary {
+	t.Helper()
+	got, sum, fp := replayRun(t, data)
+	if len(got) != len(live) {
+		t.Fatalf("replayed %d steps, live run had %d", len(got), len(live))
+	}
+	for i := range live {
+		if got[i] != live[i] {
+			t.Errorf("step %d diverged:\n live   %s\n replay %s", i, live[i], got[i])
+		}
+	}
+	if fp != liveFP {
+		t.Errorf("store fingerprint: live %x, replay %x", liveFP, fp)
+	}
+	if !sum.VerifyOK() {
+		t.Errorf("verify failed: %d mismatches %v (fingerprint ok=%v)",
+			sum.Mismatches, sum.MismatchDetail, sum.FingerprintOK)
+	}
+	return sum
+}
+
+// TestTraceKeepsRunOrder: a round whose lanes ran in descending order is
+// written in that order and replayed in it. Uniform traffic makes the two
+// lanes share cells, so running a round's steps in lane order instead
+// would change what they read.
+func TestTraceKeepsRunOrder(t *testing.T) {
+	const steps = 40
+	data, live, liveFP := recordRenamed(t, Uniform, []int{1, 0}, steps, func(int, int) bool { return false })
+	rounds := roundLanes(t, data)
+	if len(rounds) != steps {
+		t.Fatalf("trace holds %d rounds, want %d", len(rounds), steps)
+	}
+	for r, lanes := range rounds {
+		if !slices.Equal(lanes, []int{1, 0}) {
+			t.Fatalf("round %d lists lanes %v, want [1 0] as they ran", r, lanes)
+		}
+	}
+	checkReplay(t, data, live, liveFP)
+}
+
+// TestPartialRoundsReplay: a multi-lane trace whose rounds name only some
+// of its lanes, as a serving capture's rounds name only the scheduled
+// tenants, replays and verifies, one round per barrier.
+func TestPartialRoundsReplay(t *testing.T) {
+	const steps = 12
+	idle := func(s, k int) bool { return (s+k)%3 == 0 }
+	data, live, liveFP := recordRenamed(t, Banded, []int{0, 1}, steps, idle)
+	partial := 0
+	for _, lanes := range roundLanes(t, data) {
+		if len(lanes) < 2 {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no round left a lane out")
+	}
+	sum := checkReplay(t, data, live, liveFP)
+	if sum.Rounds != steps || sum.Steps != int64(len(live)) {
+		t.Errorf("summary counts %d steps in %d rounds, want %d in %d", sum.Steps, sum.Rounds, len(live), steps)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -334,7 +335,7 @@ func growCap[T any](buf []T, n int) []T {
 // Summary accumulates what a replay run saw and (in verify mode) checked.
 type Summary struct {
 	Steps  int64 // step frames executed
-	Rounds int64 // pool rounds (== Steps on single-lane traces)
+	Rounds int64 // rounds: barriers in a multi-lane trace, steps in a single-lane one
 	Loads  int64 // load frames applied
 
 	SimTime       int64 // sum of recorded per-step times, as replayed
@@ -361,32 +362,24 @@ func (s *Summary) VerifyOK() bool {
 }
 
 // Replayer streams a trace into freshly built machines. Open pays machine
-// construction once; Step/Run then drive the engines directly with the
-// recorded post-dedup batches — no program coordinator, no sort/dedup —
-// which is what makes n ≥ 4096 sweeps routine.
+// construction once; Step/Run then run each recorded post-dedup step on
+// its lane's machine as they read it — no program coordinator, no
+// sort/dedup — which is what makes n ≥ 4096 sweeps routine.
 type Replayer struct {
 	// Verify compares every replayed step's costs and Values hash against
 	// the recorded ones and, at eof, the store fingerprint. Mismatches
 	// accumulate in the Summary (capped detail strings) rather than
 	// aborting the run.
 	Verify bool
-	// OnRound, when non-nil, observes every executed round: the aggregate
-	// report and the per-lane reports (both alias machine/pool scratch).
-	OnRound func(agg model.StepReport, lanes []model.StepReport)
 
 	r         *Reader
 	built     *core.Built
 	sum       Summary
 	passSteps int64 // step frames executed this pass (reset by Reset)
 
-	// Pool-round assembly: recorded frames alias the Reader's buffers and
-	// are invalidated by Next, so multi-lane rounds deep-copy each lane's
-	// step into reusable arenas before executing the round.
-	round     []quorum.DedupStep
-	roundCost []StepCosts
-	roundSet  []bool
-	roundFill int
-	singleRep []model.StepReport // OnRound scratch for single-lane traces
+	// roundSet marks the lanes the open round of a multi-lane trace has
+	// run.
+	roundSet []bool
 }
 
 // Open reads a trace's header from src and builds its machines. The
@@ -415,15 +408,7 @@ func Open(src io.Reader) (*Replayer, error) {
 	if fp := built.Store.Fingerprint(); fp != r.startFP {
 		return nil, corruptf("start fingerprint mismatch: trace %x vs fresh store %x (store was modified before recording started?)", r.startFP, fp)
 	}
-	rp := &Replayer{r: r, built: built}
-	if spec.Lanes > 1 {
-		rp.round = make([]quorum.DedupStep, spec.Lanes)
-		rp.roundCost = make([]StepCosts, spec.Lanes)
-		rp.roundSet = make([]bool, spec.Lanes)
-	} else {
-		rp.singleRep = make([]model.StepReport, 1)
-	}
-	return rp, nil
+	return &Replayer{r: r, built: built, roundSet: make([]bool, spec.Lanes)}, nil
 }
 
 // Spec returns the trace's machine spec.
@@ -445,25 +430,25 @@ func (rp *Replayer) Reset(src io.Reader) error {
 	if err := rp.r.Reset(src); err != nil {
 		return err
 	}
-	if rp.roundSet != nil {
-		clear(rp.roundSet)
-	}
-	rp.roundFill = 0
+	clear(rp.roundSet)
 	rp.passSteps = 0
 	return nil
 }
 
-// Step processes frames until one step (single-lane) or one full round
-// (multi-lane pool trace) has executed, applying any load frames on the
-// way. It returns executed=false at the eof frame (after fingerprint
-// verification, when enabled) with a nil error.
+// Step reads frames up to the next step frame, applying load frames and
+// closing rounds at barriers on the way, runs that step on its lane's
+// machine and returns the lane and the step's report (which aliases the
+// machine's scratch until its next step). At the eof frame it checks the
+// step count and, in verify mode, the final store fingerprint, and
+// returns io.EOF.
 //
 //pram:hotpath
-func (rp *Replayer) Step() (executed bool, err error) {
+func (rp *Replayer) Step() (lane int, rep model.StepReport, err error) {
+	multi := rp.built.Spec.Lanes > 1
 	for {
 		f, err := rp.r.Next()
 		if err != nil {
-			return false, err
+			return 0, rep, err
 		}
 		switch f.Kind {
 		case KindLoad:
@@ -472,51 +457,33 @@ func (rp *Replayer) Step() (executed bool, err error) {
 			}
 			rp.sum.Loads++
 		case KindStep:
-			if rp.built.Pool == nil {
-				rep := rp.built.Machine.ExecuteDedupStep(f.Reads, f.ReaderOff, f.ReaderProcs, f.Writes)
-				rp.noteStep(&rep, &f.Costs)
+			if !multi {
 				rp.sum.Rounds++
-				if rp.OnRound != nil {
-					rp.singleRep[0] = rep
-					rp.OnRound(rep, rp.singleRep)
-				}
-				return true, nil
-			}
-			if rp.roundSet[f.Lane] {
+			} else if rp.roundSet[f.Lane] {
 				//pram:coldalloc corrupt-input error exit
-				return false, corruptf("round records lane %d twice", f.Lane)
+				return 0, rep, corruptf("round records lane %d twice", f.Lane)
+			} else {
+				rp.roundSet[f.Lane] = true
 			}
-			copyDedupStep(&rp.round[f.Lane], f)
-			rp.roundCost[f.Lane] = f.Costs
-			rp.roundSet[f.Lane] = true
-			rp.roundFill++
+			rep = rp.built.Lane(f.Lane).ExecuteDedupStep(f.Reads, f.ReaderOff, f.ReaderProcs, f.Writes)
+			rp.noteStep(&rep, &f.Costs)
+			return f.Lane, rep, nil
 		case KindBarrier:
-			if rp.built.Pool == nil {
-				return false, corruptf("barrier frame in a single-lane trace")
+			if !multi {
+				return 0, rep, corruptf("barrier frame in a single-lane trace")
 			}
-			if rp.roundFill != rp.built.Spec.Lanes {
-				//pram:coldalloc corrupt-input error exit
-				return false, corruptf("round barrier after %d of %d lanes", rp.roundFill, rp.built.Spec.Lanes)
+			if !slices.Contains(rp.roundSet, true) {
+				return 0, rep, corruptf("round barrier after no step frames")
 			}
-			agg, lanes := rp.built.Pool.ExecuteDedupSteps(rp.round)
-			for k := range lanes {
-				rp.noteStep(&lanes[k], &rp.roundCost[k])
-			}
-			rp.sum.Rounds++
 			clear(rp.roundSet)
-			rp.roundFill = 0
-			if rp.OnRound != nil {
-				rp.OnRound(agg, lanes)
-			}
-			return true, nil
+			rp.sum.Rounds++
 		case KindEOF:
-			if rp.roundFill != 0 {
-				//pram:coldalloc corrupt-input error exit
-				return false, corruptf("eof frame inside an unfinished round (%d of %d lanes)", rp.roundFill, rp.built.Spec.Lanes)
+			if slices.Contains(rp.roundSet, true) {
+				return 0, rep, corruptf("eof frame inside an unfinished round")
 			}
 			if f.Steps != rp.passSteps {
 				//pram:coldalloc corrupt-input error exit
-				return false, corruptf("eof frame counts %d steps, replayed %d", f.Steps, rp.passSteps)
+				return 0, rep, corruptf("eof frame counts %d steps, replayed %d", f.Steps, rp.passSteps)
 			}
 			if rp.Verify {
 				rp.sum.FingerprintChecked = true
@@ -529,7 +496,7 @@ func (rp *Replayer) Step() (executed bool, err error) {
 						rp.sum.ReplayFingerprint, rp.sum.RecordedFingerprint))
 				}
 			}
-			return false, nil
+			return 0, rep, io.EOF
 		}
 	}
 }
@@ -539,12 +506,11 @@ func (rp *Replayer) Step() (executed bool, err error) {
 // stream-level problems only).
 func (rp *Replayer) Run() (Summary, error) {
 	for {
-		executed, err := rp.Step()
-		if err != nil {
+		if _, _, err := rp.Step(); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
 			return rp.sum, err
-		}
-		if !executed {
-			return rp.sum, nil
 		}
 	}
 }
@@ -587,12 +553,4 @@ func (rp *Replayer) mismatch(detail string) {
 	if len(rp.sum.MismatchDetail) < 8 {
 		rp.sum.MismatchDetail = append(rp.sum.MismatchDetail, detail)
 	}
-}
-
-// copyDedupStep deep-copies a step frame into a reusable round slot.
-func copyDedupStep(dst *quorum.DedupStep, f *Frame) {
-	dst.Reads = append(dst.Reads[:0], f.Reads...)
-	dst.ReaderOff = append(dst.ReaderOff[:0], f.ReaderOff...)
-	dst.ReaderProcs = append(dst.ReaderProcs[:0], f.ReaderProcs...)
-	dst.Writes = append(dst.Writes[:0], f.Writes...)
 }

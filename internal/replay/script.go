@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -34,6 +35,13 @@ import (
 
 // ScriptMagic is the arrival-script format's first line.
 const ScriptMagic = "PRAMARS1"
+
+// MaxCredits bounds one submission's credits: far above any queue cap,
+// and small enough that no run of submissions wraps a tenant's int64
+// accounts. POST /submit answers 400 above it and ReadScript refuses an
+// `a` line above it, so every admitted submission is one its script can
+// replay.
+const MaxCredits = math.MaxInt32
 
 // ScriptEvent is one recorded external event, in virtual round time.
 type ScriptEvent struct {
@@ -178,7 +186,7 @@ func ReadScript(rd io.Reader) (*Script, error) {
 			if err := scanInts(rest, &ev.Round, &ev.Tenant, &ev.Credits); err != nil {
 				return nil, fmt.Errorf("replay: script line %d: bad submission %q: %v", line, text, err)
 			}
-			if ev.Round < 0 || ev.Tenant < 0 || ev.Credits < 1 {
+			if ev.Round < 0 || ev.Tenant < 0 || ev.Credits < 1 || ev.Credits > MaxCredits {
 				return nil, fmt.Errorf("replay: script line %d: bad submission %q", line, text)
 			}
 			s.Events = append(s.Events, ev)

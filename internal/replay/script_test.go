@@ -93,6 +93,7 @@ func TestScriptRejectsMalformed(t *testing.T) {
 		{"meta CR", "PRAMARS1\nmeta x\ry\nend 0 0\n", "carriage return"},
 		{"name ends in CR", "PRAMARS1\nmeta x\nt 1 0 u\r\r\nend 0 0\n", "carriage return"},
 		{"zero credits", "PRAMARS1\nmeta x\na 0 0 0\nend 0 0\n", "bad submission"},
+		{"credits above MaxCredits", "PRAMARS1\nmeta x\na 0 0 2147483648\nend 0 0\n", "bad submission"},
 		{"zero k", "PRAMARS1\nmeta x\nr 4 0\nend 0 0\n", "bad resize"},
 		{"bad tenant", "PRAMARS1\nmeta x\nt 5 nothex u\nend 0 0\n", "bad tenant hash"},
 		{"tenant no name", "PRAMARS1\nmeta x\nt 5 0\nend 0 0\n", "bad tenant footer"},

@@ -128,8 +128,10 @@ func TestBatchSourceLaneSelection(t *testing.T) {
 	gen := NewGenerator(Banded, 2, 8, built.Params.Mem, 7)
 	const rounds = 4
 	for s := 0; s < rounds; s++ {
-		if agg, _ := built.Pool.ExecuteSteps(gen.Step(s)); agg.Err != nil {
-			t.Fatal(agg.Err)
+		for _, rep := range built.Pool.ExecuteSteps(gen.Step(s)) {
+			if rep.Err != nil {
+				t.Fatal(rep.Err)
+			}
 		}
 	}
 	if err := rec.Close(); err != nil {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/exposition"
+	"repro/internal/replay"
 )
 
 // HTTPOptions configures the live HTTP front end around a Server.
@@ -88,7 +89,7 @@ func (h *HTTPServer) Registry() *exposition.Registry { return h.reg }
 
 // Handler returns the HTTP surface:
 //
-//	POST /submit?tenant=NAME&steps=N   offer N step credits (default 1)
+//	POST /submit?tenant=NAME&steps=N   offer N step credits (default 1, at most replay.MaxCredits)
 //	GET  /metrics                      Prometheus text exposition
 //	GET  /healthz                      200 ok, 503 once draining
 //	GET  /debug/events[?limit=N]       event dump (Chrome/Perfetto JSON, virtual time)
@@ -115,9 +116,10 @@ func (h *HTTPServer) Handler() http.Handler {
 // split between accepted and rejected credits is the Server's own
 // deterministic admission decision; this handler only translates it to
 // status codes — 200 all accepted, 429 when the queue rejected any part
-// (backpressure made loud), 404 unknown tenant, 503 during drain. Denied
-// (503) submissions never reach the Server, so its arrival script holds
-// exactly the submissions that touched the admission accounting.
+// (backpressure made loud), 400 for steps outside [1, replay.MaxCredits],
+// 404 unknown tenant, 503 during drain. Refused (400/404/503) submissions
+// never reach the Server, so its arrival script holds exactly the
+// submissions that touched the admission accounting.
 func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -129,8 +131,8 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	n := 1
 	if v := q.Get("steps"); v != "" {
 		var err error
-		if n, err = strconv.Atoi(v); err != nil || n < 1 {
-			http.Error(w, fmt.Sprintf("bad steps %q: want a positive integer", v), http.StatusBadRequest)
+		if n, err = strconv.Atoi(v); err != nil || n < 1 || n > replay.MaxCredits {
+			http.Error(w, fmt.Sprintf("bad steps %q: want an integer in [1, %d]", v, replay.MaxCredits), http.StatusBadRequest)
 			return
 		}
 	}

@@ -84,6 +84,67 @@ func TestHTTPSubmitBackpressure(t *testing.T) {
 	}
 }
 
+// TestSubmitCreditsBound: one submission offers at most replay.MaxCredits.
+// Above the bound POST /submit answers 400 and changes no account and no
+// script line; two submissions at the bound add up exactly, with no
+// account wrapping; an ordinary oversized burst still answers 429.
+func TestSubmitCreditsBound(t *testing.T) {
+	s, err := NewServer(externalPair()) // QueueCap 4 per tenant
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var script bytes.Buffer
+	if err := s.StartScript(&script, "bound"); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHTTPServer(s, HTTPOptions{}).Handler()
+	submit := func(tenant string, steps int64) int {
+		req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/submit?tenant=%s&steps=%d", tenant, steps), nil)
+		resp := httptest.NewRecorder()
+		h.ServeHTTP(resp, req)
+		return resp.Code
+	}
+	before := accounts(s)
+	if code := submit("ext0", replay.MaxCredits+1); code != http.StatusBadRequest {
+		t.Errorf("steps above the bound answered %d, want 400", code)
+	}
+	if code := submit("ext0", 1<<63-1); code != http.StatusBadRequest {
+		t.Errorf("steps=MaxInt64 answered %d, want 400", code)
+	}
+	if after := accounts(s); !slices.Equal(after, before) {
+		t.Errorf("refused submissions moved the accounts: %+v -> %+v", before, after)
+	}
+	for i := 0; i < 2; i++ {
+		if code := submit("ext0", replay.MaxCredits); code != http.StatusTooManyRequests {
+			t.Errorf("submission %d at the bound answered %d, want 429", i, code)
+		}
+	}
+	if code := submit("ext1", 100); code != http.StatusTooManyRequests {
+		t.Errorf("a 100-credit burst answered %d, want 429", code)
+	}
+	st := s.TenantStats(0)
+	if want := int64(2 * replay.MaxCredits); st.Submitted != want || st.Rejected != want-4 {
+		t.Errorf("submitted %d rejected %d, want %d and %d", st.Submitted, st.Rejected, want, want-4)
+	}
+	checkIdentity(t, s, "after submissions at the bound")
+	if err := s.StopScript(); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := replay.ReadScript(&script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []replay.ScriptEvent{
+		{Tenant: 0, Credits: replay.MaxCredits},
+		{Tenant: 0, Credits: replay.MaxCredits},
+		{Tenant: 1, Credits: 100},
+	}
+	if !slices.Equal(sc.Events, want) {
+		t.Errorf("script events %+v, want %+v", sc.Events, want)
+	}
+}
+
 // TestHTTPMetricsAndHealth covers the scrape endpoint and the drain flip.
 func TestHTTPMetricsAndHealth(t *testing.T) {
 	cfg := externalPair()
@@ -429,6 +490,8 @@ func FuzzSubmit(f *testing.F) {
 		{"POST", "ext0", "-3", false},
 		{"POST", "ext0", "1", true},
 		{"POST", "bad\xffutf8", "6", false},
+		{"POST", "ext0", "2147483647", false}, // replay.MaxCredits: 429
+		{"POST", "ext0", "2147483648", false}, // above it: 400
 	} {
 		f.Add(seed.method, seed.tenant, seed.steps, seed.draining)
 	}

@@ -44,7 +44,8 @@
 //
 // # Recording
 //
-// StartTrace records the executed steps (PRAMTRC1). StartScript records
+// StartTrace records the executed steps (PRAMTRC1), in the order they
+// ran, which `replay verify` replays bit for bit. StartScript records
 // the arrival script (PRAMARS1): one line per Submit, Resize and
 // StopAdmission, and StopScript's footer. PlayScript replays a script on
 // a fresh server from the same Config, whose autoscaler repeats the live
@@ -695,7 +696,9 @@ func (s *Server) refreshNets() {
 // are TENANT ids, not pool shards: a translating sink renames each
 // executed step's shard lane to the tenant it served, so the capture has
 // a fixed lane count (the mix size) and survives online Resize — a trace
-// of the workload, not of the momentary pool shape. The header is the
+// of the workload, not of the momentary pool shape. A round lists only
+// its scheduled tenants, in the shard order they ran in, then a barrier,
+// so `replay verify` replays the capture bit for bit. The header is the
 // deployment's spec, whose map a reader rebuilds banded Lanes ways, so
 // StartTrace refuses a deployment whose band count differs from its
 // tenant count. Stop with StopTrace (before reading w); only one trace
@@ -869,7 +872,7 @@ func (s *Server) Round() int {
 //
 //pram:hotpath
 func (s *Server) execute(r int64, scheduled int) {
-	_, reports := s.pool.ExecuteSteps(s.batches)
+	reports := s.pool.ExecuteSteps(s.batches)
 	merges := s.k - s.pool.LastComponents()
 	if merges > 0 {
 		s.forcedMerges += int64(merges)
