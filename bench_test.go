@@ -222,16 +222,15 @@ func BenchmarkE3DMMPCStepHotspot(b *testing.B) {
 }
 
 // dedupCapture is a StepSink that deep-copies every step it sees: the
-// slices it is handed alias machine scratch.
+// step it is handed aliases machine scratch.
 type dedupCapture struct{ steps []quorum.DedupStep }
 
-func (c *dedupCapture) RecordStep(_ int, reads []quorum.Request, readerOff, readerProcs []int32,
-	writes []quorum.Request, _ model.StepReport) {
+func (c *dedupCapture) RecordStep(_ int, s quorum.DedupStep, _ model.StepReport) {
 	c.steps = append(c.steps, quorum.DedupStep{
-		Reads:       slices.Clone(reads),
-		ReaderOff:   slices.Clone(readerOff),
-		ReaderProcs: slices.Clone(readerProcs),
-		Writes:      slices.Clone(writes),
+		Reads:       slices.Clone(s.Reads),
+		ReaderOff:   slices.Clone(s.ReaderOff),
+		ReaderProcs: slices.Clone(s.ReaderProcs),
+		Writes:      slices.Clone(s.Writes),
 	})
 }
 
@@ -254,16 +253,13 @@ func BenchmarkE3DMMPCBodyHotspot(b *testing.B) {
 			}
 			dm.SetStepSink(nil, 0)
 			steps := capture.steps
-			run := func(s *quorum.DedupStep) model.StepReport {
-				return dm.ExecuteDedupStep(s.Reads, s.ReaderOff, s.ReaderProcs, s.Writes)
-			}
-			for i := range steps { // warm up on the body path itself
-				run(&steps[i])
+			for _, s := range steps { // warm up on the body path itself
+				dm.ExecuteDedupStep(s)
 			}
 			b.ReportAllocs() // steady state must stay at 0 allocs/op
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rep := run(&steps[i%len(steps)]); rep.Err != nil {
+				if rep := dm.ExecuteDedupStep(steps[i%len(steps)]); rep.Err != nil {
 					b.Fatal(rep.Err)
 				}
 			}

@@ -8,7 +8,7 @@
 //
 //	experiments            # run everything
 //	experiments e3 e5     # run selected experiments
-//	experiments -list     # list experiment ids and titles
+//	experiments -list     # list experiment ids
 //	experiments -csv e14  # emit an experiment's table as CSV (sweeps)
 package main
 

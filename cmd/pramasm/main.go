@@ -63,26 +63,12 @@ func main() {
 	if m == 0 {
 		m = (*n) * (*n)
 	}
-	var b pramsim.Backend
-	switch strings.ToLower(*backendName) {
-	case "ideal":
-		b = pramsim.NewIdeal(*n, m, md)
-	case "mpc":
-		b = pramsim.NewMPC(*n, pramsim.MPCConfig{Mode: md})
-	case "dmmpc":
-		b = pramsim.NewDMMPC(*n, pramsim.DMMPCConfig{Mode: md})
-	case "mot2d":
-		b = pramsim.NewMOT2D(*n, pramsim.MOTConfig{Mode: md})
-	case "luccio":
-		b = pramsim.NewLuccio(*n, pramsim.MOTConfig{Mode: md})
-	case "schuster":
-		b = pramsim.NewSchuster(*n, pramsim.SchusterConfig{MemCells: m, Mode: md})
-	case "hashed":
-		b = pramsim.NewHashed(*n, pramsim.HashedConfig{MemCells: m, Mode: md})
-	default:
+	entry, ok := pramsim.LookupMachine(*backendName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backendName)
 		os.Exit(1)
 	}
+	b := entry.New(*n, m, md, 0)
 
 	if *cells != "" {
 		var vals []pramsim.Word

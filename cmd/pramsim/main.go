@@ -53,27 +53,6 @@ func workloadByName(name string, n int, seed int64) (pramsim.Workload, bool) {
 	return pramsim.Workload{}, false
 }
 
-func backendByName(name string, w pramsim.Workload, seed int64) (pramsim.Backend, bool) {
-	switch strings.ToLower(name) {
-	case "ideal":
-		return pramsim.NewIdeal(w.Procs, w.Cells, w.Mode), true
-	case "mpc":
-		return pramsim.NewMPC(w.Procs, pramsim.MPCConfig{Mode: w.Mode, Seed: seed}), true
-	case "dmmpc":
-		return pramsim.NewDMMPC(w.Procs, pramsim.DMMPCConfig{Mode: w.Mode, Seed: seed}), true
-	case "mot2d":
-		return pramsim.NewMOT2D(w.Procs, pramsim.MOTConfig{Mode: w.Mode, Seed: seed}), true
-	case "luccio":
-		return pramsim.NewLuccio(w.Procs, pramsim.MOTConfig{Mode: w.Mode, Seed: seed}), true
-	case "schuster":
-		return pramsim.NewSchuster(w.Procs, pramsim.SchusterConfig{MemCells: w.Cells, Mode: w.Mode, Seed: seed}), true
-	case "hashed":
-		return pramsim.NewHashed(w.Procs, pramsim.HashedConfig{MemCells: w.Cells, Mode: w.Mode, Seed: seed}), true
-	}
-	return nil, false
-}
-
-var allBackends = []string{"ideal", "mpc", "dmmpc", "mot2d", "luccio", "schuster", "hashed"}
 var allWorkloads = []string{"treesum", "prefixsum", "broadcast", "listrank",
 	"bitonicsort", "matvec", "permutation", "hotspot"}
 
@@ -99,6 +78,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	var allBackends []string
+	for _, m := range pramsim.Machines {
+		allBackends = append(allBackends, m.Name)
+	}
 	if *list {
 		fmt.Fprintln(stdout, "backends: ", strings.Join(allBackends, ", "))
 		fmt.Fprintln(stdout, "workloads:", strings.Join(allWorkloads, ", "))
@@ -133,11 +116,12 @@ func runTable(ws []pramsim.Workload, bNames []string, seed int64, stdout, stderr
 	failed := 0
 	for _, w := range ws {
 		for _, bn := range bNames {
-			b, ok := backendByName(bn, w, seed)
+			m, ok := pramsim.LookupMachine(bn)
 			if !ok {
 				fmt.Fprintf(stderr, "unknown backend %q (try -list)\n", bn)
 				return 1
 			}
+			b := m.New(w.Procs, w.Cells, w.Mode, seed)
 			if b.MemSize() < w.Cells {
 				tb.AddRow(w.Name, b.Name(), "-", "-", "-", "-", "-", "-", "memory too small")
 				continue

@@ -144,15 +144,8 @@ func cmdRecord(args []string) error {
 	gen := replay.NewGenerator(pat, built.Spec.Lanes, built.Spec.Procs, built.Params.Mem, *wseed)
 	start := time.Now()
 	for s := 0; s < *steps; s++ {
-		batches := gen.Step(s)
-		if built.Pool != nil {
-			for _, rep := range built.Pool.ExecuteSteps(batches) {
-				if rep.Err != nil {
-					return fmt.Errorf("step %d: %w", s, rep.Err)
-				}
-			}
-		} else {
-			if rep := built.Machine.ExecuteStep(batches[0]); rep.Err != nil {
+		for _, rep := range built.ExecuteSteps(gen.Step(s)) {
+			if rep.Err != nil {
 				return fmt.Errorf("step %d: %w", s, rep.Err)
 			}
 		}

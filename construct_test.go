@@ -121,11 +121,7 @@ func TestConstructionPins(t *testing.T) {
 		}
 		gen := replay.NewGenerator(c.pattern, c.spec.Lanes, c.spec.Procs, b.Params.Mem, 5)
 		for s := 0; s < 3; s++ {
-			if b.Pool != nil {
-				b.Pool.ExecuteSteps(gen.Step(s))
-			} else {
-				b.Machine.ExecuteStep(gen.Step(s)[0])
-			}
+			b.ExecuteSteps(gen.Step(s))
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)

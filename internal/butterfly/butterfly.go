@@ -55,9 +55,6 @@ func New(n int, queueCap int) *Network {
 	return &Network{n: n, d: xmath.ILog2(n), QueueCap: queueCap}
 }
 
-// Inputs returns n.
-func (nw *Network) Inputs() int { return nw.n }
-
 // Depth returns d = log2 n, the number of routing levels.
 func (nw *Network) Depth() int { return nw.d }
 

@@ -126,7 +126,9 @@ func (s Spec) String() string {
 }
 
 // Built is what a Spec constructs: a single Machine or a Pool, plus the
-// shared store and the derived parameters.
+// shared store and the derived parameters. Its methods are the one place
+// that tells the two apart: they step a round and attach a step sink
+// either way.
 type Built struct {
 	Spec    Spec // normalized
 	Machine *quorum.Machine
@@ -134,6 +136,8 @@ type Built struct {
 	Store   *quorum.Store
 	Params  memmap.Params
 	Side    int // grid side (0 for the bipartite machines)
+
+	one [1]model.StepReport // the single machine's round (ExecuteSteps)
 }
 
 // Lane returns the machine serving one lane (the single machine, or the
@@ -143,6 +147,32 @@ func (b *Built) Lane(k int) *quorum.Machine {
 		return b.Pool.Machine(k)
 	}
 	return b.Machine
+}
+
+// ExecuteSteps runs one round of per-lane batches, batches[k] on lane k,
+// and returns the lanes' reports: the pool's round (Pool.ExecuteSteps), or
+// the single machine's one step. The reports alias machine scratch until
+// the next round.
+func (b *Built) ExecuteSteps(batches []model.Batch) []model.StepReport {
+	if b.Pool != nil {
+		return b.Pool.ExecuteSteps(batches)
+	}
+	if len(batches) != 1 {
+		panic(fmt.Sprintf("core: %d batches for one machine", len(batches)))
+	}
+	b.one[0] = b.Machine.ExecuteStep(batches[0])
+	return b.one[:]
+}
+
+// SetStepSink attaches sink to every lane (nil detaches): the pool's
+// shards as lanes 0…K−1 (Pool.SetStepSink), or the single machine as
+// lane 0.
+func (b *Built) SetStepSink(sink quorum.StepSink) {
+	if b.Pool != nil {
+		b.Pool.SetStepSink(sink)
+		return
+	}
+	b.Machine.SetStepSink(sink, 0)
 }
 
 // Build constructs the spec's machines from scratch: a single Machine

@@ -71,9 +71,11 @@ func E14ReplaySweep() Result {
 
 // replaySweepPoint records one (config, pattern) workload in memory and
 // replays it with verification, returning the rendered table row and the
-// merge rate.
+// merge rate. It records through a pool at every K, K = 1 included, whose
+// census counts the components; a one-engine pool's trace is the single
+// machine's, which the replay builds.
 func replaySweepPoint(cfg core.Spec, pattern replay.Pattern, rounds int) ([]any, float64) {
-	built, err := cfg.Build()
+	built, err := cfg.BuildPool(cfg.Lanes)
 	if err != nil {
 		return []any{pattern.String(), cfg.Lanes, cfg.Procs, 0, "build error", err.Error(), "-", "-", "-"}, 0
 	}
@@ -85,20 +87,12 @@ func replaySweepPoint(cfg core.Spec, pattern replay.Pattern, rounds int) ([]any,
 	gen := replay.NewGenerator(pattern, cfg.Lanes, cfg.Procs, built.Params.Mem, 17)
 	var components int64
 	for s := 0; s < rounds; s++ {
-		batches := gen.Step(s)
-		if built.Pool != nil {
-			for _, rep := range built.Pool.ExecuteSteps(batches) {
-				if rep.Err != nil {
-					return []any{pattern.String(), cfg.Lanes, cfg.Procs, s, "step error", rep.Err.Error(), "-", "-", "-"}, 0
-				}
-			}
-			components += int64(built.Pool.LastComponents())
-		} else {
-			if rep := built.Machine.ExecuteStep(batches[0]); rep.Err != nil {
+		for _, rep := range built.ExecuteSteps(gen.Step(s)) {
+			if rep.Err != nil {
 				return []any{pattern.String(), cfg.Lanes, cfg.Procs, s, "step error", rep.Err.Error(), "-", "-", "-"}, 0
 			}
-			components++
 		}
+		components += int64(built.Pool.LastComponents())
 	}
 	if err := rec.Close(); err != nil {
 		return []any{pattern.String(), cfg.Lanes, cfg.Procs, rounds, "close error", err.Error(), "-", "-", "-"}, 0

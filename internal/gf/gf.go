@@ -8,16 +8,11 @@
 // evaluation points) while keeping all products inside uint64.
 package gf
 
-import "fmt"
-
 // P is the field modulus, the Fermat prime 2^16 + 1.
 const P = 65537
 
 // Elem is a field element in [0, P).
 type Elem = uint32
-
-// Reduce maps an arbitrary uint64 into the field.
-func Reduce(x uint64) Elem { return Elem(x % P) }
 
 // Add returns a + b mod P.
 func Add(a, b Elem) Elem {
@@ -76,21 +71,6 @@ func Div(a, b Elem) Elem { return Mul(a, Inv(b)) }
 
 // Vec is a vector of field elements.
 type Vec []Elem
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b Vec) Elem {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("gf.Dot: length mismatch %d vs %d", len(a), len(b)))
-	}
-	var acc uint64
-	for i := range a {
-		acc += uint64(a[i]) * uint64(b[i])
-		if acc >= 1<<63 { // cannot trigger with sane lengths; defensive
-			acc %= P
-		}
-	}
-	return Elem(acc % P)
-}
 
 // SolveVandermonde solves the b×b system V·a = y where V[i][j] = x_i^j,
 // for pairwise-distinct points x, and appends the coefficient vector a to

@@ -96,29 +96,6 @@ func TestFermatLittleTheorem(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	if Reduce(P) != 0 || Reduce(P+5) != 5 || Reduce(3) != 3 {
-		t.Error("Reduce wrong")
-	}
-}
-
-func TestDot(t *testing.T) {
-	a := Vec{1, 2, 3}
-	b := Vec{4, 5, 6}
-	if got := Dot(a, b); got != 32 {
-		t.Errorf("Dot = %d, want 32", got)
-	}
-}
-
-func TestDotLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot mismatch did not panic")
-		}
-	}()
-	Dot(Vec{1}, Vec{1, 2})
-}
-
 func TestEvalPolyHorner(t *testing.T) {
 	// p(x) = 7 + 3x + 2x²  at x = 5 → 7 + 15 + 50 = 72
 	if got := EvalPoly(Vec{7, 3, 2}, 5); got != 72 {

@@ -50,12 +50,11 @@ func (h Hash) Module(addr model.Addr) int {
 
 // Machine is the hashed-memory machine (model.Backend).
 type Machine struct {
-	n     int
-	mode  model.Mode
-	h     Hash
-	mem   model.SliceStore
-	store model.Store        // mem boxed once (boxing a slice per step allocates)
-	bfly  *butterfly.Network // nil = abstract module-load cost model
+	n    int
+	mode model.Mode
+	h    Hash
+	mem  []model.Word
+	bfly *butterfly.Network // nil = abstract module-load cost model
 
 	// Step scratch, reused so that the abstract model allocates nothing.
 	checker model.ConflictChecker
@@ -103,9 +102,8 @@ func New(n int, cfg Config) *Machine {
 		n:    n,
 		mode: cfg.Mode,
 		h:    NewHash(cfg.Modules, cfg.Seed),
-		mem:  make(model.SliceStore, cfg.MemCells),
+		mem:  make([]model.Word, cfg.MemCells),
 	}
-	m.store = m.mem
 	if cfg.Butterfly {
 		if !xmath.IsPow2(n) {
 			panic(fmt.Sprintf("hashsim: butterfly needs n=%d to be a power of two", n))
@@ -140,7 +138,7 @@ func (mc *Machine) MaxLoadSeen() int { return mc.maxLoadSeen }
 // module (modules serve one request per phase; concurrent accesses to the
 // SAME variable combine, as in Ranade-style emulations).
 func (mc *Machine) ExecuteStep(batch model.Batch) model.StepReport {
-	vals, err := mc.checker.ResolveStepInto(mc.vals, mc.store, batch, mc.mode)
+	vals, err := mc.checker.ResolveStepInto(mc.vals, mc.mem, batch, mc.mode)
 	mc.vals = vals
 	keys := mc.keys[:0]
 	for _, r := range batch {

@@ -106,13 +106,15 @@ func NewMemory(n int, cfg Config) *Memory {
 		blocks:   blocks,
 		mods:     n,
 		shareMod: make([]uint32, blocks*cfg.Shares),
-		version:  make([]uint32, blocks*cfg.Shares),
-		data:     make([]gf.Elem, blocks*cfg.Shares*limbs),
-		applied:  make([]bool, cfg.BlockLen),
-		loads:    make([]int32, n),
+		// Every block starts as the all-zero block at version 0: its
+		// shares, evaluations of the zero polynomial, are the zeros make
+		// leaves in data.
+		version: make([]uint32, blocks*cfg.Shares),
+		data:    make([]gf.Elem, blocks*cfg.Shares*limbs),
+		applied: make([]bool, cfg.BlockLen),
+		loads:   make([]int32, n),
 	}
 	mem.placeShares(cfg.Seed)
-	mem.initZeroBlocks()
 	return mem
 }
 
@@ -134,11 +136,6 @@ func (mem *Memory) placeShares(seed int64) {
 		}
 	}
 }
-
-// initZeroBlocks stores the encoding of the all-zero block everywhere
-// (evaluations of the zero polynomial are zero, so the zero value already
-// in data is correct; versions stay 0).
-func (mem *Memory) initZeroBlocks() {}
 
 // Name implements model.Backend.
 func (mem *Memory) Name() string {

@@ -15,10 +15,9 @@ import (
 
 // PRAM is the ideal shared-memory machine.
 type PRAM struct {
-	n     int
-	mode  model.Mode
-	mem   model.SliceStore
-	store model.Store // mem boxed once (boxing a slice per step allocates)
+	n    int
+	mode model.Mode
+	mem  []model.Word
 
 	steps   int64        // number of executed steps, for reports
 	vals    []model.Word // reusable StepReport.Values buffer
@@ -32,9 +31,7 @@ func New(n, m int, mode model.Mode) *PRAM {
 	if n <= 0 || m <= 0 {
 		panic(fmt.Sprintf("ideal.New: need n, m > 0 (got n=%d m=%d)", n, m))
 	}
-	p := &PRAM{n: n, mode: mode, mem: make(model.SliceStore, m)}
-	p.store = p.mem
-	return p
+	return &PRAM{n: n, mode: mode, mem: make([]model.Word, m)}
 }
 
 // Name implements model.Backend.
@@ -55,7 +52,7 @@ func (p *PRAM) Steps() int64 { return p.steps }
 // ExecuteStep implements model.Backend. On the ideal P-RAM every step costs
 // exactly one time unit regardless of the access pattern.
 func (p *PRAM) ExecuteStep(batch model.Batch) model.StepReport {
-	vals, err := p.checker.ResolveStepInto(p.vals, p.store, batch, p.mode)
+	vals, err := p.checker.ResolveStepInto(p.vals, p.mem, batch, p.mode)
 	p.vals = vals
 	p.steps++
 	contention := p.maxCellContention(batch)

@@ -129,27 +129,3 @@ func FindConcentrated(mp *memmap.Map, maxVars int) Concentration {
 	}
 	return best
 }
-
-// RedundancyTable renders the Theorem 1 bound across the (k, ε) grid the
-// paper's discussion walks through, at h = log²n. A row with ε = 0 shows
-// the coarse-grain (MPC) regime where the bound is Θ(log n / log log n);
-// every ε > 0 row collapses to O(1).
-type TableRow struct {
-	K, Eps float64
-	N      int
-	R      float64
-}
-
-// Table evaluates AsymptoticR over the given grids.
-func Table(ns []int, ks, epss []float64) []TableRow {
-	var rows []TableRow
-	for _, k := range ks {
-		for _, e := range epss {
-			for _, n := range ns {
-				h := math.Pow(math.Log2(float64(n)), 2)
-				rows = append(rows, TableRow{K: k, Eps: e, N: n, R: AsymptoticR(n, k, e, h)})
-			}
-		}
-	}
-	return rows
-}

@@ -94,25 +94,15 @@ func TestFindConcentratedOnHealthyMapIsWeak(t *testing.T) {
 	}
 }
 
-func TestTableShape(t *testing.T) {
-	rows := Table([]int{256, 1024}, []float64{2, 3}, []float64{0, 0.5, 1})
-	if len(rows) != 2*2*3 {
-		t.Fatalf("rows = %d, want 12", len(rows))
-	}
-	// Bound must increase with k and decrease with ε.
-	find := func(k, e float64, n int) float64 {
-		for _, r := range rows {
-			if r.K == k && r.Eps == e && r.N == n {
-				return r.R
-			}
-		}
-		t.Fatalf("row (%v,%v,%d) missing", k, e, n)
-		return 0
-	}
-	if find(3, 0.5, 1024) <= find(2, 0.5, 1024) {
+// TestAsymptoticRShape: at h = log²n the bound rises with k and falls
+// with ε.
+func TestAsymptoticRShape(t *testing.T) {
+	const n = 1024
+	h := math.Pow(math.Log2(n), 2)
+	if AsymptoticR(n, 3, 0.5, h) <= AsymptoticR(n, 2, 0.5, h) {
 		t.Error("bound should grow with k")
 	}
-	if find(2, 1, 1024) >= find(2, 0.5, 1024) {
+	if AsymptoticR(n, 2, 1, h) >= AsymptoticR(n, 2, 0.5, h) {
 		t.Error("bound should shrink with ε")
 	}
 }

@@ -185,9 +185,6 @@ func New(backend model.Backend) *Machine {
 	return &Machine{backend: backend, n: backend.Procs()}
 }
 
-// Backend returns the machine's backend.
-func (m *Machine) Backend() model.Backend { return m.backend }
-
 // Run executes program on all n processors and returns the aggregate cost
 // report. It returns once every processor has halted.
 func (m *Machine) Run(program Program) *RunReport {

@@ -11,7 +11,7 @@ func FuzzResolveStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, modeRaw uint8) {
 		const m = 16
 		mode := Mode(modeRaw % 5)
-		mem := make(SliceStore, m)
+		mem := make([]Word, m)
 		for i := range mem {
 			mem[i] = Word(i * 11)
 		}

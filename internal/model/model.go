@@ -226,3 +226,18 @@ func (e *ConflictError) Error() string {
 	return fmt.Sprintf("%s violation: %s of cell %d by processors %v",
 		e.Mode, e.Kind, e.Addr, e.Procs)
 }
+
+// FNVOffset is the FNV-1a 64-bit offset basis, the hash of no words.
+const FNVOffset uint64 = 14695981039346656037
+
+// FoldFNV folds the eight bytes of w, least significant first, into the
+// FNV-1a 64-bit hash h. Folding words one at a time from FNVOffset is the
+// one digest behind store fingerprints, trace Values hashes and the
+// serving front end's report hashes.
+func FoldFNV(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (w & 0xff)) * 1099511628211
+		w >>= 8
+	}
+	return h
+}

@@ -88,7 +88,7 @@ func TestBatchCounts(t *testing.T) {
 }
 
 func TestResolveStepReadsSeePreState(t *testing.T) {
-	mem := SliceStore{10, 20, 30}
+	mem := []Word{10, 20, 30}
 	b := Batch{
 		{Proc: 0, Op: OpRead, Addr: 1},
 		{Proc: 1, Op: OpWrite, Addr: 1, Value: 99},
@@ -106,7 +106,7 @@ func TestResolveStepReadsSeePreState(t *testing.T) {
 }
 
 func TestResolveStepPriorityWrite(t *testing.T) {
-	mem := SliceStore{0}
+	mem := []Word{0}
 	b := Batch{
 		{Proc: 3, Op: OpWrite, Addr: 0, Value: 3},
 		{Proc: 1, Op: OpWrite, Addr: 0, Value: 1},
@@ -121,7 +121,7 @@ func TestResolveStepPriorityWrite(t *testing.T) {
 }
 
 func TestResolveStepArbitraryWrite(t *testing.T) {
-	mem := SliceStore{0}
+	mem := []Word{0}
 	b := Batch{
 		{Proc: 1, Op: OpWrite, Addr: 0, Value: 1},
 		{Proc: 5, Op: OpWrite, Addr: 0, Value: 5},
@@ -136,7 +136,7 @@ func TestResolveStepArbitraryWrite(t *testing.T) {
 }
 
 func TestResolveStepCommonWrite(t *testing.T) {
-	mem := SliceStore{0}
+	mem := []Word{0}
 	agree := Batch{
 		{Proc: 0, Op: OpWrite, Addr: 0, Value: 7},
 		{Proc: 1, Op: OpWrite, Addr: 0, Value: 7},
@@ -220,7 +220,7 @@ func TestResolveStepMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const m, n = 16, 12
-		mem := make(SliceStore, m)
+		mem := make([]Word, m)
 		ref := make([]Word, m)
 		for i := range mem {
 			v := Word(rng.Intn(100))

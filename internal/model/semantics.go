@@ -6,22 +6,7 @@ import (
 	"sort"
 )
 
-// Store is the minimal mutable-memory interface the semantic resolver needs.
-type Store interface {
-	Get(a Addr) Word
-	Set(a Addr, v Word)
-}
-
-// SliceStore is a Store backed by a flat slice, the common case.
-type SliceStore []Word
-
-// Get returns the word at address a.
-func (s SliceStore) Get(a Addr) Word { return s[a] }
-
-// Set stores v at address a.
-func (s SliceStore) Set(a Addr, v Word) { s[a] = v }
-
-// ResolveStep computes the semantic outcome of one P-RAM step against store:
+// ResolveStep computes the semantic outcome of one P-RAM step against mem:
 // every read receives the pre-step value of its cell, and writes are
 // committed afterwards under the given conflict Mode. It returns the read
 // values densely indexed by processor id (zero for processors that did not
@@ -33,26 +18,17 @@ func (s SliceStore) Set(a Addr, v Word) { s[a] = v }
 // Centralizing this logic guarantees that every backend — however exotic its
 // cost model — agrees exactly on memory semantics, which is the correctness
 // invariant the property tests check.
-func ResolveStep(store Store, batch Batch, mode Mode) ([]Word, error) {
-	return ResolveStepInto(nil, store, batch, mode)
-}
-
-// ResolveStepInto is ResolveStep with a caller-supplied values buffer. The
-// buffer is grown as needed and returned resized to len(batch), or further
-// if some request's Proc exceeds the batch length (sparse batches from
-// direct callers). Under EREW/CREW/CRCW-Common the conflict check still
-// allocates scratch per call; steady-state backends use
-// ConflictChecker.ResolveStepInto, which reuses it.
-func ResolveStepInto(values []Word, store Store, batch Batch, mode Mode) ([]Word, error) {
+func ResolveStep(mem []Word, batch Batch, mode Mode) ([]Word, error) {
 	var c ConflictChecker
-	return c.ResolveStepInto(values, store, batch, mode)
+	return c.ResolveStepInto(nil, mem, batch, mode)
 }
 
-// ResolveStepInto is the allocation-free (in steady state) form of the
-// package-level ResolveStepInto: the checker's scratch is reused across
-// steps, so backends that own a ConflictChecker stay off the heap under
-// every conflict mode.
-func (c *ConflictChecker) ResolveStepInto(values []Word, store Store, batch Batch, mode Mode) ([]Word, error) {
+// ResolveStepInto is ResolveStep with a caller-supplied values buffer and
+// the checker's reusable scratch, so backends that own a ConflictChecker
+// stay off the heap under every conflict mode. The buffer is grown as
+// needed and returned resized to len(batch), or further if some request's
+// Proc exceeds the batch length (sparse batches from direct callers).
+func (c *ConflictChecker) ResolveStepInto(values, mem []Word, batch Batch, mode Mode) ([]Word, error) {
 	need := len(batch)
 	ascending := true // writer procs strictly ascending in batch order?
 	prevWriter := -1
@@ -78,26 +54,26 @@ func (c *ConflictChecker) ResolveStepInto(values []Word, store Store, batch Batc
 	// Reads observe pre-step state.
 	for _, r := range batch {
 		if r.Op == OpRead {
-			values[r.Proc] = store.Get(r.Addr)
+			values[r.Proc] = mem[r.Addr]
 		}
 	}
 	err := c.Check(batch, mode)
 	// Commit writes. Letting the LOWEST processor id win implements
 	// Priority; Arbitrary keeps the highest. Batches normally list writers
 	// in ascending processor order (Batch is indexed by processor), so the
-	// winner per address is just the last Set in the right direction — no
-	// per-address map, keeping steady-state steps allocation-free.
+	// winner per address is just the last store in the right direction —
+	// no per-address map, keeping steady-state steps allocation-free.
 	if ascending {
 		if mode == CRCWArbitrary {
 			for _, r := range batch { // forward: highest proc writes last
 				if r.Op == OpWrite {
-					store.Set(r.Addr, r.Value)
+					mem[r.Addr] = r.Value
 				}
 			}
 		} else {
 			for i := len(batch) - 1; i >= 0; i-- { // reverse: lowest proc writes last
 				if r := batch[i]; r.Op == OpWrite {
-					store.Set(r.Addr, r.Value)
+					mem[r.Addr] = r.Value
 				}
 			}
 		}
@@ -127,9 +103,9 @@ func (c *ConflictChecker) ResolveStepInto(values []Word, store Store, batch Batc
 			}
 		}
 	}
-	//pram:unordered one winning write per distinct address: disjoint Sets commute
+	//pram:unordered one winning write per distinct address: disjoint stores commute
 	for a, w := range writers {
-		store.Set(a, w.val)
+		mem[a] = w.val
 	}
 	return values, err
 }

@@ -76,17 +76,12 @@ type Machine struct {
 	sc stepScratch
 }
 
-// stepScratch holds the Machine's reusable per-step buffers. The dedup
-// front end writes the post-dedup step (readReqs, readerOff, readerProcs,
-// writeReqs) here; see DedupStep for the field semantics.
+// stepScratch holds the Machine's reusable per-step buffers.
 type stepScratch struct {
-	recs        []model.ConflictRec
-	recsTmp     []model.ConflictRec // radix sort ping-pong buffer
-	readReqs    []Request
-	readerOff   []int32
-	readerProcs []int32
-	writeReqs   []Request
-	values      []model.Word // dense per-proc read values (the StepReport.Values buffer)
+	recs    []model.ConflictRec
+	recsTmp []model.ConflictRec // radix sort ping-pong buffer
+	step    DedupStep           // the post-dedup step the front end writes
+	values  []model.Word        // dense per-proc read values (the StepReport.Values buffer)
 }
 
 // NewMachine assembles a quorum-protocol backend.
@@ -141,23 +136,22 @@ func (m *Machine) Redundancy() int { return m.store.Map().R() }
 //
 //pram:hotpath
 func (m *Machine) ExecuteStep(batch model.Batch) model.StepReport {
-	s, rep := m.dedup(batch)
-	rep = m.execute(&s, rep)
+	rep := m.dedup(batch)
+	rep = m.execute(&m.sc.step, rep)
 	if m.sink != nil {
-		m.sink.RecordStep(m.lane, s.Reads, s.ReaderOff, s.ReaderProcs, s.Writes, rep)
+		m.sink.RecordStep(m.lane, m.sc.step, rep)
 	}
 	return rep
 }
 
 // dedup is the live step's front end. It sorts the batch's active
 // requests, checks them against the conflict discipline, and walks them
-// once, writing the post-dedup step into machine scratch. The returned
-// step aliases that scratch; the returned report is opened for execute
-// (openReport), with Values sized to max(n−1, highest active processor
-// id) and Err the conflict check's verdict.
+// once, writing the post-dedup step into m.sc.step. The returned report
+// is opened for execute (openReport), with Values sized to max(n−1,
+// highest active processor id) and Err the conflict check's verdict.
 //
 //pram:hotpath
-func (m *Machine) dedup(batch model.Batch) (DedupStep, model.StepReport) {
+func (m *Machine) dedup(batch model.Batch) model.StepReport {
 	sc := &m.sc
 
 	// Flatten the step's active requests and sort them by address, reads
@@ -216,10 +210,8 @@ func (m *Machine) dedup(batch model.Batch) (DedupStep, model.StepReport) {
 	// first writer owns its write request: Priority (and the EREW/CREW/
 	// common fallback) keeps that writer, Arbitrary hands the request on
 	// to each later writer, so the last one wins.
-	reads := sc.readReqs[:0]
-	off := sc.readerOff[:0]
-	procs := sc.readerProcs[:0]
-	writes := sc.writeReqs[:0]
+	s := &sc.step
+	reads, off, procs, writes := s.Reads[:0], s.ReaderOff[:0], s.ReaderProcs[:0], s.Writes[:0]
 	for i := range recs {
 		r := &recs[i]
 		first := i == 0 || recs[i-1].Addr != r.Addr // first record of its address
@@ -237,10 +229,8 @@ func (m *Machine) dedup(batch model.Batch) (DedupStep, model.StepReport) {
 		}
 	}
 	off = append(off, int32(len(procs)))
-	sc.readReqs, sc.readerOff, sc.readerProcs, sc.writeReqs = reads, off, procs, writes
-
-	s := DedupStep{Reads: reads, ReaderOff: off, ReaderProcs: procs, Writes: writes}
-	return s, m.openReport(maxProc, model.CheckSortedRecords(recs, m.mode))
+	*s = DedupStep{Reads: reads, ReaderOff: off, ReaderProcs: procs, Writes: writes}
+	return m.openReport(maxProc, model.CheckSortedRecords(recs, m.mode))
 }
 
 // openReport opens a step's report for execute: the dense Values buffer

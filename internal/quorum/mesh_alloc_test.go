@@ -14,11 +14,11 @@ import (
 	"repro/internal/quorum"
 )
 
-// TestExecuteStepParallelRouterZeroAllocs locks the whole step pipeline of
-// a quorum machine on the 2DMOT at Theorem 3 parameters — conflict check,
-// dedup, engine, packet routing, report — at zero steady-state
-// allocations once the arenas have grown.
-func TestExecuteStepParallelRouterZeroAllocs(t *testing.T) {
+// TestExecuteStepMeshZeroAllocs locks the whole step pipeline of a quorum
+// machine on the 2DMOT at Theorem 3 parameters — conflict check, dedup,
+// engine, packet routing, report — at zero steady-state allocations once
+// the arenas have grown.
+func TestExecuteStepMeshZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation invariants are measured without the race detector")
 	}

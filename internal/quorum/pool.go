@@ -55,10 +55,9 @@ type Pool struct {
 	lastComp   int
 	lastActive int
 
-	// The round's shard steps in post-dedup form, aliasing the shard
-	// machines' dedup scratch and filled before the census. reports[k]
-	// arrives opened (Machine.openReport) and leaves complete.
-	steps   []DedupStep
+	// reports[k] is shard k's report: opened by its dedup front end
+	// (Machine.openReport), whose post-dedup step the census reads, and
+	// completed by its step body.
 	reports []model.StepReport
 
 	// sink, when non-nil, records every ExecuteSteps round (SetStepSink).
@@ -87,7 +86,6 @@ func NewPool(name string, store *Store, newNet func(shard int) Interconnect, cfg
 		modOwner: make([]int32, store.Map().Modules()),
 		modStamp: make([]int64, store.Map().Modules()),
 		ufParent: make([]int32, k),
-		steps:    make([]DedupStep, k),
 		reports:  make([]model.StepReport, k),
 	}
 	if cfg.TwoStage != nil {
@@ -191,7 +189,6 @@ func (p *Pool) Resize(k int) {
 	}
 	p.k = k
 	p.ufParent = make([]int32, k)
-	p.steps = make([]DedupStep, k)
 	p.reports = make([]model.StepReport, k)
 	// Census values describe the previous round's shard set; reset so a
 	// caller polling between rounds never reads occupancy above the new k.
@@ -232,16 +229,15 @@ func (p *Pool) ExecuteSteps(batches []model.Batch) []model.StepReport {
 		panic(fmt.Sprintf("quorum.Pool: %d batches for %d engines", len(batches), p.k))
 	}
 	for k, b := range batches {
-		p.steps[k], p.reports[k] = p.machines[k].dedup(b)
+		p.reports[k] = p.machines[k].dedup(b)
 	}
 	p.census()
-	for k := range p.steps {
-		p.reports[k] = p.machines[k].execute(&p.steps[k], p.reports[k])
+	for k, m := range p.machines {
+		p.reports[k] = m.execute(&m.sc.step, p.reports[k])
 	}
 	if p.sink != nil {
-		for k := range p.steps {
-			s := &p.steps[k]
-			p.sink.RecordStep(k, s.Reads, s.ReaderOff, s.ReaderProcs, s.Writes, p.reports[k])
+		for k, m := range p.machines {
+			p.sink.RecordStep(k, m.sc.step, p.reports[k])
 		}
 		p.sink.StepBarrier()
 	}
@@ -256,8 +252,8 @@ func (p *Pool) census() {
 		p.ufParent[i] = int32(i)
 	}
 	p.lastActive, p.lastComp = 0, p.k
-	for k := range p.steps {
-		s := &p.steps[k]
+	for k, m := range p.machines {
+		s := &m.sc.step
 		if len(s.Reads) > 0 || len(s.Writes) > 0 {
 			p.lastActive++
 		}

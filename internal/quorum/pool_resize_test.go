@@ -178,8 +178,7 @@ type laneSink struct {
 	lanes map[int]int
 }
 
-func (s *laneSink) RecordStep(lane int, reads []quorum.Request, readerOff, readerProcs []int32,
-	writes []quorum.Request, rep model.StepReport) {
+func (s *laneSink) RecordStep(lane int, _ quorum.DedupStep, _ model.StepReport) {
 	if s.lanes == nil {
 		s.lanes = map[int]int{}
 	}

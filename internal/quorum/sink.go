@@ -9,13 +9,12 @@ import (
 // StepSink observes the post-dedup request stream at the engine/pool
 // boundary — the hook the trace record/replay subsystem (repro/internal/
 // replay) captures machine runs through. After every live step it receives
-// the deduplicated read and write batches fed to the engine, the reader
-// fan-out lists that turn per-request read values back into per-processor
-// values, and the step's cost report.
+// the step's post-dedup form, a DedupStep, and the step's cost report.
 //
-// All slice arguments alias machine scratch and are valid only for the
-// duration of the call: a sink must encode or copy what it keeps. Sinks
-// must not mutate any argument and must not call back into the machine.
+// The step and the report's Values alias machine scratch and are valid
+// only for the duration of the call: a sink must encode or copy what it
+// keeps. Sinks must not mutate any argument and must not call back into
+// the machine.
 //
 // Every call comes from the goroutine driving the machine or pool, one at
 // a time, in the order the steps ran. A single Machine calls RecordStep at
@@ -25,9 +24,9 @@ import (
 // A sink that renames lanes (the serving front end's shard-to-tenant
 // sink) must keep that call order: replay runs the steps in it.
 type StepSink interface {
-	// RecordStep reports one executed step: its post-dedup form (the
-	// fields of a DedupStep) and the assembled report.
-	RecordStep(lane int, reads []Request, readerOff, readerProcs []int32, writes []Request, rep model.StepReport)
+	// RecordStep reports one executed step: its post-dedup form and the
+	// assembled report.
+	RecordStep(lane int, s DedupStep, rep model.StepReport)
 	// RecordLoad reports a LoadCells memory initialization. Loads must not
 	// interleave with pool step execution (they are setup-time events).
 	RecordLoad(lane int, base model.Addr, vals []model.Word)
@@ -49,8 +48,10 @@ func (m *Machine) SetStepSink(sink StepSink, lane int) {
 
 // DedupStep is one P-RAM step in its POST-DEDUP form: the deduplicated
 // read batch, the reader fan-out lists, and the deduplicated write batch.
-// It is what the dedup front end produces, what a StepSink observes, and
-// the unit ExecuteDedupStep replays.
+// It is the one value at every record and replay boundary: the dedup
+// front end writes it, a StepSink observes it, a trace's step frame holds
+// it (repro/internal/replay), ExecuteDedupStep runs it, and Reconstruct
+// turns it back into the batch it came from.
 type DedupStep struct {
 	// Reads holds one request per read address, owned by its
 	// lowest-processor reader, in ascending variable order.
@@ -65,6 +66,30 @@ type DedupStep struct {
 	Writes []Request
 }
 
+// Reconstruct writes the step's pre-dedup form into b, the inverse of the
+// dedup front end: an OpRead of Reads[g]'s variable for every processor
+// in its reader run, each write's winner as its OpWrite, and OpNone for
+// every other processor. b is indexed by processor and must be longer
+// than every processor id the step names. Deduplicating b under the mode
+// the step ran in yields the step again (TestReconstructionLaw), because
+// reader runs are exhaustive and ascending and each written variable keeps
+// only its winner.
+func (s DedupStep) Reconstruct(b model.Batch) {
+	for i := range b {
+		b[i] = model.Request{Proc: i, Op: model.OpNone}
+	}
+	for g := range s.Reads {
+		v := s.Reads[g].Var
+		for _, p := range s.ReaderProcs[s.ReaderOff[g]:s.ReaderOff[g+1]] {
+			b[p] = model.Request{Proc: int(p), Op: model.OpRead, Addr: v}
+		}
+	}
+	for i := range s.Writes {
+		w := &s.Writes[i]
+		b[w.Proc] = model.Request{Proc: w.Proc, Op: model.OpWrite, Addr: w.Var, Value: w.Value}
+	}
+}
+
 // ExecuteDedupStep executes one P-RAM step from its post-dedup form —
 // exactly what a StepSink observed — by running ExecuteStep's body
 // without its dedup front end. It is the replay entry point: cost
@@ -77,8 +102,7 @@ type DedupStep struct {
 // sink, if any, is NOT invoked.
 //
 //pram:hotpath
-func (m *Machine) ExecuteDedupStep(reads []Request, readerOff, readerProcs []int32, writes []Request) model.StepReport {
-	s := DedupStep{Reads: reads, ReaderOff: readerOff, ReaderProcs: readerProcs, Writes: writes}
+func (m *Machine) ExecuteDedupStep(s DedupStep) model.StepReport {
 	return m.execute(&s, m.openDedup(&s))
 }
 

@@ -21,16 +21,20 @@ type captureSink struct {
 	barrierAt []int // len(lanes) at each StepBarrier
 }
 
-func (c *captureSink) RecordStep(lane int, reads []Request, readerOff, readerProcs []int32,
-	writes []Request, rep model.StepReport) {
+func (c *captureSink) RecordStep(lane int, s DedupStep, rep model.StepReport) {
 	c.lanes = append(c.lanes, lane)
-	c.steps = append(c.steps, DedupStep{
-		Reads:       append([]Request(nil), reads...),
-		ReaderOff:   append([]int32(nil), readerOff...),
-		ReaderProcs: append([]int32(nil), readerProcs...),
-		Writes:      append([]Request(nil), writes...),
-	})
+	c.steps = append(c.steps, cloneStep(s))
 	c.reports = append(c.reports, reportString(&rep))
+}
+
+// cloneStep deep-copies a post-dedup step out of machine scratch.
+func cloneStep(s DedupStep) DedupStep {
+	return DedupStep{
+		Reads:       slices.Clone(s.Reads),
+		ReaderOff:   slices.Clone(s.ReaderOff),
+		ReaderProcs: slices.Clone(s.ReaderProcs),
+		Writes:      slices.Clone(s.Writes),
+	}
 }
 
 func (c *captureSink) RecordLoad(lane int, base model.Addr, vals []model.Word) { c.loads++ }
@@ -152,7 +156,7 @@ func TestExecuteDedupStepMatchesExecuteStep(t *testing.T) {
 						t.Errorf("step %d: live Err = %v, want the conflict error", s, liveErrs[s])
 					}
 				}
-				r := rep.ExecuteDedupStep(ds.Reads, ds.ReaderOff, ds.ReaderProcs, ds.Writes)
+				r := rep.ExecuteDedupStep(ds)
 				if c.mode == model.EREW {
 					// The documented exception: replay does not re-run the
 					// front end's conflict check.
@@ -184,6 +188,31 @@ func TestExecuteDedupStepMatchesExecuteStep(t *testing.T) {
 				t.Errorf("store fingerprints diverged: live %x, dedup %x", lf, rf)
 			}
 		})
+	}
+}
+
+// TestReconstructionLaw: DedupStep.Reconstruct inverts the dedup front
+// end. For random batches with shared reads and concurrent writes under
+// every conflict mode, deduplicating a step's reconstruction yields the
+// step exactly, every reader run and winning write included.
+func TestReconstructionLaw(t *testing.T) {
+	const n, steps = 32, 200
+	mp := memmap.Generate(memmap.LemmaTwo(n, 2, 1), 17)
+	for _, mode := range []model.Mode{model.EREW, model.CREW, model.CRCWPriority, model.CRCWCommon, model.CRCWArbitrary} {
+		m := NewMachine("law", n, mode, NewStore(mp), NewCompleteBipartite())
+		rng := rand.New(rand.NewSource(int64(mode) + 1))
+		b := model.NewBatch(n)
+		for s := 0; s < steps; s++ {
+			m.dedup(mixedBatch(rng, n, mp.Vars()))
+			want := cloneStep(m.sc.step)
+			want.Reconstruct(b)
+			m.dedup(b)
+			got := m.sc.step
+			if !slices.Equal(got.Reads, want.Reads) || !slices.Equal(got.ReaderOff, want.ReaderOff) ||
+				!slices.Equal(got.ReaderProcs, want.ReaderProcs) || !slices.Equal(got.Writes, want.Writes) {
+				t.Fatalf("%v step %d: dedup of the reconstruction\n got %+v\nwant %+v", mode, s, got, want)
+			}
+		}
 	}
 }
 
@@ -220,7 +249,8 @@ func TestDedupStepDoesNotRecord(t *testing.T) {
 	m := NewMachine("m", n, model.CRCWPriority, NewStore(mp), NewCompleteBipartite())
 	sink := &captureSink{}
 	m.SetStepSink(sink, 0)
-	m.ExecuteDedupStep([]Request{{Proc: 0, Var: 1}}, []int32{0, 1}, []int32{0}, []Request{{Proc: 1, Var: 2, Write: true, Value: 7}})
+	m.ExecuteDedupStep(DedupStep{Reads: []Request{{Proc: 0, Var: 1}}, ReaderOff: []int32{0, 1}, ReaderProcs: []int32{0},
+		Writes: []Request{{Proc: 1, Var: 2, Write: true, Value: 7}}})
 	if len(sink.steps) != 0 {
 		t.Fatalf("ExecuteDedupStep recorded %d steps through the sink", len(sink.steps))
 	}
@@ -275,7 +305,7 @@ func TestPoolSetStepSinkLanes(t *testing.T) {
 	pl2 := newPool("sink2")
 	for i, st := range sink.steps {
 		r, sh := i/k, sink.lanes[i]
-		rep := pl2.Machine(sh).ExecuteDedupStep(st.Reads, st.ReaderOff, st.ReaderProcs, st.Writes)
+		rep := pl2.Machine(sh).ExecuteDedupStep(st)
 		if got := reportString(&rep); got != sink.reports[i] {
 			t.Errorf("round %d shard %d report: replay %s, live %s", r, sh, got, sink.reports[i])
 		}

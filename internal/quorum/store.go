@@ -56,12 +56,15 @@
 // # Record and replay
 //
 // Every step is a dedup front end (sort, conflict check, one walk over the
-// sorted records) that produces its post-dedup form, a DedupStep, then
-// one step body (read leg, reader fan-out, write leg). A StepSink attached
-// via Machine.SetStepSink or Pool.SetStepSink sees every step's DedupStep
-// and cost report, which is how repro/internal/replay records PRAMTRC1
-// traces; Machine.ExecuteDedupStep runs such a step through the same body
-// without the front end. Replay is bit for bit because the engine's
+// sorted records) that writes its post-dedup form, a DedupStep, into the
+// machine's scratch, then one step body (read leg, reader fan-out, write
+// leg). The DedupStep crosses every record and replay boundary whole. A
+// StepSink attached via Machine.SetStepSink or Pool.SetStepSink receives
+// each step's DedupStep and cost report, which is how
+// repro/internal/replay records PRAMTRC1 traces; Machine.ExecuteDedupStep
+// runs such a step through the same body without the front end; and
+// DedupStep.Reconstruct inverts the front end, giving back a batch whose
+// dedup is the step again. Replay is bit for bit because the engine's
 // behaviour is a function of the construction parameters and the
 // DedupStep and LoadCells sequence alone, so a sink must attach before
 // the first step. A Pool records each round after its shard steps run, in
@@ -299,20 +302,9 @@ func (s *Store) FreshCopies(v int) int {
 // differential tests compare pool rounds against the serial reference
 // without exporting the arrays.
 func (s *Store) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(x uint64) {
-		for b := 0; b < 64; b += 8 {
-			h ^= (x >> b) & 0xff
-			h *= prime
-		}
-	}
+	h := model.FNVOffset
 	for _, c := range s.cells {
-		mix(uint64(c.val))
-		mix(c.ts)
+		h = model.FoldFNV(model.FoldFNV(h, uint64(c.val)), c.ts)
 	}
 	return h
 }

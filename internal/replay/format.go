@@ -100,17 +100,9 @@ func costsOf(rep *model.StepReport) StepCosts {
 // per-step analogue of Store.Fingerprint, covering what reads returned the
 // way the final fingerprint covers what writes left behind.
 func HashValues(values []model.Word) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	h := model.FNVOffset
 	for _, v := range values {
-		x := uint64(v)
-		for b := 0; b < 64; b += 8 {
-			h ^= (x >> b) & 0xff
-			h *= prime
-		}
+		h = model.FoldFNV(h, uint64(v))
 	}
 	return h
 }
@@ -166,10 +158,10 @@ func encodeLoad(buf []byte, lane int, base model.Addr, vals []model.Word) []byte
 	return buf
 }
 
-// encodeStep renders a step frame payload: the deduplicated batches in
-// delta form plus the verification costs.
-func encodeStep(buf []byte, lane int, reads []quorum.Request, readerOff, readerProcs []int32,
-	writes []quorum.Request, costs StepCosts) []byte {
+// encodeStep renders a step frame payload: the post-dedup step in delta
+// form plus the verification costs.
+func encodeStep(buf []byte, lane int, s quorum.DedupStep, costs StepCosts) []byte {
+	reads, writes := s.Reads, s.Writes
 	buf = binary.AppendUvarint(buf, uint64(lane))
 	buf = binary.AppendUvarint(buf, uint64(len(reads)))
 	buf = binary.AppendUvarint(buf, uint64(len(writes)))
@@ -178,7 +170,7 @@ func encodeStep(buf []byte, lane int, reads []quorum.Request, readerOff, readerP
 		buf = binary.AppendVarint(buf, int64(reads[g].Proc)-prevProc)
 		buf = binary.AppendVarint(buf, int64(reads[g].Var)-prevVar)
 		prevProc, prevVar = int64(reads[g].Proc), int64(reads[g].Var)
-		run := readerProcs[readerOff[g]:readerOff[g+1]]
+		run := s.ReaderProcs[s.ReaderOff[g]:s.ReaderOff[g+1]]
 		// The run's first entry is the request's own representative
 		// processor; only the extras are encoded, as ascending deltas.
 		buf = binary.AppendUvarint(buf, uint64(len(run)-1))

@@ -14,9 +14,9 @@ import (
 // Recorder captures a machine or pool run as a trace file. It implements
 // quorum.StepSink: NewRecorder writes the header and attaches the sink to
 // the built machines; the caller then drives the run exactly as it would
-// without recording (ExecuteStep / ExecuteSteps / LoadCells) and finally
-// calls Close, which appends the eof frame (recorded step count + final
-// store fingerprint) and detaches.
+// without recording (ExecuteSteps / LoadCells) and finally calls Close,
+// which appends the eof frame (recorded step count + final store
+// fingerprint) and detaches.
 //
 // Sink calls arrive serially (see quorum.StepSink), and every call writes
 // its frame at once, so step frames land in the order the steps ran and
@@ -34,31 +34,15 @@ type Recorder struct {
 }
 
 // NewRecorder writes the trace header for built's configuration onto w and
-// attaches the recorder to built's machines. The store must still be in
-// its post-construction state (the header embeds its fingerprint and
-// replaying readers verify it): attach before any loads or steps.
+// attaches the recorder to built's machines (core.Built.SetStepSink). The
+// store must still be in its post-construction state (the header embeds
+// its fingerprint and replaying readers verify it): attach before any
+// loads or steps. The trace has built.Spec.Lanes lanes. A capture whose
+// lanes are not built's (the serving front end names a lane per tenant,
+// so the lane count survives online pool resizes) attaches its own
+// renaming sink in the recorder's place and forwards to the recorder's
+// StepSink methods; Close detaches that sink too.
 func NewRecorder(w io.Writer, built *core.Built) (*Recorder, error) {
-	r, err := NewSinkRecorder(w, built)
-	if err != nil {
-		return nil, err
-	}
-	if built.Pool != nil {
-		built.Pool.SetStepSink(r)
-	} else {
-		built.Machine.SetStepSink(r, 0)
-	}
-	return r, nil
-}
-
-// NewSinkRecorder writes the trace header for built's configuration onto w
-// but attaches NOTHING: the caller owns the sink wiring. This is the entry
-// point for captures whose lane space is not the pool's shard space — the
-// serving front end records through a translating sink that renames shard
-// lanes to stable tenant lanes (so the lane count survives online pool
-// resizes), and forwards to this recorder's StepSink methods itself.
-// built.Machine and built.Pool may both be nil; only Spec (normalized, with
-// Lanes the caller's lane count), Store, Params and Side are read.
-func NewSinkRecorder(w io.Writer, built *core.Built) (*Recorder, error) {
 	r := &Recorder{
 		w:     bufio.NewWriter(w),
 		built: built,
@@ -71,6 +55,7 @@ func NewSinkRecorder(w io.Writer, built *core.Built) (*Recorder, error) {
 	if err := r.writeFrame(kindHeader, hdr); err != nil {
 		return nil, err
 	}
+	built.SetStepSink(r)
 	return r, nil
 }
 
@@ -99,13 +84,12 @@ func (r *Recorder) writeFrame(kind byte, payload []byte) error {
 }
 
 // RecordStep implements quorum.StepSink.
-func (r *Recorder) RecordStep(lane int, reads []quorum.Request, readerOff, readerProcs []int32,
-	writes []quorum.Request, rep model.StepReport) {
+func (r *Recorder) RecordStep(lane int, s quorum.DedupStep, rep model.StepReport) {
 	if lane < 0 || lane >= r.lanes {
 		r.failf("RecordStep lane %d outside [0,%d)", lane, r.lanes)
 		return
 	}
-	r.enc = encodeStep(r.enc[:0], lane, reads, readerOff, readerProcs, writes, costsOf(&rep))
+	r.enc = encodeStep(r.enc[:0], lane, s, costsOf(&rep))
 	r.writeFrame(kindStep, r.enc)
 	r.steps++
 }
@@ -135,17 +119,11 @@ func (r *Recorder) failf(format string, args ...any) {
 	}
 }
 
-// Close writes the eof frame with the final store fingerprint, flushes
-// the writer and detaches the sink. The recorder must not be used
+// Close detaches the sink, writes the eof frame with the final store
+// fingerprint and flushes the writer. The recorder must not be used
 // afterwards.
 func (r *Recorder) Close() error {
-	if r.built != nil {
-		if r.built.Pool != nil {
-			r.built.Pool.SetStepSink(nil)
-		} else if r.built.Machine != nil {
-			r.built.Machine.SetStepSink(nil, 0)
-		}
-	}
+	r.built.SetStepSink(nil)
 	payload := encodeEOF(nil, r.steps, r.built.Store.Fingerprint())
 	r.writeFrame(kindEOF, payload)
 	if err := r.w.Flush(); err != nil && r.err == nil {

@@ -8,8 +8,8 @@
 //
 // A trace captures everything the engine's behavior is a deterministic
 // function of — the machine's construction parameters, the LoadCells
-// initializations, and the deduplicated quorum.Request batches of every
-// step — so record → replay reproduces StepReports and the final store
+// initializations, and every step's post-dedup form, a quorum.DedupStep —
+// so record → replay reproduces StepReports and the final store
 // Fingerprint bit-for-bit (the differential tests in this package assert
 // it across interconnects, rails, schedules and engine counts).
 //
@@ -40,12 +40,12 @@
 //	                 loudly instead of replaying wrong costs.
 //	load    (0x02) — one LoadCells call: lane, base address, values
 //	                 (zigzag varints). Setup-time memory initialization.
-//	step    (0x03) — one executed step of one lane: the deduplicated read
-//	                 batch, the reader fan-out lists, the deduplicated
-//	                 write batch, and the step's recorded costs (time,
-//	                 phases, copy accesses, network cycles, contention, an
-//	                 FNV-1a hash of the dense Values buffer, and an error
-//	                 flag). Request fields are delta-encoded: processor ids
+//	step    (0x03) — one executed step of one lane: its quorum.DedupStep
+//	                 (the deduplicated read batch, the reader fan-out
+//	                 lists, the deduplicated write batch), and the step's
+//	                 recorded costs (time, phases, copy accesses, network
+//	                 cycles, contention, an FNV-1a hash of the dense
+//	                 Values buffer, and an error flag). Request fields are delta-encoded: processor ids
 //	                 and variable ids as zigzag varints against the
 //	                 previous request in the batch (dedup emits batches in
 //	                 ascending variable order, so the deltas are small),
@@ -72,13 +72,16 @@
 // Reader, so replaying a step costs exactly the engine's own work.
 //
 // Recording hooks quorum.StepSink (see the quorum package doc's "Record
-// and replay" section) and writes each frame as the sink call arrives.
-// Replaying runs each step frame as it is read on its lane's machine
-// through quorum.Machine.ExecuteDedupStep, the live step's body without
-// its dedup front end; frames in the order the steps ran mutate the
-// shared store in that order, so one loop replays pool and serving
-// captures alike. The verify mode re-executes every step
-// and compares recorded costs, per-step Values hashes and the final
-// fingerprint — the consistency-checking methodology of trace-based P-RAM
-// validation (cf. arXiv:1302.5161) applied to our own engine.
+// and replay" section): NewRecorder attaches through core.Built.SetStepSink
+// and writes each frame as the sink call arrives. A decoded step Frame
+// embeds the recorded quorum.DedupStep. Replaying runs each step frame as
+// it is read on its lane's machine through quorum.Machine.ExecuteDedupStep,
+// the live step's body without its dedup front end; frames in the order
+// the steps ran mutate the shared store in that order, so one loop
+// replays pool and serving captures alike. A BatchSource instead turns a
+// lane's steps back into live batches with quorum.DedupStep.Reconstruct.
+// The verify mode re-executes every step and compares recorded costs,
+// per-step Values hashes and the final fingerprint — the
+// consistency-checking methodology of trace-based P-RAM validation (cf.
+// arXiv:1302.5161) applied to our own engine.
 package replay

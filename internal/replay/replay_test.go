@@ -48,14 +48,8 @@ func recordRun(t testing.TB, cfg core.Spec, pattern Pattern, steps, loads int) (
 	gen := NewGenerator(pattern, built.Spec.Lanes, built.Spec.Procs, built.Params.Mem, 7)
 	var live []string
 	for s := 0; s < steps; s++ {
-		batches := gen.Step(s)
-		if built.Pool != nil {
-			for k, rep := range built.Pool.ExecuteSteps(batches) {
-				live = append(live, stepString(k, &rep))
-			}
-		} else {
-			rep := built.Machine.ExecuteStep(batches[0])
-			live = append(live, stepString(0, &rep))
+		for k, rep := range built.ExecuteSteps(gen.Step(s)) {
+			live = append(live, stepString(k, &rep))
 		}
 	}
 	if err := rec.Close(); err != nil {
@@ -159,12 +153,11 @@ type laneSink struct {
 	perm []int
 }
 
-func (s *laneSink) RecordStep(lane int, reads []quorum.Request, readerOff, readerProcs []int32,
-	writes []quorum.Request, rep model.StepReport) {
-	if len(reads) == 0 && len(writes) == 0 {
+func (s *laneSink) RecordStep(lane int, st quorum.DedupStep, rep model.StepReport) {
+	if len(st.Reads) == 0 && len(st.Writes) == 0 {
 		return
 	}
-	s.rec.RecordStep(s.perm[lane], reads, readerOff, readerProcs, writes, rep)
+	s.rec.RecordStep(s.perm[lane], st, rep)
 }
 
 func (s *laneSink) RecordLoad(lane int, base model.Addr, vals []model.Word) {
@@ -184,11 +177,11 @@ func recordRenamed(t *testing.T, pattern Pattern, perm []int, steps int, idle fu
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	rec, err := NewSinkRecorder(&buf, built)
+	rec, err := NewRecorder(&buf, built)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.Pool.SetStepSink(&laneSink{rec: rec, perm: perm})
+	built.Pool.SetStepSink(&laneSink{rec: rec, perm: perm}) // in the recorder's place
 	gen := NewGenerator(pattern, 2, built.Spec.Procs, built.Params.Mem, 7)
 	var live []string
 	for s := 0; s < steps; s++ {
@@ -204,7 +197,6 @@ func recordRenamed(t *testing.T, pattern Pattern, perm []int, steps int, idle fu
 			}
 		}
 	}
-	built.Pool.SetStepSink(nil)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,10 @@ type Frame struct {
 	Kind byte
 	Lane int
 
-	// Step frames (KindStep).
-	Reads       []quorum.Request
-	ReaderOff   []int32
-	ReaderProcs []int32
-	Writes      []quorum.Request
-	Costs       StepCosts
+	// Step frames (KindStep): the recorded post-dedup step and its
+	// recorded costs.
+	quorum.DedupStep
+	Costs StepCosts
 
 	// Load frames (KindLoad).
 	LoadBase model.Addr
@@ -174,8 +172,8 @@ func (r *Reader) Next() (*Frame, error) {
 	}
 	f := &r.frame
 	*f = Frame{Kind: kind,
-		Reads: f.Reads[:0], Writes: f.Writes[:0],
-		ReaderOff: f.ReaderOff[:0], ReaderProcs: f.ReaderProcs[:0],
+		DedupStep: quorum.DedupStep{Reads: f.Reads[:0], ReaderOff: f.ReaderOff[:0],
+			ReaderProcs: f.ReaderProcs[:0], Writes: f.Writes[:0]},
 		LoadVals: f.LoadVals[:0]}
 	switch kind {
 	case kindLoad:
@@ -465,7 +463,7 @@ func (rp *Replayer) Step() (lane int, rep model.StepReport, err error) {
 			} else {
 				rp.roundSet[f.Lane] = true
 			}
-			rep = rp.built.Lane(f.Lane).ExecuteDedupStep(f.Reads, f.ReaderOff, f.ReaderProcs, f.Writes)
+			rep = rp.built.Lane(f.Lane).ExecuteDedupStep(f.DedupStep)
 			rp.noteStep(&rep, &f.Costs)
 			return f.Lane, rep, nil
 		case KindBarrier:

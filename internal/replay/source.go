@@ -13,11 +13,11 @@ import (
 // adapter (repro/internal/serve). Where the Replayer feeds recorded
 // post-dedup request streams straight into the engines that recorded them
 // (bit-for-bit replay against the trace's own machine), a BatchSource
-// reconstructs the PRE-dedup batch of each step — every reader in a read's
-// fan-out list becomes its own OpRead request, every write an OpWrite —
-// so the stream can be submitted to a DIFFERENT machine through the normal
-// ExecuteStep front end. Re-deduplicating a reconstructed batch yields the
-// recorded dedup stream again (reader runs are exhaustive and ascending),
+// reconstructs the PRE-dedup batch of each step (quorum.DedupStep.
+// Reconstruct: every reader in a read's fan-out list becomes its own
+// OpRead request, every write an OpWrite), so the stream can be submitted
+// to a DIFFERENT machine through the normal ExecuteStep front end.
+// Re-deduplicating a reconstructed batch yields the recorded step again,
 // so feeding the reconstruction to an identical machine reproduces the
 // recorded costs and store image exactly (TestBatchSourceRoundTrip).
 //
@@ -103,7 +103,7 @@ func (s *BatchSource) NextBatch() (model.Batch, bool) {
 			if f.Lane != s.lane {
 				continue
 			}
-			s.reconstruct(f)
+			f.Reconstruct(s.batch)
 			s.steps++
 			return s.batch, true
 		case KindEOF:
@@ -119,25 +119,5 @@ func (s *BatchSource) NextBatch() (model.Batch, bool) {
 			}
 		}
 		// Load and barrier frames, and other lanes' steps, are skipped.
-	}
-}
-
-// reconstruct expands one post-dedup step frame into the per-processor
-// batch: reader fan-out lists become one OpRead per reader, writes map
-// one-to-one, every other processor idles (OpNone).
-func (s *BatchSource) reconstruct(f *Frame) {
-	b := s.batch
-	for i := range b {
-		b[i] = model.Request{Proc: i, Op: model.OpNone}
-	}
-	for g := range f.Reads {
-		v := f.Reads[g].Var
-		for _, p := range f.ReaderProcs[f.ReaderOff[g]:f.ReaderOff[g+1]] {
-			b[p] = model.Request{Proc: int(p), Op: model.OpRead, Addr: v}
-		}
-	}
-	for i := range f.Writes {
-		w := &f.Writes[i]
-		b[w.Proc] = model.Request{Proc: w.Proc, Op: model.OpWrite, Addr: w.Var, Value: w.Value}
 	}
 }

@@ -711,12 +711,12 @@ func (s *Server) StartTrace(w io.Writer) error {
 		return fmt.Errorf("serve: cannot trace %d tenants on %d bands: a trace has one lane per tenant and replays on a map banded once per lane",
 			tenants, bands)
 	}
-	rec, err := replay.NewSinkRecorder(w, s.built)
+	rec, err := replay.NewRecorder(w, s.built)
 	if err != nil {
 		return err
 	}
 	s.rec = rec
-	s.pool.SetStepSink(&tenantLaneSink{s: s})
+	s.pool.SetStepSink(&tenantLaneSink{s: s}) // in the recorder's place
 	return nil
 }
 
@@ -726,7 +726,6 @@ func (s *Server) StopTrace() error {
 	if s.rec == nil {
 		return nil
 	}
-	s.pool.SetStepSink(nil)
 	err := s.rec.Close()
 	s.rec = nil
 	return err
@@ -771,13 +770,12 @@ type tenantLaneSink struct {
 	s *Server
 }
 
-func (ts *tenantLaneSink) RecordStep(lane int, reads []quorum.Request, readerOff, readerProcs []int32,
-	writes []quorum.Request, rep model.StepReport) {
+func (ts *tenantLaneSink) RecordStep(lane int, st quorum.DedupStep, rep model.StepReport) {
 	id := ts.s.execTenant[lane]
 	if id < 0 {
 		return // idle shard: empty batch, nothing served
 	}
-	ts.s.rec.RecordStep(int(id), reads, readerOff, readerProcs, writes, rep)
+	ts.s.rec.RecordStep(int(id), st, rep)
 }
 
 func (ts *tenantLaneSink) RecordLoad(lane int, base model.Addr, vals []model.Word) {
@@ -956,35 +954,21 @@ func (t *tenant) note(rep *model.StepReport) {
 	}
 	h := t.hash
 	if h == 0 {
-		h = fnvOffset
+		h = model.FNVOffset
 	}
-	h = fnvFold(h, uint64(rep.Time))
-	h = fnvFold(h, uint64(rep.Phases))
-	h = fnvFold(h, uint64(rep.CopyAccesses))
-	h = fnvFold(h, uint64(rep.NetworkCycles))
-	h = fnvFold(h, uint64(rep.ModuleContention))
+	h = model.FoldFNV(h, uint64(rep.Time))
+	h = model.FoldFNV(h, uint64(rep.Phases))
+	h = model.FoldFNV(h, uint64(rep.CopyAccesses))
+	h = model.FoldFNV(h, uint64(rep.NetworkCycles))
+	h = model.FoldFNV(h, uint64(rep.ModuleContention))
 	n := t.cfg.Procs
 	if n > len(rep.Values) {
 		n = len(rep.Values)
 	}
 	for _, v := range rep.Values[:n] {
-		h = fnvFold(h, uint64(v))
+		h = model.FoldFNV(h, uint64(v))
 	}
 	t.hash = h
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// fnvFold hashes one 64-bit word into an FNV-1a accumulator bytewise.
-func fnvFold(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime
-		v >>= 8
-	}
-	return h
 }
 
 // Run executes exactly `rounds` serving rounds (idle rounds included).

@@ -1,6 +1,6 @@
-// Package xmath provides the small integer/real helpers the analytical
-// formulas of the paper need (logarithms, power fits, ceilings) so that the
-// model packages do not each reimplement them.
+// Package xmath provides the small integer helpers the analytical formulas
+// of the paper need (logarithms, ceilings, powers of two, square roots) so
+// that the model packages do not each reimplement them.
 package xmath
 
 import "math"
@@ -58,67 +58,4 @@ func ISqrt(x int) int {
 		r++
 	}
 	return r
-}
-
-// Log2 is log base 2 for reals.
-func Log2(x float64) float64 { return math.Log2(x) }
-
-// LogLog2 returns log2(log2(x)), the paper's ubiquitous log log factor,
-// clamped below at 1 to stay meaningful for small x.
-func LogLog2(x float64) float64 {
-	l := math.Log2(x)
-	if l < 2 {
-		return 1
-	}
-	return math.Log2(l)
-}
-
-// PowInt returns base**exp for integer exp >= 0 using binary exponentiation.
-func PowInt(base int64, exp int) int64 {
-	r := int64(1)
-	for exp > 0 {
-		if exp&1 == 1 {
-			r *= base
-		}
-		base *= base
-		exp >>= 1
-	}
-	return r
-}
-
-// FitRatio measures how well the series ys (indexed by xs) follows the
-// growth function f by returning max/min of ys[i]/f(xs[i]). A ratio spread
-// close to 1 means the measured curve has the conjectured shape. It is the
-// workhorse of the asymptotic-shape checks in the experiment harness.
-func FitRatio(xs []float64, ys []float64, f func(float64) float64) (lo, hi float64) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		panic("xmath.FitRatio: need equal, nonempty series")
-	}
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := range xs {
-		d := f(xs[i])
-		if d == 0 {
-			panic("xmath.FitRatio: growth function vanished")
-		}
-		r := ys[i] / d
-		if r < lo {
-			lo = r
-		}
-		if r > hi {
-			hi = r
-		}
-	}
-	return lo, hi
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vals {
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(vals)))
 }

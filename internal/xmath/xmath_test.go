@@ -1,7 +1,6 @@
 package xmath
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -74,41 +73,5 @@ func TestISqrtProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPowInt(t *testing.T) {
-	if PowInt(2, 10) != 1024 || PowInt(3, 0) != 1 || PowInt(5, 3) != 125 {
-		t.Error("PowInt wrong")
-	}
-}
-
-func TestLogLog2Clamp(t *testing.T) {
-	if LogLog2(2) != 1 {
-		t.Errorf("LogLog2(2) = %v, want clamp 1", LogLog2(2))
-	}
-	if got := LogLog2(65536); math.Abs(got-4) > 1e-12 {
-		t.Errorf("LogLog2(65536) = %v, want 4", got)
-	}
-}
-
-func TestFitRatio(t *testing.T) {
-	xs := []float64{64, 256, 1024, 4096}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * math.Log2(x) // exactly 3·log2(n)
-	}
-	lo, hi := FitRatio(xs, ys, math.Log2)
-	if math.Abs(lo-3) > 1e-9 || math.Abs(hi-3) > 1e-9 {
-		t.Errorf("FitRatio = [%v, %v], want [3,3]", lo, hi)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) != 0")
 	}
 }

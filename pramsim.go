@@ -39,6 +39,8 @@
 package pramsim
 
 import (
+	"strings"
+
 	"repro/internal/core"
 	"repro/internal/hashsim"
 	"repro/internal/ida"
@@ -133,6 +135,51 @@ func NewSchuster(n int, cfg SchusterConfig) Backend { return ida.NewMemory(n, cf
 
 // NewHashed returns the probabilistic universal-hashing baseline.
 func NewHashed(n int, cfg HashedConfig) Backend { return hashsim.New(n, cfg) }
+
+// MachineEntry is one row of the facade's machine table: a name and a
+// constructor sized from a processor count, a cell count, a conflict mode
+// and a map seed. The quorum machines (mpc, dmmpc, mot2d, luccio) size
+// their memory from the processor count and ignore cells, the ideal P-RAM
+// ignores the seed, and seed 0 selects each machine's default.
+type MachineEntry struct {
+	Name string
+	New  func(procs, cells int, mode Mode, seed int64) Backend
+}
+
+// Machines is the table of the seven facade machines, in the order the
+// command-line tools list them.
+var Machines = []MachineEntry{
+	{"ideal", func(n, m int, mode Mode, _ int64) Backend { return NewIdeal(n, m, mode) }},
+	{"mpc", func(n, _ int, mode Mode, seed int64) Backend {
+		return NewMPC(n, MPCConfig{Mode: mode, Seed: seed})
+	}},
+	{"dmmpc", func(n, _ int, mode Mode, seed int64) Backend {
+		return NewDMMPC(n, DMMPCConfig{Mode: mode, Seed: seed})
+	}},
+	{"mot2d", func(n, _ int, mode Mode, seed int64) Backend {
+		return NewMOT2D(n, MOTConfig{Mode: mode, Seed: seed})
+	}},
+	{"luccio", func(n, _ int, mode Mode, seed int64) Backend {
+		return NewLuccio(n, MOTConfig{Mode: mode, Seed: seed})
+	}},
+	{"schuster", func(n, m int, mode Mode, seed int64) Backend {
+		return NewSchuster(n, SchusterConfig{MemCells: m, Mode: mode, Seed: seed})
+	}},
+	{"hashed", func(n, m int, mode Mode, seed int64) Backend {
+		return NewHashed(n, HashedConfig{MemCells: m, Mode: mode, Seed: seed})
+	}},
+}
+
+// LookupMachine returns the Machines entry whose name is name in any case.
+func LookupMachine(name string) (MachineEntry, bool) {
+	name = strings.ToLower(name)
+	for _, m := range Machines {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return MachineEntry{}, false
+}
 
 // Run executes program on every processor of b and blocks until all halt.
 func Run(b Backend, program Program) *RunReport {

@@ -113,35 +113,6 @@ type goldenRun struct {
 	Err           string `json:"err,omitempty"`
 }
 
-// goldenBackends builds the seven facade machines for w, sized the way
-// cmd/pramsim sizes them.
-var goldenBackends = []struct {
-	name  string
-	build func(w pramsim.Workload, seed int64) pramsim.Backend
-}{
-	{"ideal", func(w pramsim.Workload, _ int64) pramsim.Backend {
-		return pramsim.NewIdeal(w.Procs, w.Cells, w.Mode)
-	}},
-	{"mpc", func(w pramsim.Workload, seed int64) pramsim.Backend {
-		return pramsim.NewMPC(w.Procs, pramsim.MPCConfig{Mode: w.Mode, Seed: seed})
-	}},
-	{"dmmpc", func(w pramsim.Workload, seed int64) pramsim.Backend {
-		return pramsim.NewDMMPC(w.Procs, pramsim.DMMPCConfig{Mode: w.Mode, Seed: seed})
-	}},
-	{"mot2d", func(w pramsim.Workload, seed int64) pramsim.Backend {
-		return pramsim.NewMOT2D(w.Procs, pramsim.MOTConfig{Mode: w.Mode, Seed: seed})
-	}},
-	{"luccio", func(w pramsim.Workload, seed int64) pramsim.Backend {
-		return pramsim.NewLuccio(w.Procs, pramsim.MOTConfig{Mode: w.Mode, Seed: seed})
-	}},
-	{"schuster", func(w pramsim.Workload, seed int64) pramsim.Backend {
-		return pramsim.NewSchuster(w.Procs, pramsim.SchusterConfig{MemCells: w.Cells, Mode: w.Mode, Seed: seed})
-	}},
-	{"hashed", func(w pramsim.Workload, seed int64) pramsim.Backend {
-		return pramsim.NewHashed(w.Procs, pramsim.HashedConfig{MemCells: w.Cells, Mode: w.Mode, Seed: seed})
-	}},
-}
-
 // TestGoldenRunReports pins the RunReport of every standard workload on
 // every facade machine: the program coordinator may change how processors
 // are scheduled, never what a run costs or how it ends.
@@ -149,9 +120,9 @@ func TestGoldenRunReports(t *testing.T) {
 	const n, seed = 64, 1
 	got := map[string]goldenRun{}
 	for _, w := range workloads.All(n, seed) {
-		for _, gb := range goldenBackends {
-			b := gb.build(w, seed)
-			key := w.Name + "/" + gb.name
+		for _, m := range pramsim.Machines {
+			b := m.New(w.Procs, w.Cells, w.Mode, seed)
+			key := w.Name + "/" + m.Name
 			if b.MemSize() < w.Cells {
 				got[key] = goldenRun{Skipped: "memory too small"}
 				continue
