@@ -3,11 +3,14 @@ package model
 import "testing"
 
 // FuzzResolveStep: arbitrary request streams must preserve the core step
-// invariants under every conflict mode — reads return pre-step values and
-// exactly the read set is answered.
+// invariants under every conflict mode — reads return pre-step values,
+// one value per processor is returned, and processors that did not read
+// get zero.
 func FuzzResolveStep(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, uint8(2))
 	f.Add([]byte{9, 9, 9, 9, 9, 9}, uint8(0))
+	f.Add([]byte("100"), uint8(2))                              // one write, no read
+	f.Add([]byte{0, 4, 0, 1, 4, 7, 2, 0, 0, 1, 4, 9}, uint8(4)) // read, two writes of one cell, idle
 	f.Fuzz(func(t *testing.T, raw []byte, modeRaw uint8) {
 		const m = 16
 		mode := Mode(modeRaw % 5)
@@ -30,17 +33,17 @@ func FuzzResolveStep(f *testing.F) {
 			}
 		}
 		vals, _ := ResolveStep(mem, batch, mode)
-		reads := 0
-		for _, r := range batch {
-			if r.Op == OpRead {
-				reads++
-				if vals[r.Proc] != pre[r.Addr] {
-					t.Fatalf("read by %d saw %d, want pre-step %d", r.Proc, vals[r.Proc], pre[r.Addr])
-				}
-			}
+		if len(vals) != len(batch) {
+			t.Fatalf("returned %d values for %d processors", len(vals), len(batch))
 		}
-		if len(vals) != reads {
-			t.Fatalf("answered %d reads, batch had %d", len(vals), reads)
+		for _, r := range batch {
+			want := Word(0)
+			if r.Op == OpRead {
+				want = pre[r.Addr]
+			}
+			if vals[r.Proc] != want {
+				t.Fatalf("processor %d (%v) got %d, want %d", r.Proc, r.Op, vals[r.Proc], want)
+			}
 		}
 		// Cells not written must be unchanged.
 		written := map[Addr]bool{}

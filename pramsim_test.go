@@ -99,6 +99,61 @@ func TestFacadeModesExported(t *testing.T) {
 	}
 }
 
+// TestMachines builds every entry of the facade's machine table and checks
+// that the table passes its arguments through: n processors, at least the
+// cells asked for on the machines that take a cell count, and the conflict
+// mode, seen through a concurrent write that CRCW-Priority resolves and
+// EREW reports.
+func TestMachines(t *testing.T) {
+	const n, cells, seed = 16, 300, 3
+	names := []string{"ideal", "mpc", "dmmpc", "mot2d", "luccio", "schuster", "hashed"}
+	if got := len(pramsim.Machines); got != len(names) {
+		t.Fatalf("%d machines, want %d", got, len(names))
+	}
+	sizesFromProcs := map[string]bool{"mpc": true, "dmmpc": true, "mot2d": true, "luccio": true}
+	for i, m := range pramsim.Machines {
+		if m.Name != names[i] {
+			t.Errorf("machine %d is %q, want %q", i, m.Name, names[i])
+		}
+		t.Run(m.Name, func(t *testing.T) {
+			allWrite := func(p *pramsim.Proc) { p.Write(5, pramsim.Word(10+p.ID())) }
+			b := m.New(n, cells, pramsim.CRCWPriority, seed)
+			if b.Procs() != n {
+				t.Errorf("%d processors, want %d", b.Procs(), n)
+			}
+			if !sizesFromProcs[m.Name] && b.MemSize() < cells {
+				t.Errorf("%d cells, want at least %d", b.MemSize(), cells)
+			}
+			if err := pramsim.Run(b, allWrite).Err(); err != nil {
+				t.Fatalf("CRCW-Priority: %v", err)
+			}
+			if got := b.ReadCell(5); got != 10 {
+				t.Errorf("CRCW-Priority: cell 5 = %d, want processor 0's 10", got)
+			}
+			if pramsim.Run(m.New(n, cells, pramsim.EREW, seed), allWrite).Err() == nil {
+				t.Error("EREW: a concurrent write ran without a conflict error")
+			}
+		})
+	}
+}
+
+// TestLookupMachine: every table name resolves in any case, to its own
+// entry; other names do not.
+func TestLookupMachine(t *testing.T) {
+	for _, m := range pramsim.Machines {
+		for _, name := range []string{m.Name, strings.ToUpper(m.Name)} {
+			if got, ok := pramsim.LookupMachine(name); !ok || got.Name != m.Name {
+				t.Errorf("LookupMachine(%q) = %q, %v; want %q", name, got.Name, ok, m.Name)
+			}
+		}
+	}
+	for _, name := range []string{"", "all", "2dmot", "dmmpc "} {
+		if got, ok := pramsim.LookupMachine(name); ok {
+			t.Errorf("LookupMachine(%q) found %q", name, got.Name)
+		}
+	}
+}
+
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_runs.json")
 
 // goldenRun is the observable cost and outcome of one workload run.
