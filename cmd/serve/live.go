@@ -125,13 +125,22 @@ func configFromMeta(meta string, verbose bool) (serve.Config, error) {
 	return cfg, nil
 }
 
-// checkScriptTenants rejects a script whose submissions name a tenant the
-// rebuilt deployment does not have (Server.Submit panics on those).
-func checkScriptTenants(events []replay.ScriptEvent, tenants int) error {
+// checkScriptEvents rejects a script whose submissions name a tenant the
+// rebuilt deployment s does not have (Server.Submit panics on those), or
+// whose resizes name a K that no live run of s can record: the autoscaler
+// grows K at most to the band count and only halves it, so every recorded
+// K is at most max(starting K, Bands()). A larger K would build that many
+// shard machines before the first round.
+func checkScriptEvents(events []replay.ScriptEvent, s *serve.Server) error {
+	maxK := max(s.Engines(), s.Bands())
 	for i, ev := range events {
-		if !ev.IsResize() && !ev.IsDrain() && ev.Tenant >= tenants {
+		switch {
+		case ev.IsResize() && ev.K > maxK:
+			return fmt.Errorf("script event %d (r %d %d) resizes to K=%d, but the meta line's deployment never runs more than %d engines",
+				i, ev.Round, ev.K, ev.K, maxK)
+		case !ev.IsResize() && !ev.IsDrain() && ev.Tenant >= s.NumTenants():
 			return fmt.Errorf("script event %d (a %d %d %d) submits to tenant %d, but the meta line builds %d tenants",
-				i, ev.Round, ev.Tenant, ev.Credits, ev.Tenant, tenants)
+				i, ev.Round, ev.Tenant, ev.Credits, ev.Tenant, s.NumTenants())
 		}
 	}
 	return nil
@@ -304,7 +313,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := checkScriptTenants(sc.Events, s.NumTenants()); err != nil {
+	if err := checkScriptEvents(sc.Events, s); err != nil {
 		return err
 	}
 

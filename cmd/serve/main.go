@@ -299,7 +299,7 @@ func parseTenants(spec string, sf *sharedFlags, arrival serve.Arrival) ([]serve.
 				return nil, fmt.Errorf("tenant %d: %s: %v", i, file, err)
 			}
 			tc.Procs = r.Spec().Procs
-			tc.Source = serve.NewTraceSource(data, lane, false)
+			tc.Source = serve.NewTraceSource(data, lane)
 			tc.Name = fmt.Sprintf("t%d-trace", i)
 		default:
 			pat, err := replay.ParsePattern(strings.TrimPrefix(head, "global-"))

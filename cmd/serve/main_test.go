@@ -324,30 +324,43 @@ func TestExecuteStartsNoGoroutine(t *testing.T) {
 }
 
 // TestReplayRejectsUnknownTenant: a script submission to a tenant the meta
-// line's deployment does not have fails `serve replay` with an error that
-// names the event, before any round runs.
+// line's deployment does not have, or a resize to a K that no live run of
+// that deployment records, fails `serve replay` with an error that names
+// the event, before any round runs.
 func TestReplayRejectsUnknownTenant(t *testing.T) {
 	sf := &sharedFlags{procs: 8, engines: 1, queue: 4, seed: 3, wseed: 42, mode: "crcw"}
-	path := filepath.Join(t.TempDir(), "bad.ars")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := replay.NewScriptRecorder(f, metaLine(sf, "uniform,hotspot", "external", 1, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Submit(0, 0, 1)
-	rec.Submit(0, 7, 1)
-	if err := rec.Close(nil, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	err = cmdReplay([]string{"-script", path})
-	if err == nil || !strings.Contains(err.Error(), "(a 0 7 1)") {
-		t.Fatalf("replay of a script naming tenant 7 of 2: %v, want an error naming the event", err)
+	for _, c := range []struct {
+		name   string
+		record func(rec *replay.ScriptRecorder)
+		want   string
+	}{
+		{"tenant 7 of 2", func(rec *replay.ScriptRecorder) { rec.Submit(0, 7, 1) }, "(a 0 7 1)"},
+		// One engine and two bands: no live run records a K above 2.
+		{"resize past the bands", func(rec *replay.ScriptRecorder) { rec.Resize(0, 3) }, "(r 0 3)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.ars")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := replay.NewScriptRecorder(f, metaLine(sf, "uniform,hotspot", "external", 1, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Submit(0, 0, 1)
+			c.record(rec)
+			if err := rec.Close(nil, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			err = cmdReplay([]string{"-script", path})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("replay of a script with %s: %v, want an error naming the event %s", c.name, err, c.want)
+			}
+		})
 	}
 }
 
@@ -424,7 +437,7 @@ func TestReplayIgnoresLegacyWorkersMeta(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if err := checkScriptTenants(sc.Events, s.NumTenants()); err != nil {
+		if err := checkScriptEvents(sc.Events, s); err != nil {
 			t.Fatal(err)
 		}
 		s.PlayScript(sc.Events, sc.Rounds)

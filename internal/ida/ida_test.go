@@ -2,6 +2,7 @@ package ida
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +138,21 @@ func TestMemorySameBlockWritersResolvedByPriority(t *testing.T) {
 	if got := mem.ReadCell(10); got != 22 {
 		t.Errorf("priority write = %d, want 22 (lowest proc)", got)
 	}
+}
+
+// TestMemoryRefusesMisindexedEntry: an active batch entry whose Proc is
+// not its index is refused with a panic that names the entry.
+func TestMemoryRefusesMisindexedEntry(t *testing.T) {
+	mem := NewMemory(8, Config{MemCells: 32, Mode: model.CRCWPriority})
+	b := model.NewBatch(8)
+	b[2] = model.Request{Proc: 4, Op: model.OpWrite, Addr: 10, Value: 44}
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "batch entry 2 holds processor 4's request"; !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want one naming %q", msg, want)
+		}
+	}()
+	mem.ExecuteStep(b)
 }
 
 func TestMemoryEquivalenceWithIdeal(t *testing.T) {

@@ -50,14 +50,14 @@ type Memory struct {
 	encoded [limbs]gf.Vec
 }
 
-// blockRec is one active request of a step. Sorted by (block, processor,
-// batch index), a step's requests form one run per block, each in
-// ascending processor order.
+// blockRec is one active request of a step. Sorted by (block, processor),
+// a block's requests form one run in ascending processor order, the order
+// the conflict modes resolve writes in.
 type blockRec struct {
-	blk, off  int // block and cell offset within it
-	proc, idx int // processor and position in the batch
-	val       model.Word
-	write     bool
+	blk, off int // block and cell offset within it
+	proc     int // processor, the request's batch index
+	val      model.Word
+	write    bool
 }
 
 // limbs is the number of 16-bit field elements a 64-bit word splits into.
@@ -163,20 +163,16 @@ func (mem *Memory) FieldOps() int64 { return mem.fieldOps }
 // ExecuteStep implements model.Backend. It is allocation-free in steady
 // state: the step is grouped by block by sorting reusable records, module
 // loads are counted in a per-module slice, and every share, plane and
-// quorum buffer is scratch reused across steps.
+// quorum buffer is scratch reused across steps. An active batch entry i
+// must be processor i's request (model.Batch); a mismatched entry is
+// refused with a panic that names it.
 //
 //pram:hotpath
 func (mem *Memory) ExecuteStep(batch model.Batch) model.StepReport {
-	need := len(batch)
-	for _, r := range batch {
-		if r.Op != model.OpNone && r.Proc >= need {
-			need = r.Proc + 1 // sparse batch from a direct caller
-		}
+	if cap(mem.vals) < len(batch) {
+		mem.vals = make([]model.Word, len(batch))
 	}
-	if cap(mem.vals) < need {
-		mem.vals = make([]model.Word, need)
-	}
-	mem.vals = mem.vals[:need]
+	mem.vals = mem.vals[:len(batch)]
 	clear(mem.vals)
 	rep := model.StepReport{Values: mem.vals, Err: mem.checker.Check(batch, mem.mode)}
 
@@ -187,7 +183,11 @@ func (mem *Memory) ExecuteStep(batch model.Batch) model.StepReport {
 		if r.Op == model.OpNone {
 			continue
 		}
-		recs = append(recs, blockRec{blk: r.Addr / b, off: r.Addr % b, proc: r.Proc, idx: i,
+		if r.Proc != i {
+			//pram:coldalloc caller-contract panic guard, never taken in steady state
+			panic(fmt.Sprintf("ida: batch entry %d holds processor %d's request", i, r.Proc))
+		}
+		recs = append(recs, blockRec{blk: r.Addr / b, off: r.Addr % b, proc: i,
 			val: r.Value, write: r.Op == model.OpWrite})
 	}
 	mem.recs = recs
@@ -195,10 +195,7 @@ func (mem *Memory) ExecuteStep(batch model.Batch) model.StepReport {
 		if x.blk != y.blk {
 			return cmp.Compare(x.blk, y.blk)
 		}
-		if x.proc != y.proc {
-			return cmp.Compare(x.proc, y.proc)
-		}
-		return cmp.Compare(x.idx, y.idx)
+		return cmp.Compare(x.proc, y.proc)
 	})
 
 	mem.clock++

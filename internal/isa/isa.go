@@ -141,6 +141,9 @@ func Assemble(src string) (*Program, error) {
 			continue
 		}
 		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+		if len(fields) == 0 { // only commas
+			return nil, &AsmError{ln + 1, "missing mnemonic"}
+		}
 		mn := strings.ToLower(fields[0])
 		args := fields[1:]
 		in := Instr{Line: ln + 1}

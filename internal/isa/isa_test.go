@@ -150,6 +150,8 @@ func TestAssemblerErrors(t *testing.T) {
 		{"jmp nowhere", "undefined label"},
 		{"x: loadi r1, 1\nx: halt", "duplicate label"},
 		{"load r1, r2", "expected (rX)"},
+		{",", "missing mnemonic"},
+		{"lbl: ,", "missing mnemonic"},
 	}
 	for _, c := range cases {
 		_, err := Assemble(c.src)

@@ -119,14 +119,19 @@ func ParseMode(s string) (Mode, error) {
 
 // Request is one processor's memory action for a step.
 type Request struct {
-	Proc  int  // issuing processor id in [0, n)
+	Proc  int  // issuing processor id in [0, n): the request's batch index
 	Op    Op   // read, write or none
 	Addr  Addr // shared address, meaningful when Op != OpNone
 	Value Word // payload, meaningful when Op == OpWrite
 }
 
-// Batch is the collection of requests forming one P-RAM step. Entries are
-// indexed by processor id; a missing processor is represented by OpNone.
+// Batch is the collection of requests forming one P-RAM step, at most one
+// per processor (the Fortune–Wyllie P-RAM). Entries are indexed by
+// processor id: an active entry i is processor i's request, so its Proc
+// is i, and a batch holds at most n entries. A missing processor is
+// represented by OpNone, whose Proc is ignored. Because the index is the
+// processor, a batch lists its requests in ascending processor order,
+// which is the order Priority and Arbitrary resolve writes in.
 type Batch []Request
 
 // NewBatch returns an all-idle batch for n processors.
@@ -203,7 +208,10 @@ type Backend interface {
 	MemSize() int
 	// Procs returns n, the number of processors.
 	Procs() int
-	// ExecuteStep runs one P-RAM step.
+	// ExecuteStep runs one P-RAM step. The batch follows Batch's
+	// contract: at most Procs() entries, an active entry i being
+	// processor i's request. A backend may refuse a batch that breaks
+	// it with a panic naming the offending entry.
 	ExecuteStep(batch Batch) StepReport
 	// ReadCell inspects the current committed value of a cell without
 	// charging simulated time (for result verification and debugging).

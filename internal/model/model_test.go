@@ -108,9 +108,10 @@ func TestResolveStepReadsSeePreState(t *testing.T) {
 func TestResolveStepPriorityWrite(t *testing.T) {
 	mem := []Word{0}
 	b := Batch{
-		{Proc: 3, Op: OpWrite, Addr: 0, Value: 3},
+		{Proc: 0, Op: OpNone},
 		{Proc: 1, Op: OpWrite, Addr: 0, Value: 1},
 		{Proc: 2, Op: OpWrite, Addr: 0, Value: 2},
+		{Proc: 3, Op: OpWrite, Addr: 0, Value: 3},
 	}
 	if _, err := ResolveStep(mem, b, CRCWPriority); err != nil {
 		t.Fatalf("priority mode must accept concurrent writes: %v", err)
@@ -122,16 +123,46 @@ func TestResolveStepPriorityWrite(t *testing.T) {
 
 func TestResolveStepArbitraryWrite(t *testing.T) {
 	mem := []Word{0}
-	b := Batch{
-		{Proc: 1, Op: OpWrite, Addr: 0, Value: 1},
-		{Proc: 5, Op: OpWrite, Addr: 0, Value: 5},
-		{Proc: 3, Op: OpWrite, Addr: 0, Value: 3},
-	}
+	b := NewBatch(6)
+	b[1] = Request{Proc: 1, Op: OpWrite, Addr: 0, Value: 1}
+	b[3] = Request{Proc: 3, Op: OpWrite, Addr: 0, Value: 3}
+	b[5] = Request{Proc: 5, Op: OpWrite, Addr: 0, Value: 5}
 	if _, err := ResolveStep(mem, b, CRCWArbitrary); err != nil {
 		t.Fatalf("arbitrary mode must accept concurrent writes: %v", err)
 	}
 	if mem[0] != 5 {
 		t.Errorf("arbitrary write committed %d, want 5 (highest proc id convention)", mem[0])
+	}
+}
+
+// TestResolveStepRefusesMisindexedEntry: a batch is indexed by processor,
+// so an active entry whose Proc is not its index — swapped with another,
+// or past the batch — is refused with a panic that names the entry, and
+// memory is left as it was.
+func TestResolveStepRefusesMisindexedEntry(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		batch Batch
+		want  string
+	}{
+		{"swapped", Batch{{Proc: 1, Op: OpWrite, Addr: 0, Value: 1}, {Proc: 0, Op: OpRead, Addr: 0}},
+			"batch entry 0 holds processor 1's request"},
+		{"past the batch", Batch{{Proc: 0, Op: OpNone}, {Proc: 5, Op: OpRead, Addr: 0}},
+			"batch entry 1 holds processor 5's request"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mem := []Word{7}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("panic %q, want one naming %q", msg, c.want)
+				}
+				if mem[0] != 7 {
+					t.Errorf("refused batch changed memory to %d", mem[0])
+				}
+			}()
+			ResolveStep(mem, c.batch, CRCWPriority)
+		})
 	}
 }
 

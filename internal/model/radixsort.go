@@ -7,14 +7,12 @@ package model
 // spare buffer; depending on pass parity either may be backed by recs or
 // tmp, so callers must adopt both return values.
 //
-// This is the allocation-free replacement for the comparison sort in the
-// per-step dedup pass (the largest remaining step cost at n ≥ 1024):
-// batches list requests in ascending processor order, so a stable
-// (Addr, Write) radix yields exactly the (Addr, Write, Proc) order the
-// dedup walk and conflict check need — callers with out-of-order
-// processors must fall back to a comparison sort. Addresses must be
-// non-negative; maxAddr bounds the key space and hence the pass count
-// (⌈bits/8⌉ passes of one counting sort each).
+// It is the sort of the quorum machine's per-step dedup pass: a batch is
+// indexed by processor (see Batch), so records flattened from it arrive
+// in ascending processor order, and a stable (Addr, Write) radix yields
+// exactly the (Addr, Write, Proc) order the dedup walk and conflict check
+// need. Addresses must be non-negative; maxAddr bounds the key space and
+// hence the pass count (⌈bits/8⌉ passes of one counting sort each).
 func RadixSortConflictRecs(recs, tmp []ConflictRec, maxAddr Addr) (sorted, spare []ConflictRec) {
 	maxKey := uint64(maxAddr)<<1 | 1
 	src, dst := recs, tmp

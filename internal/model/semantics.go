@@ -2,6 +2,7 @@ package model
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 )
@@ -26,86 +27,44 @@ func ResolveStep(mem []Word, batch Batch, mode Mode) ([]Word, error) {
 // ResolveStepInto is ResolveStep with a caller-supplied values buffer and
 // the checker's reusable scratch, so backends that own a ConflictChecker
 // stay off the heap under every conflict mode. The buffer is grown as
-// needed and returned resized to len(batch), or further if some request's
-// Proc exceeds the batch length (sparse batches from direct callers).
+// needed and returned resized to len(batch). Batch entry i must be
+// processor i's request: an active entry whose Proc is not its index is
+// refused with a panic that names it.
 func (c *ConflictChecker) ResolveStepInto(values, mem []Word, batch Batch, mode Mode) ([]Word, error) {
-	need := len(batch)
-	ascending := true // writer procs strictly ascending in batch order?
-	prevWriter := -1
-	for _, r := range batch {
+	if cap(values) < len(batch) {
+		values = make([]Word, len(batch))
+	}
+	values = values[:len(batch)]
+	clear(values)
+	// Reads observe pre-step state.
+	for i, r := range batch {
 		if r.Op == OpNone {
 			continue
 		}
-		if r.Proc >= need {
-			need = r.Proc + 1
+		if r.Proc != i {
+			panic(fmt.Sprintf("model: batch entry %d holds processor %d's request", i, r.Proc))
 		}
-		if r.Op == OpWrite {
-			if r.Proc <= prevWriter {
-				ascending = false
-			}
-			prevWriter = r.Proc
-		}
-	}
-	if cap(values) < need {
-		values = make([]Word, need)
-	}
-	values = values[:need]
-	clear(values)
-	// Reads observe pre-step state.
-	for _, r := range batch {
 		if r.Op == OpRead {
-			values[r.Proc] = mem[r.Addr]
+			values[i] = mem[r.Addr]
 		}
 	}
 	err := c.Check(batch, mode)
-	// Commit writes. Letting the LOWEST processor id win implements
-	// Priority; Arbitrary keeps the highest. Batches normally list writers
-	// in ascending processor order (Batch is indexed by processor), so the
-	// winner per address is just the last store in the right direction —
-	// no per-address map, keeping steady-state steps allocation-free.
-	if ascending {
-		if mode == CRCWArbitrary {
-			for _, r := range batch { // forward: highest proc writes last
-				if r.Op == OpWrite {
-					mem[r.Addr] = r.Value
-				}
-			}
-		} else {
-			for i := len(batch) - 1; i >= 0; i-- { // reverse: lowest proc writes last
-				if r := batch[i]; r.Op == OpWrite {
-					mem[r.Addr] = r.Value
-				}
+	// Commit writes. Writers arrive in ascending processor order, so the
+	// winner per address is just the last store in the right direction:
+	// Priority (the lowest processor wins) stores in reverse, Arbitrary
+	// (the highest wins) forward.
+	if mode == CRCWArbitrary {
+		for _, r := range batch {
+			if r.Op == OpWrite {
+				mem[r.Addr] = r.Value
 			}
 		}
-		return values, err
-	}
-	// Rare path: direct callers with out-of-order writer procs.
-	type pw struct {
-		proc int
-		val  Word
-	}
-	writers := make(map[Addr]pw)
-	for _, r := range batch {
-		if r.Op != OpWrite {
-			continue
-		}
-		prev, seen := writers[r.Addr]
-		switch {
-		case !seen:
-			writers[r.Addr] = pw{r.Proc, r.Value}
-		case mode == CRCWArbitrary:
-			if r.Proc > prev.proc {
-				writers[r.Addr] = pw{r.Proc, r.Value}
-			}
-		default: // Priority semantics: lowest id wins.
-			if r.Proc < prev.proc {
-				writers[r.Addr] = pw{r.Proc, r.Value}
+	} else {
+		for i := len(batch) - 1; i >= 0; i-- {
+			if r := batch[i]; r.Op == OpWrite {
+				mem[r.Addr] = r.Value
 			}
 		}
-	}
-	//pram:unordered one winning write per distinct address: disjoint stores commute
-	for a, w := range writers {
-		mem[a] = w.val
 	}
 	return values, err
 }

@@ -32,6 +32,7 @@ func TestRoutePhaseAlwaysProgresses(t *testing.T) {
 				Copy:   rng.Intn(8),
 			})
 		}
+		sortByProc(attempts)
 		granted, cycles, _ := nw.RoutePhase(attempts)
 		if cycles <= 0 {
 			return false
@@ -66,6 +67,7 @@ func TestQueuePolicyAlwaysGrantsAll(t *testing.T) {
 				Proc: p, Module: rng.Intn(side), Var: rng.Intn(64), Copy: rng.Intn(4),
 			})
 		}
+		sortByProc(attempts)
 		granted, _, _ := nw.RoutePhase(attempts)
 		for _, g := range granted {
 			if !g {
@@ -79,56 +81,11 @@ func TestQueuePolicyAlwaysGrantsAll(t *testing.T) {
 	}
 }
 
-// TestRoutePhaseOrderInvariant checks that the order of a phase's attempts
-// matters only through the (Proc, index) priority: reordering them while
-// each processor's own attempts keep their relative order permutes the
-// grants and changes neither the cycles, the load nor the Stats. The
-// ascending reorder takes the census's presorted path, as the engine's
-// phases do; the random draws and reorders take its sort. Module ids are
-// interned in attempt order, so the reorders also give the modules other
-// phase-local ids and claim keys.
-func TestRoutePhaseOrderInvariant(t *testing.T) {
-	for _, side := range sweepSides {
-		for ci, c := range sweepCases {
-			t.Run(c.name(side, ci), func(t *testing.T) {
-				base := NewNetwork(side, c.pl, c.config())
-				ascending := NewNetwork(side, c.pl, c.config())
-				shuffled := NewNetwork(side, c.pl, c.config())
-				rng := rand.New(rand.NewSource(int64(97*side + ci)))
-				for phase := 0; phase < 12; phase++ {
-					attempts := refAttempts(rng, side, c.dualRail, phaseLoad(phase%3))
-					g, cycles, load := base.RoutePhase(attempts)
-					want := slices.Clone(g)
-					for _, r := range []struct {
-						nw   *Network
-						perm []int
-					}{
-						{ascending, byProc(attempts)},
-						{shuffled, priorityShuffle(rng, attempts)},
-					} {
-						moved := make([]quorum.Attempt, len(attempts))
-						for j, i := range r.perm {
-							moved[j] = attempts[i]
-						}
-						gm, cm, lm := r.nw.RoutePhase(moved)
-						if cm != cycles || lm != load {
-							t.Fatalf("phase %d: reordered (cycles=%d load=%d) != original (cycles=%d load=%d)",
-								phase, cm, lm, cycles, load)
-						}
-						for j, i := range r.perm {
-							if gm[j] != want[i] {
-								t.Fatalf("phase %d: attempt %d moved to %d: grant %v, want %v", phase, i, j, gm[j], want[i])
-							}
-						}
-					}
-				}
-				if base.Stats() != ascending.Stats() || base.Stats() != shuffled.Stats() {
-					t.Fatalf("stats diverged:\n original  %+v\n ascending %+v\n shuffled  %+v",
-						base.Stats(), ascending.Stats(), shuffled.Stats())
-				}
-			})
-		}
-	}
+// sortByProc puts a phase's attempts in the order RoutePhase takes them:
+// stably by processor, so one processor's attempts keep their relative
+// order.
+func sortByProc(attempts []quorum.Attempt) {
+	slices.SortStableFunc(attempts, func(x, y quorum.Attempt) int { return x.Proc - y.Proc })
 }
 
 // byProc returns the attempt indices stably sorted by processor.
@@ -141,29 +98,13 @@ func byProc(attempts []quorum.Attempt) []int {
 	return perm
 }
 
-// priorityShuffle returns a random order of the attempt indices in which
-// each processor's attempts keep their relative order: it shuffles the
-// indices, then hands the slots a processor landed on back to its
-// attempts in ascending order.
-func priorityShuffle(rng *rand.Rand, attempts []quorum.Attempt) []int {
-	perm := rng.Perm(len(attempts))
-	next := map[int][]int{} // per processor: its attempt indices, ascending
-	for i, a := range attempts {
-		next[a.Proc] = append(next[a.Proc], i)
-	}
-	for j, i := range perm {
-		p := attempts[i].Proc
-		perm[j], next[p] = next[p][0], next[p][1:]
-	}
-	return perm
-}
-
 // FuzzRoutePhase is the differential harness as a fuzz target: a fuzzed
 // byte string drives topology choice and per-phase attempt streams through
 // the reference router (reference_test.go) and the production network,
 // which must stay bit-for-bit identical (grants, cycles, loads, stats) on
-// every input the fuzzer invents. A capacity bump mid-stream exercises
-// SetBandwidth on both.
+// every input the fuzzer invents. Each phase is sorted stably by
+// processor before it reaches the routers, as the engine's phases arrive.
+// A capacity bump mid-stream exercises SetBandwidth on both.
 func FuzzRoutePhase(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0x03, 0x41, 0x7f, 0x10, 0xee})
 	f.Add(int64(42), uint8(3), []byte{0xff, 0x00, 0xa5, 0x5a})
@@ -201,6 +142,7 @@ func FuzzRoutePhase(f *testing.F) {
 				nw.SetBandwidth(2)
 			}
 			phases++
+			sortByProc(attempts)
 			gr, cr, lr := ref.RoutePhase(attempts)
 			gn, cn, ln := nw.RoutePhase(attempts)
 			if cr != cn || lr != ln {

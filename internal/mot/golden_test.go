@@ -29,7 +29,9 @@ type goldenNetRun struct {
 }
 
 // netScenario drives a network through a deterministic sequence of phases
-// drawn from seed and records every observable output. It is the
+// drawn from seed and records every observable output. Each phase is
+// routed in processor order, the order a phase arrives in, and each grant
+// is recorded under its attempt's draw position. It is the
 // implementation-independent contract the router refactors must preserve.
 func netScenario(side int, pl Placement, pol Policy, dualRail bool, seed int64) goldenNetRun {
 	nw := NewNetwork(side, pl, Config{Policy: pol, DualRail: dualRail})
@@ -57,9 +59,16 @@ func netScenario(side int, pl Placement, pol Policy, dualRail bool, seed int64) 
 				Write:  rng.Intn(2) == 0,
 			})
 		}
-		granted, cycles, load := nw.RoutePhase(attempts)
+		perm := byProc(attempts)
+		routed := make([]quorum.Attempt, len(attempts))
+		for j, i := range perm {
+			routed[j] = attempts[i]
+		}
+		granted, cycles, load := nw.RoutePhase(routed)
 		g := make([]bool, len(granted))
-		copy(g, granted)
+		for j, i := range perm {
+			g[i] = granted[j]
+		}
 		tr.Phases = append(tr.Phases, goldenPhase{Granted: g, Cycles: cycles, MaxLoad: load})
 	}
 	tr.Stats = nw.Stats()

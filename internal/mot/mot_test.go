@@ -226,8 +226,10 @@ func TestEmptyPhaseFree(t *testing.T) {
 
 // TestProcBeyondRootsPanics: a processor id outside [0, side) or a module
 // id outside the network's banks is refused with a named panic instead of
-// indexing out of range or folding onto another bank, and the refused
-// phase leaves no census counts behind.
+// indexing out of range or folding onto another bank, and so is a pair of
+// attempts out of processor order; the range checks come first, so an
+// out-of-range attempt after processor 2 is named for its range. The
+// refused phase leaves no census counts behind.
 func TestProcBeyondRootsPanics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -242,6 +244,8 @@ func TestProcBeyondRootsPanics(t *testing.T) {
 		{"module=-5", ModulesAtLeaves, Config{}, quorum.Attempt{Proc: 1, Module: -5}, "module id"},
 		{"module=2side-dual", ModulesAtLeaves, Config{DualRail: true}, quorum.Attempt{Proc: 1, Module: 16}, "module id"},
 		{"module=side-roots", ModulesAtRoots, Config{DualRail: true}, quorum.Attempt{Proc: 1, Module: 8}, "module id"},
+		{"descending", ModulesAtLeaves, Config{}, quorum.Attempt{Proc: 1, Module: 4}, "attempt 1 (processor 1) follows processor 2"},
+		{"descending-roots", ModulesAtRoots, Config{}, quorum.Attempt{Proc: 0, Module: 3}, "attempt 1 (processor 0) follows processor 2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

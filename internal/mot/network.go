@@ -1,9 +1,8 @@
 package mot
 
 import (
-	"cmp"
+	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/quorum"
 	"repro/internal/xmath"
@@ -103,8 +102,7 @@ type Network struct {
 	modLeaf            []int32 // per phase-local module: its grid leaf row·side+col
 	pktMod             []int32 // per attempt: its phase-local module
 
-	order   []int32 // attempt indices in (Proc, index) order
-	walked  []int32 // the packets of order that are not quiet
+	walked  []int32 // the attempts that are not quiet, in attempt order
 	granted []bool
 
 	// claims holds the walk's (edge, cycle) and (module, cycle) pairs,
@@ -189,9 +187,12 @@ func (nw *Network) Stats() Stats { return nw.stats }
 // RoutePhase implements quorum.Interconnect. Each attempt becomes a packet
 // injected at its processor's root on cycle one of the phase; the phase
 // lasts until every packet has either returned (granted) or collided
-// (refused). The phase cost is the makespan in cycles. It panics on a
-// processor id outside [0, side) or a module id outside the network's
-// banks.
+// (refused). The phase cost is the makespan in cycles. The attempts must
+// arrive in non-decreasing Proc order, as the engine schedules them, so
+// the attempt order is the settle order. It panics on a processor id
+// outside [0, side), on a module id outside the network's banks, and
+// then on a pair of attempts out of processor order, naming the pair; a
+// refused phase leaves no census counts behind.
 //
 //pram:hotpath
 func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
@@ -209,7 +210,7 @@ func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
 	// need bounds the pairs the walks take: one per hop on a shared tree
 	// and one per service at a shared module.
 	walked, need := nw.walked[:0], 0
-	for _, i := range nw.order {
+	for i := range attempts {
 		a, lm := &attempts[i], nw.pktMod[i]
 		rt, ct, rt2 := nw.trees(a, lm)
 		if nw.modUsers[lm] == 1 && nw.rowUsers[rt] == 1 && nw.colUsers[ct] == 1 &&
@@ -221,7 +222,7 @@ func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
 			end = max(end, nw.start+pathLen+1)
 			continue
 		}
-		walked = append(walked, i)
+		walked = append(walked, int32(i))
 		for _, lg := range nw.layout(&legs, a, lm) {
 			if lg.shared {
 				need += d
@@ -253,8 +254,7 @@ func (nw *Network) RoutePhase(attempts []quorum.Attempt) ([]bool, int64, int) {
 }
 
 // census validates the phase's attempts, counts the packets on every row
-// tree, column tree and module, fills nw.order with the attempt indices
-// in (Proc, index) order, and returns the peak module load.
+// tree, column tree and module, and returns the peak module load.
 //
 //pram:hotpath
 func (nw *Network) census(attempts []quorum.Attempt) int {
@@ -268,16 +268,20 @@ func (nw *Network) census(attempts []quorum.Attempt) int {
 	nw.modUsers = growSlice(nw.modUsers, k)
 	nw.modLeaf = growSlice(nw.modLeaf, k)
 	nw.pktMod = growSlice(nw.pktMod, k)
-	order := nw.order[:0]
-	maxLoad, sorted := 0, true
+	maxLoad := 0
 	for i := range attempts {
 		a := &attempts[i]
-		if uint(a.Proc) >= uint(side) || uint(a.Module) >= uint(nw.banks) {
+		if uint(a.Proc) >= uint(side) || uint(a.Module) >= uint(nw.banks) || i > 0 && a.Proc < attempts[i-1].Proc {
 			nw.uncount(attempts[:i])
-			if uint(a.Proc) >= uint(side) {
+			switch {
+			case uint(a.Proc) >= uint(side):
 				panic("mot: processor id exceeds root count")
+			case uint(a.Module) >= uint(nw.banks):
+				panic("mot: module id outside the network's banks")
 			}
-			panic("mot: module id outside the network's banks")
+			//pram:coldalloc caller-contract panic guard, never taken in steady state
+			panic(fmt.Sprintf("mot: attempt %d (processor %d) follows processor %d: a phase must arrive in processor order",
+				i, a.Proc, attempts[i-1].Proc))
 		}
 		lm := nw.internModule(nw.leaf(a))
 		nw.pktMod[i] = lm
@@ -289,23 +293,7 @@ func (nw *Network) census(attempts []quorum.Attempt) int {
 		if rt2 >= 0 && rt2 != rt {
 			nw.rowUsers[rt2]++
 		}
-		if i > 0 && attempts[i-1].Proc > a.Proc {
-			sorted = false
-		}
-		order = append(order, int32(i))
 	}
-	if !sorted {
-		// The engine schedules attempts in ascending processor order, so
-		// only direct callers reach this sort.
-		//pram:coldalloc non-escaping comparator: stays on the stack (E5 benches pin RoutePhase at 0 allocs/op)
-		slices.SortFunc(order, func(x, y int32) int {
-			if c := cmp.Compare(attempts[x].Proc, attempts[y].Proc); c != 0 {
-				return c
-			}
-			return cmp.Compare(x, y)
-		})
-	}
-	nw.order = order
 	return maxLoad
 }
 

@@ -221,9 +221,9 @@ func (l phaseLoad) packets(rng *rand.Rand, side int) int {
 	return 1 + rng.Intn(2*side)
 }
 
-// refAttempts draws one phase's attempt set, including duplicate and
-// descending processor ids (sort path, priority ties) and, under dual
-// rail, row-bank ids.
+// refAttempts draws one phase's attempt set, including duplicate
+// processor ids (priority ties) and, under dual rail, row-bank ids, and
+// sorts it stably by processor, the order a phase arrives in.
 func refAttempts(rng *rand.Rand, side int, dualRail bool, load phaseLoad) []quorum.Attempt {
 	banks := side
 	if dualRail {
@@ -240,6 +240,7 @@ func refAttempts(rng *rand.Rand, side int, dualRail bool, load phaseLoad) []quor
 			Write:  rng.Intn(2) == 0,
 		}
 	}
+	sortByProc(attempts)
 	return attempts
 }
 

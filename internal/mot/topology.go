@@ -20,8 +20,11 @@
 // favour of the lower (Proc, attempt index): an edge claimed twice in one
 // cycle, a module past its service capacity, a queued packet that retries.
 // So a packet's whole trajectory depends only on the packets before it in
-// that order, and RoutePhase settles packets one at a time, each
-// completely, in that order, in two passes over the phase's attempts:
+// that order. A phase's attempts arrive in non-decreasing Proc order (the
+// engine schedules them so, and RoutePhase refuses any other), so that
+// order is the attempt order, and RoutePhase settles packets one at a
+// time, each completely, in attempt order, in two passes over the phase's
+// attempts:
 //
 //   - The census counts the packets of the phase on each row tree, each
 //     column tree and each module. A path uses at most three trees: its
@@ -51,8 +54,8 @@
 // # Zero-allocation invariant
 //
 // Network.RoutePhase performs zero heap allocations in steady state: the
-// census tables, the settle order and the claim table are reused and only
-// grow. testing.AllocsPerRun tests lock the invariant; the goldens
+// census tables, the walked-packet list and the claim table are reused
+// and only grow. testing.AllocsPerRun tests lock the invariant; the goldens
 // and the reference router in reference_test.go — the cycle loop in its
 // plainest form — pin grants, cycle counts, loads and Stats bit for bit.
 package mot

@@ -1,9 +1,7 @@
 package quorum
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/model"
 )
@@ -147,61 +145,46 @@ func (m *Machine) ExecuteStep(batch model.Batch) model.StepReport {
 // dedup is the live step's front end. It sorts the batch's active
 // requests, checks them against the conflict discipline, and walks them
 // once, writing the post-dedup step into m.sc.step. The returned report
-// is opened for execute (openReport), with Values sized to max(n−1,
-// highest active processor id) and Err the conflict check's verdict.
+// is opened for execute (openReport), with Err the conflict check's
+// verdict. It refuses, with a panic naming the entry, a batch that breaks
+// model.Batch's contract (longer than Procs(), or an active entry i that
+// is not processor i's request) or addresses a cell outside
+// [0, MemSize()).
 //
 //pram:hotpath
 func (m *Machine) dedup(batch model.Batch) model.StepReport {
 	sc := &m.sc
+	if len(batch) > m.n {
+		//pram:coldalloc caller-contract panic guard, never taken in steady state
+		panic(fmt.Sprintf("quorum: batch of %d entries for %d processors", len(batch), m.n))
+	}
 
 	// Flatten the step's active requests and sort them by address, reads
 	// before writes within a group, ascending processor ids within each
 	// run — one sort replaces the per-step readersOf/winner maps AND feeds
-	// the conflict check (which only needs address grouping).
+	// the conflict check (which only needs address grouping). The batch
+	// is indexed by processor, so the records arrive in ascending
+	// processor order and a stable radix sort on (Addr, Write) produces
+	// the full (Addr, Write, Proc) order.
 	recs := sc.recs[:0]
-	maxProc := m.n - 1
-	maxAddr := model.Addr(0)
-	radixable := true // ascending procs, non-negative addresses
-	prevProc := -1
-	for _, r := range batch {
+	maxAddr, cells := model.Addr(0), m.MemSize()
+	for i, r := range batch {
 		if r.Op == model.OpNone {
 			continue
 		}
-		recs = append(recs, model.ConflictRec{Addr: r.Addr, Proc: r.Proc, Val: r.Value, Write: r.Op == model.OpWrite})
-		if r.Proc > maxProc {
-			maxProc = r.Proc
+		if r.Proc != i {
+			//pram:coldalloc caller-contract panic guard, never taken in steady state
+			panic(fmt.Sprintf("quorum: batch entry %d holds processor %d's request", i, r.Proc))
 		}
-		if r.Proc <= prevProc || r.Addr < 0 {
-			radixable = false
+		if uint(r.Addr) >= uint(cells) {
+			//pram:coldalloc caller-contract panic guard, never taken in steady state
+			panic(fmt.Sprintf("quorum: batch entry %d addresses cell %d outside [0,%d)", i, r.Addr, cells))
 		}
-		prevProc = r.Proc
-		if r.Addr > maxAddr {
-			maxAddr = r.Addr
-		}
+		recs = append(recs, model.ConflictRec{Addr: r.Addr, Proc: i, Val: r.Value, Write: r.Op == model.OpWrite})
+		maxAddr = max(maxAddr, r.Addr)
 	}
-	if radixable {
-		// Batches list requests in ascending processor order (Batch is
-		// indexed by processor), so a stable radix pass on (Addr, Write)
-		// produces the full (Addr, Write, Proc) order ~4x cheaper than the
-		// comparison sort — the dedup pass was the largest remaining step
-		// cost at n ≥ 1024.
-		sc.recsTmp = grow(sc.recsTmp, len(recs))
-		recs, sc.recsTmp = model.RadixSortConflictRecs(recs, sc.recsTmp[:len(recs)], maxAddr)
-	} else {
-		// Rare path: direct callers with out-of-order processors.
-		slices.SortFunc(recs, func(a, b model.ConflictRec) int {
-			if a.Addr != b.Addr {
-				return cmp.Compare(a.Addr, b.Addr)
-			}
-			if a.Write != b.Write {
-				if a.Write {
-					return 1
-				}
-				return -1
-			}
-			return cmp.Compare(a.Proc, b.Proc)
-		})
-	}
+	sc.recsTmp = grow(sc.recsTmp, len(recs))
+	recs, sc.recsTmp = model.RadixSortConflictRecs(recs, sc.recsTmp[:len(recs)], maxAddr)
 	sc.recs = recs
 
 	// One walk over the sorted records builds the post-dedup step. An
@@ -230,14 +213,14 @@ func (m *Machine) dedup(batch model.Batch) model.StepReport {
 	}
 	off = append(off, int32(len(procs)))
 	*s = DedupStep{Reads: reads, ReaderOff: off, ReaderProcs: procs, Writes: writes}
-	return m.openReport(maxProc, model.CheckSortedRecords(recs, m.mode))
+	return m.openReport(model.CheckSortedRecords(recs, m.mode))
 }
 
-// openReport opens a step's report for execute: the dense Values buffer
-// sized to maxProc+1 and cleared, and Err set to the front end's conflict
+// openReport opens a step's report for execute: the dense Values buffer,
+// Procs() long and cleared, and Err set to the front end's conflict
 // verdict, which outranks any stall the legs report.
-func (m *Machine) openReport(maxProc int, err error) model.StepReport {
-	m.sc.values = grow(m.sc.values, maxProc+1)
+func (m *Machine) openReport(err error) model.StepReport {
+	m.sc.values = grow(m.sc.values, m.n)
 	clear(m.sc.values)
 	return model.StepReport{Values: m.sc.values, Err: err}
 }

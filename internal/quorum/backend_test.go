@@ -2,6 +2,8 @@ package quorum
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/memmap"
@@ -38,11 +40,11 @@ func TestBackendConcurrentReadsCombine(t *testing.T) {
 
 func TestBackendPriorityVsArbitraryWrites(t *testing.T) {
 	mkBatch := func() model.Batch {
-		return model.Batch{
-			{Proc: 4, Op: model.OpWrite, Addr: 9, Value: 44},
-			{Proc: 1, Op: model.OpWrite, Addr: 9, Value: 11},
-			{Proc: 7, Op: model.OpWrite, Addr: 9, Value: 77},
-		}
+		b := model.NewBatch(16)
+		b[1] = model.Request{Proc: 1, Op: model.OpWrite, Addr: 9, Value: 11}
+		b[4] = model.Request{Proc: 4, Op: model.OpWrite, Addr: 9, Value: 44}
+		b[7] = model.Request{Proc: 7, Op: model.OpWrite, Addr: 9, Value: 77}
+		return b
 	}
 	pr := backendSetup(t, 16, model.CRCWPriority)
 	pr.ExecuteStep(mkBatch())
@@ -53,6 +55,54 @@ func TestBackendPriorityVsArbitraryWrites(t *testing.T) {
 	ar.ExecuteStep(mkBatch())
 	if got := ar.ReadCell(9); got != 77 {
 		t.Errorf("arbitrary committed %d, want 77 (highest proc)", got)
+	}
+}
+
+// TestStepContractRefused: the machine refuses a batch that breaks
+// model.Batch's contract (an active entry that is not its index's
+// processor, more entries than processors) or addresses a cell outside
+// [0, MemSize()), and CompleteBipartite.RoutePhase refuses a phase out of
+// processor order, each with a panic that names the violation. A refused
+// step leaves the machine able to run the next one.
+func TestStepContractRefused(t *testing.T) {
+	const n = 8
+	m := backendSetup(t, n, model.CRCWPriority)
+	cells := m.MemSize()
+	withEntry := func(i int, r model.Request) model.Batch {
+		b := model.NewBatch(n)
+		b[i] = r
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+		want string
+	}{
+		{"entry not its processor", func() { m.ExecuteStep(withEntry(2, model.Request{Proc: 3, Op: model.OpRead, Addr: 1})) },
+			"batch entry 2 holds processor 3's request"},
+		{"more entries than processors", func() { m.ExecuteStep(model.NewBatch(n + 1)) },
+			fmt.Sprintf("batch of %d entries for %d processors", n+1, n)},
+		{"address past memory", func() { m.ExecuteStep(withEntry(5, model.Request{Proc: 5, Op: model.OpWrite, Addr: cells})) },
+			fmt.Sprintf("batch entry 5 addresses cell %d outside [0,%d)", cells, cells)},
+		{"negative address", func() { m.ExecuteStep(withEntry(0, model.Request{Proc: 0, Op: model.OpRead, Addr: -1})) },
+			"batch entry 0 addresses cell -1"},
+		{"phase out of processor order", func() { NewCompleteBipartite().RoutePhase([]Attempt{{Proc: 2}, {Proc: 2}, {Proc: 1}}) },
+			"attempt 2 (processor 1) follows processor 2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("panic %q, want one naming %q", msg, c.want)
+				}
+			}()
+			c.run()
+		})
+	}
+	m.LoadCells(1, []model.Word{42})
+	rep := m.ExecuteStep(withEntry(3, model.Request{Proc: 3, Op: model.OpRead, Addr: 1}))
+	if rep.Err != nil || len(rep.Values) != n || rep.Values[3] != 42 {
+		t.Errorf("step after the refusals: err %v, %d values, processor 3 read %d, want 42", rep.Err, len(rep.Values), rep.Values[3])
 	}
 }
 

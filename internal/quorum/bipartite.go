@@ -1,9 +1,8 @@
 package quorum
 
 import (
-	"cmp"
+	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // CompleteBipartite is the interconnect of the MPC and DMMPC models: every
@@ -21,10 +20,9 @@ import (
 // without clearing. An Engine over a *CompleteBipartite does not call
 // RoutePhase: it admits each copy access as it schedules it and touches
 // the store cell at once (Engine.bipartitePhase). RoutePhase is the same
-// arbitration over a whole phase, for direct callers and wrappers; it is
-// allocation-free and sort-free in steady state, sorting only attempts
-// that arrive out of processor order. The returned granted slice is
-// reused across calls (see Interconnect).
+// arbitration over a whole phase in processor order, for direct callers
+// and wrappers; it is allocation-free in steady state. The returned
+// granted slice is reused across calls (see Interconnect).
 type CompleteBipartite struct {
 	// Bandwidth is the number of copy accesses a module can serve per
 	// phase; the MPC/DMMPC definitions use 1, and values below 1 mean 1.
@@ -33,7 +31,6 @@ type CompleteBipartite struct {
 	PhaseCost int64
 
 	granted []bool
-	order   []int32
 
 	// The phase-local load table and the state of the open phase.
 	table   []moduleLoad // power-of-two size, at least twice the phase's attempts
@@ -119,36 +116,18 @@ func (cb *CompleteBipartite) endPhase() (time int64, maxLoad int) {
 // RoutePhase implements Interconnect: per module, the Bandwidth attempts
 // with the lowest processor ids are granted (deterministic priority
 // arbitration), the rest are refused and will be retried by the engine.
+// The attempts must arrive in non-decreasing Proc order, as the engine
+// schedules them; it panics on a pair that does not, naming it.
 func (cb *CompleteBipartite) RoutePhase(attempts []Attempt) ([]bool, int64, int) {
 	cb.granted = grow(cb.granted, len(attempts))
 	granted := cb.granted
 	cb.beginPhase(len(attempts))
-	sorted := true
-	for i := 1; i < len(attempts) && sorted; i++ {
-		sorted = attempts[i].Proc >= attempts[i-1].Proc
-	}
-	if sorted {
-		for i := range attempts {
-			granted[i] = cb.admit(uint32(attempts[i].Module))
+	for i := range attempts {
+		if i > 0 && attempts[i].Proc < attempts[i-1].Proc {
+			panic(fmt.Sprintf("quorum: attempt %d (processor %d) follows processor %d: a phase must arrive in processor order",
+				i, attempts[i].Proc, attempts[i-1].Proc))
 		}
-	} else {
-		// Rare path: direct callers with unsorted attempts. Arbitrate in
-		// ascending (proc, index) order so grants stay deterministic and
-		// identical to the engine-ordered case.
-		order := grow(cb.order, len(attempts))
-		cb.order = order
-		for i := range order {
-			order[i] = int32(i)
-		}
-		slices.SortFunc(order, func(x, y int32) int {
-			if attempts[x].Proc != attempts[y].Proc {
-				return cmp.Compare(attempts[x].Proc, attempts[y].Proc)
-			}
-			return cmp.Compare(x, y)
-		})
-		for _, i := range order {
-			granted[i] = cb.admit(uint32(attempts[i].Module))
-		}
+		granted[i] = cb.admit(uint32(attempts[i].Module))
 	}
 	time, maxLoad := cb.endPhase()
 	return granted, time, maxLoad

@@ -33,6 +33,10 @@ type Attempt struct {
 type Interconnect interface {
 	// RoutePhase processes one phase of attempts and reports which were
 	// granted, the phase's simulated duration, and the peak per-module load.
+	// The attempts arrive in non-decreasing Proc order, the order the
+	// engine schedules them in (cluster by cluster, member by member), and
+	// the order arbitration favours; an implementation may refuse a phase
+	// out of that order with a panic.
 	// Implementations may reuse the returned slice: its contents are only
 	// valid until the next RoutePhase call on the same interconnect.
 	RoutePhase(attempts []Attempt) (granted []bool, time int64, maxLoad int)

@@ -231,10 +231,10 @@ func TestEmptyBatch(t *testing.T) {
 func TestBipartiteBandwidthArbitration(t *testing.T) {
 	cb := NewCompleteBipartite()
 	attempts := []Attempt{
-		{Proc: 5, Module: 1},
-		{Proc: 2, Module: 1},
-		{Proc: 9, Module: 1},
 		{Proc: 0, Module: 2},
+		{Proc: 2, Module: 1},
+		{Proc: 5, Module: 1},
+		{Proc: 9, Module: 1},
 	}
 	granted, cost, load := cb.RoutePhase(attempts)
 	if cost != 1 {
@@ -243,7 +243,7 @@ func TestBipartiteBandwidthArbitration(t *testing.T) {
 	if load != 3 {
 		t.Errorf("max load = %d, want 3", load)
 	}
-	want := []bool{false, true, false, true} // lowest proc per module
+	want := []bool{true, true, false, false} // lowest proc per module
 	for i := range want {
 		if granted[i] != want[i] {
 			t.Errorf("granted[%d] = %v, want %v", i, granted[i], want[i])
@@ -254,7 +254,7 @@ func TestBipartiteBandwidthArbitration(t *testing.T) {
 func TestBipartiteHigherBandwidth(t *testing.T) {
 	cb := &CompleteBipartite{Bandwidth: 2, PhaseCost: 4}
 	attempts := []Attempt{
-		{Proc: 5, Module: 1}, {Proc: 2, Module: 1}, {Proc: 9, Module: 1},
+		{Proc: 2, Module: 1}, {Proc: 5, Module: 1}, {Proc: 9, Module: 1},
 	}
 	granted, cost, _ := cb.RoutePhase(attempts)
 	if cost != 4 {
@@ -269,7 +269,7 @@ func TestBipartiteHigherBandwidth(t *testing.T) {
 	if n != 2 {
 		t.Errorf("granted %d, want 2", n)
 	}
-	if !granted[1] || !granted[0] {
+	if !granted[0] || !granted[1] {
 		t.Error("should grant procs 2 and 5")
 	}
 }

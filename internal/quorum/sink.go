@@ -106,9 +106,8 @@ func (m *Machine) ExecuteDedupStep(s DedupStep) model.StepReport {
 	return m.execute(&s, m.openDedup(&s))
 }
 
-// openDedup opens the report of a step that skipped the front end: Values
-// sized to max(n−1, highest processor id the step names) and no conflict
-// verdict.
+// openDedup opens the report of a step that skipped the front end:
+// Values Procs() long and no conflict verdict.
 //
 //pram:hotpath
 func (m *Machine) openDedup(s *DedupStep) model.StepReport {
@@ -116,12 +115,5 @@ func (m *Machine) openDedup(s *DedupStep) model.StepReport {
 		//pram:coldalloc caller-contract panic guard, never taken in steady state
 		panic(fmt.Sprintf("quorum: %d reader offsets for %d dedup reads", len(s.ReaderOff), len(s.Reads)))
 	}
-	maxProc := m.n - 1
-	for _, p := range s.ReaderProcs {
-		maxProc = max(maxProc, int(p))
-	}
-	for i := range s.Writes {
-		maxProc = max(maxProc, s.Writes[i].Proc)
-	}
-	return m.openReport(maxProc, nil)
+	return m.openReport(nil)
 }

@@ -11,6 +11,20 @@
 // the MPC (M = n, Θ(log m) copies), the paper's DMMPC (M = n^(1+ε), Θ(1)
 // copies) and the 2DMOT network of Section 3.
 //
+// # One processor order
+//
+// A P-RAM step makes at most one access per processor, so a model.Batch
+// is indexed by processor: a Machine takes at most Procs() entries, an
+// active entry i must be processor i's request, and its address must lie
+// in [0, MemSize()). The dedup front end relies on this: the batch's
+// records arrive in ascending processor order, so one stable radix sort
+// on (address, write) sorts them into the (address, write, processor)
+// order its walk needs. The engine schedules a phase cluster by cluster
+// and member by member, so its Attempts arrive in non-decreasing Proc
+// order, which is the order every Interconnect arbitrates in. Each
+// boundary refuses a violation with a panic that names it rather than
+// sorting around it.
+//
 // # Zero-allocation invariant
 //
 // The hot path — Machine.ExecuteStep (the dedup front end, then the step

@@ -251,9 +251,36 @@ func TestOverflowedLaneRejected(t *testing.T) {
 	}
 }
 
-// FuzzReadTraceFile is the satellite requirement: arbitrary bytes — seeded
-// with valid traces and systematic mutations — must never panic, never
-// over-allocate, and never silently misread; only clean traces verify.
+// overflowedLoadTrace splices a CRC-correct load frame right after
+// smallTrace's header: lane 0, base 2^63−2, four values, so base + count
+// wraps negative through int arithmetic.
+func overflowedLoadTrace(t testing.TB) []byte {
+	head, frames := splitFrames(smallTrace(t))
+	p := binary.AppendUvarint(nil, 0)
+	p = binary.AppendUvarint(p, 1<<63-2)
+	p = binary.AppendUvarint(p, 4)
+	for v := int64(1); v <= 4; v++ {
+		p = binary.AppendVarint(p, v)
+	}
+	data := append(append([]byte(nil), head...), frames[0]...)
+	data = frame(data, kindLoad, p)
+	return append(data, bytes.Join(frames[1:], nil)...)
+}
+
+// TestOverflowedLoadBaseRejected: a load frame whose base plus count
+// overflows is refused as corrupt by the reader instead of reaching the
+// replayer, which would index the store out of range (regression: this
+// used to panic).
+func TestOverflowedLoadBaseRejected(t *testing.T) {
+	err := drainTrace(overflowedLoadTrace(t))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "outside memory") {
+		t.Fatalf("load frame at base 2^63-2: %v, want a corrupt-trace error naming the memory range", err)
+	}
+}
+
+// FuzzReadTraceFile: arbitrary bytes, seeded with valid traces and
+// systematic mutations, must never panic, never over-allocate, and never
+// silently misread; only clean traces verify.
 func FuzzReadTraceFile(f *testing.F) {
 	valid := smallTrace(f)
 	f.Add(valid)
@@ -268,6 +295,7 @@ func FuzzReadTraceFile(f *testing.F) {
 	}
 	f.Add(append(append([]byte(nil), valid...), valid...)) // trailing garbage
 	f.Add(giantHeader())
+	f.Add(overflowedLoadTrace(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		err := drainTrace(data)
 		if err != nil {

@@ -219,8 +219,10 @@ func (r *Reader) decodeLoadFrame(payload []byte, f *Frame) error {
 	if f.Lane < 0 || f.Lane >= r.spec.Lanes {
 		return corruptf("load frame lane %d outside [0,%d)", f.Lane, r.spec.Lanes)
 	}
-	if f.LoadBase < 0 || f.LoadBase+n > r.mem {
-		return corruptf("load frame range [%d,%d) outside memory [0,%d)", f.LoadBase, f.LoadBase+n, r.mem)
+	// Compared as base > mem−n, not base+n > mem: a base near 2^63 would
+	// wrap the sum negative and pass.
+	if f.LoadBase < 0 || f.LoadBase > r.mem-n {
+		return corruptf("load frame of %d values at base %d outside memory [0,%d)", n, f.LoadBase, r.mem)
 	}
 	f.LoadVals = growCap(f.LoadVals, n)
 	for i := 0; i < n; i++ {

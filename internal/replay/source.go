@@ -23,42 +23,32 @@ import (
 //
 // Load and barrier frames are skipped: a traffic source replays access
 // SHAPE, not memory initialization, and round structure belongs to the
-// consuming scheduler. Addresses are the trace's own [0, Mem()) variable
-// ids; a consumer serving the stream into a smaller or banded variable
-// space folds them into its own range.
+// consuming scheduler. Addresses are the trace's own variable ids; a
+// consumer serving the stream into a smaller or banded variable space
+// folds them into its own range. The source is exhausted at eof.
 //
 // NextBatch returns batches aliasing one reusable buffer and performs zero
 // steady-state heap allocations, like every other replay read path.
 type BatchSource struct {
-	data []byte
-	br   bytes.Reader
 	r    *Reader
 	lane int
-	loop bool
 
 	batch model.Batch // indexed by proc, len = Spec().Procs
-	steps int64
 	done  bool
 	err   error
 }
 
 // NewBatchSource opens a trace held in memory as a batch stream for one
-// lane (single-lane traces use lane 0). When loop is true the source
-// rewinds at eof and streams the trace's steps again, indefinitely;
-// otherwise it is exhausted at eof.
-func NewBatchSource(data []byte, lane int, loop bool) (*BatchSource, error) {
-	s := &BatchSource{data: data, lane: lane, loop: loop}
-	s.br.Reset(data)
-	r, err := NewReader(&s.br)
+// lane (single-lane traces use lane 0).
+func NewBatchSource(data []byte, lane int) (*BatchSource, error) {
+	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	if lane < 0 || lane >= r.Spec().Lanes {
 		return nil, corruptf("lane %d outside the trace's %d lanes", lane, r.Spec().Lanes)
 	}
-	s.r = r
-	s.batch = model.NewBatch(r.Spec().Procs)
-	return s, nil
+	return &BatchSource{r: r, lane: lane, batch: model.NewBatch(r.Spec().Procs)}, nil
 }
 
 // Spec returns the trace's recorded machine spec.
@@ -68,23 +58,14 @@ func (s *BatchSource) Spec() core.Spec { return s.r.Spec() }
 // NextBatch yields.
 func (s *BatchSource) Procs() int { return s.r.Spec().Procs }
 
-// Mem returns the trace's variable-space size: every address NextBatch
-// yields is in [0, Mem()).
-func (s *BatchSource) Mem() int { return s.r.mem }
-
-// Steps returns how many step batches have been yielded so far (across
-// loop passes).
-func (s *BatchSource) Steps() int64 { return s.steps }
-
 // Err reports the stream error that ended the source early (nil after a
 // clean eof).
 func (s *BatchSource) Err() error { return s.err }
 
 // NextBatch yields the next reconstructed step batch of the source's lane,
-// or false when the trace is exhausted (clean eof on a non-looping source)
-// or broken (Err() reports the cause). The batch aliases the source's
-// reusable buffer — including across a loop rewind — and callers may
-// mutate it freely before the next call.
+// or false when the trace is exhausted (clean eof) or broken (Err()
+// reports the cause). The batch aliases the source's reusable buffer, and
+// callers may mutate it freely before the next call.
 func (s *BatchSource) NextBatch() (model.Batch, bool) {
 	if s.done {
 		return nil, false
@@ -104,19 +85,10 @@ func (s *BatchSource) NextBatch() (model.Batch, bool) {
 				continue
 			}
 			f.Reconstruct(s.batch)
-			s.steps++
 			return s.batch, true
 		case KindEOF:
-			if !s.loop {
-				s.done = true
-				return nil, false
-			}
-			s.br.Reset(s.data)
-			if err := s.r.Reset(&s.br); err != nil {
-				s.err = err
-				s.done = true
-				return nil, false
-			}
+			s.done = true
+			return nil, false
 		}
 		// Load and barrier frames, and other lanes' steps, are skipped.
 	}

@@ -45,7 +45,7 @@ func TestBatchSourceRoundTrip(t *testing.T) {
 	cfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 24, Mode: model.CRCWPriority}
 	data, costs, fp := recordSourceTrace(t, cfg, 12)
 
-	src, err := NewBatchSource(data, 0, false)
+	src, err := NewBatchSource(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,36 +82,6 @@ func TestBatchSourceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchSourceLoop verifies the looping mode rewinds at eof and keeps
-// yielding the same step sequence.
-func TestBatchSourceLoop(t *testing.T) {
-	cfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
-	data, costs, _ := recordSourceTrace(t, cfg, 5)
-	src, err := NewBatchSource(data, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first []string
-	for i := 0; i < 2*len(costs); i++ {
-		b, ok := src.NextBatch()
-		if !ok {
-			t.Fatalf("looping source exhausted at step %d (err %v)", i, src.Err())
-		}
-		s := ""
-		for _, r := range b {
-			s += r.Op.String() + ","
-		}
-		if i < len(costs) {
-			first = append(first, s)
-		} else if s != first[i-len(costs)] {
-			t.Errorf("loop pass step %d shape diverged", i-len(costs))
-		}
-	}
-	if src.Steps() != int64(2*len(costs)) {
-		t.Errorf("Steps = %d, want %d", src.Steps(), 2*len(costs))
-	}
-}
-
 // TestBatchSourceLaneSelection checks multi-lane traces split per lane and
 // out-of-range lanes are rejected.
 func TestBatchSourceLaneSelection(t *testing.T) {
@@ -138,7 +108,7 @@ func TestBatchSourceLaneSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lane := 0; lane < 2; lane++ {
-		src, err := NewBatchSource(buf.Bytes(), lane, false)
+		src, err := NewBatchSource(buf.Bytes(), lane)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +126,7 @@ func TestBatchSourceLaneSelection(t *testing.T) {
 			t.Errorf("lane %d yielded %d steps, want %d", lane, n, rounds)
 		}
 	}
-	if _, err := NewBatchSource(buf.Bytes(), 2, false); err == nil {
+	if _, err := NewBatchSource(buf.Bytes(), 2); err == nil {
 		t.Error("lane 2 of a 2-lane trace should be rejected")
 	}
 }
@@ -165,7 +135,7 @@ func TestBatchSourceLaneSelection(t *testing.T) {
 func TestBatchSourceTruncated(t *testing.T) {
 	cfg := core.Spec{Kind: core.KindDMMPC, Lanes: 1, Procs: 8, Mode: model.CRCWPriority}
 	data, _, _ := recordSourceTrace(t, cfg, 5)
-	src, err := NewBatchSource(data[:len(data)-10], 0, false)
+	src, err := NewBatchSource(data[:len(data)-10], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func TestServeTraceRoundZeroAllocs(t *testing.T) {
 	s, err := NewServer(Config{
 		Tenants: []TenantConfig{
 			{Name: "trace", Band: 0, Procs: 16, Arrival: Arrival{Window: 1},
-				Source: NewTraceSource(buf.Bytes(), 0, false)},
+				Source: NewTraceSource(buf.Bytes(), 0)},
 		},
 		Bands:   1,
 		Engines: 1,

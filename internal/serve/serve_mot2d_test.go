@@ -148,7 +148,7 @@ func TestServeTraceKindValidation(t *testing.T) {
 		return Config{
 			Tenants: []TenantConfig{{
 				Name: "trace", Band: 0, Procs: 64, Arrival: Arrival{Window: 1},
-				Source: NewTraceSource(trace, 0, false),
+				Source: NewTraceSource(trace, 0),
 			}},
 			Bands:                  1,
 			Engines:                1,

@@ -271,7 +271,7 @@ func TestServeTraceTenant(t *testing.T) {
 		return Config{
 			Tenants: []TenantConfig{
 				{Name: "trace", Band: 0, Procs: 8, Arrival: Arrival{Window: 1},
-					Source: NewTraceSource(buf.Bytes(), 0, false)},
+					Source: NewTraceSource(buf.Bytes(), 0)},
 				{Name: "live", Band: 1, Procs: 8, Arrival: Arrival{Window: 1},
 					Source: NewPatternSource(replay.Uniform, 8, 10, 9)},
 			},

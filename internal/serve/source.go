@@ -99,12 +99,12 @@ func (t *traceSource) NextBatch() (model.Batch, bool) {
 
 // NewTraceSource returns a factory serving one lane of a recorded PRAMTRC1
 // trace as tenant traffic, with the trace's addresses folded into the
-// tenant's band (traceSource). When loop is true the trace restarts at eof
-// and streams indefinitely. NewServer validates the recorded machine kind
-// against the pool's interconnect at admission.
-func NewTraceSource(data []byte, lane int, loop bool) SourceFactory {
+// tenant's band (traceSource); the source is exhausted at the trace's
+// eof. NewServer validates the recorded machine kind against the pool's
+// interconnect at admission.
+func NewTraceSource(data []byte, lane int) SourceFactory {
 	return func(b Band) Source {
-		src, err := replay.NewBatchSource(data, lane, loop)
+		src, err := replay.NewBatchSource(data, lane)
 		if err != nil {
 			return &failedSource{err: err}
 		}

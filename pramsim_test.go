@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	pramsim "repro"
+	"repro/internal/model"
 	"repro/internal/workloads"
 )
 
@@ -133,6 +134,28 @@ func TestMachines(t *testing.T) {
 			if pramsim.Run(m.New(n, cells, pramsim.EREW, seed), allWrite).Err() == nil {
 				t.Error("EREW: a concurrent write ran without a conflict error")
 			}
+		})
+	}
+}
+
+// TestMachinesRefuseMisindexedBatch: a batch is indexed by processor, and
+// every machine in the table refuses a batch whose active entry 2 is
+// processor 3's request, with a panic that names the entry, rather than
+// running it.
+func TestMachinesRefuseMisindexedBatch(t *testing.T) {
+	const n, cells, seed = 16, 300, 3
+	for _, m := range pramsim.Machines {
+		t.Run(m.Name, func(t *testing.T) {
+			b := m.New(n, cells, pramsim.CRCWPriority, seed)
+			batch := model.NewBatch(n)
+			batch[2] = model.Request{Proc: 3, Op: model.OpRead, Addr: 1}
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "batch entry 2 holds processor 3's request"; !strings.Contains(msg, want) {
+					t.Errorf("panic %q, want one naming %q", msg, want)
+				}
+			}()
+			b.ExecuteStep(batch)
 		})
 	}
 }
