@@ -1,8 +1,10 @@
 package mot
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +81,82 @@ func TestQueuePolicyAlwaysGrantsAll(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestRoutePhaseRefusesOutOfOrder: under every placement, policy, rail and
+// module capacity of the sweep, a phase with two attempts swapped out of
+// processor order is refused with a panic naming its first descending
+// pair, and the refusal leaves the network as it found it: the phase
+// routed in order next takes the same grants, cycles, load and walked
+// packets as on a twin network that never saw the refused phase, and the
+// two end with the same Stats. The census has counted the attempts before
+// the descending pair when it refuses, so a count left behind would turn
+// a quiet packet of the next phase into a walked one.
+func TestRoutePhaseRefusesOutOfOrder(t *testing.T) {
+	for _, side := range sweepSides {
+		for ci, c := range sweepCases {
+			t.Run(c.name(side, ci), func(t *testing.T) {
+				nw := NewNetwork(side, c.pl, c.config())
+				twin := NewNetwork(side, c.pl, c.config())
+				rng := rand.New(rand.NewSource(int64(97*side + ci)))
+				refused := 0
+				for phase := 0; phase < 12; phase++ {
+					attempts := refAttempts(rng, side, c.dualRail, phaseLoad(phase%3))
+					if moved, want := descendingCopy(rng, attempts); moved != nil {
+						refused++
+						func() {
+							defer func() {
+								if msg, _ := recover().(string); !strings.Contains(msg, want) {
+									t.Errorf("phase %d: panic %q, want one naming %q", phase, msg, want)
+								}
+							}()
+							nw.RoutePhase(moved)
+						}()
+					}
+					g, cycles, load := nw.RoutePhase(attempts)
+					tg, tcycles, tload := twin.RoutePhase(attempts)
+					if !slices.Equal(g, tg) || cycles != tcycles || load != tload || !slices.Equal(nw.walked, twin.walked) {
+						t.Fatalf("phase %d after a refusal: grants %v, cycles %d, load %d, walked %v; twin %v, %d, %d, %v",
+							phase, g, cycles, load, nw.walked, tg, tcycles, tload, twin.walked)
+					}
+				}
+				if refused == 0 {
+					t.Fatal("no phase had two processors to swap")
+				}
+				if nw.Stats() != twin.Stats() {
+					t.Fatalf("stats diverged:\n refusing %+v\n twin     %+v", nw.Stats(), twin.Stats())
+				}
+			})
+		}
+	}
+}
+
+// descendingCopy returns a copy of the in-order phase attempts with an
+// attempt swapped with a later one of a higher processor, and the text
+// of the panic that names the copy's first descending pair; it returns
+// nil when every attempt has one processor.
+func descendingCopy(rng *rand.Rand, attempts []quorum.Attempt) ([]quorum.Attempt, string) {
+	var higher []int // the attempts whose processor is above the first's
+	for j, a := range attempts {
+		if a.Proc > attempts[0].Proc {
+			higher = append(higher, j)
+		}
+	}
+	if len(higher) == 0 {
+		return nil, ""
+	}
+	j := higher[rng.Intn(len(higher))]
+	// The attempts before the first of attempts[j]'s processor are all of
+	// lower processors, and there is at least one: attempts[0].
+	first := slices.IndexFunc(attempts, func(a quorum.Attempt) bool { return a.Proc == attempts[j].Proc })
+	i := rng.Intn(first)
+	moved := slices.Clone(attempts)
+	moved[i], moved[j] = moved[j], moved[i]
+	k := 1
+	for moved[k].Proc >= moved[k-1].Proc {
+		k++
+	}
+	return moved, fmt.Sprintf("attempt %d (processor %d) follows processor %d", k, moved[k].Proc, moved[k-1].Proc)
 }
 
 // sortByProc puts a phase's attempts in the order RoutePhase takes them:
